@@ -140,7 +140,11 @@ class PFLSSL(FederatedAlgorithm):
         )
         pool = client.ssl_pool()
         total_loss, batch_count = 0.0, 0
+        # Per-metric sums and counts: a local_loss may emit a metric on only
+        # some batches (Calibre's l_p needs two populated clusters), and
+        # each metric averages over the batches that emitted it.
         aggregated: Dict[str, float] = {}
+        emitted: Dict[str, int] = {}
         for _ in range(config.local_epochs):
             for batch in batch_iterator(len(pool), config.batch_size, shuffle=True,
                                         rng=rng):
@@ -158,10 +162,11 @@ class PFLSSL(FederatedAlgorithm):
                 batch_count += 1
                 for name, value in metrics.items():
                     aggregated[name] = aggregated.get(name, 0.0) + value
+                    emitted[name] = emitted.get(name, 0) + 1
         self._save_client_method(client, method)
         metrics = {"loss": total_loss / max(batch_count, 1)}
         for name, value in aggregated.items():
-            metrics[name] = value / max(batch_count, 1)
+            metrics[name] = value / emitted[name]
         return ClientUpdate(
             client_id=client.client_id,
             state=method.global_state(),

@@ -7,7 +7,8 @@ of a pFL experiment:
 * ``aggregate`` — combine client updates into the next global state
   (default: FedAvg's sample-count-weighted average);
 * ``personalize`` — the post-training stage run on *every* client
-  (default: the paper's linear probe on frozen encoder features).
+  (default: the paper's linear probe on frozen encoder features, which
+  ``cohort_personalize`` trains client-batched).
 
 Baselines override the pieces they change; Calibre overrides
 ``local_update`` (prototype losses) and ``aggregate`` (divergence-aware
@@ -24,7 +25,12 @@ import numpy as np
 from ..nn.serialize import StateDict, weighted_average
 from .client import ClientData, derive_rng
 from .config import FederatedConfig
-from .personalization import PersonalizationResult, train_linear_probe
+from .personalization import (
+    PersonalizationResult,
+    ProbeTask,
+    train_linear_probe,
+    train_linear_probes,
+)
 
 __all__ = ["ClientUpdate", "FederatedAlgorithm", "UpdateAccumulator"]
 
@@ -180,6 +186,36 @@ class FederatedAlgorithm:
             learning_rate=config.personalization_lr,
             batch_size=config.personalization_batch_size,
             rng=rng,
+        )
+
+    def cohort_personalize(self, clients: Sequence[ClientData],
+                           global_state: StateDict
+                           ) -> List[PersonalizationResult]:
+        """Personalize a cohort of clients, results in client order.
+
+        With the stock :meth:`personalize`, every client's features are
+        extracted and the probes train on the client-batched engine
+        (:func:`~repro.fl.personalization.train_linear_probes`), which
+        groups clients by feature shape and returns results bitwise
+        identical to personalizing each client alone.  An algorithm that
+        overrides :meth:`personalize` gets it looped per client.
+        """
+        if type(self).personalize is not FederatedAlgorithm.personalize:
+            return [self.personalize(client, global_state) for client in clients]
+        config = self.config
+        tasks = [ProbeTask(
+            self.extract_features(client, global_state, client.train.images),
+            client.train.labels,
+            self.extract_features(client, global_state, client.test.images),
+            client.test.labels,
+            rng=derive_rng(config.seed, 9_999, client.client_id),
+        ) for client in clients]
+        return train_linear_probes(
+            tasks,
+            num_classes=self.num_classes,
+            epochs=config.personalization_epochs,
+            learning_rate=config.personalization_lr,
+            batch_size=config.personalization_batch_size,
         )
 
     def make_aggregator(self, global_state: StateDict,

@@ -27,6 +27,7 @@ import copy
 import functools
 import hashlib
 import json
+import math
 import warnings
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass
@@ -41,7 +42,7 @@ from ...telemetry import InstrumentedTask, TaskOutcome, Tracer, current_tracer
 from ..algorithm import ClientUpdate, FederatedAlgorithm, UpdateAccumulator
 from ..client import ClientData
 from ..config import FederatedConfig
-from ..execution import ExecutionBackend, resolve_backend
+from ..execution import ExecutionBackend, chunk_items, resolve_backend
 from ..history import RoundRecord, RunResult
 from ..population import AvailabilityModel, BufferedAccumulator, VirtualPopulation
 from ..sampler import RandomSampler
@@ -103,29 +104,33 @@ def _local_update_task(algorithm: FederatedAlgorithm, global_state: StateDict,
     return _ClientOutcome(client.client_id, update, store)
 
 
+def _cohort_outcomes(clients: Sequence[ClientData], run) -> List[_ClientOutcome]:
+    """Run ``run()`` over a cohort and box one outcome per client, in
+    cohort order, so the coordinator can reattach stores and consume the
+    results at original input positions."""
+    packed = [_unpack_client_store(client) for client in clients]
+    results = run()
+    return [_ClientOutcome(client.client_id, result,
+                           pack_store(client.store) if was_packed
+                           else client.store)
+            for client, result, was_packed in zip(clients, results, packed)]
+
+
 def _cohort_update_task(algorithm: FederatedAlgorithm, global_state: StateDict,
                         round_index: int, clients: Sequence[ClientData]
                         ) -> List[_ClientOutcome]:
-    """One cohort's round contribution (module-level: picklable).
-
-    Returns one outcome per client, in cohort order, so the coordinator can
-    reattach stores and feed the aggregator at original input positions.
-    """
-    packed = [_unpack_client_store(client) for client in clients]
-    updates = algorithm.cohort_update(clients, global_state, round_index)
-    return [_ClientOutcome(client.client_id, update,
-                           pack_store(client.store) if was_packed
-                           else client.store)
-            for client, update, was_packed in zip(clients, updates, packed)]
+    """One cohort's round contribution (module-level: picklable)."""
+    return _cohort_outcomes(clients, lambda: algorithm.cohort_update(
+        clients, global_state, round_index))
 
 
-def _personalize_task(algorithm: FederatedAlgorithm, global_state: StateDict,
-                      client: ClientData) -> _ClientOutcome:
-    """One client's personalization stage (module-level: picklable)."""
-    packed = _unpack_client_store(client)
-    result = algorithm.personalize(client, global_state)
-    store = pack_store(client.store) if packed else client.store
-    return _ClientOutcome(client.client_id, result, store)
+def _cohort_personalize_task(algorithm: FederatedAlgorithm,
+                             global_state: StateDict,
+                             clients: Sequence[ClientData]
+                             ) -> List[_ClientOutcome]:
+    """One cohort's personalization stage (module-level: picklable)."""
+    return _cohort_outcomes(clients, lambda: algorithm.cohort_personalize(
+        clients, global_state))
 
 
 def _client_span_attrs(round_index: int, client: ClientData) -> Dict:
@@ -133,15 +138,13 @@ def _client_span_attrs(round_index: int, client: ClientData) -> Dict:
     return {"round": round_index, "client_id": int(client.client_id)}
 
 
-def _cohort_span_attrs(round_index: int,
+def _cohort_span_attrs(round_index: Optional[int],
                        clients: Sequence[ClientData]) -> Dict:
-    """Span attrs for one cohort-update task (module-level: picklable)."""
-    return {"round": round_index, "cohort_size": len(clients)}
-
-
-def _personalize_span_attrs(client: ClientData) -> Dict:
-    """Span attrs for one personalize task (module-level: picklable)."""
-    return {"client_id": int(client.client_id)}
+    """Span attrs for one cohort task (module-level: picklable); the
+    personalization stage has no round."""
+    attrs = {} if round_index is None else {"round": round_index}
+    attrs["cohort_size"] = len(clients)
+    return attrs
 
 
 # FederatedConfig knobs that change wall-clock, never results (see
@@ -670,29 +673,41 @@ class TrainingSession:
         ``max_resident`` — the protocol still visits every client (the
         paper's personalization stage is population-wide), but peak
         resident memory keeps the same O(active) bound as training.
+
+        Each chunk splits into at most ``backend.workers`` contiguous
+        cohorts, each at most ``client_batch`` clients (1 = singleton
+        cohorts), dispatched through
+        :meth:`~repro.fl.algorithm.FederatedAlgorithm.cohort_personalize`.
+        Results are bitwise identical for every split.
         """
         if self._state.global_state is None:
             raise RuntimeError("train() must run before personalization")
         task = self._instrument(
             functools.partial(
-                _personalize_task, self.algorithm, self._state.global_state
+                _cohort_personalize_task, self.algorithm,
+                self._state.global_state,
             ),
-            "client_personalize",
-            _personalize_span_attrs,
+            "cohort_personalize",
+            functools.partial(_cohort_span_attrs, None),
         )
+        client_batch = getattr(self.config, "client_batch", None)
         accuracies: Dict[int, float] = {}
         novel_accuracies: Dict[int, float] = {}
 
         def _collect(clients: Sequence[ClientData]) -> None:
+            size = math.ceil(len(clients) / self.backend.workers)
+            if client_batch is not None:
+                size = min(size, client_batch)
+            cohorts = chunk_items(clients, self.backend.workers, size)
             self._pack_participant_stores(clients)
             try:
-                outcomes = [self._unbox(boxed)
-                            for boxed in self.backend.map_clients(task,
-                                                                  clients)]
-                for client, outcome in zip(clients, outcomes):
-                    client.store = unpack_store(outcome.store)
-                    target = novel_accuracies if client.is_novel else accuracies
-                    target[client.client_id] = outcome.result.accuracy
+                for cohort, boxed in zip(
+                        cohorts, self.backend.map_cohorts(task, cohorts)):
+                    for client, outcome in zip(cohort, self._unbox(boxed)):
+                        client.store = unpack_store(outcome.store)
+                        target = (novel_accuracies if client.is_novel
+                                  else accuracies)
+                        target[client.client_id] = outcome.result.accuracy
             finally:
                 self._restore_participant_stores(clients)
 

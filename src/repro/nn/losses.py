@@ -7,7 +7,8 @@ import numpy as np
 from . import functional as F
 from .tensor import Tensor
 
-__all__ = ["cross_entropy", "mse_loss", "l2_regularization", "accuracy"]
+__all__ = ["cross_entropy", "target_cross_entropy", "mse_loss",
+           "l2_regularization", "accuracy"]
 
 
 def cross_entropy(logits: Tensor, labels: np.ndarray, label_smoothing: float = 0.0) -> Tensor:
@@ -25,8 +26,19 @@ def cross_entropy(logits: Tensor, labels: np.ndarray, label_smoothing: float = 0
     target = F.one_hot(labels, num_classes, dtype=logits.data.dtype)
     if label_smoothing > 0.0:
         target = target * (1.0 - label_smoothing) + label_smoothing / num_classes
+    return target_cross_entropy(logits, Tensor(target))
+
+
+def target_cross_entropy(logits: Tensor, target: Tensor) -> Tensor:
+    """Mean cross-entropy between ``logits`` (N, K) and a dense target (N, K).
+
+    The body of :func:`cross_entropy` once the labels are encoded.  Taking
+    the target as a tensor lets a trace record it as an input, so the
+    client-batched linear probe never captures one client's labels as a
+    shared constant.
+    """
     log_probs = F.log_softmax(logits, axis=1)
-    return -(Tensor(target) * log_probs).sum(axis=1).mean()
+    return -(target * log_probs).sum(axis=1).mean()
 
 
 def mse_loss(prediction: Tensor, target: Tensor) -> Tensor:

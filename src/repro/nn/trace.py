@@ -514,13 +514,18 @@ class BatchedReplay:
     computes for client ``k``.  Gradients flow through the ordinary
     ``Tensor.backward``, so batched parameter leaves accumulate per-client
     gradients with no new backward code.
+
+    ``counter`` prefixes the telemetry counters each run bumps
+    (``<counter>.replays``, ``<counter>.replay_clients``), so replays of
+    different stages stay distinguishable in a profile.
     """
 
-    def __init__(self, trace: Trace, num_clients: int):
+    def __init__(self, trace: Trace, num_clients: int, counter: str = "trace"):
         if not trace.sealed:
             raise UntraceableError("replay requires a sealed trace")
         self.trace = trace
         self.num_clients = int(num_clients)
+        self.counter = counter
 
     def run(self, inputs: Dict[str, np.ndarray], params: Dict[str, Tensor],
             buffers: Dict[str, np.ndarray]):
@@ -532,8 +537,8 @@ class BatchedReplay:
         ``(K, *shape)`` arrays read (not written) by ``bn_update`` entries.
         """
         k = self.num_clients
-        telemetry.count("trace.replays")
-        telemetry.count("trace.replay_clients", k)
+        telemetry.count(f"{self.counter}.replays")
+        telemetry.count(f"{self.counter}.replay_clients", k)
         env: Dict[int, Tensor] = {}
         for name, (tid, shape, dtype) in self.trace.inputs.items():
             array = inputs[name]

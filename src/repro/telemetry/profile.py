@@ -43,7 +43,7 @@ PHASE_ORDER = (
     "personalize",
 )
 
-CLIENT_SPAN_NAMES = ("client_update", "cohort_update", "client_personalize")
+CLIENT_SPAN_NAMES = ("client_update", "cohort_update", "cohort_personalize")
 
 
 def load_store_telemetry(store_root: str) -> List[Tuple[str, CellTelemetry]]:
@@ -245,7 +245,7 @@ def render_profile(cells: Sequence[Tuple[str, CellTelemetry]],
             if stats is None:
                 continue
             dropped_text = (f" dropped={dropped:g}"
-                            if dropped and name != "client_personalize" else "")
+                            if dropped and name != "cohort_personalize" else "")
             lines.append(f"  {name:<14} n={stats.count:<4}"
                          f" total={_fmt_s(stats.total_s)}"
                          f" median={_fmt_s(stats.median_s)}"

@@ -205,11 +205,24 @@ class TestMethodSpecificInvariants:
         algorithm = build_method("calibre-simclr", config, NUM_CLASSES, encoder_factory,
                                  num_prototypes=3)
         global_state = algorithm.build_global_state()
+        emitted = []
+        local_loss = algorithm.local_loss
+
+        def spy(method, outputs, rng):
+            loss, metrics = local_loss(method, outputs, rng)
+            emitted.append(metrics)
+            return loss, metrics
+
+        algorithm.local_loss = spy
         update = algorithm.local_update(clients[0], global_state, 0)
         assert update.metrics["divergence"] > 0
         assert "l_n" in update.metrics
-        assert "l_p" in update.metrics or True  # l_p can be skipped on tiny batches
         assert "l_c" in update.metrics
+        # l_p needs two clusters populated in both views, so some batches
+        # skip it; it averages over the batches that emitted it.
+        l_p = [metrics["l_p"] for metrics in emitted if "l_p" in metrics]
+        assert l_p
+        assert update.metrics["l_p"] == sum(l_p) / len(l_p)
 
     def test_calibre_ablation_toggles(self):
         config = tiny_config()

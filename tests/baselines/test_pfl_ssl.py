@@ -132,3 +132,42 @@ class TestFedEMAMixing:
         loaded = method.global_state()
         for key in loaded:
             np.testing.assert_allclose(loaded[key], local_state[key], atol=1e-10)
+
+
+class AlternatingMetric(PFLSSL):
+    """Emits ``sparse`` on every other kept batch and ``dense`` on all."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.emitted = []
+
+    def local_loss(self, method, outputs, rng):
+        step = len(self.emitted)
+        metrics = {"dense": float(step)}
+        if step % 2 == 0:
+            metrics["sparse"] = 10.0 + step
+        self.emitted.append(metrics)
+        return outputs.loss, metrics
+
+
+class TestMetricAveraging:
+    def test_each_metric_averages_over_the_batches_that_emitted_it(self):
+        config, _, clients = make_setup()
+        config = config.with_overrides(batch_size=4)
+        algorithm = AlternatingMetric(config, 10, encoder_factory,
+                                      ssl_name="simclr")
+        update = algorithm.local_update(clients[0],
+                                        algorithm.build_global_state(), 0)
+        steps = len(algorithm.emitted)
+        assert steps >= 4
+        sparse = [m["sparse"] for m in algorithm.emitted if "sparse" in m]
+        assert len(sparse) == (steps + 1) // 2
+        assert update.metrics["dense"] == sum(range(steps)) / steps
+        assert update.metrics["sparse"] == sum(sparse) / len(sparse)
+
+    def test_metric_never_emitted_is_absent(self):
+        config, _, clients = make_setup()
+        algorithm = PFLSSL(config, 10, encoder_factory, ssl_name="simclr")
+        update = algorithm.local_update(clients[0],
+                                        algorithm.build_global_state(), 0)
+        assert set(update.metrics) == {"loss"}

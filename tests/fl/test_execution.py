@@ -1,5 +1,7 @@
 """Execution backends: determinism across backends, fallback, validation."""
 
+import functools
+import os
 import pickle
 import warnings
 
@@ -180,6 +182,100 @@ def test_process_backend_raises_without_fallback():
     backend = ProcessBackend(workers=2, fallback=False)
     with pytest.raises(ExecutionError):
         backend.map_clients(lambda x: x, [1])
+
+
+# ----------------------------------------------------------------------
+# Worker death: a pool worker killed mid-batch
+# ----------------------------------------------------------------------
+_COORDINATOR_RUNS = []
+"""Items the worker-death tasks ran in this (the coordinating) process."""
+
+
+def _die_in_worker(coordinator_pid, doomed, x):
+    """Double ``x``; a pool worker handed ``doomed`` dies on the spot.
+
+    The coordinator never dies, so the serial rerun of a failed chunk
+    completes, and every item it runs is logged."""
+    if os.getpid() == coordinator_pid:
+        _COORDINATOR_RUNS.append(x)
+    elif x == doomed:
+        os._exit(1)
+    return 2 * x
+
+
+def _die_in_worker_cohort(coordinator_pid, doomed, cohort):
+    return [_die_in_worker(coordinator_pid, doomed, x) for x in cohort]
+
+
+def _killer(cohorts=False):
+    function = _die_in_worker_cohort if cohorts else _die_in_worker
+    return functools.partial(function, os.getpid(), 3)
+
+
+def _runtime_warnings(caught):
+    return [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+class TestWorkerDeath:
+    ITEMS = list(range(8))
+    COHORTS = [[0, 1], [2, 3], [4, 5], [6, 7]]
+
+    def setup_method(self):
+        _COORDINATOR_RUNS.clear()
+
+    def test_map_clients_falls_back_to_the_serial_result(self):
+        expected = SerialBackend().map_clients(_killer(), self.ITEMS)
+        backend = ProcessBackend(workers=2, chunk_size=2)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert backend.map_clients(_killer(), self.ITEMS) == expected
+        assert len(_runtime_warnings(caught)) == 1
+        assert "BrokenProcessPool" in str(_runtime_warnings(caught)[0].message)
+
+    def test_map_cohorts_falls_back_to_the_serial_result(self):
+        expected = SerialBackend().map_cohorts(_killer(cohorts=True),
+                                               self.COHORTS)
+        backend = ProcessBackend(workers=2)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert backend.map_cohorts(_killer(cohorts=True),
+                                       self.COHORTS) == expected
+        assert len(_runtime_warnings(caught)) == 1
+
+    def test_imap_clients_reruns_only_unfinished_chunks(self):
+        expected = SerialBackend().map_clients(_killer(), self.ITEMS)
+        _COORDINATOR_RUNS.clear()
+        backend = ProcessBackend(workers=2, chunk_size=2)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            pairs = list(backend.imap_clients(_killer(), self.ITEMS))
+        assert len(_runtime_warnings(caught)) == 1
+        indices = [index for index, _ in pairs]
+        assert sorted(indices) == list(range(len(self.ITEMS)))
+        results = [None] * len(self.ITEMS)
+        for index, result in pairs:
+            results[index] = result
+        assert results == expected
+        # Whatever streamed out of a live worker is never rerun; the
+        # coordinator ran exactly the rest, whole chunks at a time, after
+        # everything the workers delivered.
+        rerun = sorted(_COORDINATOR_RUNS)
+        streamed = [index for index in indices if index not in rerun]
+        assert 3 in rerun
+        assert sorted(streamed + rerun) == list(range(len(self.ITEMS)))
+        assert indices[:len(streamed)] == streamed
+        chunks = chunk_items(self.ITEMS, workers=2, chunk_size=2)
+        for chunk in chunks:
+            assert set(chunk) <= set(rerun) or not set(chunk) & set(rerun)
+
+    def test_without_fallback_worker_death_raises(self):
+        with pytest.raises(ExecutionError, match="BrokenProcessPool|terminated"):
+            ProcessBackend(workers=2, chunk_size=2, fallback=False) \
+                .map_clients(_killer(), self.ITEMS)
+        with pytest.raises(ExecutionError):
+            list(ProcessBackend(workers=2, chunk_size=2, fallback=False)
+                 .imap_clients(_killer(), self.ITEMS))
+        assert _COORDINATOR_RUNS == []
 
 
 # ----------------------------------------------------------------------

@@ -65,7 +65,7 @@ class TestSpanTaxonomyAcrossBackends:
         for expected in COORDINATOR_SPANS:
             assert expected in names, f"{backend}: missing span {expected}"
         assert "client_update" in names
-        assert "client_personalize" in names
+        assert "cohort_personalize" in names
 
     @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
     def test_span_counts_match_the_schedule(self, backend):
@@ -78,7 +78,10 @@ class TestSpanTaxonomyAcrossBackends:
         assert len(by_name["round"]) == config.rounds
         assert len(by_name["client_update"]) \
             == config.rounds * config.clients_per_round
-        assert len(by_name["client_personalize"]) == config.num_clients
+        assert sum(span.attrs["cohort_size"]
+                   for span in by_name["cohort_personalize"]) \
+            == config.num_clients
+        assert len(by_name["cohort_personalize"]) == config.num_clients
         assert len(by_name["session"]) == 1
 
     def test_client_spans_nest_under_dispatch_with_fresh_tids(self):
@@ -102,7 +105,7 @@ class TestSpanTaxonomyAcrossBackends:
                    tracer)
         index = {span.span_id: span for span in tracer.spans}
         for span in tracer.spans:
-            if span.name in ("client_update", "client_personalize"):
+            if span.name in ("client_update", "cohort_personalize"):
                 parent = index[span.parent_id]
                 assert span.end <= parent.end + 1e-9
 
@@ -150,6 +153,38 @@ class TestCohortCounters:
                                 Tracer())
         assert json.dumps(batched.to_json()) \
             == json.dumps(per_client.to_json())
+
+
+class TestPersonalizationCohorts:
+    @pytest.mark.parametrize("backend,workers,client_batch,sizes", [
+        ("serial", 1, None, [4]),
+        ("serial", 1, 3, [3, 1]),
+        ("serial", 1, 1, [1, 1, 1, 1]),
+        ("thread", 2, None, [2, 2]),
+        ("process", 2, None, [2, 2]),
+        ("thread", 2, 1, [1, 1, 1, 1]),
+    ])
+    def test_cohorts_split_by_workers_and_client_batch(self, backend, workers,
+                                                       client_batch, sizes):
+        tracer = Tracer()
+        config = small_config(backend=backend, workers=workers,
+                              client_batch=client_batch)
+        run_traced("pfl-simclr", config, tracer)
+        spans = [span for span in tracer.spans
+                 if span.name == "cohort_personalize"]
+        assert sorted(span.attrs["cohort_size"] for span in spans) \
+            == sorted(sizes)
+        assert sum(span.attrs["cohort_size"] for span in spans) \
+            == config.num_clients
+        assert tracer.counters["probe.replay_clients"] \
+            >= tracer.counters["probe.replays"] > 0
+
+    def test_cohort_split_never_changes_results(self):
+        whole = run_traced("pfl-simclr", small_config(client_batch=None), None)
+        split = run_traced("pfl-simclr",
+                           small_config(client_batch=1, backend="thread",
+                                        workers=2), None)
+        assert json.dumps(whole.to_json()) == json.dumps(split.to_json())
 
 
 def config_rounds():
