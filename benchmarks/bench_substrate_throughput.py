@@ -147,7 +147,7 @@ def run_round_loop(backend: str, workers, rounds: int = 2, num_clients: int = 4,
     payload_wire = payload_nbytes(clients[0])
     # Warm the worker pool (spawn + first pickle round-trip) so the timer
     # measures steady-state dispatch, which is what the table claims.
-    session.backend.map_clients(abs, list(range(session.backend.workers)))
+    session.backend.map(abs, list(range(session.backend.workers)))
     start = time.perf_counter()
     session.run()
     elapsed = time.perf_counter() - start

@@ -39,7 +39,7 @@ GRID_ARGS = [
 ]
 
 EXPECTED_SPANS = ("cell", "session", "round", "sample", "dispatch",
-                  "client_update", "aggregate", "personalize")
+                  "cohort_update", "aggregate", "personalize")
 
 
 def cell_files(store: Path):
@@ -103,7 +103,7 @@ def main(argv=None) -> int:
 
         # 3. the profiler summarizes the store's sidecars.
         profile = run_cli("profile", str(store))
-        for needle in ("dispatch", "client_update", "straggler_spread",
+        for needle in ("dispatch", "cohort_update", "straggler_spread",
                        "worker", "rounds=2"):
             if needle not in profile:
                 fail(f"repro profile output missing {needle!r}:\n{profile}")

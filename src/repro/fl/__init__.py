@@ -28,7 +28,6 @@ from .execution import (
     SerialBackend,
     ThreadBackend,
     available_backends,
-    derive_client_rng,
     resolve_backend,
 )
 from .history import RoundRecord, RunResult
@@ -45,7 +44,6 @@ from .population import (
     VirtualPopulation,
 )
 from .sampler import RandomSampler, RoundRobinSampler
-from .server import FederatedServer
 from .session import (
     EarlyStopping,
     EvalCadence,
@@ -75,7 +73,6 @@ __all__ = [
     "ClientUpdate",
     "FederatedAlgorithm",
     "UpdateAccumulator",
-    "FederatedServer",
     "TrainingSession",
     "ServerState",
     "SessionCallback",
@@ -93,7 +90,6 @@ __all__ = [
     "BACKENDS",
     "available_backends",
     "resolve_backend",
-    "derive_client_rng",
     "RandomSampler",
     "RoundRobinSampler",
     "RoundRecord",

@@ -54,9 +54,9 @@ class UpdateAccumulator:
     """Consumes client updates as they complete; combines at finalize.
 
     The :class:`~repro.fl.session.TrainingSession` feeds this object from
-    an iterator of completed futures (``ExecutionBackend.imap_clients``),
-    so per-update work in :meth:`ingest` overlaps with still-running
-    clients instead of waiting for the round barrier — the seam future
+    an iterator of completed cohorts (``ExecutionBackend.imap``), so
+    per-update work in :meth:`ingest` overlaps with still-running clients
+    instead of waiting for the round barrier — the seam future
     async-aggregation strategies plug into.
 
     The final combine runs over updates reordered into *input* (dispatch)
@@ -259,10 +259,8 @@ class FederatedAlgorithm:
     def rng_for(self, client: ClientData, round_index: int) -> np.random.Generator:
         """Per-(seed, round, client) generator.
 
-        Delegates to the canonical derivation in :mod:`repro.fl.execution`
-        so local updates stay independent of dispatch order and the
-        parallel backends reproduce serial runs exactly.
+        A pure function of the run seed and the task's coordinates, so
+        local updates stay independent of dispatch order and the parallel
+        backends reproduce serial runs exactly.
         """
-        from .execution import derive_client_rng
-
-        return derive_client_rng(self.config.seed, round_index, client.client_id)
+        return derive_rng(self.config.seed, round_index, client.client_id)

@@ -1,9 +1,8 @@
 """Pluggable client-execution backends for the federated round loop.
 
 Every client's local SSL + personalization step is embarrassingly parallel,
-so the server dispatches per-client work through an
-:class:`ExecutionBackend` instead of a bare ``for`` loop.  Three backends
-ship with the repo:
+so the session dispatches client work through an :class:`ExecutionBackend`
+instead of a bare ``for`` loop.  Three backends ship with the repo:
 
 * :class:`SerialBackend` — the reference implementation: run tasks inline,
   one after another, on the calling thread;
@@ -11,22 +10,29 @@ ship with the repo:
   GIL (large numpy kernels) or block on I/O;
 * :class:`ProcessBackend` — a process pool for true CPU parallelism.
 
+A backend has one primitive, :meth:`ExecutionBackend.imap`: it applies a
+task to every item and streams ``(input_index, result)`` pairs as results
+complete.  :meth:`ExecutionBackend.map` collects the stream into input
+order.  The session's items are cohorts (lists of clients), so a
+per-client round is just a plan of singleton cohorts.
+
 Determinism contract
 --------------------
 Parallel and serial runs must produce bitwise-identical results.  The
 pieces that make this hold:
 
 1. **Per-client seeded RNG.**  All client-side randomness is derived from
-   ``derive_client_rng(seed, round_index, client_id)`` — a pure function of
-   the run seed and the task's coordinates, never of execution order.
-2. **Pure tasks.**  A task submitted to ``map_clients`` may execute on a
-   *copy* of itself (``ThreadBackend`` deep-copies per chunk so worker
-   replicas never share mutable algorithm state; ``ProcessBackend`` copies
-   by pickling).  Anything the caller needs back — client stores, updated
-   state — must flow through the task's return value, which the server
+   ``derive_rng(seed, round_index, client_id)`` — a pure function of the
+   run seed and the task's coordinates, never of execution order.
+2. **Pure tasks.**  A task submitted to ``imap`` may execute on a *copy*
+   of itself (``ThreadBackend`` deep-copies per chunk so worker replicas
+   never share mutable algorithm state; ``ProcessBackend`` copies by
+   pickling).  Anything the caller needs back — client stores, updated
+   state — must flow through the task's return value, which the session
    writes back on the coordinating process.
-3. **Order-preserving dispatch.**  ``map_clients`` always returns results
-   in input order, regardless of completion order.
+3. **Index-tagged results.**  ``imap`` tags every result with its input
+   index, and ``map`` returns results in input order, regardless of
+   completion order.
 
 Fallback contract
 -----------------
@@ -34,7 +40,7 @@ Backends constructed with ``fallback=True`` (the default) degrade to
 serial execution — with a one-time warning — when the parallel machinery
 is unavailable (no ``_multiprocessing``, sandboxed ``fork``, unpicklable
 task, broken pool).  Because tasks are pure, re-running a failed chunk
-serially is always safe.
+serially is always safe; chunks that already completed are never rerun.
 """
 
 from __future__ import annotations
@@ -53,10 +59,6 @@ except ImportError:  # stripped-down builds without _multiprocessing
         """Placeholder when concurrent.futures.process cannot import."""
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Type
 
-import numpy as np
-
-from .client import derive_rng
-
 __all__ = [
     "ExecutionBackend",
     "SerialBackend",
@@ -68,22 +70,11 @@ __all__ = [
     "resolve_backend",
     "resolve_workers",
     "chunk_items",
-    "derive_client_rng",
 ]
 
 
 class ExecutionError(RuntimeError):
     """A backend could not execute a task batch and fallback was disabled."""
-
-
-def derive_client_rng(seed: int, round_index: int, client_id: int) -> np.random.Generator:
-    """The canonical per-(seed, round, client) generator.
-
-    Execution backends rely on this being a pure function of its arguments:
-    it makes client tasks independent of dispatch order, which is what lets
-    parallel runs reproduce serial runs bit for bit.
-    """
-    return derive_rng(seed, round_index, client_id)
 
 
 def resolve_workers(workers: Optional[int]) -> int:
@@ -123,18 +114,28 @@ def _run_chunk(task: Callable, chunk: Sequence) -> List:
     return [task(item) for item in chunk]
 
 
-def _chunk_starts(chunks: Sequence[Sequence]) -> List[int]:
-    """Global input index of each contiguous chunk's first item."""
-    starts: List[int] = []
-    position = 0
-    for chunk in chunks:
-        starts.append(position)
-        position += len(chunk)
-    return starts
+def _indexed_chunks(items: Sequence, workers: int,
+                    chunk_size: Optional[int]) -> Dict[int, List]:
+    """Contiguous chunks keyed by the global input index of their first
+    item, in input order."""
+    chunks: Dict[int, List] = {}
+    start = 0
+    for chunk in chunk_items(items, workers, chunk_size):
+        chunks[start] = chunk
+        start += len(chunk)
+    return chunks
+
+
+def _run_serially(task: Callable, chunks: Dict[int, List]
+                  ) -> Iterator[Tuple[int, object]]:
+    """Run the given chunks inline, in input order, lazily."""
+    for start, chunk in chunks.items():
+        for offset, item in enumerate(chunk):
+            yield start + offset, task(item)
 
 
 class ExecutionBackend:
-    """Common interface: map a pure task over client payloads, in order."""
+    """Common interface: stream a pure task's results over items."""
 
     name = "base"
 
@@ -155,21 +156,17 @@ class ExecutionBackend:
         self._warned_fallback = False
 
     # ------------------------------------------------------------------
-    def map_clients(self, task: Callable, items: Sequence) -> List:
-        """Apply ``task`` to each item, returning results in input order."""
-        raise NotImplementedError
-
-    def imap_clients(self, task: Callable, items: Sequence
-                     ) -> Iterator[Tuple[int, object]]:
+    def imap(self, task: Callable, items: Sequence
+             ) -> Iterator[Tuple[int, object]]:
         """Apply ``task`` to each item, yielding ``(input_index, result)``
         pairs as results complete.
 
-        This is the streaming counterpart of :meth:`map_clients`: the
-        caller (the session's round loop) can begin consuming updates —
-        writing client stores back, feeding the aggregator — before the
-        whole batch finishes.  Completion order is *not* input order under
-        parallel backends; callers needing determinism must reorder by the
-        yielded index before any order-sensitive reduction (see
+        The one dispatch primitive: the caller (the session's round loop)
+        can begin consuming results — writing client stores back, feeding
+        the aggregator — before the whole batch finishes.  Completion
+        order is *not* input order under parallel backends; callers needing
+        determinism must reorder by the yielded index before any
+        order-sensitive reduction (see
         :class:`~repro.fl.algorithm.UpdateAccumulator`).
 
         The base implementation evaluates lazily in input order, which is
@@ -179,25 +176,13 @@ class ExecutionBackend:
         for index, item in enumerate(items):
             yield index, task(item)
 
-    def map_cohorts(self, task: Callable, cohorts: Sequence[Sequence]) -> List:
-        """Apply a cohort-level task to each group of clients, in order.
-
-        The batched dispatch path of the cohort execution API: each item is
-        a *list* of clients handled by one task invocation (one vectorized
-        local update).  Backends are item-agnostic, so dispatch, chunking,
-        shared-memory registration, and fallback behaviour are exactly
-        those of :meth:`map_clients` — a cohort is just a bigger item.
-        """
-        return self.map_clients(task, cohorts)
-
-    def imap_cohorts(self, task: Callable, cohorts: Sequence[Sequence]
-                     ) -> Iterator[Tuple[int, object]]:
-        """Streaming counterpart of :meth:`map_cohorts`.
-
-        Yields ``(cohort_index, results)`` pairs as cohorts complete, with
-        the same completion-order caveats as :meth:`imap_clients`.
-        """
-        return self.imap_clients(task, cohorts)
+    def map(self, task: Callable, items: Sequence) -> List:
+        """Apply ``task`` to each item, returning results in input order."""
+        items = list(items)
+        results: List = [None] * len(items)
+        for index, result in self.imap(task, items):
+            results[index] = result
+        return results
 
     def register_clients(self, clients: Sequence) -> bool:
         """Opt the clients into this backend's data plane; True when active.
@@ -222,7 +207,7 @@ class ExecutionBackend:
         return f"{type(self).__name__}(workers={self.workers})"
 
     # ------------------------------------------------------------------
-    def _fallback_guard(self, cause: BaseException, stacklevel: int = 3) -> None:
+    def _fallback_guard(self, cause: BaseException) -> None:
         """Raise if fallback is disabled; otherwise warn once per backend."""
         if not self.fallback:
             raise ExecutionError(
@@ -234,22 +219,14 @@ class ExecutionBackend:
                 f"{self.name} backend unavailable ({type(cause).__name__}: {cause}); "
                 "falling back to serial execution",
                 RuntimeWarning,
-                stacklevel=stacklevel + 1,
+                stacklevel=3,
             )
-
-    def _serial_fallback(self, task: Callable, items: Sequence,
-                         cause: BaseException) -> List:
-        self._fallback_guard(cause)
-        return _run_chunk(task, items)
 
 
 class SerialBackend(ExecutionBackend):
     """Reference backend: inline execution on the calling thread."""
 
     name = "serial"
-
-    def map_clients(self, task: Callable, items: Sequence) -> List:
-        return _run_chunk(task, list(items))
 
 
 class ThreadBackend(ExecutionBackend):
@@ -262,41 +239,22 @@ class ThreadBackend(ExecutionBackend):
 
     name = "thread"
 
-    def map_clients(self, task: Callable, items: Sequence) -> List:
-        items = list(items)
-        chunks = chunk_items(items, self.workers, self.chunk_size)
+    def imap(self, task: Callable, items: Sequence
+             ) -> Iterator[Tuple[int, object]]:
+        chunks = _indexed_chunks(items, self.workers, self.chunk_size)
         if len(chunks) <= 1:
-            return _run_chunk(task, items)
-        try:
-            replicas = [copy.deepcopy(task) for _ in chunks]
-        except Exception as error:  # unexpected — algorithms are plain containers
-            return self._serial_fallback(task, items, error)
-        with ThreadPoolExecutor(max_workers=min(self.workers, len(chunks))) as pool:
-            futures = [pool.submit(_run_chunk, replica, chunk)
-                       for replica, chunk in zip(replicas, chunks)]
-            results: List = []
-            for future in futures:  # input order, not completion order
-                results.extend(future.result())
-        return results
-
-    def imap_clients(self, task: Callable, items: Sequence
-                     ) -> Iterator[Tuple[int, object]]:
-        items = list(items)
-        chunks = chunk_items(items, self.workers, self.chunk_size)
-        if len(chunks) <= 1:
-            yield from super().imap_clients(task, items)
+            yield from _run_serially(task, chunks)
             return
         try:
             replicas = [copy.deepcopy(task) for _ in chunks]
         except Exception as error:  # unexpected — algorithms are plain containers
-            for index, result in enumerate(self._serial_fallback(task, items, error)):
-                yield index, result
+            self._fallback_guard(error)
+            yield from _run_serially(task, chunks)
             return
-        starts = _chunk_starts(chunks)
         with ThreadPoolExecutor(max_workers=min(self.workers, len(chunks))) as pool:
             futures = {
                 pool.submit(_run_chunk, replica, chunk): start
-                for replica, chunk, start in zip(replicas, chunks, starts)
+                for replica, (start, chunk) in zip(replicas, chunks.items())
             }
             for future in as_completed(futures):
                 start = futures[future]
@@ -326,12 +284,9 @@ class ProcessBackend(ExecutionBackend):
     uses_data_plane = True
 
     def __init__(self, workers: Optional[int] = None,
-                 chunk_size: Optional[int] = None, fallback: bool = True,
-                 mp_context: Optional[str] = None):
+                 chunk_size: Optional[int] = None, fallback: bool = True):
         super().__init__(workers=workers, chunk_size=chunk_size, fallback=fallback)
-        self.mp_context = mp_context
         self._pool = None
-        self._broken = False
         self._broken_cause: Optional[BaseException] = None
         self._stores: List = []
 
@@ -339,12 +294,8 @@ class ProcessBackend(ExecutionBackend):
     def _ensure_pool(self):
         if self._pool is None:
             from concurrent.futures import ProcessPoolExecutor
-            import multiprocessing
 
-            context = (multiprocessing.get_context(self.mp_context)
-                       if self.mp_context else None)
-            self._pool = ProcessPoolExecutor(max_workers=self.workers,
-                                             mp_context=context)
+            self._pool = ProcessPoolExecutor(max_workers=self.workers)
         return self._pool
 
     def register_clients(self, clients: Sequence) -> bool:
@@ -375,82 +326,44 @@ class ProcessBackend(ExecutionBackend):
                 store.close()
 
     def _mark_broken(self, cause: BaseException) -> None:
-        self._broken = True
         self._broken_cause = cause
         self.close()
 
-    def map_clients(self, task: Callable, items: Sequence) -> List:
-        items = list(items)
-        if not items:
-            return []
-        if self._broken:
-            return self._serial_fallback(task, items, self._broken_cause)
-        chunks = chunk_items(items, self.workers, self.chunk_size)
-        try:
-            # Probe picklability up front: a cheap dumps() here turns an
-            # opaque mid-flight pool crash into a clean serial fallback.
-            pickle.dumps(task, protocol=pickle.HIGHEST_PROTOCOL)
-            pool = self._ensure_pool()
-            futures = [pool.submit(_run_chunk, task, chunk) for chunk in chunks]
-        except (pickle.PicklingError, AttributeError, TypeError, ImportError,
-                OSError, PermissionError, RuntimeError, EOFError) as error:
-            # Unpicklable tasks, sandboxes that forbid fork/spawn, pool
-            # creation failures.  Tasks are pure, so running the batch
-            # serially instead is safe.
-            self._mark_broken(error)
-            return self._serial_fallback(task, items, error)
-        try:
-            results: List = []
-            for future in futures:  # input order, not completion order
-                results.extend(future.result())
-            return results
-        except BrokenProcessPool as error:
-            # A worker died (crash, OOM, sandbox kill) — infra failure, so
-            # fall back.  Any other exception came from the task itself and
-            # must propagate, exactly as it would under SerialBackend.
-            self._mark_broken(error)
-            return self._serial_fallback(task, items, error)
-
-    def imap_clients(self, task: Callable, items: Sequence
-                     ) -> Iterator[Tuple[int, object]]:
-        items = list(items)
-        if not items:
-            return
-        if self._broken:
-            for index, result in enumerate(
-                    self._serial_fallback(task, items, self._broken_cause)):
-                yield index, result
-            return
-        chunks = chunk_items(items, self.workers, self.chunk_size)
-        starts = _chunk_starts(chunks)
-        try:
-            pickle.dumps(task, protocol=pickle.HIGHEST_PROTOCOL)
-            pool = self._ensure_pool()
-            pending = {
-                pool.submit(_run_chunk, task, chunk): (start, chunk)
-                for chunk, start in zip(chunks, starts)
-            }
-        except (pickle.PicklingError, AttributeError, TypeError, ImportError,
-                OSError, PermissionError, RuntimeError, EOFError) as error:
-            self._mark_broken(error)
-            for index, result in enumerate(self._serial_fallback(task, items, error)):
-                yield index, result
-            return
-        try:
-            for future in as_completed(list(pending)):
-                start, _chunk = pending[future]
-                results = future.result()  # may raise BrokenProcessPool
-                del pending[future]
-                for offset, result in enumerate(results):
-                    yield start + offset, result
-        except BrokenProcessPool as error:
-            # Some chunks already streamed out; rerun only the unfinished
-            # ones serially (tasks are pure, so re-execution is safe).
-            self._mark_broken(error)
-            self._fallback_guard(error, stacklevel=2)
-            for start, chunk in pending.values():
-                for offset, result in enumerate(_run_chunk(task, chunk)):
-                    yield start + offset, result
+    def imap(self, task: Callable, items: Sequence
+             ) -> Iterator[Tuple[int, object]]:
+        unfinished = _indexed_chunks(items, self.workers, self.chunk_size)
+        if unfinished and self._broken_cause is None:
+            try:
+                # Probe picklability up front: a cheap dumps() here turns an
+                # opaque mid-flight pool crash into a clean serial fallback.
+                pickle.dumps(task, protocol=pickle.HIGHEST_PROTOCOL)
+                pool = self._ensure_pool()
+                futures = {pool.submit(_run_chunk, task, chunk): start
+                           for start, chunk in unfinished.items()}
+            except (pickle.PicklingError, AttributeError, TypeError, ImportError,
+                    OSError, PermissionError, RuntimeError, EOFError) as error:
+                # Unpicklable tasks, sandboxes that forbid fork/spawn, pool
+                # creation failures.
+                self._mark_broken(error)
+            else:
+                try:
+                    for future in as_completed(futures):
+                        results = future.result()  # may raise BrokenProcessPool
+                        start = futures[future]
+                        del unfinished[start]
+                        for offset, result in enumerate(results):
+                            yield start + offset, result
+                except BrokenProcessPool as error:
+                    # A worker died (crash, OOM, sandbox kill) — infra
+                    # failure, so fall back.  Any other exception came from
+                    # the task itself and propagates, exactly as it would
+                    # under SerialBackend.
+                    self._mark_broken(error)
+        if unfinished:
+            # The pool is broken or never started: rerun only the chunks no
+            # worker delivered (tasks are pure, so re-execution is safe).
+            self._fallback_guard(self._broken_cause)
+            yield from _run_serially(task, unfinished)
 
 
 BACKENDS: Dict[str, Type[ExecutionBackend]] = {
@@ -465,8 +378,7 @@ def available_backends() -> List[str]:
 
 
 def resolve_backend(spec, workers: Optional[int] = None,
-                    chunk_size: Optional[int] = None,
-                    fallback: bool = True) -> ExecutionBackend:
+                    chunk_size: Optional[int] = None) -> ExecutionBackend:
     """Build an :class:`ExecutionBackend` from a name or pass one through.
 
     ``spec`` may be an existing backend instance (returned unchanged), a
@@ -490,5 +402,5 @@ def resolve_backend(spec, workers: Optional[int] = None,
         # Serial ignores worker counts but still validates them, so a bad
         # ``--workers`` value fails loudly under every backend.
         resolve_workers(workers)
-        return SerialBackend(workers=1, chunk_size=chunk_size, fallback=fallback)
-    return BACKENDS[key](workers=workers, chunk_size=chunk_size, fallback=fallback)
+        return SerialBackend(workers=1, chunk_size=chunk_size)
+    return BACKENDS[key](workers=workers, chunk_size=chunk_size)

@@ -3,8 +3,7 @@
 :class:`TrainingSession` owns an explicit, serializable
 :class:`ServerState`, advances it via ``step()``/``run_until()``, emits
 typed lifecycle events to registered callbacks, and checkpoints/restores
-at round granularity with bitwise-exact resume.  ``FederatedServer``
-remains as a thin compatibility shim over this package.
+at round granularity with bitwise-exact resume.
 """
 
 from .callbacks import EarlyStopping, EvalCadence, HistoryStreamer, RoundCheckpointer

@@ -1,24 +1,22 @@
 """The composable, checkpointable round loop: :class:`TrainingSession`.
 
-This replaces the old ``FederatedServer.train()`` monolith with a session
-object that
+A session object
 
 * owns an explicit, serializable :class:`~repro.fl.session.state.ServerState`
   (global model, round cursor, history, algorithm server state, client
   stores) and advances it via :meth:`step` / :meth:`run_until`;
 * emits typed lifecycle events (:mod:`repro.fl.session.events`) to
   registered callbacks at every seam of the loop;
-* consumes client updates as an *iterator of completed results*
-  (``ExecutionBackend.imap_clients``), handing each update to the round's
-  :class:`~repro.fl.algorithm.UpdateAccumulator` the moment it finishes —
-  store write-back and per-update aggregation work overlap with
-  still-running clients instead of waiting for the round barrier;
+* dispatches every round as a plan of client cohorts — a per-client round
+  is a plan of singleton cohorts — and consumes the updates as an
+  *iterator of completed results* (``ExecutionBackend.imap``), handing
+  each update to the round's
+  :class:`~repro.fl.algorithm.UpdateAccumulator` the moment its cohort
+  finishes — store write-back and per-update aggregation work overlap
+  with still-running cohorts instead of waiting for the round barrier;
 * checkpoints and restores at round granularity: a run resumed from a
   checkpoint taken at round k is bitwise identical to the uninterrupted
   run, across serial/thread/process backends.
-
-``FederatedServer`` (:mod:`repro.fl.server`) survives as a thin
-compatibility shim over this class.
 """
 
 from __future__ import annotations
@@ -29,11 +27,11 @@ import hashlib
 import json
 import math
 import warnings
-from contextlib import nullcontext
+from contextlib import closing, nullcontext
 from dataclasses import asdict, dataclass
 from dataclasses import fields as dataclass_fields
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -64,7 +62,7 @@ __all__ = ["TrainingSession", "default_session_context"]
 
 @dataclass
 class _ClientOutcome:
-    """What one client task ships back to the coordinator.
+    """What a cohort task ships back to the coordinator, per client.
 
     ``store`` carries the client's persistent algorithm state: under the
     process backend the worker mutates a pickled copy of the client, so the
@@ -72,7 +70,7 @@ class _ClientOutcome:
     When the dispatching session packs stores for IPC (process backend),
     ``store`` travels both ways as a columnar
     :class:`~repro.fl.session.codec.PackedState` buffer instead of a
-    pickled tree of ndarrays; the write-back sites unpack it.
+    pickled tree of ndarrays; :meth:`TrainingSession._dispatch` unpacks it.
     """
 
     client_id: int
@@ -93,15 +91,6 @@ def _unpack_client_store(client: ClientData) -> bool:
         client.store = client.store.unpack()
         return True
     return False
-
-
-def _local_update_task(algorithm: FederatedAlgorithm, global_state: StateDict,
-                       round_index: int, client: ClientData) -> _ClientOutcome:
-    """One sampled client's round contribution (module-level: picklable)."""
-    packed = _unpack_client_store(client)
-    update = algorithm.local_update(client, global_state, round_index)
-    store = pack_store(client.store) if packed else client.store
-    return _ClientOutcome(client.client_id, update, store)
 
 
 def _cohort_outcomes(clients: Sequence[ClientData], run) -> List[_ClientOutcome]:
@@ -133,17 +122,13 @@ def _cohort_personalize_task(algorithm: FederatedAlgorithm,
         clients, global_state))
 
 
-def _client_span_attrs(round_index: int, client: ClientData) -> Dict:
-    """Span attrs for one client-update task (module-level: picklable)."""
-    return {"round": round_index, "client_id": int(client.client_id)}
-
-
 def _cohort_span_attrs(round_index: Optional[int],
                        clients: Sequence[ClientData]) -> Dict:
     """Span attrs for one cohort task (module-level: picklable); the
     personalization stage has no round."""
     attrs = {} if round_index is None else {"round": round_index}
     attrs["cohort_size"] = len(clients)
+    attrs["client_ids"] = [int(client.client_id) for client in clients]
     return attrs
 
 
@@ -383,24 +368,38 @@ class TrainingSession:
         return outcome
 
     # ------------------------------------------------------------------
-    # Columnar store IPC (process backend)
+    # Dispatch: the one path from the session to the backend
     # ------------------------------------------------------------------
-    def _pack_participant_stores(self, clients: Sequence[ClientData]) -> None:
-        """Pack non-empty stores into columnar buffers before dispatch."""
-        if not self._pack_ipc:
-            return
-        for client in clients:
-            client.store = pack_store(client.store)
+    def _dispatch(self, task, clients: Sequence[ClientData],
+                  plan: Sequence[Sequence[int]]
+                  ) -> Iterator[Tuple[int, _ClientOutcome]]:
+        """Run a cohort ``task`` over ``plan`` and yield ``(position,
+        outcome)`` per client as cohorts complete.
 
-    def _restore_participant_stores(self, clients: Sequence[ClientData]
-                                    ) -> None:
-        """Unpack any store still packed (error paths; write-back already
-        unpacked the happy path), so no PackedState ever reaches
-        :meth:`capture_state` or the next round's algorithm code."""
-        if not self._pack_ipc:
-            return
-        for client in clients:
-            client.store = unpack_store(client.store)
+        ``plan`` lists position groups into ``clients``; each group is one
+        task item.  Every outcome's store is reattached to its client
+        before it is yielded.  Under columnar store IPC (process backend)
+        stores travel packed, and every store still packed is unpacked on
+        every exit path — including a consumer that raises — so no
+        :class:`PackedState` ever reaches :meth:`capture_state` or the
+        next round's algorithm code.  Consumers close the generator
+        explicitly (``contextlib.closing``) so that cleanup never waits
+        for garbage collection.
+        """
+        cohorts = [[clients[position] for position in positions]
+                   for positions in plan]
+        if self._pack_ipc:
+            for client in clients:
+                client.store = pack_store(client.store)
+        try:
+            for index, boxed in self.backend.imap(task, cohorts):
+                for position, outcome in zip(plan[index], self._unbox(boxed)):
+                    clients[position].store = unpack_store(outcome.store)
+                    yield position, outcome
+        finally:
+            if self._pack_ipc:
+                for client in clients:
+                    client.store = unpack_store(client.store)
 
     # ------------------------------------------------------------------
     # The round loop
@@ -502,67 +501,30 @@ class TrainingSession:
             participant_ids=tuple(client.client_id for client in participants),
         ))
         aggregator = self._make_round_aggregator(participants, round_index)
-        cohorts = self._plan_cohorts(participants)
-        self._pack_participant_stores(participants)
-        try:
-            if cohorts is None:
-                task = self._instrument(
-                    functools.partial(
-                        _local_update_task, self.algorithm,
-                        self._state.global_state, round_index,
-                    ),
-                    "client_update",
-                    functools.partial(_client_span_attrs, round_index),
-                )
-                # Stream completed updates: stores reattach and the
-                # aggregator ingests each update the moment its client
-                # finishes, while other clients are still running.
-                with self._span("dispatch", round=round_index,
-                                participants=len(participants)):
-                    for index, boxed in self.backend.imap_clients(
-                            task, participants):
-                        outcome = self._unbox(boxed)
-                        participants[index].store = unpack_store(outcome.store)
-                        aggregator.add(index, outcome.result)
-                        self._emit(ClientUpdateDone(
-                            round_index=round_index,
-                            client_id=outcome.client_id,
-                            update=outcome.result,
-                        ))
-            else:
-                # Cohort dispatch: homogeneous clients travel together so the
-                # algorithm's vectorized engine (if any) can batch them.  The
-                # aggregator is still fed at *original* sample positions, so
-                # aggregation order — and therefore results — match the
-                # per-client path bitwise.
-                cohort_task = self._instrument(
-                    functools.partial(
-                        _cohort_update_task, self.algorithm,
-                        self._state.global_state, round_index,
-                    ),
-                    "cohort_update",
-                    functools.partial(_cohort_span_attrs, round_index),
-                )
-                groups = [[participants[position] for position in positions]
-                          for positions in cohorts]
-                with self._span("dispatch", round=round_index,
-                                participants=len(participants),
-                                cohorts=len(groups)):
-                    for group_index, boxed in self.backend.imap_cohorts(
-                            cohort_task, groups):
-                        outcomes = self._unbox(boxed)
-                        for position, outcome in zip(cohorts[group_index],
-                                                     outcomes):
-                            participants[position].store = unpack_store(
-                                outcome.store)
-                            aggregator.add(position, outcome.result)
-                            self._emit(ClientUpdateDone(
-                                round_index=round_index,
-                                client_id=outcome.client_id,
-                                update=outcome.result,
-                            ))
-        finally:
-            self._restore_participant_stores(participants)
+        plan = self._plan_cohorts(participants)
+        task = self._instrument(
+            functools.partial(
+                _cohort_update_task, self.algorithm,
+                self._state.global_state, round_index,
+            ),
+            "cohort_update",
+            functools.partial(_cohort_span_attrs, round_index),
+        )
+        # Stream completed cohorts: homogeneous clients travel together so
+        # the algorithm's vectorized engine (if any) can batch them, and the
+        # aggregator ingests each update the moment its cohort finishes, at
+        # its *sampled* position — so aggregation order, and therefore the
+        # result, never depends on the plan or on completion order.
+        with self._span("dispatch", round=round_index,
+                        participants=len(participants), cohorts=len(plan)), \
+                closing(self._dispatch(task, participants, plan)) as outcomes:
+            for position, outcome in outcomes:
+                aggregator.add(position, outcome.result)
+                self._emit(ClientUpdateDone(
+                    round_index=round_index,
+                    client_id=outcome.client_id,
+                    update=outcome.result,
+                ))
         with self._span("aggregate", round=round_index):
             new_global = aggregator.finalize()
             updates: List[ClientUpdate] = list(aggregator.updates_in_order())
@@ -620,25 +582,25 @@ class TrainingSession:
         return record
 
     def _plan_cohorts(self, participants: Sequence[ClientData]
-                      ) -> Optional[List[List[int]]]:
+                      ) -> List[List[int]]:
         """Group this round's participants for cohort dispatch.
 
-        Returns a list of position groups (indices into ``participants``),
-        or ``None`` when cohort dispatch would be pointless — batching is
-        disabled (``client_batch=1``), fewer than two participants, or no
-        two clients share a cohort key — in which case :meth:`step` runs
-        the classic per-client path verbatim.
+        Returns a list of position groups (indices into ``participants``)
+        covering every participant once.  With batching disabled
+        (``client_batch=1``) or fewer than two participants, the plan is
+        one singleton cohort per participant in sampled order — the
+        per-client round.
 
-        Grouping is by :meth:`FederatedAlgorithm.cohort_key`; clients with
-        a ``None`` key stay solo.  ``client_batch=None`` (auto) batches
-        each homogeneous group whole; ``client_batch=k`` caps group size
-        at ``k``.  Group order follows each group's first member, and
-        positions within a group stay sorted, so dispatch order is
-        deterministic.
+        Otherwise grouping is by :meth:`FederatedAlgorithm.cohort_key`;
+        clients with a ``None`` key become singleton cohorts.
+        ``client_batch=None`` (auto) batches each homogeneous group whole;
+        ``client_batch=k`` caps group size at ``k``.  Group order follows
+        each group's first member, and positions within a group stay
+        sorted, so dispatch order is deterministic.
         """
         client_batch = getattr(self.config, "client_batch", None)
         if client_batch == 1 or len(participants) < 2:
-            return None
+            return [[position] for position in range(len(participants))]
         groups: Dict[object, List[int]] = {}
         for position, client in enumerate(participants):
             key = self.algorithm.cohort_key(client)
@@ -649,8 +611,6 @@ class TrainingSession:
             cap = len(positions) if client_batch is None else int(client_batch)
             for start in range(0, len(positions), cap):
                 plan.append(positions[start:start + cap])
-        if all(len(group) == 1 for group in plan):
-            return None
         return plan
 
     def run_until(self, target_round: int) -> Optional[StateDict]:
@@ -698,18 +658,16 @@ class TrainingSession:
             size = math.ceil(len(clients) / self.backend.workers)
             if client_batch is not None:
                 size = min(size, client_batch)
-            cohorts = chunk_items(clients, self.backend.workers, size)
-            self._pack_participant_stores(clients)
-            try:
-                for cohort, boxed in zip(
-                        cohorts, self.backend.map_cohorts(task, cohorts)):
-                    for client, outcome in zip(cohort, self._unbox(boxed)):
-                        client.store = unpack_store(outcome.store)
-                        target = (novel_accuracies if client.is_novel
-                                  else accuracies)
-                        target[client.client_id] = outcome.result.accuracy
-            finally:
-                self._restore_participant_stores(clients)
+            plan = chunk_items(range(len(clients)), self.backend.workers, size)
+            results: List = [None] * len(clients)
+            with closing(self._dispatch(task, clients, plan)) as outcomes:
+                for position, outcome in outcomes:
+                    results[position] = outcome.result
+            # Input order, not completion order: the dicts' order is part
+            # of RunResult.to_json().
+            for client, result in zip(clients, results):
+                target = novel_accuracies if client.is_novel else accuracies
+                target[client.client_id] = result.accuracy
 
         if self.population is not None:
             chunk_size = self.population.max_resident

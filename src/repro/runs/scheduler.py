@@ -96,7 +96,7 @@ class _CellTask:
     """Picklable per-cell worker: run, persist, return the record.
 
     Writing from inside the task (rather than on the coordinator after
-    ``map_clients`` returns) is what gives crash resumability its
+    ``map`` returns) is what gives crash resumability its
     granularity: the store reflects every completed cell the moment it
     finishes, on every backend including serial.
 
@@ -303,7 +303,7 @@ def run_sweep(sweep: SweepSpec,
                      telemetry=telemetry,
                      executor=executor if executor is not None else execute_cell)
     try:
-        new_records = engine.map_clients(task, pending)
+        new_records = engine.map(task, pending)
     finally:
         engine.close()
 

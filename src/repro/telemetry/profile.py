@@ -30,8 +30,8 @@ __all__ = [
 ]
 
 # Phase-span names aggregated into the per-cell phase table, in display
-# order.  ``client_update`` is reported separately with distribution
-# statistics rather than a plain total.
+# order.  Worker-side task spans (CLIENT_SPAN_NAMES) are reported
+# separately with distribution statistics rather than a plain total.
 PHASE_ORDER = (
     "round",
     "sample",
@@ -43,6 +43,9 @@ PHASE_ORDER = (
     "personalize",
 )
 
+# The session now records every training task as ``cohort_update`` (a
+# per-client round is a plan of singleton cohorts); ``client_update``
+# stays so sidecars written by older versions still profile.
 CLIENT_SPAN_NAMES = ("client_update", "cohort_update", "cohort_personalize")
 
 

@@ -5,7 +5,7 @@ monotonic clock — plus named *counters* (monotonic accumulators) and
 *gauges* (last-write-wins samples).  The span taxonomy mirrors the
 execution stack top-down::
 
-    sweep → cell → round → {sample, dispatch, client_update[i],
+    sweep → cell → round → {sample, dispatch, cohort_update[i],
                             aggregate, checkpoint} → personalize
 
 Coordinator-side code opens spans directly (``with tracer.span(...)``);
@@ -292,7 +292,7 @@ class InstrumentedTask:
 
     ``describe`` (optional, module-level for picklability) maps the task's
     item to the span's attrs dict — the session uses it to tag each
-    ``client_update`` span with its round and client id.
+    ``cohort_update`` span with its round, cohort size and client ids.
     """
 
     def __init__(self, task: Callable, span_name: str,

@@ -10,7 +10,7 @@ import pytest
 
 from repro.data import make_cifar10_like, partition_dirichlet
 from repro.eval import available_methods, build_method
-from repro.fl import FederatedConfig, FederatedServer, build_federation
+from repro.fl import FederatedConfig, TrainingSession, build_federation
 from repro.nn import MLPEncoder
 
 NUM_CLASSES = 10
@@ -42,8 +42,7 @@ def run_method(name, config=None, seed=0, **overrides):
     config = config if config is not None else tiny_config(seed=seed)
     dataset, clients = tiny_federation(config, seed=seed)
     algorithm = build_method(name, config, NUM_CLASSES, encoder_factory, **overrides)
-    server = FederatedServer(algorithm, clients, config)
-    return server.run()
+    return TrainingSession(algorithm, clients, config).execute()
 
 
 ALL_METHODS = available_methods()
@@ -119,8 +118,8 @@ class TestNovelClients:
 
         novel = build_novel_clients(dataset, 2, partition_fn)
         algorithm = build_method(name, config, NUM_CLASSES, encoder_factory)
-        server = FederatedServer(algorithm, clients, config, novel_clients=novel)
-        result = server.run()
+        session = TrainingSession(algorithm, clients, config, novel_clients=novel)
+        result = session.execute()
         assert len(result.novel_accuracies) == 2
         assert all(0.0 <= a <= 1.0 for a in result.novel_accuracies.values())
 

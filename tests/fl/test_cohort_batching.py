@@ -148,9 +148,9 @@ class TestPlanCohorts:
         algorithm = build_method(name, config, NUM_CLASSES, encoder_factory)
         return TrainingSession(algorithm, clients, config), clients
 
-    def test_client_batch_one_disables_planning(self):
+    def test_client_batch_one_plans_singletons(self):
         session, clients = self._session(client_batch=1)
-        assert session._plan_cohorts(clients) is None
+        assert session._plan_cohorts(clients) == [[0], [1], [2], [3]]
 
     def test_auto_groups_whole_homogeneous_round(self):
         session, clients = self._session(client_batch=None)
@@ -160,13 +160,17 @@ class TestPlanCohorts:
         session, clients = self._session(client_batch=3)
         assert session._plan_cohorts(clients) == [[0, 1, 2], [3]]
 
-    def test_single_participant_is_not_a_cohort(self):
+    def test_single_participant_is_a_singleton_cohort(self):
         session, clients = self._session(client_batch=None)
-        assert session._plan_cohorts(clients[:1]) is None
+        assert session._plan_cohorts(clients[:1]) == [[0]]
 
-    def test_all_solo_returns_none(self):
+    def test_all_solo_become_singleton_cohorts(self):
         session, clients = self._session(name="fedavg", client_batch=None)
-        assert session._plan_cohorts(clients) is None
+        assert session._plan_cohorts(clients) == [[0], [1], [2], [3]]
+
+    def test_empty_round_plans_nothing(self):
+        session, _ = self._session(client_batch=None)
+        assert session._plan_cohorts([]) == []
 
 
 class TestConfigKnob:

@@ -3,6 +3,7 @@
 import functools
 import os
 import pickle
+import time
 import warnings
 
 import numpy as np
@@ -12,13 +13,12 @@ from repro.eval import build_method, make_dataset, make_encoder_factory
 from repro.eval.harness import NonIIDSetting, make_partitions
 from repro.fl import (
     FederatedConfig,
-    FederatedServer,
     ProcessBackend,
     SerialBackend,
     ThreadBackend,
+    TrainingSession,
     available_backends,
     build_federation,
-    derive_client_rng,
     payload_nbytes,
     resolve_backend,
 )
@@ -37,26 +37,26 @@ def _explode(x):
 # Backend mechanics
 # ----------------------------------------------------------------------
 def test_serial_backend_maps_in_order():
-    assert SerialBackend().map_clients(_double, range(7)) == [0, 2, 4, 6, 8, 10, 12]
+    assert SerialBackend().map(_double, range(7)) == [0, 2, 4, 6, 8, 10, 12]
 
 
 def test_thread_backend_preserves_input_order():
     backend = ThreadBackend(workers=3, chunk_size=2)
-    assert backend.map_clients(_double, range(11)) == [2 * i for i in range(11)]
+    assert backend.map(_double, range(11)) == [2 * i for i in range(11)]
 
 
 def test_process_backend_maps_and_reuses_pool():
     with ProcessBackend(workers=2) as backend:
-        assert backend.map_clients(_double, range(5)) == [0, 2, 4, 6, 8]
+        assert backend.map(_double, range(5)) == [0, 2, 4, 6, 8]
         # Second dispatch reuses the live pool.
-        assert backend.map_clients(_double, range(3)) == [0, 2, 4]
+        assert backend.map(_double, range(3)) == [0, 2, 4]
 
 
 @pytest.mark.parametrize("backend_cls", [SerialBackend, ThreadBackend,
                                          ProcessBackend])
 def test_imap_yields_every_index_exactly_once(backend_cls):
     with backend_cls(workers=3, chunk_size=2) as backend:
-        pairs = list(backend.imap_clients(_double, range(11)))
+        pairs = list(backend.imap(_double, range(11)))
     # Completion order is backend-specific; the (index, result) pairing
     # must reassemble into exactly the serial result.
     assert sorted(index for index, _ in pairs) == list(range(11))
@@ -75,7 +75,7 @@ def test_serial_imap_is_lazy():
         executed.append(x)
         return x
 
-    iterator = SerialBackend().imap_clients(task, range(4))
+    iterator = SerialBackend().imap(task, range(4))
     assert executed == []
     assert next(iterator) == (0, 0)
     assert executed == [0]
@@ -87,7 +87,7 @@ def test_process_imap_falls_back_on_unpicklable_task():
     unpicklable = lambda x: 2 * x  # noqa: E731 — closures cannot pickle
     with ProcessBackend(workers=2) as backend, \
             pytest.warns(RuntimeWarning, match="falling back"):
-        pairs = list(backend.imap_clients(unpicklable, range(5)))
+        pairs = list(backend.imap(unpicklable, range(5)))
     assert pairs == [(i, 2 * i) for i in range(5)]
 
 
@@ -95,7 +95,7 @@ def test_imap_task_exceptions_propagate():
     for backend_cls in (SerialBackend, ThreadBackend):
         with backend_cls(workers=2, chunk_size=1) as backend, \
                 pytest.raises(ValueError, match="task failure"):
-            list(backend.imap_clients(_explode, range(4)))
+            list(backend.imap(_explode, range(4)))
 
 
 def test_chunk_items_covers_everything_in_order():
@@ -106,14 +106,6 @@ def test_chunk_items_covers_everything_in_order():
     assert chunk_items(list(range(5)), workers=2, chunk_size=1) == [[i] for i in range(5)]
     with pytest.raises(ValueError):
         chunk_items([1, 2], workers=2, chunk_size=0)
-
-
-def test_derive_client_rng_is_pure():
-    a = derive_client_rng(0, 3, 7).standard_normal(4)
-    b = derive_client_rng(0, 3, 7).standard_normal(4)
-    c = derive_client_rng(0, 3, 8).standard_normal(4)
-    np.testing.assert_array_equal(a, b)
-    assert not np.array_equal(a, c)
 
 
 # ----------------------------------------------------------------------
@@ -158,13 +150,13 @@ def test_process_backend_falls_back_to_serial_on_unpicklable_task():
     backend = ProcessBackend(workers=2)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        assert backend.map_clients(unpicklable, [1, 2, 3]) == [2, 3, 4]
+        assert backend.map(unpicklable, [1, 2, 3]) == [2, 3, 4]
         captured = [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert captured and "falling back to serial" in str(captured[0].message)
     # Subsequent calls stay serial without warning again.
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        assert backend.map_clients(unpicklable, [5]) == [6]
+        assert backend.map(unpicklable, [5]) == [6]
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
@@ -175,13 +167,13 @@ def test_task_exceptions_propagate_not_fallback(backend_cls):
     with backend_cls(workers=2) as backend, warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(ValueError, match="task failure"):
-            backend.map_clients(_explode, [1, 2, 3])
+            backend.map(_explode, [1, 2, 3])
 
 
 def test_process_backend_raises_without_fallback():
     backend = ProcessBackend(workers=2, fallback=False)
     with pytest.raises(ExecutionError):
-        backend.map_clients(lambda x: x, [1])
+        backend.map(lambda x: x, [1])
 
 
 # ----------------------------------------------------------------------
@@ -191,25 +183,27 @@ _COORDINATOR_RUNS = []
 """Items the worker-death tasks ran in this (the coordinating) process."""
 
 
-def _die_in_worker(coordinator_pid, doomed, x):
-    """Double ``x``; a pool worker handed ``doomed`` dies on the spot.
+def _die_in_worker(coordinator_pid, doomed, delay, x):
+    """Double ``x``; a pool worker handed ``doomed`` dies after ``delay``
+    seconds.
 
     The coordinator never dies, so the serial rerun of a failed chunk
     completes, and every item it runs is logged."""
     if os.getpid() == coordinator_pid:
         _COORDINATOR_RUNS.append(x)
     elif x == doomed:
+        time.sleep(delay)
         os._exit(1)
     return 2 * x
 
 
-def _die_in_worker_cohort(coordinator_pid, doomed, cohort):
-    return [_die_in_worker(coordinator_pid, doomed, x) for x in cohort]
+def _die_in_worker_cohort(coordinator_pid, doomed, delay, cohort):
+    return [_die_in_worker(coordinator_pid, doomed, delay, x) for x in cohort]
 
 
-def _killer(cohorts=False):
+def _killer(cohorts=False, doomed=3, delay=0.0):
     function = _die_in_worker_cohort if cohorts else _die_in_worker
-    return functools.partial(function, os.getpid(), 3)
+    return functools.partial(function, os.getpid(), doomed, delay)
 
 
 def _runtime_warnings(caught):
@@ -223,32 +217,42 @@ class TestWorkerDeath:
     def setup_method(self):
         _COORDINATOR_RUNS.clear()
 
-    def test_map_clients_falls_back_to_the_serial_result(self):
-        expected = SerialBackend().map_clients(_killer(), self.ITEMS)
+    def test_map_falls_back_to_the_serial_result(self):
+        expected = SerialBackend().map(_killer(), self.ITEMS)
         backend = ProcessBackend(workers=2, chunk_size=2)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            assert backend.map_clients(_killer(), self.ITEMS) == expected
+            assert backend.map(_killer(), self.ITEMS) == expected
         assert len(_runtime_warnings(caught)) == 1
         assert "BrokenProcessPool" in str(_runtime_warnings(caught)[0].message)
 
-    def test_map_cohorts_falls_back_to_the_serial_result(self):
-        expected = SerialBackend().map_cohorts(_killer(cohorts=True),
-                                               self.COHORTS)
+    def test_map_over_cohorts_falls_back_to_the_serial_result(self):
+        expected = SerialBackend().map(_killer(cohorts=True), self.COHORTS)
         backend = ProcessBackend(workers=2)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            assert backend.map_cohorts(_killer(cohorts=True),
-                                       self.COHORTS) == expected
+            assert backend.map(_killer(cohorts=True), self.COHORTS) == expected
         assert len(_runtime_warnings(caught)) == 1
 
-    def test_imap_clients_reruns_only_unfinished_chunks(self):
-        expected = SerialBackend().map_clients(_killer(), self.ITEMS)
+    def test_map_reruns_only_unfinished_chunks(self):
+        """The worker handed item 7 dies last, after live workers returned
+        every other chunk: the coordinator reruns that one chunk only,
+        never work that already finished (a sweep's cell records)."""
+        backend = ProcessBackend(workers=2, chunk_size=2)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            results = backend.map(_killer(doomed=7, delay=0.5), self.ITEMS)
+        assert results == [2 * x for x in self.ITEMS]
+        assert len(_runtime_warnings(caught)) == 1
+        assert sorted(_COORDINATOR_RUNS) == [6, 7]
+
+    def test_imap_reruns_only_unfinished_chunks(self):
+        expected = SerialBackend().map(_killer(), self.ITEMS)
         _COORDINATOR_RUNS.clear()
         backend = ProcessBackend(workers=2, chunk_size=2)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            pairs = list(backend.imap_clients(_killer(), self.ITEMS))
+            pairs = list(backend.imap(_killer(), self.ITEMS))
         assert len(_runtime_warnings(caught)) == 1
         indices = [index for index, _ in pairs]
         assert sorted(indices) == list(range(len(self.ITEMS)))
@@ -271,10 +275,10 @@ class TestWorkerDeath:
     def test_without_fallback_worker_death_raises(self):
         with pytest.raises(ExecutionError, match="BrokenProcessPool|terminated"):
             ProcessBackend(workers=2, chunk_size=2, fallback=False) \
-                .map_clients(_killer(), self.ITEMS)
+                .map(_killer(), self.ITEMS)
         with pytest.raises(ExecutionError):
             list(ProcessBackend(workers=2, chunk_size=2, fallback=False)
-                 .imap_clients(_killer(), self.ITEMS))
+                 .imap(_killer(), self.ITEMS))
         assert _COORDINATOR_RUNS == []
 
 
@@ -304,11 +308,11 @@ def _run_tiny(backend, workers=None, method="pfl-simclr"):
     clients = build_federation(dataset, partitions, seed=2)
     algorithm = build_method(method, config, dataset.num_classes, encoder_factory,
                              projection_dim=8, hidden_dim=16)
-    server = FederatedServer(algorithm, clients, config)
+    session = TrainingSession(algorithm, clients, config)
     with warnings.catch_warnings():
         # A silent fallback would make the "parallel" runs vacuous.
         warnings.simplefilter("error", RuntimeWarning)
-        result = server.run()
+        result = session.execute()
     return result, clients
 
 

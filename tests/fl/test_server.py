@@ -1,4 +1,4 @@
-"""Server round-loop mechanics and failure injection."""
+"""Round-loop mechanics and failure injection."""
 
 import numpy as np
 import pytest
@@ -9,8 +9,8 @@ from repro.fl import (
     ClientUpdate,
     FederatedAlgorithm,
     FederatedConfig,
-    FederatedServer,
     RoundRobinSampler,
+    TrainingSession,
     build_federation,
 )
 from repro.fl.personalization import PersonalizationResult
@@ -18,7 +18,7 @@ from repro.nn import Linear
 
 
 class CountingAlgorithm(FederatedAlgorithm):
-    """Instrumented algorithm recording every call the server makes."""
+    """Instrumented algorithm recording every call the session makes."""
 
     name = "counting"
 
@@ -65,8 +65,8 @@ class TestServerLoop:
         config = FederatedConfig(num_clients=4, clients_per_round=2, rounds=3,
                                  personalization_epochs=1, seed=0)
         algorithm = CountingAlgorithm(config)
-        server = FederatedServer(algorithm, make_clients(4), config)
-        result = server.run()
+        session = TrainingSession(algorithm, make_clients(4), config)
+        result = session.execute()
         assert algorithm.aggregations == 3
         assert len(algorithm.local_updates) == 3 * 2
         assert sorted(algorithm.personalizations) == [0, 1, 2, 3]
@@ -76,35 +76,35 @@ class TestServerLoop:
     def test_global_state_advances_each_round(self):
         config = FederatedConfig(num_clients=4, clients_per_round=4, rounds=2, seed=0)
         algorithm = CountingAlgorithm(config)
-        server = FederatedServer(algorithm, make_clients(4), config)
-        final = server.train()
+        session = TrainingSession(algorithm, make_clients(4), config)
+        final = session.run()
         np.testing.assert_allclose(final["w"], np.full(3, 2.0))
 
     def test_personalize_before_train_raises(self):
         config = FederatedConfig(num_clients=4, clients_per_round=2, rounds=1, seed=0)
-        server = FederatedServer(CountingAlgorithm(config), make_clients(4), config)
+        session = TrainingSession(CountingAlgorithm(config), make_clients(4), config)
         with pytest.raises(RuntimeError):
-            server.personalize_all()
+            session.personalize()
 
     def test_zero_rounds_still_personalizes(self):
         config = FederatedConfig(num_clients=4, clients_per_round=2, rounds=0, seed=0)
         algorithm = CountingAlgorithm(config)
-        server = FederatedServer(algorithm, make_clients(4), config)
-        result = server.run()
+        session = TrainingSession(algorithm, make_clients(4), config)
+        result = session.execute()
         assert algorithm.aggregations == 0
         assert len(result.accuracies) == 4
 
     def test_requires_clients(self):
         config = FederatedConfig(num_clients=1, clients_per_round=1, rounds=1, seed=0)
         with pytest.raises(ValueError):
-            FederatedServer(CountingAlgorithm(config), [], config)
+            TrainingSession(CountingAlgorithm(config), [], config)
 
     def test_round_robin_sampler_injected(self):
         config = FederatedConfig(num_clients=4, clients_per_round=2, rounds=2, seed=0)
         algorithm = CountingAlgorithm(config)
-        server = FederatedServer(algorithm, make_clients(4), config,
-                                 sampler=RoundRobinSampler(2))
-        server.train()
+        session = TrainingSession(algorithm, make_clients(4), config,
+                                  sampler=RoundRobinSampler(2))
+        session.run()
         assert [cid for _, cid in algorithm.local_updates] == [0, 1, 2, 3]
 
     def test_non_finite_losses_surfaced_not_swallowed(self):
@@ -118,28 +118,28 @@ class TestServerLoop:
                 return update
 
         config = FederatedConfig(num_clients=4, clients_per_round=4, rounds=2, seed=0)
-        server = FederatedServer(DivergingAlgorithm(config), make_clients(4), config)
+        session = TrainingSession(DivergingAlgorithm(config), make_clients(4), config)
         with pytest.warns(RuntimeWarning, match="non-finite"):
-            server.train()
-        for record in server.round_records:
+            session.run()
+        for record in session.round_records:
             assert record.metrics["non_finite_losses"] == 1
             assert record.mean_loss == pytest.approx(1.0)  # finite clients only
         # The warning fires once per run, not once per round.
-        server2 = FederatedServer(DivergingAlgorithm(config), make_clients(4), config)
+        session2 = TrainingSession(DivergingAlgorithm(config), make_clients(4), config)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            server2.train()
+            session2.run()
         assert sum("non-finite" in str(w.message) for w in caught) == 1
 
     def test_all_finite_losses_leave_no_warning(self):
         import warnings
 
         config = FederatedConfig(num_clients=4, clients_per_round=2, rounds=2, seed=0)
-        server = FederatedServer(CountingAlgorithm(config), make_clients(4), config)
+        session = TrainingSession(CountingAlgorithm(config), make_clients(4), config)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            server.train()
-        assert all(r.metrics["non_finite_losses"] == 0 for r in server.round_records)
+            session.run()
+        assert all(r.metrics["non_finite_losses"] == 0 for r in session.round_records)
 
     def test_novel_clients_not_trained(self):
         config = FederatedConfig(num_clients=4, clients_per_round=4, rounds=2, seed=0)
@@ -147,8 +147,8 @@ class TestServerLoop:
         clients = make_clients(4)
         novel = [ClientData(client_id=99, train=clients[0].train,
                             test=clients[0].test, is_novel=True)]
-        server = FederatedServer(algorithm, clients, config, novel_clients=novel)
-        result = server.run()
+        session = TrainingSession(algorithm, clients, config, novel_clients=novel)
+        result = session.execute()
         trained_ids = {cid for _, cid in algorithm.local_updates}
         assert 99 not in trained_ids
         assert 99 in result.novel_accuracies

@@ -1,5 +1,5 @@
 """TrainingSession mechanics: events, callbacks, streaming aggregation,
-checkpoint files, and the FederatedServer compatibility shim."""
+checkpoint files, and store hygiene on failure paths."""
 
 import io
 import json
@@ -14,7 +14,6 @@ from repro.fl import (
     EvalCadence,
     FederatedAlgorithm,
     FederatedConfig,
-    FederatedServer,
     HistoryStreamer,
     RoundCheckpointer,
     RoundRobinSampler,
@@ -25,6 +24,7 @@ from repro.fl import (
     read_checkpoint,
 )
 from repro.fl.personalization import PersonalizationResult
+from repro.fl.session.codec import PackedState
 from repro.fl.session.state import checkpoint_sidecar
 from repro.fl.session.events import (
     AggregateDone,
@@ -310,44 +310,6 @@ class TestBuiltinCallbacks:
         assert len(recorder.events) == count
 
 
-class TestServerShim:
-    def test_shim_matches_session_bitwise(self):
-        config = tiny_config()
-        result_server = FederatedServer(
-            TraceAlgorithm(config), make_clients(4), config).run()
-        result_session = TrainingSession(
-            TraceAlgorithm(config), make_clients(4), config).execute()
-        assert json.dumps(result_server.to_json()) == \
-            json.dumps(result_session.to_json())
-
-    def test_shim_exposes_legacy_surface(self):
-        config = tiny_config()
-        algorithm = TraceAlgorithm(config)
-        server = FederatedServer(algorithm, make_clients(4), config)
-        assert server.algorithm is algorithm
-        assert server.config is config
-        assert server.global_state is None
-        final = server.train()
-        assert server.global_state is final
-        assert len(server.round_records) == config.rounds
-        result = server.personalize_all()
-        assert len(result.accuracies) == 4
-        server.close()
-
-
-class TestServerShimDeprecation:
-    def test_legacy_entry_points_warn(self):
-        config = tiny_config(rounds=1)
-        server = FederatedServer(TraceAlgorithm(config), make_clients(4), config)
-        with pytest.warns(DeprecationWarning, match="TrainingSession"):
-            server.train()
-        with pytest.warns(DeprecationWarning, match="personalize"):
-            server.personalize_all()
-        server = FederatedServer(TraceAlgorithm(config), make_clients(4), config)
-        with pytest.warns(DeprecationWarning, match="execute"):
-            server.run()
-
-
 class TestRestoreValidation:
     def test_algorithm_mismatch_raises(self):
         config = tiny_config(rounds=1)
@@ -401,3 +363,61 @@ class TestRestoreValidation:
         session.run()  # keep training; the snapshot must not move
         assert json.dumps(state.to_json()) == frozen
         assert state.round_index == 1
+
+
+class StoreAlgorithm(TraceAlgorithm):
+    """Keeps per-client store state; ``fail_client`` makes that client's
+    local update raise."""
+
+    name = "store"
+    fail_client = None
+
+    def local_update(self, client, global_state, round_index):
+        if client.client_id == self.fail_client:
+            raise ValueError(f"client {client.client_id} failed")
+        client.store["visits"] = np.full(2, float(round_index + 1))
+        return super().local_update(client, global_state, round_index)
+
+
+class ExplodingCallback(SessionCallback):
+    def on_client_update_done(self, session, event):
+        raise RuntimeError("callback failed")
+
+
+class TestFailurePathsLeaveStoresUnpacked:
+    """Under the process backend client stores travel packed; a round that
+    fails mid-dispatch must still leave every participant a plain store."""
+
+    def _session(self, clients):
+        config = tiny_config(clients_per_round=4, backend="process", workers=2)
+        session = TrainingSession(StoreAlgorithm(config), clients, config)
+        session.step()  # every store is non-empty from here on, so it packs
+        assert all(client.store for client in clients)
+        return session
+
+    @staticmethod
+    def _assert_plain_stores(session, clients, caught):
+        # ``caught`` holds the traceback, and with it the failed round's
+        # frames: the stores must be plain without waiting for those
+        # frames to be collected.
+        assert caught.traceback
+        for client in clients:
+            assert isinstance(client.store, dict)
+            assert not isinstance(client.store, PackedState)
+        json.dumps(session.capture_state().to_json())
+
+    def test_failing_local_update(self):
+        clients = make_clients(4)
+        with self._session(clients) as session:
+            session.algorithm.fail_client = 2
+            with pytest.raises(ValueError, match="client 2 failed") as caught:
+                session.step()
+            self._assert_plain_stores(session, clients, caught)
+
+    def test_failing_callback(self):
+        clients = make_clients(4)
+        with self._session(clients) as session:
+            session.add_callback(ExplodingCallback())
+            with pytest.raises(RuntimeError, match="callback failed") as caught:
+                session.step()
+            self._assert_plain_stores(session, clients, caught)

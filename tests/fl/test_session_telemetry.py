@@ -64,7 +64,8 @@ class TestSpanTaxonomyAcrossBackends:
         names = {span.name for span in tracer.spans}
         for expected in COORDINATOR_SPANS:
             assert expected in names, f"{backend}: missing span {expected}"
-        assert "client_update" in names
+        assert "cohort_update" in names
+        assert "client_update" not in names
         assert "cohort_personalize" in names
 
     @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
@@ -76,8 +77,11 @@ class TestSpanTaxonomyAcrossBackends:
         for span in tracer.spans:
             by_name.setdefault(span.name, []).append(span)
         assert len(by_name["round"]) == config.rounds
-        assert len(by_name["client_update"]) \
+        # client_batch=1: one singleton cohort per participant.
+        assert len(by_name["cohort_update"]) \
             == config.rounds * config.clients_per_round
+        assert all(span.attrs["cohort_size"] == 1
+                   for span in by_name["cohort_update"])
         assert sum(span.attrs["cohort_size"]
                    for span in by_name["cohort_personalize"]) \
             == config.num_clients
@@ -89,13 +93,13 @@ class TestSpanTaxonomyAcrossBackends:
         run_traced("fedavg", small_config(rounds=1, client_batch=1), tracer)
         index = {span.span_id: span for span in tracer.spans}
         updates = [span for span in tracer.spans
-                   if span.name == "client_update"]
+                   if span.name == "cohort_update"]
         assert updates
         for span in updates:
             assert index[span.parent_id].name == "dispatch"
             assert span.tid != 0
             assert span.attrs["round"] == 0
-            assert "client_id" in span.attrs
+            assert len(span.attrs["client_ids"]) == 1
         assert len({span.tid for span in updates}) == len(updates)
 
     def test_worker_spans_fit_inside_their_parent(self):
@@ -105,7 +109,7 @@ class TestSpanTaxonomyAcrossBackends:
                    tracer)
         index = {span.span_id: span for span in tracer.spans}
         for span in tracer.spans:
-            if span.name in ("client_update", "cohort_personalize"):
+            if span.name in ("cohort_update", "cohort_personalize"):
                 parent = index[span.parent_id]
                 assert span.end <= parent.end + 1e-9
 
@@ -137,13 +141,21 @@ class TestCohortCounters:
         cohorts = [span for span in tracer.spans
                    if span.name == "cohort_update"]
         assert all(span.attrs["cohort_size"] > 1 for span in cohorts)
+        # Per-client attribution survives batching: each round's cohorts
+        # name every participant exactly once.
+        for round_index in range(config_rounds()):
+            ids = [client_id for span in cohorts
+                   if span.attrs["round"] == round_index
+                   for client_id in span.attrs["client_ids"]]
+            assert sorted(ids) == list(range(small_config().num_clients))
 
     def test_per_client_run_records_no_replay_counters(self):
         tracer = Tracer()
         run_traced("pfl-simclr", small_config(client_batch=1), tracer)
-        names = {span.name for span in tracer.spans}
-        assert "client_update" in names
-        assert "cohort_update" not in names
+        cohorts = [span for span in tracer.spans
+                   if span.name == "cohort_update"]
+        assert cohorts
+        assert all(span.attrs["cohort_size"] == 1 for span in cohorts)
         assert "trace.replays" not in tracer.counters
 
     def test_batching_never_changes_results_under_tracing(self):
