@@ -16,6 +16,7 @@ script for the CI smoke check and a per-backend rounds/sec comparison::
 import argparse
 import sys
 import time
+from operator import itemgetter
 
 import numpy as np
 import pytest
@@ -165,15 +166,29 @@ def run_round_loop(backend: str, workers, rounds: int = 2, num_clients: int = 4,
     }
 
 
-def run_cohort_loop(client_batch, rounds: int = 2, num_clients: int = 32):
-    """Time the homogeneous-cohort workload (serial backend, pfl-simclr).
+COHORT_METHODS = {
+    "pfl-simclr": ((16, 8), {}),
+    # Calibre's losses drive the (16, 8) encoder to NaN on this workload.
+    "calibre-simclr": ((24, 12), {"num_prototypes": 5}),
+}
+"""The cohort workload's methods: (encoder hidden dims, build overrides)."""
+
+COHORT_SPEEDUP_GATES = {"pfl-simclr": 5.0, "calibre-simclr": 1.5}
+"""Minimum batched / per-client rounds/sec per method in ``--smoke``.
+Calibre's k-means stays per client, so its floor is lower."""
+
+
+def run_cohort_loop(client_batch, rounds: int = 2, num_clients: int = 32,
+                    method: str = "pfl-simclr"):
+    """Time the homogeneous-cohort workload (serial backend).
 
     Sized so per-step numpy dispatch dominates a single client's update —
     the regime tiny-model federated SSL rounds on CPU live in — which is
     exactly what the client-batched trace/replay engine
     (:mod:`repro.nn.trace`) amortizes.  Single-class quantity partitioning
     gives every client an identically-shaped pool, so auto batching forms
-    one ``num_clients``-wide cohort.
+    one ``num_clients``-wide cohort.  ``method`` is a key of
+    :data:`COHORT_METHODS`.
     """
     samples = 12
     per_class = max(samples, -(-num_clients * samples // 10))
@@ -183,22 +198,25 @@ def run_cohort_loop(client_batch, rounds: int = 2, num_clients: int = 32):
         dataset.train.labels, num_clients,
         NonIIDSetting("quantity", 1, samples), np.random.default_rng(1),
     )
-    encoder_factory = make_encoder_factory("mlp", dataset, hidden_dims=(16, 8),
-                                           seed=7)
+    hidden_dims, overrides = COHORT_METHODS[method]
+    encoder_factory = make_encoder_factory("mlp", dataset,
+                                           hidden_dims=hidden_dims, seed=7)
     config = FederatedConfig(
         num_clients=num_clients, clients_per_round=num_clients, rounds=rounds,
         local_epochs=1, batch_size=2, personalization_epochs=2,
         personalization_batch_size=8, client_batch=client_batch,
     )
     clients = build_federation(dataset, partitions, seed=2)
-    algorithm = build_method("pfl-simclr", config, dataset.num_classes,
-                             encoder_factory, projection_dim=8, hidden_dim=16)
+    algorithm = build_method(method, config, dataset.num_classes,
+                             encoder_factory, projection_dim=8, hidden_dim=16,
+                             **overrides)
     session = TrainingSession(algorithm, clients, config)
     start = time.perf_counter()
     session.run()
     elapsed = time.perf_counter() - start
     session.close()
     return {
+        "method": method,
         "backend": "serial/per-client" if client_batch == 1 else "serial/batched",
         "workers": 1,
         "client_batch": "auto" if client_batch is None else client_batch,
@@ -221,14 +239,17 @@ def test_round_loop_throughput(benchmark, backend):
 
 @pytest.mark.parametrize("client_batch", [1, None],
                          ids=["per-client", "batched"])
-def test_cohort_vectorization_throughput(benchmark, client_batch):
+@pytest.mark.parametrize("method", list(COHORT_METHODS))
+def test_cohort_vectorization_throughput(benchmark, method, client_batch):
     """The client-batched engine vs the per-client loop, 32-client cohort.
 
-    The regression thresholds pin the batched row well below the
-    per-client row, so losing the vectorization win fails CI.
+    The regression thresholds pin the pfl-simclr batched row well below its
+    per-client row, so losing the vectorization win fails CI.  Calibre's
+    win is smaller than the ceilings' 4x headroom; the ``--smoke``
+    speedup floor guards it instead.
     """
     benchmark.pedantic(
-        lambda: run_cohort_loop(client_batch, rounds=2),
+        lambda: run_cohort_loop(client_batch, rounds=2, method=method),
         rounds=1, iterations=1,
     )
 
@@ -324,7 +345,8 @@ def main(argv=None) -> int:
                         help="tiny fixed workload; exits non-zero on any failure, "
                              "backend disagreement, a shared-memory payload "
                              "reduction below 10x, a cohort-vectorization "
-                             "speedup below 5x, batched/per-client result "
+                             "speedup below 5x (pfl-simclr) or 1.5x "
+                             "(calibre-simclr), batched/per-client result "
                              "divergence, a columnar-checkpoint byte "
                              "reduction below 4x, or a checkpoint encode "
                              "speedup below 5x (CI guard)")
@@ -357,10 +379,25 @@ def main(argv=None) -> int:
     ]
 
     # Cohort vectorization: the per-client loop vs the client-batched
-    # trace/replay engine over one 32-client homogeneous cohort.  Always
-    # pfl-simclr — the point is the engine, not args.method.
-    cohort_rows = [run_cohort_loop(1, rounds=rounds),
-                   run_cohort_loop(None, rounds=rounds)]
+    # trace/replay engine over one 32-client homogeneous cohort, for each
+    # of COHORT_METHODS — the point is the engine, not args.method.  Each
+    # side is the best of five runs, the two sides alternating: min-of-N
+    # rejects scheduler noise in the speedup gate (as the checkpoint encode
+    # timings below do), and alternating lets both sides sample the same
+    # machine states.
+    cohorts = {}
+    for method in COHORT_METHODS:
+        runs = {1: [], None: []}
+        for _ in range(5):
+            for client_batch in runs:
+                runs[client_batch].append(
+                    run_cohort_loop(client_batch, rounds=rounds, method=method))
+        per_client, batched = [min(rows, key=itemgetter("elapsed_s"))
+                               for rows in runs.values()]
+        cohorts[method] = {
+            "speedup": batched["rounds_per_sec"]
+            / max(per_client["rounds_per_sec"], 1e-12),
+            "rows": [per_client, batched]}
 
     print(f"round-loop throughput ({args.method}, {clients} clients, {rounds} rounds)")
     print(f"{'backend':<18}{'workers':>8}{'elapsed_s':>12}{'rounds/sec':>12}"
@@ -369,13 +406,14 @@ def main(argv=None) -> int:
         print(f"{row['backend']:<18}{row['workers']:>8}{row['elapsed_s']:>12.3f}"
               f"{row['rounds_per_sec']:>12.2f}{row['payload_inline_bytes']:>10}"
               f"{row['payload_wire_bytes']:>10}{row['final_loss']:>12.4f}")
-    speedup = (cohort_rows[1]["rounds_per_sec"]
-               / max(cohort_rows[0]["rounds_per_sec"], 1e-12))
-    print(f"\ncohort vectorization (pfl-simclr, {cohort_rows[0]['clients']} "
-          f"clients, {rounds} rounds): {speedup:.1f}x rounds/sec")
-    for row in cohort_rows:
-        print(f"{row['backend']:<18}{row['workers']:>8}{row['elapsed_s']:>12.3f}"
-              f"{row['rounds_per_sec']:>12.2f}{row['final_loss']:>32.4f}")
+    for method, cohort in cohorts.items():
+        print(f"\ncohort vectorization ({method}, "
+              f"{cohort['rows'][0]['clients']} clients, {rounds} rounds): "
+              f"{cohort['speedup']:.1f}x rounds/sec")
+        for row in cohort["rows"]:
+            print(f"{row['backend']:<18}{row['workers']:>8}"
+                  f"{row['elapsed_s']:>12.3f}{row['rounds_per_sec']:>12.2f}"
+                  f"{row['final_loss']:>32.4f}")
 
     # Checkpoint encode: the columnar manifest + .npcol sidecar vs the
     # legacy inline-JSON file, on the fixed bench state.
@@ -396,10 +434,9 @@ def main(argv=None) -> int:
         payload = {
             "method": args.method, "clients": clients, "rounds": rounds,
             "rows": rows,
-            "cohort": {"method": "pfl-simclr",
-                       "clients": cohort_rows[0]["clients"],
-                       "rounds": rounds, "speedup": speedup,
-                       "rows": cohort_rows},
+            "cohort": {method: {"clients": cohort["rows"][0]["clients"],
+                                "rounds": rounds, **cohort}
+                       for method, cohort in cohorts.items()},
             "checkpoint": ckpt,
         }
         atomic_write_text(args.json, json.dumps(payload, indent=2) + "\n")
@@ -425,19 +462,25 @@ def main(argv=None) -> int:
                   f"{reduction:.1f}x")
     elif args.smoke:
         print("note: shared-memory plane unavailable here; payload gate skipped")
-    if cohort_rows[0]["final_loss"] != cohort_rows[1]["final_loss"]:
-        print(f"FAIL: client-batched path diverges from per-client path: "
-              f"{cohort_rows[1]['final_loss']!r} != "
-              f"{cohort_rows[0]['final_loss']!r}", file=sys.stderr)
-        status = 1
-    else:
-        print("OK: client-batched final loss is bitwise identical to per-client")
-    if speedup < 5.0:
-        print(f"FAIL: cohort vectorization speedup only {speedup:.1f}x "
-              f"(gate: >= 5x)", file=sys.stderr)
-        status = 1
-    else:
-        print(f"OK: cohort vectorization delivers {speedup:.1f}x rounds/sec")
+    for method, cohort in cohorts.items():
+        per_client, batched = cohort["rows"]
+        if per_client["final_loss"] != batched["final_loss"]:
+            print(f"FAIL: {method} client-batched path diverges from "
+                  f"per-client path: {batched['final_loss']!r} != "
+                  f"{per_client['final_loss']!r}", file=sys.stderr)
+            status = 1
+        else:
+            print(f"OK: {method} client-batched final loss is bitwise "
+                  f"identical to per-client")
+        gate = COHORT_SPEEDUP_GATES[method]
+        if cohort["speedup"] < gate:
+            print(f"FAIL: {method} cohort vectorization speedup only "
+                  f"{cohort['speedup']:.1f}x (gate: >= {gate:g}x)",
+                  file=sys.stderr)
+            status = 1
+        else:
+            print(f"OK: {method} cohort vectorization delivers "
+                  f"{cohort['speedup']:.1f}x rounds/sec")
     # The all-f8 state bounds the byte ratio near 4.6x (8 raw bytes per
     # element vs ~38 chars of indented legacy JSON), hence the 4x gate;
     # the encode gate is the full 5x — json.dumps of float lists is the

@@ -15,8 +15,11 @@ traces are recorded:
 
 ``TRC002``
     Inside any ``cohort_update`` override — the cohort-level entry point
-    whose contract is bitwise equality with the per-client path — no
-    ``.item()`` and no boolean-mask subscripts.  (``.backward()`` is
+    whose contract is bitwise equality with the per-client path — and any
+    ``planned_loss`` — the traced half of a loss, recorded once and
+    replayed for every client — no ``.item()``, no boolean-mask
+    subscripts, and no ``float()``/``int()`` over ``.data``: each pulls
+    one client's value out as a Python constant.  (``.backward()`` is
     legal there: replay drives real tensors.)
 """
 
@@ -50,8 +53,15 @@ def _is_bool_mask_subscript(node: ast.Subscript) -> bool:
     return boolish(index)
 
 
-def _untraceable_ops(body: Iterable[ast.stmt],
-                     ban_backward: bool) -> Iterator[ast.AST]:
+def _is_scalar_of_data(node: ast.Call) -> bool:
+    """``float(...)``/``int(...)`` over an expression reading ``.data``."""
+    return (isinstance(node.func, ast.Name) and node.func.id in ("float", "int")
+            and any(isinstance(inner, ast.Attribute) and inner.attr == "data"
+                    for arg in node.args for inner in ast.walk(arg)))
+
+
+def _untraceable_ops(body: Iterable[ast.stmt], ban_backward: bool,
+                     ban_scalar_data: bool = False) -> Iterator[ast.AST]:
     for stmt in body:
         for node in ast.walk(stmt):
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
@@ -59,12 +69,17 @@ def _untraceable_ops(body: Iterable[ast.stmt],
                     yield node
                 elif ban_backward and node.func.attr == "backward":
                     yield node
+            elif isinstance(node, ast.Call) and ban_scalar_data \
+                    and _is_scalar_of_data(node):
+                yield node
             elif isinstance(node, ast.Subscript) and _is_bool_mask_subscript(node):
                 yield node
 
 
 def _describe(node: ast.AST) -> str:
     if isinstance(node, ast.Call):
+        if isinstance(node.func, ast.Name):
+            return f"{node.func.id}() over .data"
         return f".{node.func.attr}()"
     return "boolean-mask indexing"
 
@@ -99,22 +114,30 @@ class TapedRegionRule(Rule):
                          "tape would specialize to the donor client")
 
 
+COHORT_METHODS = ("cohort_update", "planned_loss")
+"""Methods whose bodies must stay vectorizable: the cohort entry point and
+the traced half of a planned loss."""
+
+
 @register
 class CohortUpdateRule(Rule):
     id = "TRC002"
-    summary = ("cohort_update overrides must avoid .item() and bool-mask "
-               "indexing (untraceable, breaks batched==per-client)")
+    summary = ("cohort_update overrides and planned_loss must avoid .item(), "
+               "bool-mask indexing and float()/int() over .data "
+               "(untraceable, breaks batched==per-client)")
     scope = TRC_SCOPE
 
     def check_file(self, source: SourceFile,
                    project: Project) -> Iterable[Diagnostic]:
         for node in ast.walk(source.tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
-                    and node.name == "cohort_update":
-                for bad in _untraceable_ops(node.body, ban_backward=False):
+                    and node.name in COHORT_METHODS:
+                for bad in _untraceable_ops(node.body, ban_backward=False,
+                                            ban_scalar_data=True):
                     yield self.diagnostic(
                         source.rel, bad.lineno,
-                        f"{_describe(bad)} in a cohort_update override",
-                        hint="keep cohort bodies vectorizable; push "
-                             "client-specific scalar work to the per-client "
+                        f"{_describe(bad)} in a {node.name} override",
+                        hint="keep cohort bodies vectorizable; compute "
+                             "client-specific values on raw arrays in the "
+                             "per-client plan (loss_plan) or the per-client "
                              "fallback path")

@@ -14,7 +14,9 @@ regularizers) and the server aggregation (divergence-aware weighting).
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Hashable, List, Optional, Sequence
+from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,11 +34,38 @@ from ..nn.trace import (
     Trace,
     UntraceableError,
     commit_buffer_updates,
+    input_leaves,
     patched_parameters,
 )
 from ..ssl import SSLMethod, SSLOutputs, build_ssl_method
 
-__all__ = ["PFLSSL"]
+__all__ = ["PFLSSL", "LossPlan"]
+
+TRACE_CACHE_SIZE = 64
+"""Recorded traces one algorithm instance keeps (least recently used go
+first) — the bound of the personalization probe's trace cache."""
+
+
+@dataclass
+class LossPlan:
+    """The per-client, per-step half of a planned local loss.
+
+    ``arrays`` are the loss's per-client inputs, built on raw arrays: float
+    arrays reach :meth:`PFLSSL.planned_loss` as tensors and 1-D integer
+    arrays as row indices (:func:`repro.nn.trace.input_leaves`).
+    ``metrics`` are per-batch values computed beside the loss on raw
+    arrays (Calibre's divergence).
+    """
+
+    arrays: Dict[str, np.ndarray]
+    metrics: Dict[str, float] = field(default_factory=dict)
+
+    @property
+    def signature(self) -> Tuple:
+        """Which arrays exist and their shapes: the Python-level branches
+        ``planned_loss`` takes.  Clients sharing it share one trace."""
+        return tuple((name, value.shape, str(value.dtype))
+                     for name, value in self.arrays.items())
 
 
 class PFLSSL(FederatedAlgorithm):
@@ -69,9 +98,10 @@ class PFLSSL(FederatedAlgorithm):
         self._initial_state = self._template.state_dict()
         self._initial_extra = self._template.extra_state()
         # Client-batched execution: recorded traces keyed by (view shape,
-        # dtype, architecture); the latch disables batching permanently for
-        # this instance after the first untraceable computation.
-        self._trace_cache: Dict = {}
+        # dtype, architecture, plan signature), an LRU of TRACE_CACHE_SIZE;
+        # the latch disables batching permanently for this instance after
+        # the first untraceable computation.
+        self._trace_cache: "OrderedDict[Hashable, Trace]" = OrderedDict()
         self._untraceable = False
 
     # ------------------------------------------------------------------
@@ -121,8 +151,26 @@ class PFLSSL(FederatedAlgorithm):
                    rng: np.random.Generator):
         """The training-stage loss; pFL-SSL uses the bare SSL objective.
 
-        Returns (loss_tensor, metrics_dict); Calibre overrides this to add
-        the prototype regularizers of Algorithm 1.
+        Returns (loss_tensor, metrics_dict).  Calibre overrides it to add
+        the prototype regularizers of Algorithm 1, as the composition of
+        :meth:`loss_plan` and :meth:`planned_loss` — the two halves the
+        client-batched engine runs separately.
+        """
+        return outputs.loss, {}
+
+    def loss_plan(self, z_e: Tensor, z_o: Tensor,
+                  rng: np.random.Generator) -> Optional[LossPlan]:
+        """Per-client half of the loss, on the step's encodings and the
+        client's generator; pFL-SSL plans nothing."""
+        return None
+
+    def planned_loss(self, outputs: SSLOutputs, plan: Mapping[str, object]
+                     ) -> Tuple[Tensor, Dict[str, Tensor]]:
+        """Traceable half: the loss and its named per-batch terms.
+
+        ``plan`` holds the :class:`LossPlan` arrays as tensors (trace
+        leaves while recording), so the body must branch only on which
+        arrays exist and never pull values out (TRC002).
         """
         return outputs.loss, {}
 
@@ -180,18 +228,21 @@ class PFLSSL(FederatedAlgorithm):
     def _cohort_batchable(self) -> bool:
         """Whether this instance's local update can be vectorized at all.
 
-        Batching requires the *exact* stock training loop: subclasses that
-        override ``local_update`` or ``local_loss`` (Calibre's prototype
-        regularizers run k-means on raw arrays), methods that keep extra
-        state or a non-trivial ``post_step``, and anything that has already
-        proven untraceable all fall back to the per-client path.
+        Batching requires the stock training loop: subclasses that override
+        ``local_update``, or ``local_loss`` without also defining its
+        traceable half ``planned_loss`` (the class that owns ``local_loss``
+        must own ``planned_loss`` too, as Calibre does), methods that keep
+        extra state or a non-trivial ``post_step``, and anything that has
+        already proven untraceable all fall back to the per-client path.
         """
         if self._untraceable:
             return False
         template_cls = type(self._template)
+        loss_owner = next(cls for cls in type(self).__mro__
+                          if "local_loss" in vars(cls))
         return (
             type(self).local_update is PFLSSL.local_update
-            and type(self).local_loss is PFLSSL.local_loss
+            and "planned_loss" in vars(loss_owner)
             and getattr(template_cls, "supports_client_batching", False)
             and template_cls.post_step is SSLMethod.post_step
             and not self._initial_extra
@@ -224,46 +275,139 @@ class PFLSSL(FederatedAlgorithm):
             telemetry.count("cohort.fallback_latches")
             return super().cohort_update(clients, global_state, round_index)
 
-    def _record_trace(self, view_e: np.ndarray, view_o: np.ndarray,
-                      param_values: "OrderedDict[str, np.ndarray]") -> Trace:
-        """Record one client's forward/loss as a replayable trace.
+    def _cached_trace(self, key: Hashable, record: Callable[[], Trace]) -> Trace:
+        """The trace under ``key``, recorded on a miss (an LRU of
+        :data:`TRACE_CACHE_SIZE` entries)."""
+        trace = self._trace_cache.get(key)
+        if trace is None:
+            telemetry.count("trace.cache_misses")
+            trace = self._trace_cache[key] = record()
+            if len(self._trace_cache) > TRACE_CACHE_SIZE:
+                self._trace_cache.popitem(last=False)
+        else:
+            telemetry.count("trace.cache_hits")
+            self._trace_cache.move_to_end(key)
+        return trace
 
-        Runs the template's ``compute``/``local_loss`` once with trace-leaf
-        parameters swapped in; the eagerly computed values are throwaways
-        (only shapes and the op tape matter), so client 0's current state is
-        as good a donor as any.
+    def _record(self, param_values: Mapping[str, np.ndarray],
+                body: Callable[[Trace], None]) -> Trace:
+        """Record ``body(trace)`` with trace-leaf parameters swapped in.
+
+        The eagerly computed values are throwaways (only shapes and the op
+        tape matter), so any client's current state is as good a donor as
+        any.
         """
         template = self._template
         trace = Trace()
         trace.register_buffers(template.named_buffers())
-        leaves = OrderedDict(
-            (name, trace.add_param(name, value))
-            for name, value in param_values.items())
+        leaves = OrderedDict((name, trace.add_param(name, value))
+                             for name, value in param_values.items())
         with no_grad(), patched_parameters(template, leaves):
-            traced_e = trace.add_input("view_e", view_e)
-            traced_o = trace.add_input("view_o", view_o)
-            outputs = template.compute(traced_e, traced_o)
-            loss, metrics = self.local_loss(template, outputs,
-                                            derive_rng(0))
-        if metrics:
-            raise UntraceableError(
-                "per-batch loss metrics are not supported in batched mode")
-        trace.set_output(loss)
+            body(trace)
         trace.seal()
         return trace
+
+    def _record_step(self, view_e: np.ndarray, view_o: np.ndarray,
+                     plan_arrays: Mapping[str, np.ndarray],
+                     param_values: Mapping[str, np.ndarray]) -> Trace:
+        """One client's forward and planned loss; its terms become named
+        outputs."""
+        def body(trace: Trace) -> None:
+            outputs = self._template.compute(trace.add_input("view_e", view_e),
+                                             trace.add_input("view_o", view_o))
+            loss, terms = self.planned_loss(outputs,
+                                            input_leaves(plan_arrays, trace))
+            trace.set_output(loss)
+            for name, term in terms.items():
+                trace.add_output(name, term)
+
+        return self._record(param_values, body)
+
+    def _record_encodings(self, view_e: np.ndarray, view_o: np.ndarray,
+                          param_values: Mapping[str, np.ndarray]) -> Trace:
+        """The encoder over both views — ``SSLOutputs.z_e``/``z_o`` — as
+        named outputs."""
+        def body(trace: Trace) -> None:
+            for view, value in (("e", view_e), ("o", view_o)):
+                trace.add_output(f"z_{view}", self._template.encoder(
+                    trace.add_input(f"view_{view}", value)))
+
+        return self._record(param_values, body)
+
+    def _plan_step(self, key: Tuple, inputs: Dict[str, np.ndarray],
+                   leaves: Dict[str, Tensor], buffers: Dict[str, np.ndarray],
+                   rngs: Sequence[np.random.Generator],
+                   donor: Mapping[str, np.ndarray]) -> List[LossPlan]:
+        """Every client's :meth:`loss_plan` for this step.
+
+        One replay of the encoder without gradients reads each client's
+        encodings; its staged buffer updates are dropped, since the
+        gradient replay stages them again.
+        """
+        trace = self._cached_trace(key + ("encodings",), partial(
+            self._record_encodings, inputs["view_e"][0], inputs["view_o"][0], donor))
+        replay = BatchedReplay(trace, len(rngs), counter="plan")
+        with no_grad():
+            replay.run(inputs, leaves, buffers)
+        z_e, z_o = replay.outputs["z_e"].data, replay.outputs["z_o"].data
+        return [self.loss_plan(Tensor(z_e[k]), Tensor(z_o[k]), rng)
+                for k, rng in enumerate(rngs)]
+
+    @staticmethod
+    def _replay_group(trace: Trace, positions: List[int],
+                      inputs: Dict[str, np.ndarray], leaves: Dict[str, Tensor],
+                      buffers: Dict[str, np.ndarray]):
+        """Replay ``trace`` with gradients over the clients at ``positions``.
+
+        ``inputs`` are the group's rows; the gradients land in the same
+        rows of the K-wide ``leaves``.  Returns the group's per-client
+        loss, named outputs and staged buffer updates.
+        """
+        whole = len(positions) == len(next(iter(leaves.values())).data)
+        group_leaves, group_buffers = leaves, buffers
+        if not whole:
+            group_leaves = {name: Tensor(leaf.data[positions], requires_grad=True)
+                            for name, leaf in leaves.items()}
+            group_buffers = {name: buffer[positions]
+                             for name, buffer in buffers.items()}
+        replay = BatchedReplay(trace, len(positions))
+        loss, staged = replay.run(inputs, group_leaves, group_buffers)
+        loss.backward()
+        if not whole:
+            for name, leaf in leaves.items():
+                grad = group_leaves[name].grad
+                if grad is None:
+                    raise UntraceableError(
+                        f"parameter {name!r} got no gradient in a client group")
+                if leaf.grad is None:
+                    leaf.grad = np.empty_like(leaf.data)
+                leaf.grad[positions] = grad
+        return loss, replay.outputs, staged
 
     def _batched_cohort_update(self, clients: Sequence[ClientData],
                                global_state: StateDict,
                                round_index: int) -> List[ClientUpdate]:
-        """Train a homogeneous cohort with one K-wide graph per step.
+        """Train a homogeneous cohort on K-wide graphs.
 
         Per-client states stack into ``(K, *shape)`` arrays; parameter
         leaves share that storage so the vectorized SGD updates it in
-        place.  Per-client RNG streams are consumed in exactly the order
-        the per-client loop consumes them (permutation at each epoch's
-        first batch, then one augment per kept batch), so every slice of
-        every replayed op — and therefore every update, loss, and saved
-        state — is bitwise identical to the per-client path.
+        place.  Each step
+
+        1. augments every client's batch;
+        2. for a planned loss (an overridden :meth:`loss_plan`), replays
+           the encoder once without gradients and builds each client's
+           plan from its encodings;
+        3. groups the clients by plan signature and replays each group's
+           trace with gradients, scattering the group's gradients into the
+           K-wide leaves (without plans, one group of everyone);
+        4. takes one :class:`BatchedSGD` step.
+
+        Per-client RNG streams are consumed in exactly the order the
+        per-client loop consumes them (permutation at each epoch's first
+        batch, then per kept batch the augment and the plan's k-means), so
+        every slice of every replayed op — and therefore every update,
+        loss, metric, and saved state — is bitwise identical to the
+        per-client path.
         """
         config = self.config
         template = self._template
@@ -289,10 +433,19 @@ class PFLSSL(FederatedAlgorithm):
         template.train()
         arch = tuple((key, stacked[key].shape[1:], str(stacked[key].dtype))
                      for key in keys)
+        planned = type(self).loss_plan is not PFLSSL.loss_plan
         pools = [client.ssl_pool() for client in clients]
         rngs = [self.rng_for(client, round_index) for client in clients]
         totals = np.zeros(len(clients))
+        # Per-client metric sums and counts, as local_update keeps them.
+        sums: List[Dict[str, float]] = [{} for _ in clients]
+        emitted: List[Dict[str, int]] = [{} for _ in clients]
         batch_count = 0
+
+        def donor(position: int) -> "OrderedDict[str, np.ndarray]":
+            return OrderedDict((name, stacked[name][position])
+                               for name in param_names)
+
         for _ in range(config.local_epochs):
             iterators = [batch_iterator(len(pool), config.batch_size,
                                         shuffle=True, rng=rng)
@@ -302,27 +455,49 @@ class PFLSSL(FederatedAlgorithm):
                     continue  # same skip as the per-client loop, pre-augment
                 views = [self.augment(pool.images[batch], rng)
                          for pool, batch, rng in zip(pools, batches, rngs)]
-                view_e = np.stack([view[0] for view in views])
-                view_o = np.stack([view[1] for view in views])
-                cache_key = (tuple(views[0][0].shape), str(view_e.dtype), arch)
-                trace = self._trace_cache.get(cache_key)
-                if trace is None:
-                    telemetry.count("trace.cache_misses")
-                    trace = self._record_trace(
-                        views[0][0], views[0][1],
-                        OrderedDict((name, stacked[name][0])
-                                    for name in param_names))
-                    self._trace_cache[cache_key] = trace
-                else:
-                    telemetry.count("trace.cache_hits")
-                replay = BatchedReplay(trace, len(clients))
-                loss, staged = replay.run(
-                    {"view_e": view_e, "view_o": view_o}, leaves, buffers)
+                inputs = {"view_e": np.stack([view[0] for view in views]),
+                          "view_o": np.stack([view[1] for view in views])}
+                step_key = (tuple(views[0][0].shape), str(inputs["view_e"].dtype),
+                            arch)
+                plans: List[Optional[LossPlan]] = [None] * len(clients)
+                if planned:
+                    plans = self._plan_step(step_key, inputs, leaves, buffers,
+                                            rngs, donor(0))
+                groups: Dict[Tuple, List[int]] = {}
+                for position, plan in enumerate(plans):
+                    signature = () if plan is None else plan.signature
+                    groups.setdefault(signature, []).append(position)
                 optimizer.zero_grad()
-                loss.backward()
+                staged: "OrderedDict[str, np.ndarray]" = OrderedDict()
+                for signature, positions in groups.items():
+                    first = positions[0]
+                    arrays = {} if plans[first] is None else plans[first].arrays
+                    trace = self._cached_trace(step_key + (signature,), partial(
+                        self._record_step, *views[first], arrays, donor(first)))
+                    group_inputs = {name: value if len(groups) == 1 else value[positions]
+                                    for name, value in inputs.items()}
+                    for name in arrays:
+                        group_inputs[name] = np.stack([plans[position].arrays[name]
+                                                       for position in positions])
+                    loss, terms, group_staged = self._replay_group(
+                        trace, positions, group_inputs, leaves, buffers)
+                    for slot, value in group_staged.items():
+                        if slot not in staged:
+                            staged[slot] = buffers[slot].copy()
+                        staged[slot][positions] = value
+                    totals[positions] += loss.data
+                    for name in terms:
+                        telemetry.count(f"plan.terms.{name}", len(positions))
+                    for row, position in enumerate(positions):
+                        metrics = {name: float(term.data[row])
+                                   for name, term in terms.items()}
+                        if plans[position] is not None:
+                            metrics.update(plans[position].metrics)
+                        for name, value in metrics.items():
+                            sums[position][name] = sums[position].get(name, 0.0) + value
+                            emitted[position][name] = emitted[position].get(name, 0) + 1
                 optimizer.step()
                 commit_buffer_updates(staged, buffers)
-                totals += loss.data
                 batch_count += 1
         global_keys = list(template.global_state())
         updates = []
@@ -335,11 +510,14 @@ class PFLSSL(FederatedAlgorithm):
             state = OrderedDict(
                 (key, np.array(stacked[key][index], copy=True))
                 for key in global_keys)
+            metrics = {"loss": float(totals[index]) / max(batch_count, 1)}
+            for name, value in sums[index].items():
+                metrics[name] = value / emitted[index][name]
             updates.append(ClientUpdate(
                 client_id=client.client_id,
                 state=state,
                 weight=float(client.num_train_samples),
-                metrics={"loss": float(totals[index]) / max(batch_count, 1)},
+                metrics=metrics,
             ))
         return updates
 

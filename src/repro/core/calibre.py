@@ -22,22 +22,26 @@ passing the corresponding ``ssl_name``.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..baselines.pfl_ssl import PFLSSL
+from ..baselines.pfl_ssl import PFLSSL, LossPlan
 from ..fl.algorithm import ClientUpdate
 from ..fl.config import FederatedConfig
 from ..nn.serialize import StateDict, weighted_average
+from ..nn.tensor import Tensor
+from ..nn.trace import input_leaves
 from ..ssl import SSLMethod, SSLOutputs
 from .divergence import divergence_weights
 from .losses import (
-    prototype_classification_loss,
-    prototype_contrastive_loss,
-    prototype_meta_loss,
+    PlanLeaves,
+    classification_term,
+    contrastive_term,
+    meta_term,
+    prototype_plan,
 )
-from .prototypes import cluster_views
+from .prototypes import average_prototype_distance, cluster_views
 
 __all__ = ["Calibre"]
 
@@ -83,39 +87,48 @@ class Calibre(PFLSSL):
     # ------------------------------------------------------------------
     def local_loss(self, method: SSLMethod, outputs: SSLOutputs,
                    rng: np.random.Generator):
-        loss = outputs.loss  # l_s
-        clusters = cluster_views(outputs.z_e, outputs.z_o, self.num_prototypes, rng=rng)
-        metrics: Dict[str, float] = {}
+        """One batch's loss and metrics: the plan, then the planned loss.
 
-        if self.use_lc:
-            l_c = prototype_classification_loss(outputs.z_e, clusters, view="e")
-            loss = loss + l_c
-            metrics["l_c"] = l_c.item()
-        regularizer = None
-        if self.use_ln:
-            l_n = prototype_meta_loss(
-                outputs.z_e, outputs.z_o, clusters, self.prototype_temperature
-            )
-            regularizer = l_n
-            metrics["l_n"] = l_n.item()
-        if self.use_lp:
-            l_p = prototype_contrastive_loss(
-                outputs.h_e, outputs.h_o, clusters, self.prototype_temperature
-            )
-            if l_p is not None:
-                regularizer = l_p if regularizer is None else regularizer + l_p
-                metrics["l_p"] = l_p.item()
-        if regularizer is not None:
-            loss = loss + self.alpha * regularizer
+        The client-batched engine composes the same two halves over a
+        cohort (:meth:`PFLSSL.cohort_update`).
+        """
+        plan = self.loss_plan(outputs.z_e, outputs.z_o, rng)
+        loss, terms = self.planned_loss(outputs, input_leaves(plan.arrays))
+        metrics: Dict[str, float] = {name: term.item() for name, term in terms.items()}
+        metrics.update(plan.metrics)
+        return loss, metrics
 
+    def loss_plan(self, z_e: Tensor, z_o: Tensor,
+                  rng: np.random.Generator) -> LossPlan:
+        """KMeans over the batch's encodings (Algorithm 1 line 13) and the
+        arrays the prototype terms derive from its labels."""
+        clusters = cluster_views(z_e, z_o, self.num_prototypes, rng=rng)
+        arrays = prototype_plan(clusters, z_e.data.dtype, use_lc=self.use_lc,
+                                use_ln=self.use_ln, use_lp=self.use_lp)
         # The local divergence rate reported to the server (mean distance of
         # this batch's encodings to their assigned prototypes).
-        both = np.concatenate([outputs.z_e.data, outputs.z_o.data], axis=0)
-        assigned = clusters.centers[
-            np.concatenate([clusters.labels_e, clusters.labels_o])
-        ]
-        metrics["divergence"] = float(np.linalg.norm(both - assigned, axis=1).mean())
-        return loss, metrics
+        both = Tensor(np.concatenate([z_e.data, z_o.data], axis=0))
+        return LossPlan(arrays, {"divergence": average_prototype_distance(both, clusters)})
+
+    def planned_loss(self, outputs: SSLOutputs, plan: PlanLeaves
+                     ) -> Tuple[Tensor, Dict[str, Tensor]]:
+        loss = outputs.loss  # l_s
+        terms: Dict[str, Tensor] = {}
+        if self.use_lc:
+            terms["l_c"] = classification_term(outputs.z_e, plan["centers"],
+                                               plan["member_e"])
+            loss = loss + terms["l_c"]
+        regularizer = None
+        if self.use_ln:
+            terms["l_n"] = regularizer = meta_term(
+                outputs.z_e, outputs.z_o, plan, self.prototype_temperature)
+        if "keep" in plan:  # use_lp, and two clusters populated in both views
+            terms["l_p"] = l_p = contrastive_term(
+                outputs.h_e, outputs.h_o, plan, self.prototype_temperature)
+            regularizer = l_p if regularizer is None else regularizer + l_p
+        if regularizer is not None:
+            loss = loss + self.alpha * regularizer
+        return loss, terms
 
     # ------------------------------------------------------------------
     # Contribution 2: divergence-aware aggregation

@@ -9,19 +9,25 @@ Clustering runs on the *detached* encodings of both augmented views
 prototype tensors themselves are *differentiable* means so the regularizer
 gradients flow back into the encoder through both the samples and their
 prototypes.
+
+The means split like Calibre's losses: :func:`cluster_membership` derives
+a view's one-hot memberships, counts and fallback mask from its labels on
+raw arrays, and :func:`prototype_means` is the traceable arithmetic over
+them (see :mod:`repro.core.losses`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
 from ..cluster import kmeans
 from ..nn.tensor import Tensor
 
-__all__ = ["ViewClusters", "cluster_views", "differentiable_prototypes",
+__all__ = ["ViewClusters", "cluster_views", "cluster_membership",
+           "prototype_means", "differentiable_prototypes",
            "average_prototype_distance"]
 
 
@@ -61,6 +67,43 @@ def cluster_views(
     )
 
 
+def cluster_membership(
+    assignments: np.ndarray, num_clusters: int, dtype,
+) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """One view's cluster bookkeeping, on raw arrays.
+
+    Returns the (N, K) one-hot memberships, the (K, 1) member counts with
+    empty clusters counted as one (a safe divisor), and a (K, 1) mask that
+    is 0 on empty clusters — ``None`` when no cluster is empty, so no
+    fallback blend is needed.
+    """
+    membership = np.zeros((assignments.shape[0], num_clusters), dtype=dtype)
+    membership[np.arange(assignments.shape[0]), assignments] = 1.0
+    counts = membership.sum(axis=0)
+    empty = counts == 0
+    safe_counts = np.where(empty, 1.0, counts).reshape(-1, 1)
+    mask = None
+    if np.any(empty):
+        mask = np.where(empty, 0.0, 1.0).reshape(-1, 1).astype(dtype)
+    return membership, safe_counts, mask
+
+
+def prototype_means(
+    features: Tensor, membership: Tensor, counts: Tensor,
+    mask: Optional[Tensor] = None, fallback: Optional[Tensor] = None,
+) -> Tensor:
+    """The traceable half of :func:`differentiable_prototypes`.
+
+    Every argument is a tensor from :func:`cluster_membership` (a trace
+    input when recording).  With a ``mask``, empty clusters take their
+    ``fallback`` rows.
+    """
+    prototypes = (membership.transpose() @ features) / counts  # (K, d)
+    if mask is not None:
+        prototypes = prototypes * mask + fallback * (1.0 - mask)
+    return prototypes
+
+
 def differentiable_prototypes(
     features: Tensor, assignments: np.ndarray, num_clusters: int,
     fallback_centers: Optional[np.ndarray] = None,
@@ -74,20 +117,14 @@ def differentiable_prototypes(
     assignments = np.asarray(assignments)
     if assignments.shape[0] != features.shape[0]:
         raise ValueError("assignments must match features on N")
-    membership = np.zeros((features.shape[0], num_clusters), dtype=features.data.dtype)
-    membership[np.arange(assignments.shape[0]), assignments] = 1.0
-    counts = membership.sum(axis=0)
-    empty = counts == 0
-    safe_counts = np.where(empty, 1.0, counts)
-    sums = Tensor(membership).transpose() @ features  # (K, d)
-    prototypes = sums / Tensor(safe_counts.reshape(-1, 1))
-    if np.any(empty):
-        if fallback_centers is None:
-            raise ValueError("empty cluster with no fallback centers")
-        mask = Tensor(np.where(empty, 0.0, 1.0).reshape(-1, 1).astype(features.data.dtype))
-        fallback = Tensor(fallback_centers.astype(features.data.dtype))
-        prototypes = prototypes * mask + fallback * (1.0 - mask)
-    return prototypes
+    dtype = features.data.dtype
+    membership, counts, mask = cluster_membership(assignments, num_clusters, dtype)
+    if mask is None:
+        return prototype_means(features, Tensor(membership), Tensor(counts))
+    if fallback_centers is None:
+        raise ValueError("empty cluster with no fallback centers")
+    return prototype_means(features, Tensor(membership), Tensor(counts),
+                           Tensor(mask), Tensor(fallback_centers.astype(dtype)))
 
 
 def average_prototype_distance(z: Tensor, clusters: ViewClusters) -> float:

@@ -40,6 +40,7 @@ from .optim import (
 from .trace import BatchedReplay, Trace, TraceTensor, UntraceableError
 from .resnet import BasicBlock, ResNetEncoder, SmallConvEncoder, resnet9, resnet18
 from .tensor import (
+    GraphReleasedError,
     Tensor,
     as_tensor,
     get_default_dtype,
@@ -54,6 +55,7 @@ __all__ = [
     "init",
     "serialize",
     "Tensor",
+    "GraphReleasedError",
     "as_tensor",
     "no_grad",
     "is_grad_enabled",

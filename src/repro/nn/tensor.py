@@ -9,7 +9,7 @@ algorithms require:
 * dynamic-graph construction — every differentiable operation records its
   parents and a backward closure;
 * :meth:`Tensor.backward` performing reverse-mode differentiation via a
-  topological sort of the recorded graph;
+  topological sort of the recorded graph, then releasing that graph;
 * a :func:`no_grad` context manager disabling graph construction (used for
   evaluation, EMA target networks, and FL parameter exchange).
 
@@ -27,6 +27,7 @@ import numpy as np
 
 __all__ = [
     "Tensor",
+    "GraphReleasedError",
     "no_grad",
     "is_grad_enabled",
     "set_default_dtype",
@@ -84,6 +85,16 @@ def no_grad():
         _GRAD_STATE.enabled = previous
 
 
+class GraphReleasedError(RuntimeError):
+    """A backward pass reached a node whose graph an earlier backward freed."""
+
+
+def _released_backward() -> None:
+    raise GraphReleasedError(
+        "backward() reached a tensor whose graph was released by an earlier "
+        "backward(); recompute the forward pass to differentiate again")
+
+
 def unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     """Reduce ``grad`` so it matches ``shape`` after numpy broadcasting.
 
@@ -113,7 +124,8 @@ def as_tensor(value: ArrayLike, dtype=None) -> "Tensor":
 class Tensor:
     """A numpy-backed tensor participating in a dynamic autograd graph."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "name")
+    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "name",
+                 "__weakref__")
 
     def __init__(
         self,
@@ -220,6 +232,12 @@ class Tensor:
 
         ``grad`` defaults to ones (and must be provided for non-scalar
         outputs only when a custom seed is desired; ones are broadcast).
+
+        The graph is released on return: every non-leaf node walked here
+        drops its parents and backward closure.  Each closure holds its own
+        output, so without the release every graph is a reference cycle
+        whose arrays live until the cyclic GC runs.  A later backward that
+        reaches a released node raises :exc:`GraphReleasedError`.
         """
         if not self.requires_grad:
             raise RuntimeError("backward() called on a tensor that does not require grad")
@@ -249,6 +267,10 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward()
+        for node in topo:
+            if node._backward is not None:
+                node._parents = ()
+                node._backward = _released_backward
 
     # ------------------------------------------------------------------
     # Arithmetic

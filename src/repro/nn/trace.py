@@ -31,6 +31,13 @@ Batch-norm running statistics are the one intentional side effect: the
 training-mode buffer update is recorded as a ``bn_update`` tape entry and
 replayed against K-stacked buffers, *staged* so the two sequential updates
 per step (one per view) chain exactly like the in-place per-client updates.
+
+Per-client data enters a tape only as a leaf: float arrays through
+:meth:`Trace.add_input`, integer row selections through
+:meth:`Trace.add_index` (``x[index]`` then reads each client's own rows at
+replay).  Besides the scalar loss, a trace may name extra outputs
+(:meth:`Trace.add_output`) — per-batch metrics, or the features a caller
+needs before it can build the next trace's inputs.
 """
 
 from __future__ import annotations
@@ -49,7 +56,9 @@ __all__ = [
     "TapeOp",
     "Trace",
     "TraceTensor",
+    "TraceIndex",
     "BatchedReplay",
+    "input_leaves",
     "traced_concat",
     "patched_parameters",
     "commit_buffer_updates",
@@ -99,7 +108,8 @@ class Trace:
 
     Leaves are registered via :meth:`add_input` (per-step data) and
     :meth:`add_param` (per-client model parameters); both return the
-    :class:`TraceTensor` to feed into the computation being recorded.
+    :class:`TraceTensor` to feed into the computation being recorded;
+    :meth:`add_index` registers a per-client integer row index.
     Buffer identity (for batch-norm running stats) is registered by array
     ``id`` during recording and dropped by :meth:`seal`, so sealed traces
     are picklable and safe to cache across rounds and processes.
@@ -108,8 +118,10 @@ class Trace:
     def __init__(self):
         self.ops: List[TapeOp] = []
         self.inputs: "OrderedDict[str, Tuple[int, Tuple[int, ...], str]]" = OrderedDict()
+        self.indices: "OrderedDict[str, Tuple[int, Tuple[int, ...], str]]" = OrderedDict()
         self.params: "OrderedDict[str, Tuple[int, Tuple[int, ...], str]]" = OrderedDict()
         self.output: Optional[int] = None
+        self.outputs: "OrderedDict[str, int]" = OrderedDict()
         self.sealed = False
         self._next_tid = 0
         self._buffer_slots: Dict[int, str] = {}
@@ -123,11 +135,25 @@ class Trace:
         return TraceTensor(data, self, tid)
 
     def add_input(self, name: str, value: np.ndarray) -> "TraceTensor":
-        if name in self.inputs:
+        if name in self.inputs or name in self.indices:
             raise ValueError(f"duplicate trace input {name!r}")
         leaf = self._new_tensor(np.asarray(value))
         self.inputs[name] = (leaf._tid, leaf.data.shape, str(leaf.data.dtype))
         return leaf
+
+    def add_index(self, name: str, value: np.ndarray) -> "TraceIndex":
+        """Register a per-client 1-D integer index; replay feeds ``(K, n)``."""
+        if name in self.inputs or name in self.indices:
+            raise ValueError(f"duplicate trace input {name!r}")
+        array = np.asarray(value)
+        if array.ndim != 1 or array.dtype.kind not in "iu":
+            raise UntraceableError(
+                f"index input {name!r} must be a 1-D integer array, got "
+                f"{array.shape}/{array.dtype}")
+        tid = self._next_tid
+        self._next_tid += 1
+        self.indices[name] = (tid, array.shape, str(array.dtype))
+        return TraceIndex(self, tid, array)
 
     def add_param(self, name: str, value: np.ndarray) -> "TraceTensor":
         if name in self.params:
@@ -141,19 +167,29 @@ class Trace:
         for name, buffer in named_buffers:
             self._buffer_slots[id(buffer)] = name
 
-    def set_output(self, value: "TraceTensor") -> None:
+    def _traced_id(self, value, what: str) -> int:
         if not isinstance(value, TraceTensor) or value._trace is not self:
             raise UntraceableError(
-                "the recorded loss is not a traced tensor of this trace — some "
-                "op silently dropped the trace")
+                f"the recorded {what} is not a traced tensor of this trace — "
+                "some op silently dropped the trace")
+        return value._tid
+
+    def set_output(self, value: "TraceTensor") -> None:
+        tid = self._traced_id(value, "loss")
         if value.data.shape != ():
             raise UntraceableError(
                 f"traced loss must be a scalar, got shape {value.data.shape}")
-        self.output = value._tid
+        self.output = tid
+
+    def add_output(self, name: str, value: "TraceTensor") -> None:
+        """Name an extra output (any shape); replay returns it per client."""
+        if name in self.outputs:
+            raise ValueError(f"duplicate trace output {name!r}")
+        self.outputs[name] = self._traced_id(value, f"output {name!r}")
 
     def seal(self) -> None:
         """Finish recording: drop id-keyed state, freeze the tape."""
-        if self.output is None:
+        if self.output is None and not self.outputs:
             raise UntraceableError("cannot seal a trace without an output")
         self._buffer_slots = {}
         self.sealed = True
@@ -207,6 +243,23 @@ class Trace:
         else:
             operands = (self.operand(left), self.operand(right))
         return self.record(kind, data, operands)
+
+    def record_matmul(self, left: Tensor, right: Tensor) -> "TraceTensor":
+        """Record ``left @ right``, including matrix-vector products.
+
+        Replay gives a 1-D operand an explicit unit axis
+        (``params["vector"]`` names its side) — the axis numpy's own 1-D
+        promotion adds unbatched.  A traced vector arrives as ``(K, n)``,
+        which numpy would read as a matrix, and ``Tensor``'s 1-D backward
+        assumes an unbatched partner.
+        """
+        ranks = (left.data.ndim, right.data.ndim)
+        if min(ranks) == 0 or ranks == (1, 1):
+            raise UntraceableError("matmul of scalars or two vectors is not traceable")
+        vector = "left" if ranks[0] == 1 else "right" if ranks[1] == 1 else None
+        return self.record("matmul", left.data @ right.data,
+                           (self.operand(left), self.operand(right)),
+                           {"vector": vector})
 
     def record_bn_update(self, x: "TraceTensor", running_mean: np.ndarray,
                          running_var: np.ndarray, axes: Tuple[int, ...],
@@ -340,18 +393,10 @@ class TraceTensor(Tensor):
                                   {"exponent": exponent})
 
     def __matmul__(self, other):
-        other_t = as_tensor(other, dtype=self.data.dtype)
-        if self.data.ndim < 2 or other_t.data.ndim < 2:
-            raise UntraceableError("matmul with 1-D operands is not traceable")
-        return self._trace.record_binary("matmul", self, other_t,
-                                         self.data @ other_t.data)
+        return self._trace.record_matmul(self, as_tensor(other, dtype=self.data.dtype))
 
     def __rmatmul__(self, other):
-        other_t = as_tensor(other, dtype=self.data.dtype)
-        if self.data.ndim < 2 or other_t.data.ndim < 2:
-            raise UntraceableError("matmul with 1-D operands is not traceable")
-        return self._trace.record_binary("matmul", other_t, self,
-                                         other_t.data @ self.data)
+        return self._trace.record_matmul(as_tensor(other, dtype=self.data.dtype), self)
 
     # -- elementwise nonlinearities ------------------------------------
     def exp(self):
@@ -433,6 +478,11 @@ class TraceTensor(Tensor):
                                   (self._trace.operand(self),), {"axes": axes})
 
     def __getitem__(self, index):
+        if isinstance(index, TraceIndex):
+            if index._trace is not self._trace:
+                raise UntraceableError("cannot mix tensors from different traces")
+            return self._trace.record("take", self.data[index.array],
+                                      (self._trace.operand(self), ("t", index._tid)))
         normalized = _normalize_index(index, self.data.ndim)
         return self._trace.record("getitem", self.data[normalized],
                                   (self._trace.operand(self),),
@@ -444,6 +494,42 @@ class TraceTensor(Tensor):
             axis += self.data.ndim + 1
         return self._trace.record("expand_dims", np.expand_dims(self.data, axis),
                                   (self._trace.operand(self),), {"axis": axis})
+
+
+class TraceIndex:
+    """A per-client row index registered by :meth:`Trace.add_index`.
+
+    Its one use is ``x[index]`` on a :class:`TraceTensor`: the recorded
+    ``take`` selects rows of the leading axis, and replay selects each
+    client's own rows — where a plain integer array would be captured as
+    the donor client's constant.
+    """
+
+    __slots__ = ("_trace", "_tid", "array")
+
+    def __init__(self, trace: Trace, tid: int, array: np.ndarray):
+        self._trace = trace
+        self._tid = tid
+        self.array = array
+
+
+def input_leaves(arrays: Dict[str, np.ndarray],
+                 trace: Optional[Trace] = None) -> Dict[str, object]:
+    """One client's per-step arrays as the leaves a loss reads.
+
+    Float arrays become tensors and 1-D integer arrays row indices: trace
+    leaves (:meth:`Trace.add_input` / :meth:`Trace.add_index`) when
+    recording into ``trace``, eager ``Tensor``/``ndarray`` otherwise.  One
+    loss function then serves both the per-client and the replayed path.
+    """
+    leaves: Dict[str, object] = {}
+    for name, value in arrays.items():
+        integer = value.dtype.kind in "iu"
+        if trace is None:
+            leaves[name] = value if integer else Tensor(value)
+        else:
+            leaves[name] = (trace.add_index if integer else trace.add_input)(name, value)
+    return leaves
 
 
 def traced_concat(tensors: Sequence[Tensor], axis: int = 0) -> TraceTensor:
@@ -518,6 +604,9 @@ class BatchedReplay:
     ``counter`` prefixes the telemetry counters each run bumps
     (``<counter>.replays``, ``<counter>.replay_clients``), so replays of
     different stages stay distinguishable in a profile.
+
+    After :meth:`run`, :attr:`outputs` maps each named extra output of the
+    trace to its ``(K, *recorded_shape)`` tensor.
     """
 
     def __init__(self, trace: Trace, num_clients: int, counter: str = "trace"):
@@ -526,27 +615,31 @@ class BatchedReplay:
         self.trace = trace
         self.num_clients = int(num_clients)
         self.counter = counter
+        self.outputs: Dict[str, Tensor] = {}
 
     def run(self, inputs: Dict[str, np.ndarray], params: Dict[str, Tensor],
             buffers: Dict[str, np.ndarray]):
         """Replay over stacked inputs; returns ``(loss, staged_buffer_updates)``.
 
-        ``inputs`` maps input names to ``(K, *recorded_shape)`` arrays;
-        ``params`` maps parameter names to ``(K, *recorded_shape)`` tensors
-        (``requires_grad=True``); ``buffers`` maps buffer names to
+        ``inputs`` maps input and index names to ``(K, *recorded_shape)``
+        arrays; ``params`` maps parameter names to ``(K, *recorded_shape)``
+        tensors (``requires_grad=True``); ``buffers`` maps buffer names to
         ``(K, *shape)`` arrays read (not written) by ``bn_update`` entries.
+        ``loss`` is ``None`` for a trace with named outputs only.
         """
         k = self.num_clients
         telemetry.count(f"{self.counter}.replays")
         telemetry.count(f"{self.counter}.replay_clients", k)
         env: Dict[int, Tensor] = {}
-        for name, (tid, shape, dtype) in self.trace.inputs.items():
-            array = inputs[name]
-            if array.shape != (k,) + shape or str(array.dtype) != dtype:
-                raise UntraceableError(
-                    f"input {name!r} has shape {array.shape}/{array.dtype}, "
-                    f"trace recorded {(k,) + shape}/{dtype}")
-            env[tid] = Tensor(array)
+        for leaves, wrap in ((self.trace.inputs, Tensor),
+                             (self.trace.indices, np.asarray)):
+            for name, (tid, shape, dtype) in leaves.items():
+                array = inputs[name]
+                if array.shape != (k,) + shape or str(array.dtype) != dtype:
+                    raise UntraceableError(
+                        f"input {name!r} has shape {array.shape}/{array.dtype}, "
+                        f"trace recorded {(k,) + shape}/{dtype}")
+                env[tid] = wrap(array)
         for name, (tid, shape, dtype) in self.trace.params.items():
             leaf = params[name]
             if leaf.data.shape != (k,) + shape or str(leaf.data.dtype) != dtype:
@@ -566,7 +659,9 @@ class BatchedReplay:
                     f"replayed {op.kind} produced shape {out.data.shape}, "
                     f"expected {expected}")
             env[op.out] = out
-        return env[self.trace.output], staged
+        self.outputs = {name: env[tid] for name, tid in self.trace.outputs.items()}
+        loss = None if self.trace.output is None else env[self.trace.output]
+        return loss, staged
 
     # ------------------------------------------------------------------
     def _value(self, encoded, env: Dict[int, Tensor]) -> Tensor:
@@ -590,8 +685,16 @@ class BatchedReplay:
                 return left * right
             if kind == "truediv":
                 return left / right
+            out_shape = (self.num_clients,) + op.out_shape
+            if params["vector"] == "left":
+                return (left.expand_dims(-2) @ right).reshape(out_shape)
+            if params["vector"] == "right":
+                return (left @ right.expand_dims(-1)).reshape(out_shape)
             return left @ right
         x = self._value(op.inputs[0], env)
+        if kind == "take":
+            rows = self._value(op.inputs[1], env)
+            return x[np.arange(self.num_clients)[:, None], rows]
         if kind == "neg":
             return -x
         if kind == "pow":

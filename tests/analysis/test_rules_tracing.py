@@ -80,3 +80,53 @@ class TestTrc002CohortUpdate:
             "        return self._loss(client).item()\n"
         ))
         assert found == []
+
+
+class TestTrc002PlannedLoss:
+    def test_flags_item_in_planned_loss(self):
+        found = rule_diagnostics("TRC002", "src/repro/core/m_fix.py", (
+            "class Method:\n"
+            "    def planned_loss(self, outputs, plan):\n"
+            "        terms = {'l_c': outputs.loss.item()}\n"
+            "        return outputs.loss, terms\n"
+        ))
+        assert rule_ids(found) == ["TRC002"]
+        assert "planned_loss" in found[0].message
+
+    def test_flags_bool_mask_in_planned_loss(self):
+        found = rule_diagnostics("TRC002", "src/repro/core/m_fix.py", (
+            "class Method:\n"
+            "    def planned_loss(self, outputs, plan):\n"
+            "        kept = outputs.h_e[plan['counts'] > 0]\n"
+            "        return kept.sum(), {}\n"
+        ))
+        assert rule_ids(found) == ["TRC002"]
+
+    def test_flags_float_over_data(self):
+        found = rule_diagnostics("TRC002", "src/repro/core/m_fix.py", (
+            "class Method:\n"
+            "    def planned_loss(self, outputs, plan):\n"
+            "        shift = float(outputs.loss.data.max())\n"
+            "        return outputs.loss - shift, {}\n"
+        ))
+        assert rule_ids(found) == ["TRC002"]
+        assert "float() over .data" in found[0].message
+
+    def test_flags_int_over_data(self):
+        found = rule_diagnostics("TRC002", "src/repro/core/m_fix.py", (
+            "class Method:\n"
+            "    def planned_loss(self, outputs, plan):\n"
+            "        clusters = int(plan['counts'].data.sum())\n"
+            "        return outputs.loss / clusters, {}\n"
+        ))
+        assert rule_ids(found) == ["TRC002"]
+
+    def test_near_miss_float_of_config_value(self):
+        # Instance configuration is the same for every client: not a
+        # per-client value pulled out of a tensor.
+        found = rule_diagnostics("TRC002", "src/repro/core/m_fix.py", (
+            "class Method:\n"
+            "    def planned_loss(self, outputs, plan):\n"
+            "        return outputs.loss * float(self.alpha), {}\n"
+        ))
+        assert found == []

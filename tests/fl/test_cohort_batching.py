@@ -15,7 +15,9 @@ import pytest
 from repro.data import make_cifar10_like
 from repro.eval import available_methods, build_method
 from repro.fl import FederatedConfig, TrainingSession, build_federation
+from repro.fl.session import SessionCallback
 from repro.nn import MLPEncoder
+from repro.telemetry import Tracer
 
 NUM_CLASSES = 10
 IMAGE_SIZE = 6
@@ -112,6 +114,103 @@ class TestBatchedEngineEngages:
         assert_identical_results(serial, parallel)
 
 
+def calibre_encoder_factory():
+    return MLPEncoder(INPUT_DIM, hidden_dims=(24, 12), rng=np.random.default_rng(42))
+
+
+class UpdateLog(SessionCallback):
+    """Every ClientUpdate's metrics, keyed by ``round/client``."""
+
+    def __init__(self):
+        self.metrics = {}
+
+    def on_client_update_done(self, session, event):
+        key = f"{event.round_index}/{event.client_id}"
+        self.metrics[key] = dict(event.update.metrics)
+
+
+def metrics_text(metrics):
+    """Updates in (round, client) order, each metric dict in its own key
+    order; floats keep every bit through ``json.dumps``."""
+    return json.dumps([(key, metrics[key]) for key in sorted(metrics)])
+
+
+def run_calibre(name, client_batch, backend=None, **method_kwargs):
+    """A Calibre run whose steps exercise every branch of the planned loss.
+
+    Two-class clients give 14-sample pools: each epoch is a 12-sample step
+    (5 prototypes; clients' k-means populate different cluster sets, so a
+    step splits into several signature groups) and a 2-sample step (k
+    clamps to 4, every point is its own cluster, and l_p never exists).
+    """
+    config = cohort_config(rounds=2, local_epochs=2, batch_size=12,
+                           client_batch=client_batch, workers=2)
+    dataset = make_cifar10_like(image_size=IMAGE_SIZE, train_per_class=48,
+                                test_per_class=4, seed=0)
+    labels = dataset.train.labels
+    parts = [np.concatenate([np.where(labels == c)[0][:9],
+                             np.where(labels == c + 1)[0][:9]])
+             for c in range(config.num_clients)]
+    clients = build_federation(dataset, parts, test_fraction=0.25, seed=0)
+    algorithm = build_method(name, config, NUM_CLASSES, calibre_encoder_factory,
+                             num_prototypes=5, **method_kwargs)
+    session = TrainingSession(algorithm, clients, config, backend=backend)
+    log = session.add_callback(UpdateLog())
+    tracer = Tracer()
+    try:
+        with tracer.activate():
+            result = session.execute()
+    finally:
+        session.close()
+    return algorithm, result, log.metrics, tracer.counters
+
+
+CALIBRE_TOGGLES = [{}, {"use_ln": False}, {"use_lp": False}, {"use_lc": False}]
+
+
+class TestCalibreBatched:
+    @pytest.mark.parametrize("toggles", CALIBRE_TOGGLES,
+                             ids=["all", "no-ln", "no-lp", "no-lc"])
+    @pytest.mark.parametrize("name", ["calibre-simclr", "calibre-simsiam"])
+    def test_batched_equals_per_client(self, name, toggles):
+        _, per_client, solo_metrics, _ = run_calibre(name, 1, **toggles)
+        algorithm, batched, metrics, counters = run_calibre(name, None, **toggles)
+        assert_identical_results(per_client, batched)
+        # Every per-update metric, including the loss terms and the
+        # divergence the server weights by, is bitwise the per-client one.
+        assert metrics_text(metrics) == metrics_text(solo_metrics)
+        assert list(metrics.values())[0].keys() >= {"loss", "divergence"}
+        assert counters.get("cohort.fallback_latches", 0) == 0
+        assert not algorithm._untraceable
+        # One no-grad encoder replay per step feeds the plans; some steps
+        # split into several signature groups.
+        steps = counters["plan.replays"]
+        assert steps == 2 * 2 * 2  # rounds x epochs x (full + 2-sample step)
+        assert counters["trace.replays"] > steps
+        assert counters["trace.replay_clients"] == counters["plan.replay_clients"]
+        if toggles.get("use_lp", True):
+            # l_p is missing on the 2-sample steps, present on some others.
+            assert 0 < counters["plan.terms.l_p"] < counters["plan.replay_clients"]
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_parallel_backends_match_serial(self, backend):
+        _, serial, serial_metrics, _ = run_calibre("calibre-simclr", None)
+        _, parallel, metrics, _ = run_calibre("calibre-simclr", None,
+                                              backend=backend)
+        assert_identical_results(serial, parallel)
+        assert metrics_text(metrics) == metrics_text(serial_metrics)
+
+    def test_trace_cache_stays_bounded(self, monkeypatch):
+        from repro.baselines import pfl_ssl
+
+        monkeypatch.setattr(pfl_ssl, "TRACE_CACHE_SIZE", 3)
+        algorithm, bounded, _, counters = run_calibre("calibre-simclr", None)
+        assert len(algorithm._trace_cache) == 3
+        assert counters["trace.cache_misses"] > 3
+        _, unbounded, _, _ = run_calibre("calibre-simclr", 1)
+        assert_identical_results(bounded, unbounded)
+
+
 class TestCohortKeying:
     def _client(self, samples=12):
         config = cohort_config()
@@ -136,9 +235,30 @@ class TestCohortKeying:
     def test_non_batchable_method_has_no_key(self):
         config = cohort_config()
         client = self._client()
-        for name in ("fedavg", "calibre-simclr"):
+        for name in ("fedavg", "calibre-byol"):
             algorithm = build_method(name, config, NUM_CLASSES, encoder_factory)
             assert algorithm.cohort_key(client) is None
+
+    def test_calibre_batchable_templates_get_keys(self):
+        config = cohort_config()
+        client = self._client()
+        for name in ("calibre-simclr", "calibre-simsiam"):
+            algorithm = build_method(name, config, NUM_CLASSES, encoder_factory)
+            assert algorithm.cohort_key(client) is not None
+        for name in ("calibre-byol", "calibre-mocov2", "calibre-swav",
+                     "calibre-smog"):
+            algorithm = build_method(name, config, NUM_CLASSES, encoder_factory)
+            assert algorithm.cohort_key(client) is None
+
+    def test_local_loss_override_without_traceable_half_has_no_key(self):
+        from repro.baselines.pfl_ssl import PFLSSL
+
+        class CustomLoss(PFLSSL):
+            def local_loss(self, method, outputs, rng):
+                return outputs.loss * 2.0, {}
+
+        algorithm = CustomLoss(cohort_config(), NUM_CLASSES, encoder_factory)
+        assert algorithm.cohort_key(self._client()) is None
 
 
 class TestPlanCohorts:

@@ -1,11 +1,14 @@
 """Gradient and semantics tests for the core Tensor operations."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nn import Tensor, no_grad, unbroadcast
+from repro.nn import GraphReleasedError, Tensor, no_grad, unbroadcast
 
 from ..helpers import assert_gradients_close, rng
 
@@ -228,6 +231,46 @@ class TestAutogradMechanics:
         out = a * 1.0
         out.backward(np.array([1.0, 2.0, 3.0]))
         np.testing.assert_allclose(a.grad, [1.0, 2.0, 3.0])
+
+
+class TestGraphRelease:
+    def test_intermediates_die_when_backward_returns(self):
+        # Without the release every non-leaf node is a reference cycle
+        # (its backward closure holds the node), freed only by the cyclic
+        # GC; with the GC off, the intermediate must still die at once.
+        a = make((4, 3), 1)
+        gc.disable()
+        try:
+            hidden = (a * 2.0).exp()
+            watch = weakref.ref(hidden)
+            loss = hidden.sum()
+            del hidden
+            assert watch() is not None  # the graph still holds it
+            loss.backward()
+            assert watch() is None
+        finally:
+            gc.enable()
+        np.testing.assert_allclose(a.grad, 2.0 * np.exp(2.0 * a.data))
+
+    def test_second_backward_raises(self):
+        a = make((3,), 1)
+        loss = (a * a).sum()
+        loss.backward()
+        with pytest.raises(GraphReleasedError):
+            loss.backward()
+
+    def test_new_graph_over_released_node_raises(self):
+        a = make((3,), 1)
+        hidden = a * 3.0
+        hidden.sum().backward()
+        with pytest.raises(GraphReleasedError):
+            (hidden * 2.0).sum().backward()
+
+    def test_leaves_stay_usable(self):
+        a = make((3,), 1)
+        (a * 1.0).sum().backward()
+        (a * 2.0).sum().backward()
+        np.testing.assert_allclose(a.grad, np.full(3, 3.0))
 
 
 class TestUnbroadcast:

@@ -161,6 +161,109 @@ class TestPrimitiveEquivalence:
         assert_matches_per_client(fn, x, params={"w": rng.standard_normal((4, 6))})
 
 
+def _client_data(k, seed=0):
+    """Different inputs, row selections and parameters for every client,
+    so any per-client value captured as a constant at record time shows."""
+    rng = np.random.default_rng(seed)
+    inputs = {"x": rng.standard_normal((k, 5, 4)),
+              "v": rng.standard_normal((k, 4)),
+              "mask": (rng.random((k, 5, 1)) > 0.5).astype(np.float64)}
+    indices = {"rows": np.stack([rng.permutation(5)[:3] for _ in range(k)])}
+    params = {"w": rng.standard_normal((k, 4, 4))}
+    return inputs, indices, params
+
+
+def _planned(t, w):
+    """A loss in the shape of Calibre's: per-client masks, a matrix-vector
+    product against a per-client vector, per-client row selection, and
+    named per-batch terms next to the scalar loss."""
+    h = t["x"] @ w                                  # (5, 4)
+    blended = h * t["mask"] + 0.5 * (1.0 - t["mask"])
+    scores = blended @ t["v"]                       # traced vector, right
+    mixed = t["v"] @ w                              # traced vector, left
+    fixed = h @ np.linspace(-1.0, 1.0, 4)           # constant vector
+    picked = blended[t["rows"]]                     # (3, 4) per-client rows
+    term = (picked * picked).sum() / 3.0
+    loss = (scores.exp().sum() + mixed.tanh().sum() + fixed.sum()
+            + term - h.max().detach())
+    return loss, {"term": term, "scores": scores}
+
+
+class TestPlannedInputsAndOutputs:
+    """Named extra outputs, per-client row selection as an input, and
+    matrix-vector products: slice k of every output and of every
+    parameter gradient equals client k's eager computation, bitwise."""
+
+    def _record(self, inputs, indices, params):
+        trace = Trace()
+        leaves = {name: trace.add_input(name, value[0])
+                  for name, value in inputs.items()}
+        leaves.update({name: trace.add_index(name, value[0])
+                       for name, value in indices.items()})
+        weight = trace.add_param("w", params["w"][0])
+        loss, terms = _planned(leaves, weight)
+        trace.set_output(loss)
+        for name, term in terms.items():
+            trace.add_output(name, term)
+        trace.seal()
+        return trace
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_replay_matches_each_client(self, k):
+        inputs, indices, params = _client_data(k)
+        trace = self._record(inputs, indices, params)
+        replay = BatchedReplay(trace, k)
+        weight = Tensor(params["w"].copy(), requires_grad=True)
+        loss, _ = replay.run({**inputs, **indices}, {"w": weight}, {})
+        assert list(replay.outputs) == ["term", "scores"]
+        loss.backward()
+        for client in range(k):
+            eager_inputs = {name: Tensor(value[client])
+                            for name, value in inputs.items()}
+            eager_inputs.update({name: value[client]
+                                 for name, value in indices.items()})
+            eager_w = Tensor(params["w"][client].copy(), requires_grad=True)
+            eager_loss, eager_terms = _planned(eager_inputs, eager_w)
+            eager_loss.backward()
+            np.testing.assert_array_equal(loss.data[client], eager_loss.data)
+            for name, term in eager_terms.items():
+                np.testing.assert_array_equal(replay.outputs[name].data[client],
+                                              term.data)
+            np.testing.assert_array_equal(weight.grad[client], eager_w.grad)
+
+    def test_outputs_only_trace_replays_without_loss(self):
+        inputs, _, params = _client_data(2)
+        trace = Trace()
+        x = trace.add_input("x", inputs["x"][0])
+        trace.add_output("h", x @ trace.add_param("w", params["w"][0]))
+        trace.seal()
+        replay = BatchedReplay(trace, 2)
+        loss, _ = replay.run({"x": inputs["x"]},
+                             {"w": Tensor(params["w"])}, {})
+        assert loss is None
+        np.testing.assert_array_equal(replay.outputs["h"].data[1],
+                                      inputs["x"][1] @ params["w"][1])
+
+    def test_index_inputs_must_be_integer_vectors(self):
+        trace = Trace()
+        with pytest.raises(UntraceableError):
+            trace.add_index("rows", np.array([0.0, 1.0]))
+        with pytest.raises(UntraceableError):
+            trace.add_index("rows", np.zeros((2, 2), dtype=np.int64))
+
+    def test_vector_dot_product_rejected(self):
+        trace = Trace()
+        v = trace.add_input("v", np.ones(3))
+        with pytest.raises(UntraceableError):
+            v @ v
+
+    def test_named_output_must_be_traced(self):
+        trace = Trace()
+        trace.add_input("x", np.ones(3))
+        with pytest.raises(UntraceableError):
+            trace.add_output("constant", Tensor(np.ones(3)))
+
+
 class TestUntraceable:
     def _leaf(self):
         trace = Trace()
