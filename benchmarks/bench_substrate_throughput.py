@@ -117,14 +117,14 @@ def _round_loop_setup(num_clients: int, samples_per_client: int = 12):
 
 
 def run_round_loop(backend: str, workers, rounds: int = 2, num_clients: int = 4,
-                   method: str = "pfl-simclr", shared_memory=None,
-                   client_batch=None, label=None):
+                   method: str = "pfl-simclr", client_batch=None):
     """Time the federated training stage; returns a metrics row.
 
     ``payload_inline_bytes`` is what one client costs on the wire with its
     arrays pickled inline; ``payload_wire_bytes`` is what it actually costs
-    under the chosen configuration (identical unless the shared-memory data
-    plane is active, which replaces the arrays with handles).  Both are
+    on this backend (identical unless the shared-memory data plane is
+    active — on the process backend — which replaces the arrays with
+    handles).  Both are
     measured before training so they isolate the dataset-shipping cost the
     plane eliminates, not the algorithm state that must travel regardless.
 
@@ -138,7 +138,7 @@ def run_round_loop(backend: str, workers, rounds: int = 2, num_clients: int = 4,
         num_clients=num_clients, clients_per_round=num_clients, rounds=rounds,
         local_epochs=1, batch_size=8, personalization_epochs=2,
         personalization_batch_size=8, backend=backend, workers=workers,
-        shared_memory=shared_memory, client_batch=client_batch,
+        client_batch=client_batch,
     )
     clients = build_federation(dataset, partitions, seed=2)
     algorithm = build_method(method, config, dataset.num_classes, encoder_factory,
@@ -154,7 +154,7 @@ def run_round_loop(backend: str, workers, rounds: int = 2, num_clients: int = 4,
     elapsed = time.perf_counter() - start
     session.close()
     return {
-        "backend": label or backend,
+        "backend": backend,
         "workers": session.backend.workers,
         "shared_memory": session.shared_memory_active,
         "client_batch": "auto" if client_batch is None else client_batch,
@@ -360,22 +360,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     rounds, clients = (2, 4) if args.smoke else (args.rounds, args.clients)
 
-    # One row per backend, plus the process backend with the shared-memory
-    # data plane explicitly off, so the payload columns show exactly what
-    # the plane buys (process rows default to plane-on).
-    variants = []
-    for backend in sorted(available_backends()):
-        workers = 1 if backend == "serial" else args.workers
-        if backend == "process":
-            variants.append((backend, workers, False, "process"))
-            variants.append((backend, workers, None, "process+shm"))
-        else:
-            variants.append((backend, workers, None, backend))
+    # One row per backend; on the process row the shared-memory data plane
+    # is active, so its payload columns show what the plane buys.
     rows = [
-        run_round_loop(backend, workers, rounds=rounds, num_clients=clients,
-                       method=args.method, shared_memory=shared,
-                       client_batch=1, label=label)
-        for backend, workers, shared, label in variants
+        run_round_loop(backend, 1 if backend == "serial" else args.workers,
+                       rounds=rounds, num_clients=clients, method=args.method,
+                       client_batch=1)
+        for backend in sorted(available_backends())
     ]
 
     # Cohort vectorization: the per-client loop vs the client-batched

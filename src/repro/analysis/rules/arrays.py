@@ -1,7 +1,7 @@
 """ARR — binary array persistence goes through ``repro.arrays``.
 
-Checkpoint sidecars, store array sidecars, and IPC payloads all share one
-container (``.npcol``, :mod:`repro.arrays`): a self-validating format
+Checkpoint sidecars, store array sidecars, IPC payloads, and shared-memory
+segments all share one container (``.npcol``, :mod:`repro.arrays`): a self-validating format
 whose truncated or torn files fail loudly on open.  That guarantee only
 holds while the persistence layer has no second, ad-hoc serialization of
 array data — a stray ``tobytes()`` has no checksum, and a JSON float
@@ -30,10 +30,11 @@ from ..project import Project, SourceFile
 from ..registry import Rule, register
 
 ARR_SCOPE = ("repro.fl.session", "repro.runs.store", "repro.runs.scheduler",
-             "repro.experiments.embeddings")
+             "repro.experiments.embeddings", "repro.data.shm")
 """The modules that persist or ship array payloads: session checkpoints
 and IPC packing, the run store's sidecars and the scheduler routing them,
-and the embedding executor producing the store's bulkiest columns."""
+the embedding executor producing the store's bulkiest columns, and the
+shared-memory data plane shipping client datasets to workers."""
 
 _ADHOC_METHODS = ("tobytes", "tofile", "tolist")
 

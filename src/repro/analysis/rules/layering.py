@@ -39,7 +39,7 @@ LAYER_MAP: Dict[str, Tuple[str, ...]] = {
     "repro.viz": (),
     "repro.manifold": (),
     "repro.cluster": (),
-    "repro.data": ("repro.telemetry",),
+    "repro.data": ("repro.arrays", "repro.telemetry"),
     # Mid-stack.
     "repro.ssl": ("repro.nn",),
     "repro.fl": ("repro.arrays", "repro.data", "repro.ioutil", "repro.nn",

@@ -23,7 +23,9 @@ repo), so on-disk containers are all-or-nothing.  The in-memory pair
 :func:`pack_columns` / :func:`unpack_columns` is the same format without
 the filesystem — the process execution backend ships per-client
 algorithm state as one packed buffer instead of a pickled tree of
-ndarrays (see ``repro.fl.session.codec.PackedState``).
+ndarrays (see ``repro.fl.session.codec.PackedState``), and
+:class:`ColumnLayout` lays the same container straight into a
+shared-memory segment (``repro.data.shm``).
 
 This module is the sanctioned array-persistence primitive (invariant
 ARR001 in docs/invariants.md): persistence-layer code stores arrays
@@ -44,6 +46,7 @@ from .ioutil import atomic_write_bytes
 
 __all__ = [
     "ARRAY_SCHEMA",
+    "ColumnLayout",
     "CorruptArrayFile",
     "pack_columns",
     "unpack_columns",
@@ -83,55 +86,78 @@ def _normalized(name: str, array) -> np.ndarray:
     return np.ascontiguousarray(value).reshape(value.shape)
 
 
+class ColumnLayout:
+    """The byte layout of one ``.npcol`` container, planned before writing.
+
+    ``nbytes`` is the container's full length; :meth:`write_into` lays it
+    into a fresh (zero-filled) buffer of exactly that length — a
+    ``bytearray`` for :func:`pack_columns`, a shared-memory segment for
+    :mod:`repro.data.shm` — copying each column's payload once, straight
+    into place.  Column order is the mapping's insertion order;
+    non-contiguous and F-ordered inputs are normalized to C-contiguous;
+    0-d and empty arrays are fine.
+    """
+
+    def __init__(self, columns: Mapping[str, "np.ndarray"]):
+        arrays = {str(name): _normalized(name, value)
+                  for name, value in columns.items()}
+        if len(arrays) != len(columns):
+            raise ValueError("column names collide after str() normalization")
+
+        # Lay out payloads first so the directory can carry real offsets;
+        # the header length depends on the directory text, so iterate:
+        # offsets are relative to the aligned end of the header, which only
+        # moves in 64-byte steps, so one repair pass always converges.
+        def directory(payload_start: int):
+            entries, offset = [], payload_start
+            for name, value in arrays.items():
+                offset = _align(offset)
+                entries.append([name, value.dtype.str, list(value.shape),
+                                offset, int(value.nbytes)])
+                offset += value.nbytes
+            return entries, offset
+
+        payload_start = _align(_HEADER_FIXED)
+        for _ in range(4):
+            entries, body_len = directory(payload_start)
+            header = json.dumps({"schema": ARRAY_SCHEMA, "columns": entries},
+                                separators=(",", ":")).encode()
+            new_start = _align(_HEADER_FIXED + len(header))
+            if new_start == payload_start:
+                break
+            payload_start = new_start
+        else:  # pragma: no cover - the loop converges in <= 2 passes
+            raise RuntimeError("npcol header layout failed to converge")
+        self._arrays, self._entries = arrays, entries
+        self._header, self._body_len = header, body_len
+        self.nbytes = body_len + _FOOTER_SIZE
+
+    def write_into(self, buffer) -> None:
+        """Write the container into ``buffer``; padding stays as it was."""
+        body_len, header = self._body_len, self._header
+        with memoryview(buffer).cast("B") as view:
+            view[:len(MAGIC)] = MAGIC
+            view[len(MAGIC):_HEADER_FIXED] = len(header).to_bytes(8, "little")
+            view[_HEADER_FIXED:_HEADER_FIXED + len(header)] = header
+            for (_name, _dtype, _shape, offset, nbytes), value in zip(
+                    self._entries, self._arrays.values()):
+                view[offset:offset + nbytes] = value.reshape(-1).view(np.uint8)
+            crc = zlib.crc32(view[:body_len])
+            view[body_len:] = (FOOTER_MAGIC + body_len.to_bytes(8, "little")
+                               + crc.to_bytes(4, "little") + b"\x00" * 4)
+
+
 def pack_columns(columns: Mapping[str, "np.ndarray"]) -> bytes:
     """Serialize named arrays into one ``.npcol`` container (as bytes).
 
-    Column order is the mapping's insertion order and is preserved by
-    :func:`unpack_columns`; packing is deterministic, so equal inputs
-    produce equal bytes.  Non-contiguous and F-ordered inputs are
-    normalized to C-contiguous; 0-d and empty arrays are fine.
+    Column order is preserved by :func:`unpack_columns`; packing is
+    deterministic, so equal inputs produce equal bytes (the layout rules
+    are :class:`ColumnLayout`'s).
     """
-    arrays = {str(name): _normalized(name, value)
-              for name, value in columns.items()}
-    if len(arrays) != len(columns):
-        raise ValueError("column names collide after str() normalization")
-
-    # Lay out payloads first so the directory can carry real offsets; the
-    # header length depends on the directory text, so iterate: offsets are
-    # relative to the aligned end of the header, which only moves in
-    # 64-byte steps, so one repair pass always converges.
-    def directory(payload_start: int):
-        entries, offset = [], payload_start
-        for name, value in arrays.items():
-            offset = _align(offset)
-            entries.append([name, value.dtype.str, list(value.shape),
-                            offset, int(value.nbytes)])
-            offset += value.nbytes
-        return entries, offset
-
-    payload_start = _align(_HEADER_FIXED)
-    for _ in range(4):
-        entries, payload_end = directory(payload_start)
-        header = json.dumps({"schema": ARRAY_SCHEMA, "columns": entries},
-                            separators=(",", ":")).encode()
-        new_start = _align(_HEADER_FIXED + len(header))
-        if new_start == payload_start:
-            break
-        payload_start = new_start
-    else:  # pragma: no cover - the loop converges in <= 2 passes
-        raise RuntimeError("npcol header layout failed to converge")
-
-    body = bytearray(payload_end)
-    body[:len(MAGIC)] = MAGIC
-    body[len(MAGIC):_HEADER_FIXED] = len(header).to_bytes(8, "little")
-    body[_HEADER_FIXED:_HEADER_FIXED + len(header)] = header
-    for (name, _dtype, _shape, offset, nbytes), value in zip(entries,
-                                                             arrays.values()):
-        body[offset:offset + nbytes] = value.tobytes()
-    crc = zlib.crc32(body)
-    footer = (FOOTER_MAGIC + len(body).to_bytes(8, "little")
-              + crc.to_bytes(4, "little") + b"\x00" * 4)
-    return bytes(body) + footer
+    layout = ColumnLayout(columns)
+    buffer = bytearray(layout.nbytes)
+    layout.write_into(buffer)
+    return bytes(buffer)
 
 
 def _fail(reason: str) -> None:

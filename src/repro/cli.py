@@ -283,12 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
                                  "for auto (batch homogeneous cohorts whole), "
                                  "1 to disable, K>=2 to cap cohort size; "
                                  "results are bitwise identical either way")
-    run_parser.add_argument("--shared-memory", default="auto",
-                            choices=["auto", "on", "off"],
-                            help="zero-copy shared-memory client-data plane "
-                                 "(process backend only): 'auto' enables it "
-                                 "when available, 'on' warns if it cannot "
-                                 "activate, 'off' pickles datasets inline")
     run_parser.add_argument("--csv", action="store_true",
                             help="also print the CSV series")
     run_parser.add_argument("--out", default=None, metavar="PATH",
@@ -476,7 +470,6 @@ def _command_run(args) -> int:
         rounds=args.rounds, num_clients=args.clients,
         clients_per_round=min(SCALED_CONFIG.clients_per_round, args.clients),
         seed=args.seed, backend=args.backend, workers=args.workers,
-        shared_memory={"auto": None, "on": True, "off": False}[args.shared_memory],
         client_batch=args.client_batch,
         **_population_overrides(args),
     )

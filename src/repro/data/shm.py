@@ -6,38 +6,48 @@ scale (100 clients x 200 rounds, §V-A) the round loop is bound by IPC,
 not compute.  This module removes the dataset from the wire:
 
 * :class:`SharedArrayStore` owns one ``multiprocessing.shared_memory``
-  segment and packs each client's ``train``/``test``/``unlabeled`` arrays
-  into it exactly once, on the coordinator;
+  segment holding one ``.npcol`` container (:mod:`repro.arrays`): each
+  client's ``train``/``test``/``unlabeled`` arrays are written into it
+  exactly once, on the coordinator, straight into the segment;
 * :class:`ArrayHandle` / :class:`DataSplitHandle` are lightweight references
-  that pickle as ``(segment name, shape, dtype, offset)`` and lazily
-  reattach the segment inside workers, exposing read-only numpy views.
+  that pickle as ``(segment name, container length, column)`` and lazily
+  attach the segment inside workers, exposing read-only numpy views.
 
 With the plane active, a pickled client costs O(model + store) instead of
 O(dataset); the arrays themselves cross the boundary zero-copy through the
 kernel's shared mappings.  Determinism is untouched — workers read the very
-bytes the coordinator wrote.
+bytes the coordinator wrote, at the container's 64-byte column alignment.
+A worker validates each container once, when it first attaches the
+segment, with the same checks as any ``.npcol`` file (magic, directory,
+CRC-32): a torn or overwritten segment raises
+:class:`~repro.arrays.CorruptArrayFile` naming the segment, never yields
+wrong arrays.
 
 Ownership rules
 ---------------
 The coordinator creates the segment and is the only process that unlinks
 it (:meth:`SharedArrayStore.close`, also hooked on ``atexit``).  Worker
-processes only ever attach; attachments are cached per process and closed
-at worker exit.  On the coordinator, handles keep the original arrays, so
-clients stay fully usable even after the store is closed — and no numpy
-view into the segment is ever created on the owner side (a live view
-would make ``SharedMemory.close`` raise ``BufferError``).
+processes only ever attach.  A worker keeps a live segment attached across
+tasks and lets go of it once the coordinator has unlinked it — an unlinked
+segment stays allocated for as long as any process maps it.  On the
+coordinator, handles keep the original arrays, so clients stay fully usable
+even after the store is closed — and no numpy view into the segment is ever
+created on the owner side (a live view would make ``SharedMemory.close``
+raise ``BufferError``).
 """
 
 from __future__ import annotations
 
 import atexit
+import os
 import threading
 import weakref
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .. import telemetry
+from ..arrays import ColumnLayout, CorruptArrayFile, unpack_columns
 
 try:
     from multiprocessing import shared_memory as _shared_memory
@@ -54,12 +64,6 @@ __all__ = [
     "shared_memory_available",
     "unshare_client_splits",
 ]
-
-_ALIGNMENT = 64  # cache-line alignment for every packed array
-
-
-def _align(offset: int) -> int:
-    return (offset + _ALIGNMENT - 1) // _ALIGNMENT * _ALIGNMENT
 
 
 def shared_memory_available() -> bool:
@@ -86,12 +90,41 @@ def shared_memory_available() -> bool:
 # ----------------------------------------------------------------------
 # Worker-side attachment cache
 # ----------------------------------------------------------------------
-_ATTACHED: Dict[str, "_shared_memory.SharedMemory"] = {}
+_ATTACHED: Dict[str, Tuple["_shared_memory.SharedMemory",
+                           Dict[str, np.ndarray]]] = {}
+"""Attached segments and their validated columns, by segment name."""
+
+_RETIRED: List["_shared_memory.SharedMemory"] = []
+"""Segments dropped from the cache that a live view still maps."""
+
 _ATTACH_LOCK = threading.Lock()
 
 
-def _attach_segment(name: str):
-    """Attach (once per process) to the named segment.
+def _unlinked(segment) -> bool:
+    """Whether the owner has unlinked ``segment``: a POSIX shm file reads
+    zero links after ``shm_unlink``.  Without a descriptor (Windows) an
+    attachment lives until process exit."""
+    fd = getattr(segment, "_fd", -1)
+    return fd >= 0 and os.fstat(fd).st_nlink == 0
+
+
+def _detach(names: Sequence[str]) -> None:
+    """Drop ``names`` from the cache, then close every dropped segment that
+    no view maps any more; the others are retried at the next call."""
+    for name in names:
+        _RETIRED.append(_ATTACHED.pop(name)[0])
+    for segment in list(_RETIRED):
+        try:
+            segment.close()
+        except BufferError:
+            continue  # a view still maps it
+        _RETIRED.remove(segment)
+
+
+def _attached_columns(name: str, length: int) -> Dict[str, np.ndarray]:
+    """The columns of segment ``name``, attached and validated once per
+    process.  Each new attach first releases the segments the owner has
+    unlinked, so a long-lived pool worker maps only the live ones.
 
     CPython < 3.13 registers attached segments with the resource tracker.
     Pool workers are children of the coordinator and share its tracker, so
@@ -105,65 +138,61 @@ def _attach_segment(name: str):
     if _shared_memory is None:
         raise OSError("multiprocessing.shared_memory is unavailable")
     with _ATTACH_LOCK:
-        segment = _ATTACHED.get(name)
-        if segment is None:
+        entry = _ATTACHED.get(name)
+        if entry is None:
+            _detach([cached for cached, (segment, _) in _ATTACHED.items()
+                     if _unlinked(segment)])
             segment = _shared_memory.SharedMemory(name=name)
-            _ATTACHED[name] = segment
-        return segment
+            try:
+                columns = unpack_columns(segment.buf[:length])
+            except CorruptArrayFile as error:
+                _RETIRED.append(segment)
+                raise CorruptArrayFile(
+                    f"shared segment {name!r}: {error}") from error
+            for array in columns.values():
+                array.flags.writeable = False
+            entry = _ATTACHED[name] = (segment, columns)
+        return entry[1]
 
 
 @atexit.register
 def _close_attachments() -> None:
     with _ATTACH_LOCK:
-        for segment in _ATTACHED.values():
-            try:
-                segment.close()
-            except (BufferError, OSError):
-                pass  # live views at interpreter exit; the OS reclaims maps
-        _ATTACHED.clear()
+        _detach(list(_ATTACHED))  # views alive at exit: the OS reclaims maps
 
 
 # ----------------------------------------------------------------------
 # Handles
 # ----------------------------------------------------------------------
 class ArrayHandle:
-    """A picklable reference to one array inside a :class:`SharedArrayStore`.
+    """A picklable reference to one column of a :class:`SharedArrayStore`.
 
-    Pickles as ``(name, shape, dtype, offset)``.  On the owner side the
-    handle keeps the original array (``resolve`` never touches the
+    Pickles as ``(segment name, container length, column)``.  On the owner
+    side the handle keeps the original array (``resolve`` never touches the
     segment); an unpickled replica lazily attaches the segment and exposes
-    a read-only view over the shared bytes.
+    a read-only view of its column.
     """
 
-    __slots__ = ("name", "shape", "dtype", "offset", "_array")
+    __slots__ = ("name", "length", "column", "_array")
 
-    def __init__(self, name: str, shape: Sequence[int], dtype, offset: int,
+    def __init__(self, name: str, length: int, column: str,
                  array: Optional[np.ndarray] = None):
         self.name = name
-        self.shape = tuple(int(dim) for dim in shape)
-        self.dtype = np.dtype(dtype)
-        self.offset = int(offset)
+        self.length = int(length)
+        self.column = column
         self._array = array
-
-    @property
-    def nbytes(self) -> int:
-        return int(np.prod(self.shape, dtype=np.int64)) * self.dtype.itemsize
 
     def resolve(self) -> np.ndarray:
         if self._array is None:
-            segment = _attach_segment(self.name)
-            view = np.ndarray(self.shape, dtype=self.dtype,
-                              buffer=segment.buf, offset=self.offset)
-            view.flags.writeable = False
-            self._array = view
+            self._array = _attached_columns(self.name, self.length)[self.column]
         return self._array
 
     def __reduce__(self):
-        return (ArrayHandle, (self.name, self.shape, self.dtype.str, self.offset))
+        return (ArrayHandle, (self.name, self.length, self.column))
 
     def __repr__(self) -> str:
-        return (f"ArrayHandle(name={self.name!r}, shape={self.shape}, "
-                f"dtype={self.dtype}, offset={self.offset})")
+        return (f"ArrayHandle(name={self.name!r}, length={self.length}, "
+                f"column={self.column!r})")
 
 
 class DataSplitHandle:
@@ -189,7 +218,7 @@ class DataSplitHandle:
         return self.labels_handle.resolve()
 
     def __len__(self) -> int:
-        return self.images_handle.shape[0]
+        return len(self.labels)
 
     def subset(self, indices: np.ndarray) -> DataSplit:
         indices = np.asarray(indices)
@@ -220,75 +249,46 @@ _LIVE_STORES: "weakref.WeakSet[SharedArrayStore]" = weakref.WeakSet()
 
 
 class SharedArrayStore:
-    """One shared-memory segment packing many arrays, written exactly once.
+    """One shared-memory segment holding one ``.npcol`` container.
 
-    Create with :meth:`create` (sized up front), fill with :meth:`add`,
-    and :meth:`close` when the run is over.  The creating process owns the
-    segment and is the only one allowed to unlink it; a process-exit hook
-    closes any store the caller forgot.
+    Construction lays the named arrays out with
+    :class:`~repro.arrays.ColumnLayout` and writes them straight into a
+    fresh segment, so registration never holds a second copy of the
+    payload; :meth:`handle` hands out per-column references, and
+    :meth:`close` ends the segment when the run is over.  The creating
+    process owns the segment and is the only one allowed to unlink it; a
+    process-exit hook closes any store the caller forgot.
     """
 
-    def __init__(self, segment):
-        self._segment = segment
-        self._cursor = 0
-        self._closed = False
-        self.name = segment.name
-        _LIVE_STORES.add(self)
-
-    @classmethod
-    def create(cls, nbytes: int) -> "SharedArrayStore":
+    def __init__(self, columns: Mapping[str, np.ndarray]):
         if _shared_memory is None:
             raise OSError("multiprocessing.shared_memory is unavailable")
-        segment = _shared_memory.SharedMemory(create=True, size=max(int(nbytes), 1))
-        return cls(segment)
-
-    # ------------------------------------------------------------------
-    @property
-    def nbytes(self) -> int:
-        return self._segment.size
-
-    @property
-    def used(self) -> int:
-        return self._cursor
+        layout = ColumnLayout(columns)
+        # repro: allow[PKL001] -- owner-side only: a store never crosses the process boundary; workers get its ArrayHandles
+        self._segment = _shared_memory.SharedMemory(create=True,
+                                                    size=layout.nbytes)
+        self._columns = dict(columns)
+        self._closed = False
+        self.name = self._segment.name
+        self.nbytes = layout.nbytes
+        _LIVE_STORES.add(self)
+        layout.write_into(self._segment.buf[:layout.nbytes])
 
     @property
     def closed(self) -> bool:
         return self._closed
 
-    @staticmethod
-    def required_nbytes(arrays: Sequence[np.ndarray]) -> int:
-        """Segment size needed to :meth:`add` these arrays in order."""
-        total = 0
-        for array in arrays:
-            total = _align(total) + int(array.nbytes)
-        return total
-
-    # ------------------------------------------------------------------
-    def add(self, array: np.ndarray) -> ArrayHandle:
-        """Copy ``array`` into the segment; the handle keeps the original.
-
-        Writes through a scoped memoryview rather than a numpy view so no
-        buffer export outlives the call (which would block ``close``).
-        """
-        if self._closed:
-            raise ValueError("store is closed")
-        array = np.ascontiguousarray(array)
-        offset = _align(self._cursor)
-        end = offset + array.nbytes
-        if end > self._segment.size:
-            raise ValueError(
-                f"store overflow: need {end} bytes, segment holds {self._segment.size}"
-            )
-        self._segment.buf[offset:end] = array.tobytes()
-        self._cursor = end
-        return ArrayHandle(self.name, array.shape, array.dtype, offset, array=array)
+    def handle(self, column: str) -> ArrayHandle:
+        """An owner-side handle to ``column``; it keeps the original array."""
+        return ArrayHandle(self.name, self.nbytes, column,
+                           array=self._columns[column])
 
     def close(self) -> None:
         """Close and unlink the segment (idempotent).
 
         Existing attachments in live workers stay valid — POSIX shared
         memory survives unlink while mapped — but no new process can
-        attach afterwards.
+        attach afterwards, and workers let go of it at their next attach.
         """
         if self._closed:
             return
@@ -309,7 +309,7 @@ class SharedArrayStore:
         self.close()
 
     def __repr__(self) -> str:
-        return (f"SharedArrayStore(name={self.name!r}, used={self.used}, "
+        return (f"SharedArrayStore(name={self.name!r}, "
                 f"nbytes={self.nbytes}, closed={self._closed})")
 
 
@@ -338,15 +338,17 @@ def share_client_splits(clients: Sequence) -> Optional[SharedArrayStore]:
                 pending.append((client, attr, split))
     if not pending:
         return None
-    arrays: List[np.ndarray] = []
-    for _, _, split in pending:
-        arrays.extend((split.images, split.labels))
+    columns: Dict[str, np.ndarray] = {}
+    for index, (_, _, split) in enumerate(pending):
+        columns[f"{index}.images"] = split.images
+        columns[f"{index}.labels"] = split.labels
     try:
-        store = SharedArrayStore.create(SharedArrayStore.required_nbytes(arrays))
-    except (OSError, PermissionError, ValueError):
+        store = SharedArrayStore(columns)
+    except OSError:
         return None
-    for client, attr, split in pending:
-        setattr(client, attr, split.to_handle(store))
+    for index, (client, attr, _) in enumerate(pending):
+        setattr(client, attr, DataSplitHandle(store.handle(f"{index}.images"),
+                                              store.handle(f"{index}.labels")))
     telemetry.count("shm.segment_bytes", store.nbytes)
     telemetry.count("shm.splits_registered", len(pending))
     telemetry.count("shm.clients_registered",

@@ -71,14 +71,6 @@ class DataSplit:
     def nbytes(self) -> int:
         return int(self.images.nbytes) + int(self.labels.nbytes)
 
-    def to_handle(self, store):
-        """Register both arrays with a :class:`~repro.data.shm.SharedArrayStore`
-        and return the shared-memory :class:`~repro.data.shm.DataSplitHandle`
-        (the inverse of ``DataSplitHandle.materialize``)."""
-        from .shm import DataSplitHandle
-
-        return DataSplitHandle(store.add(self.images), store.add(self.labels))
-
     def materialize(self) -> "DataSplit":
         """Already in-process; mirrors ``DataSplitHandle.materialize``."""
         return self

@@ -198,8 +198,7 @@ def spec_context(spec: ExperimentSpec, method_name: str) -> str:
     import json
 
     config = {name: value for name, value in asdict(spec.config).items()
-              if name not in ("backend", "workers", "shared_memory",
-                              "client_batch")}
+              if name not in ("backend", "workers", "client_batch")}
     payload = {
         "dataset": spec.dataset,
         "setting": [spec.setting.kind, float(spec.setting.parameter),

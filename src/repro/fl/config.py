@@ -112,20 +112,17 @@ class FederatedConfig:
     Backends are bitwise-deterministic, so these knobs change wall-clock
     time, never results.
 
-    ``shared_memory`` controls the zero-copy client-data plane
-    (:mod:`repro.data.shm`), which only the process backend uses:
-    ``None`` (default) enables it automatically for the process backend,
-    falling back silently to inline pickling when shared memory is
-    unavailable; ``True`` requests it and warns when it cannot activate;
-    ``False`` disables it.  Like the backend knobs it never changes
-    results — workers read the same bytes either way.
+    The process backend moves client datasets into the zero-copy
+    shared-memory data plane (:mod:`repro.data.shm`) whenever a segment
+    can be created, and pickles them inline otherwise; there is no knob,
+    since workers read the same bytes either way.
 
     ``client_batch`` controls cohort-level vectorized execution (see
     :mod:`repro.nn.trace`): ``None`` (default) automatically batches each
     homogeneous cohort of sampled clients whole; ``1`` disables batching
     (the classic per-client path); ``k >= 2`` caps cohort size at ``k``.
     Batched execution is required to be bitwise identical to the
-    per-client path, so — like backend/workers/shared_memory — this knob
+    per-client path, so — like backend/workers — this knob
     changes wall-clock time, never results, and is excluded from run
     fingerprints.
 
@@ -160,7 +157,6 @@ class FederatedConfig:
     staleness_decay: float = 0.5
     backend: str = "serial"
     workers: Optional[int] = None
-    shared_memory: Optional[bool] = None
     client_batch: Optional[int] = None
 
     def __post_init__(self):
@@ -211,14 +207,6 @@ class FederatedConfig:
                 f"available: {available_backends()}"
             )
         resolve_workers(self.workers)  # raises on non-positive / non-int values
-        # Identity checks, not equality: the server dispatches on
-        # ``is True`` / ``is not False``, so 0/1 must be rejected here
-        # rather than behave differently from False/True downstream.
-        if self.shared_memory is not None and not isinstance(self.shared_memory, bool):
-            raise ValueError(
-                f"shared_memory must be None (auto), True, or False, "
-                f"got {self.shared_memory!r}"
-            )
         # bool is an int subclass; reject it explicitly so client_batch=True
         # does not silently mean "disable batching".
         if self.client_batch is not None and (

@@ -141,10 +141,11 @@ class ExecutionBackend:
 
     uses_data_plane = False
     """Whether payloads cross a process boundary and therefore benefit from
-    the shared-memory data plane.  Class-level so callers that manage their
-    own segments (a :class:`~repro.fl.population.VirtualPopulation` sharing
-    clients at realization time) can decide *before* any client exists —
-    ``register_clients`` only answers for clients already materialized."""
+    the shared-memory data plane.  A backend that sets it implements
+    ``register_clients``; the session registers clients with no other.
+    Class-level so callers that manage their own segments (a
+    :class:`~repro.fl.population.VirtualPopulation` sharing clients at
+    realization time) can decide *before* any client exists."""
 
     def __init__(self, workers: Optional[int] = None,
                  chunk_size: Optional[int] = None, fallback: bool = True):
@@ -183,16 +184,6 @@ class ExecutionBackend:
         for index, result in self.imap(task, items):
             results[index] = result
         return results
-
-    def register_clients(self, clients: Sequence) -> bool:
-        """Opt the clients into this backend's data plane; True when active.
-
-        The base implementation is a no-op: serial and thread backends
-        share the coordinator's address space already, so there is nothing
-        to gain from a shared-memory store.  Only :class:`ProcessBackend`
-        overrides this.
-        """
-        return False
 
     def close(self) -> None:
         """Release pools; the backend may be reused (pools are lazily rebuilt)."""
@@ -273,8 +264,9 @@ class ProcessBackend(ExecutionBackend):
 
     ``register_clients`` activates the shared-memory data plane
     (:mod:`repro.data.shm`): client datasets move into a
-    :class:`~repro.data.shm.SharedArrayStore` this backend owns, so each
-    per-round pickle ships lightweight handles instead of image arrays.
+    :class:`~repro.data.shm.SharedArrayStore` this backend owns — one
+    ``.npcol`` container in one segment — so each per-round pickle ships
+    lightweight handles instead of image arrays.
     The store is released on :meth:`close` (and, as a backstop, at process
     exit by the shm module's atexit hook).
     """

@@ -135,7 +135,7 @@ def _cohort_span_attrs(round_index: Optional[int],
 # FederatedConfig knobs that change wall-clock, never results (see
 # :mod:`repro.fl.execution`) — excluded from the context fingerprint so a
 # checkpoint taken under one backend restores under any other.
-_EXECUTION_KNOBS = ("backend", "workers", "shared_memory", "client_batch")
+_EXECUTION_KNOBS = ("backend", "workers", "client_batch")
 
 # Population-plane knobs are omitted from the context payload while at
 # their defaults (mirroring runs.serialize.DEFAULT_OMITTED_FIELDS, which
@@ -265,45 +265,33 @@ class TrainingSession:
         self._initialized = False
         self._stop_requested = False
         self._warned_non_finite = False
-        # Columnar IPC for per-client algorithm state: backends that pickle
-        # clients across a process boundary ship each non-empty store as one
-        # PackedState buffer (repro.arrays) instead of a pickled tree of
-        # ndarrays.  Serial/thread backends share memory with the
-        # coordinator, so packing would be pure overhead there.
+        # Backends that pickle clients across a process boundary ship each
+        # non-empty client store as one PackedState buffer and move client
+        # datasets into the shared-memory data plane (repro.data.shm), which
+        # falls back to inline pickling when no segment can be created.
+        # Serial/thread backends share the coordinator's memory, so both
+        # would be pure overhead there.  A virtual population owns its own
+        # per-client segments (created at realization, released at eviction).
         self._pack_ipc = bool(getattr(self.backend, "uses_data_plane", False))
-        # Shared-memory client-data plane (repro.data.shm): with the knob
-        # on (or on auto), ask the backend to move client datasets into a
-        # shared store so per-round pickles ship handles, not arrays.
-        # Serial/thread backends no-op; the process backend degrades
-        # gracefully when shared memory cannot be created here.  A virtual
-        # population owns its own per-client segments (created at
-        # realization, released at eviction), so the session only asks it
-        # to turn the plane on when the backend would actually use it.
-        self.shared_memory_active = False
-        if config.shared_memory is not False:
+        self._shared_memory_active = False
+        if self._pack_ipc:
             if self.population is not None:
-                if getattr(self.backend, "uses_data_plane", False):
-                    self.shared_memory_active = (
-                        self.population.enable_shared_memory())
-                    if self.novel_clients:
-                        self.backend.register_clients(self.novel_clients)
+                self._shared_memory_active = (
+                    self.population.enable_shared_memory())
+                if self.novel_clients:
+                    self.backend.register_clients(self.novel_clients)
             else:
-                self.shared_memory_active = self.backend.register_clients(
-                    self.clients + self.novel_clients
-                )
-            if config.shared_memory is True and not self.shared_memory_active:
-                warnings.warn(
-                    "shared_memory=True requested but the shared-memory data "
-                    "plane could not activate (backend without a data plane, "
-                    "or shared memory unavailable); falling back to inline "
-                    "client pickling",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
+                self._shared_memory_active = self.backend.register_clients(
+                    self.clients + self.novel_clients)
 
     # ------------------------------------------------------------------
     # State access
     # ------------------------------------------------------------------
+    @property
+    def shared_memory_active(self) -> bool:
+        """Whether client datasets travel through the shared-memory plane."""
+        return self._shared_memory_active
+
     @property
     def round_index(self) -> int:
         """The next round to execute (== number of completed rounds)."""

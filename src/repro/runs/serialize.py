@@ -59,10 +59,16 @@ __all__ = [
 RECORD_SCHEMA = 1
 """Version stamp written into every cell record and outcome file."""
 
-EXECUTION_FIELDS = ("backend", "workers", "shared_memory", "client_batch")
+EXECUTION_FIELDS = ("backend", "workers", "client_batch")
 """``FederatedConfig`` knobs that change wall-clock time but never results
 (see :mod:`repro.fl.execution`).  They are excluded from content hashes so
 a sweep resumed under a different scheduler still recognizes its cells."""
+
+RETIRED_FIELDS = ("shared_memory",)
+"""Execution knobs removed from ``FederatedConfig``.  Run stores and outcome
+files written before the removal still carry them; loading drops them, and
+since execution knobs never reach a content hash, fingerprints and
+checkpoint contexts are unchanged."""
 
 FINGERPRINTED_FIELDS = (
     "num_clients", "clients_per_round", "rounds", "local_epochs",
@@ -170,7 +176,8 @@ def config_to_jsonable(config: FederatedConfig, include_execution: bool = True) 
 
 def config_from_jsonable(payload: Dict) -> FederatedConfig:
     # Execution fields may be absent (canonical form); defaults fill them in.
-    return FederatedConfig(**payload)
+    return FederatedConfig(**{name: value for name, value in payload.items()
+                              if name not in RETIRED_FIELDS})
 
 
 def spec_to_jsonable(spec: ExperimentSpec) -> Dict:

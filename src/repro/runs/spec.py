@@ -10,7 +10,7 @@ objects in a deterministic order.
 A :class:`RunKey` is the unit of work and the unit of storage: its
 ``fingerprint`` is a SHA-256 content hash of everything that determines
 the cell's *result* — and nothing that doesn't.  Execution knobs
-(``backend``/``workers``/``shared_memory``) are excluded because the
+(``backend``/``workers``/``client_batch``) are excluded because the
 engines are bitwise-deterministic, and the cosmetic ``variant`` label is
 excluded because two labels with identical overrides denote the same
 computation.  That is what makes resume safe: a killed sweep relaunched

@@ -39,6 +39,23 @@ class TestArr001AdHocArrayPersistence:
             ))
         assert rule_ids(found) == ["ARR001"]
 
+    def test_flags_tobytes_in_shared_memory_plane(self):
+        found = rule_diagnostics("ARR001", "src/repro/data/shm.py", (
+            "def add(segment, offset, array):\n"
+            "    segment.buf[offset:offset + array.nbytes] = array.tobytes()\n"
+        ))
+        assert rule_ids(found) == ["ARR001"]
+        assert "tobytes" in found[0].message
+
+    def test_near_miss_shared_memory_plane_through_container(self):
+        found = rule_diagnostics("ARR001", "src/repro/data/shm.py", (
+            "from repro.arrays import ColumnLayout, unpack_columns\n"
+            "def share(segment, columns):\n"
+            "    ColumnLayout(columns).write_into(segment.buf)\n"
+            "    return unpack_columns(segment.buf)\n"
+        ))
+        assert found == []
+
     def test_flags_aliased_numpy_import(self):
         found = rule_diagnostics("ARR001", "src/repro/fl/session/state_fix.py", (
             "from numpy import memmap as mapper\n"

@@ -13,6 +13,7 @@ from repro.data import (
     partition_iid,
     shared_memory_available,
 )
+from repro.eval import build_method, make_encoder_factory
 from repro.fl import (
     AvailabilitySpec,
     ClientDescriptor,
@@ -21,6 +22,7 @@ from repro.fl import (
     FederatedConfig,
     RandomSampler,
     RoundRobinSampler,
+    TrainingSession,
     UpdateAccumulator,
     VirtualPopulation,
     build_federation,
@@ -30,6 +32,13 @@ from repro.fl.population import (
     BufferedAccumulator,
     simulated_completion_order,
 )
+
+
+def _worker_attachment_count(_):
+    """Segments this process keeps attached (module-level: picklable)."""
+    from repro.data import shm
+
+    return len(shm._ATTACHED)
 
 
 @pytest.fixture(scope="module")
@@ -362,3 +371,28 @@ class TestPopulationSharedMemory:
         np.testing.assert_array_equal(replica.train.images,
                                       client.train.images)
         population.close()
+
+    def test_pool_worker_releases_evicted_segments(self, dataset):
+        # Each realized client gets its own segment, unlinked at eviction.
+        # A long-lived pool worker must let those go too: an unlinked
+        # segment stays allocated for as long as any process maps it.
+        config = FederatedConfig(
+            num_clients=20, clients_per_round=4, rounds=3, local_epochs=1,
+            batch_size=8, personalization_epochs=1, backend="process",
+            workers=1)
+        factory = make_encoder_factory("mlp", dataset, hidden_dims=(16, 8),
+                                       seed=7)
+        algorithm = build_method("fedavg", config, dataset.num_classes,
+                                 factory)
+        population = make_population(dataset)
+        session = TrainingSession(algorithm, population, config)
+        try:
+            assert session.shared_memory_active
+            session.run()
+            session.personalize()
+            assert population.realized_total >= len(population)
+            attached = session.backend.map(_worker_attachment_count, [0])[0]
+        finally:
+            session.close()
+            population.close()
+        assert attached <= population.max_resident

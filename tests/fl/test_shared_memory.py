@@ -2,10 +2,12 @@
 
 import pickle
 import warnings
+from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
 
+from repro.arrays import CorruptArrayFile, pack_columns, unpack_columns
 from repro.data import (
     DataSplit,
     DataSplitHandle,
@@ -21,7 +23,6 @@ from repro.eval.harness import NonIIDSetting, make_partitions
 from repro.fl import (
     FederatedConfig,
     ProcessBackend,
-    SerialBackend,
     TrainingSession,
     build_federation,
     payload_nbytes,
@@ -33,10 +34,12 @@ pytestmark = pytest.mark.skipif(
 
 
 def _attach_raises(name):
-    from multiprocessing import shared_memory
-
     with pytest.raises(FileNotFoundError):
         shared_memory.SharedMemory(name=name)
+
+
+def _retired_names():
+    return [segment.name for segment in shm_module._RETIRED]
 
 
 # ----------------------------------------------------------------------
@@ -45,23 +48,45 @@ def _attach_raises(name):
 class TestHandles:
     def test_array_handle_pickles_small_and_resolves_equal(self):
         array = np.arange(48.0).reshape(4, 3, 4)
-        with SharedArrayStore.create(SharedArrayStore.required_nbytes([array])) as store:
-            handle = store.add(array)
+        with SharedArrayStore({"a": array}) as store:
+            handle = store.handle("a")
             assert handle.resolve() is array  # owner side: the original
+            assert handle.__reduce__()[1] == (store.name, store.nbytes, "a")
             blob = pickle.dumps(handle, protocol=pickle.HIGHEST_PROTOCOL)
-            assert len(blob) < 200  # (name, shape, dtype, offset) only
+            assert len(blob) < 200  # (segment, container length, column) only
             replica = pickle.loads(blob)
             view = replica.resolve()
             np.testing.assert_array_equal(view, array)
             assert not view.flags.writeable  # shared bytes are read-only
             assert replica.resolve() is view  # attach once, then cached
 
-    def test_data_split_handle_round_trip(self):
+    def test_segment_holds_the_npcol_container(self):
+        # The segment is laid out by the same writer as pack_columns, so
+        # its bytes are exactly the container pack_columns returns.
+        columns = {"images": np.random.default_rng(0).standard_normal((3, 5)),
+                   "labels": np.array([2, 0, 1])}
+        with SharedArrayStore(columns) as store:
+            segment = shared_memory.SharedMemory(name=store.name)
+            try:
+                assert bytes(segment.buf[:store.nbytes]) == \
+                    pack_columns(columns)
+            finally:
+                segment.close()
+
+    def test_data_split_handle_round_trip(self, monkeypatch):
+        validated = []
+
+        def counting_unpack(buffer):
+            validated.append(len(buffer))
+            return unpack_columns(buffer)
+
+        monkeypatch.setattr(shm_module, "unpack_columns", counting_unpack)
         split = DataSplit(np.random.default_rng(0).standard_normal((6, 3, 4, 4)),
                           np.array([0, 1, 2, 2, 1, 0]))
-        nbytes = SharedArrayStore.required_nbytes([split.images, split.labels])
-        with SharedArrayStore.create(nbytes) as store:
-            handle = split.to_handle(store)
+        with SharedArrayStore({"images": split.images,
+                               "labels": split.labels}) as store:
+            handle = DataSplitHandle(store.handle("images"),
+                                     store.handle("labels"))
             replica = pickle.loads(pickle.dumps(handle))
             assert isinstance(replica, DataSplitHandle)
             assert len(replica) == len(split)
@@ -74,23 +99,54 @@ class TestHandles:
             materialized = replica.materialize()
             assert isinstance(materialized, DataSplit)
             assert materialized.images.flags.writeable
+            again = pickle.loads(pickle.dumps(handle))
+            np.testing.assert_array_equal(again.images, split.images)
+        # Both columns and a second replica share one validated attach.
+        assert validated == [store.nbytes]
 
-    def test_store_rejects_overflow_and_writes_after_close(self):
-        array = np.arange(8.0)
-        store = SharedArrayStore.create(array.nbytes)
-        store.add(array)
-        with pytest.raises(ValueError, match="overflow"):
-            store.add(array)
-        store.close()
-        store.close()  # idempotent
-        with pytest.raises(ValueError, match="closed"):
-            store.add(array)
+    def test_corrupt_segment_raises_named_error(self):
+        with SharedArrayStore({"a": np.arange(48.0)}) as store:
+            replica = pickle.loads(pickle.dumps(store.handle("a")))
+            segment = shared_memory.SharedMemory(name=store.name)
+            try:
+                # The body's last byte is the last column's last payload
+                # byte (the 24-byte footer follows it).
+                segment.buf[store.nbytes - 25] ^= 0xFF
+            finally:
+                segment.close()
+            with pytest.raises(CorruptArrayFile, match=store.name):
+                replica.resolve()
 
     def test_close_unlinks_segment(self):
-        store = SharedArrayStore.create(64)
+        store = SharedArrayStore({"a": np.zeros(8)})
         name = store.name
         store.close()
+        store.close()  # idempotent
+        assert store.closed
         _attach_raises(name)
+
+    def test_attachments_released_once_unlinked(self):
+        # A worker keeps live segments attached across tasks and lets go
+        # of unlinked ones at its next attach; a segment a view still maps
+        # is retried later rather than raising BufferError.
+        live = SharedArrayStore({"a": np.arange(4.0)})
+        retired = SharedArrayStore({"a": np.arange(8.0)})
+        trigger = SharedArrayStore({"a": np.arange(2.0)})
+        try:
+            pickle.loads(pickle.dumps(live.handle("a"))).resolve()
+            view = pickle.loads(pickle.dumps(retired.handle("a"))).resolve()
+            retired.close()
+            pickle.loads(pickle.dumps(trigger.handle("a"))).resolve()
+            assert live.name in shm_module._ATTACHED
+            assert retired.name not in shm_module._ATTACHED
+            np.testing.assert_array_equal(view, np.arange(8.0))  # still mapped
+            assert retired.name in _retired_names()
+            del view
+            shm_module._detach([])
+            assert retired.name not in _retired_names()
+        finally:
+            for store in (live, retired, trigger):
+                store.close()
 
 
 # ----------------------------------------------------------------------
@@ -157,7 +213,7 @@ TINY_CONFIG = FederatedConfig(
 )
 
 
-def _run_tiny(backend, workers=None, shared_memory=None, guard_warnings=True):
+def _run_tiny(backend, workers=None):
     dataset = make_dataset("cifar10", seed=0, image_size=8,
                            train_per_class=12, test_per_class=2)
     partitions = make_partitions(
@@ -165,15 +221,13 @@ def _run_tiny(backend, workers=None, shared_memory=None, guard_warnings=True):
         NonIIDSetting("iid", 0, 12), np.random.default_rng(1),
     )
     encoder_factory = make_encoder_factory("mlp", dataset, hidden_dims=(16, 8), seed=7)
-    config = TINY_CONFIG.with_overrides(backend=backend, workers=workers,
-                                        shared_memory=shared_memory)
+    config = TINY_CONFIG.with_overrides(backend=backend, workers=workers)
     clients = build_federation(dataset, partitions, seed=2)
     algorithm = build_method("pfl-simclr", config, dataset.num_classes,
                              encoder_factory, projection_dim=8, hidden_dim=16)
     session = TrainingSession(algorithm, clients, config)
     with warnings.catch_warnings():
-        if guard_warnings:
-            warnings.simplefilter("error", RuntimeWarning)
+        warnings.simplefilter("error", RuntimeWarning)
         result = session.execute()
     return result, session
 
@@ -182,23 +236,15 @@ class TestPlaneIntegration:
     def test_process_backend_with_plane_matches_serial_bitwise(self):
         serial, serial_session = _run_tiny("serial")
         assert not serial_session.shared_memory_active  # serial bypasses the plane
-        shared, shared_session = _run_tiny("process", workers=2, shared_memory=True)
+        assert all(isinstance(client.train, DataSplit)
+                   for client in serial_session.clients)
+        shared, shared_session = _run_tiny("process", workers=2)
         assert shared_session.shared_memory_active
         assert shared.accuracies == serial.accuracies
         assert [r.mean_loss for r in shared.rounds] == \
             [r.mean_loss for r in serial.rounds]
         assert [r.participant_ids for r in shared.rounds] == \
             [r.participant_ids for r in serial.rounds]
-
-    def test_plane_defaults_on_for_process_backend(self):
-        _, session = _run_tiny("process", workers=2)
-        assert session.shared_memory_active
-
-    def test_plane_can_be_disabled(self):
-        result, session = _run_tiny("process", workers=2, shared_memory=False)
-        assert not session.shared_memory_active
-        baseline, _ = _run_tiny("serial")
-        assert result.accuracies == baseline.accuracies
 
     def test_no_leaked_segments_after_backend_close(self):
         backend = ProcessBackend(workers=2)
@@ -227,17 +273,14 @@ class TestPlaneIntegration:
         assert payload_nbytes(clients[0]) < payload_nbytes(clients[0], inline=True)
         second.close()
 
-    def test_forced_plane_warns_when_it_cannot_activate(self, monkeypatch):
+    def test_unavailable_plane_falls_back_silently_and_equals_serial(
+            self, monkeypatch):
         monkeypatch.setattr(shm_module, "_shared_memory", None)
-        with pytest.warns(RuntimeWarning, match="shared-memory data plane"):
-            result, session = _run_tiny("process", shared_memory=True,
-                                        guard_warnings=False)
+        result, session = _run_tiny("process", workers=2)  # no warning
         assert not session.shared_memory_active
+        assert all(isinstance(client.train, DataSplit)
+                   for client in session.clients)
         baseline, _ = _run_tiny("serial")
         assert result.accuracies == baseline.accuracies
-
-    def test_serial_backend_register_is_noop(self):
-        backend = SerialBackend()
-        clients = _make_clients()
-        assert not backend.register_clients(clients)
-        assert all(isinstance(c.train, DataSplit) for c in clients)
+        assert [r.mean_loss for r in result.rounds] == \
+            [r.mean_loss for r in baseline.rounds]

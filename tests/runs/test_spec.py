@@ -27,11 +27,11 @@ class TestRunKeyFingerprint:
         int(key.fingerprint, 16)  # valid hex
 
     def test_execution_knobs_do_not_change_the_hash(self):
-        # backend/workers/shared_memory are bitwise result-neutral, so a
+        # backend/workers/client_batch are bitwise result-neutral, so a
         # sweep resumed under a different scheduler must recognize its cells.
         base = make_key()
         parallel = make_key(config=CONFIG.with_overrides(
-            backend="process", workers=4, shared_memory=True))
+            backend="process", workers=4, client_batch=2))
         assert base.fingerprint == parallel.fingerprint
 
     def test_variant_label_is_cosmetic(self):
@@ -136,5 +136,58 @@ class TestSweepSpec:
         payload = sweep.to_jsonable()
         assert payload["fingerprints"] == [k.fingerprint for k in sweep.cells()]
         assert payload["name"] == "grid"
-        for field in ("backend", "workers", "shared_memory"):
+        for field in ("backend", "workers", "client_batch"):
             assert field not in payload["config"]
+
+
+class TestRetiredSharedMemoryKnob:
+    """Outcome files written while ``FederatedConfig`` still had a
+    ``shared_memory`` knob carry it in their spec; they must keep loading,
+    with the fingerprint and checkpoint contexts they were written under."""
+
+    # spec_to_jsonable output of a release that still had the knob; the
+    # expected hashes were computed by that release.
+    STORED_SPEC = {
+        "dataset": "cifar10",
+        "setting": {"kind": "dirichlet", "parameter": 0.3,
+                    "samples_per_client": 20},
+        "config": {
+            "num_clients": 3, "clients_per_round": 2, "rounds": 2,
+            "local_epochs": 3, "batch_size": 32, "learning_rate": 0.05,
+            "momentum": 0.9, "weight_decay": 0.0,
+            "personalization_epochs": 10, "personalization_lr": 0.05,
+            "personalization_batch_size": 32, "test_fraction": 0.25,
+            "num_novel_clients": 0, "seed": 4, "backend": "process",
+            "workers": 2, "client_batch": None,
+        },
+        "methods": ["calibre-simclr"], "encoder": "mlp", "encoder_width": 8,
+        "encoder_hidden_dims": [64, 32], "dataset_kwargs": {},
+        "method_overrides": {}, "seed": 4, "name": "compat",
+    }
+    FINGERPRINT = "5725beaec25f84b9"
+    SPEC_CONTEXT = "bad45e9c517754eb"
+    SESSION_CONTEXT = "521a7846f92eea29"
+
+    @pytest.mark.parametrize("stored", [None, True, False])
+    def test_stored_payload_loads_with_unchanged_hashes(self, stored):
+        import copy
+        import types
+
+        from repro.eval.harness import spec_context
+        from repro.fl.session.session import default_session_context
+        from repro.runs.serialize import spec_from_jsonable, spec_to_jsonable
+
+        payload = copy.deepcopy(self.STORED_SPEC)
+        payload["config"]["shared_memory"] = stored
+        spec = spec_from_jsonable(payload)
+        assert "shared_memory" not in spec_to_jsonable(spec)["config"]
+        key = RunKey(dataset=spec.dataset, setting=spec.setting,
+                     method="calibre-simclr", seed=spec.seed,
+                     config=spec.config)
+        assert key.fingerprint == self.FINGERPRINT
+        assert spec_context(spec, "calibre-simclr") == self.SPEC_CONTEXT
+        clients = [types.SimpleNamespace(client_id=i, num_train_samples=12)
+                   for i in range(3)]
+        algorithm = types.SimpleNamespace(name="calibre-simclr")
+        assert default_session_context(algorithm, clients, spec.config) == \
+            self.SESSION_CONTEXT
