@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import kmeans
-from repro.core import cluster_views, prototype_meta_loss
+from repro.core import cluster_views, meta_term, prototype_plan
 from repro.eval import build_method, make_dataset, make_encoder_factory
 from repro.eval.harness import NonIIDSetting, make_partitions
 from repro.fl import (
@@ -37,6 +37,7 @@ from repro.fl.session import checkpoint_total_bytes
 from repro.ioutil import atomic_write_text
 from repro.manifold import tsne_embed
 from repro.nn import SmallConvEncoder, Tensor
+from repro.nn.trace import input_leaves
 from repro.ssl import nt_xent
 
 
@@ -82,7 +83,8 @@ def test_calibre_prototype_loss(benchmark, rng):
 
     def step():
         clusters = cluster_views(z_e, z_o, 5, rng=np.random.default_rng(2))
-        loss = prototype_meta_loss(z_e, z_o, clusters, 0.5)
+        plan = prototype_plan(clusters, z_e.data.dtype, use_lc=False, use_lp=False)
+        loss = meta_term(z_e, z_o, input_leaves(plan), 0.5)
         loss.backward()
         z_e.grad = z_o.grad = None
         return loss

@@ -8,20 +8,19 @@ quantitative version of the paper's "fuzzy vs. clear cluster boundaries".
 Usage:  python examples/tsne_embeddings.py
 """
 
-from repro.eval import NonIIDSetting
-from repro.experiments import compute_method_embeddings
+from repro.experiments import run_figure
 from repro.viz import ascii_scatter
 
 
 def main():
-    results = compute_method_embeddings(
-        ["pfl-simclr", "calibre-simclr"],
-        dataset_name="cifar10",
-        setting=NonIIDSetting("dirichlet", 0.3, 50),
-        num_embed_clients=6,
-        samples_per_client=15,
-        seed=0,
+    # Fig. 1's workload (CIFAR-10, Dirichlet 0.3), in memory: no run store.
+    results = run_figure(
+        "fig1",
+        methods=["pfl-simclr", "calibre-simclr"],
+        embed_clients=6,
+        embed_samples=15,
         tsne_iterations=300,
+        seed=0,
         verbose=True,
     )
     for result in results:

@@ -5,17 +5,19 @@ cell's result and nothing that doesn't*.  The dangerous failure is
 silent: a new ``FederatedConfig`` knob that changes results but is
 accidentally excluded (stale cells get reused), or an execution knob
 accidentally included (every stored cell orphaned).  So every field must
-be classified, in code, in ``repro/runs/serialize.py``:
+be classified, in code:
 
 ``FPR001``
     Every ``FederatedConfig`` field appears in exactly one of
     ``FINGERPRINTED_FIELDS`` (hashes into fingerprints) or
-    ``EXECUTION_FIELDS`` (wall-clock-only, excluded); no stale names.
+    ``EXECUTION_FIELDS`` (wall-clock-only, excluded), in
+    ``repro/fl/config.py``; no stale names.
 
 ``FPR002``
     Every ``SweepSpec`` field appears in exactly one of
     ``SWEEP_FINGERPRINTED_FIELDS`` (flows into each cell's hashed
-    payload) or ``SWEEP_COSMETIC_FIELDS`` (labels only); no stale names.
+    payload) or ``SWEEP_COSMETIC_FIELDS`` (labels only), in
+    ``repro/runs/serialize.py``; no stale names.
 
 Both rules read the dataclass definitions and the classification tuples
 straight from source ASTs — no imports — so a new field fails the check
@@ -65,26 +67,27 @@ class _ClassificationRule(Rule):
 
     dataclass_module = ""
     dataclass_name = ""
+    classification_module = ""
     fingerprinted_name = ""
     exempt_name = ""
 
     def check_project(self, project: Project) -> Iterable[Diagnostic]:
         config = project.by_module(self.dataclass_module)
-        serialize = project.by_module(SERIALIZE_MODULE)
-        if config is None or serialize is None:
+        home = project.by_module(self.classification_module)
+        if config is None or home is None:
             return  # partial tree (e.g. a rule fixture for another family)
         class_line, fields = _class_fields(config, self.dataclass_name)
         if not fields:
             return
-        fingerprinted = _tuple_constant(serialize, self.fingerprinted_name)
-        exempt = _tuple_constant(serialize, self.exempt_name)
+        fingerprinted = _tuple_constant(home, self.fingerprinted_name)
+        exempt = _tuple_constant(home, self.exempt_name)
         if fingerprinted is None or exempt is None:
             missing = self.fingerprinted_name if fingerprinted is None \
                 else self.exempt_name
             yield self.diagnostic(
-                serialize.rel, 1,
+                home.rel, 1,
                 f"contract surface {missing} is missing from "
-                f"{SERIALIZE_MODULE}",
+                f"{self.classification_module}",
                 hint=f"declare {missing} = (...) so every "
                      f"{self.dataclass_name} field is classified")
             return
@@ -101,7 +104,7 @@ class _ClassificationRule(Rule):
                          "(fingerprinted) or only wall-clock (exempt)")
         for name in sorted(set(fp_fields) & set(ex_fields)):
             yield self.diagnostic(
-                serialize.rel, fp_line,
+                home.rel, fp_line,
                 f"{name!r} is listed as both fingerprinted and exempt",
                 hint="a field belongs to exactly one classification")
         for name, line, label in (
@@ -109,7 +112,7 @@ class _ClassificationRule(Rule):
                 + [(n, ex_line, self.exempt_name) for n in ex_fields]):
             if name not in fields:
                 yield self.diagnostic(
-                    serialize.rel, line,
+                    home.rel, line,
                     f"{label} lists {name!r}, which is not a "
                     f"{self.dataclass_name} field",
                     hint="remove the stale entry")
@@ -119,9 +122,10 @@ class _ClassificationRule(Rule):
 class ConfigClassificationRule(_ClassificationRule):
     id = "FPR001"
     summary = ("every FederatedConfig field must be classified as "
-               "fingerprinted or execution-only in runs/serialize.py")
+               "fingerprinted or execution-only in fl/config.py")
     dataclass_module = CONFIG_MODULE
     dataclass_name = "FederatedConfig"
+    classification_module = CONFIG_MODULE
     fingerprinted_name = "FINGERPRINTED_FIELDS"
     exempt_name = "EXECUTION_FIELDS"
 
@@ -133,5 +137,6 @@ class SweepClassificationRule(_ClassificationRule):
                "or cosmetic in runs/serialize.py")
     dataclass_module = SPEC_MODULE
     dataclass_name = "SweepSpec"
+    classification_module = SERIALIZE_MODULE
     fingerprinted_name = "SWEEP_FINGERPRINTED_FIELDS"
     exempt_name = "SWEEP_COSMETIC_FIELDS"

@@ -1,5 +1,5 @@
 """``repro.cluster`` — KMeans substrate for prototype generation."""
 
-from .kmeans import KMeans, KMeansResult, kmeans, kmeans_plus_plus_init
+from .kmeans import KMeansResult, kmeans, kmeans_plus_plus_init
 
-__all__ = ["KMeans", "KMeansResult", "kmeans", "kmeans_plus_plus_init"]
+__all__ = ["KMeansResult", "kmeans", "kmeans_plus_plus_init"]

@@ -7,7 +7,7 @@ self-contained numpy implementation with the features the algorithm needs:
 
 * k-means++ initialization for stable prototypes on small batches;
 * empty-cluster reseeding (tiny SSL batches often under-fill clusters);
-* deterministic behaviour under an explicit RNG.
+* deterministic behaviour under an explicit RNG, with no tuning options.
 """
 
 from __future__ import annotations
@@ -17,7 +17,10 @@ from typing import Optional
 
 import numpy as np
 
-__all__ = ["KMeansResult", "kmeans_plus_plus_init", "kmeans", "KMeans"]
+__all__ = ["KMeansResult", "kmeans_plus_plus_init", "kmeans"]
+
+_MAX_ITERATIONS = 100
+_TOLERANCE = 1e-6  # converged once the centers move less (Frobenius norm)
 
 
 @dataclass
@@ -66,11 +69,8 @@ def kmeans(
     points: np.ndarray,
     k: int,
     rng: Optional[np.random.Generator] = None,
-    max_iterations: int = 100,
-    tolerance: float = 1e-6,
-    init: str = "k-means++",
 ) -> KMeansResult:
-    """Lloyd's algorithm.
+    """Lloyd's algorithm from a k-means++ seeding.
 
     ``k`` is clamped to the number of distinct points if necessary; callers
     (prototype generation on small batches) rely on that behaviour instead
@@ -87,17 +87,11 @@ def kmeans(
     k = min(k, n)
     rng = rng if rng is not None else np.random.default_rng()
 
-    if init == "k-means++":
-        centers = kmeans_plus_plus_init(points, k, rng)
-    elif init == "random":
-        centers = points[rng.choice(n, size=k, replace=False)].copy()
-    else:
-        raise ValueError(f"unknown init '{init}'")
-
+    centers = kmeans_plus_plus_init(points, k, rng)
     labels = np.zeros(n, dtype=np.int64)
     converged = False
     iterations = 0
-    for iteration in range(1, max_iterations + 1):
+    for iteration in range(1, _MAX_ITERATIONS + 1):
         iterations = iteration
         distances = _squared_distances(points, centers)
         labels = distances.argmin(axis=1)
@@ -112,7 +106,7 @@ def kmeans(
                 new_centers[j] = members.mean(axis=0)
         shift = float(np.linalg.norm(new_centers - centers))
         centers = new_centers
-        if shift < tolerance:
+        if shift < _TOLERANCE:
             converged = True
             break
     distances = _squared_distances(points, centers)
@@ -121,34 +115,3 @@ def kmeans(
     return KMeansResult(centers=centers, labels=labels, inertia=inertia,
                         iterations=iterations, converged=converged)
 
-
-class KMeans:
-    """sklearn-like wrapper retaining fitted centers for later assignment."""
-
-    def __init__(self, n_clusters: int, max_iterations: int = 100,
-                 tolerance: float = 1e-6, seed: Optional[int] = None):
-        self.n_clusters = n_clusters
-        self.max_iterations = max_iterations
-        self.tolerance = tolerance
-        self._rng = np.random.default_rng(seed)
-        self.result: Optional[KMeansResult] = None
-
-    def fit(self, points: np.ndarray) -> "KMeans":
-        self.result = kmeans(points, self.n_clusters, rng=self._rng,
-                             max_iterations=self.max_iterations, tolerance=self.tolerance)
-        return self
-
-    def predict(self, points: np.ndarray) -> np.ndarray:
-        if self.result is None:
-            raise RuntimeError("fit() must be called before predict()")
-        return _squared_distances(np.asarray(points, dtype=np.float64),
-                                  self.result.centers).argmin(axis=1)
-
-    def fit_predict(self, points: np.ndarray) -> np.ndarray:
-        return self.fit(points).result.labels
-
-    @property
-    def centers(self) -> np.ndarray:
-        if self.result is None:
-            raise RuntimeError("fit() must be called before reading centers")
-        return self.result.centers

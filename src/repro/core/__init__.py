@@ -8,27 +8,18 @@ and the :class:`Calibre` federated algorithm wrapping any SSL method.
 from ..fl.client import derive_rng
 from .calibre import Calibre
 from .divergence import divergence_weights
-from .losses import (
-    prototype_classification_loss,
-    prototype_contrastive_loss,
-    prototype_meta_loss,
-)
-from .prototypes import (
-    ViewClusters,
-    average_prototype_distance,
-    cluster_views,
-    differentiable_prototypes,
-)
+from .losses import classification_term, contrastive_term, meta_term, prototype_plan
+from .prototypes import ViewClusters, average_prototype_distance, cluster_views
 
 __all__ = [
     "Calibre",
     "derive_rng",
     "divergence_weights",
-    "prototype_meta_loss",
-    "prototype_contrastive_loss",
-    "prototype_classification_loss",
+    "prototype_plan",
+    "classification_term",
+    "meta_term",
+    "contrastive_term",
     "ViewClusters",
     "cluster_views",
-    "differentiable_prototypes",
     "average_prototype_distance",
 ]

@@ -33,7 +33,7 @@ from ..nn.serialize import StateDict, weighted_average
 from ..nn.tensor import Tensor
 from ..nn.trace import input_leaves
 from ..ssl import SSLMethod, SSLOutputs
-from .divergence import divergence_weights
+from .divergence import DIVERGENCE_MODES, divergence_weights
 from .losses import (
     PlanLeaves,
     classification_term,
@@ -75,6 +75,17 @@ class Calibre(PFLSSL):
         self.num_prototypes = num_prototypes if num_prototypes is not None else num_classes
         if self.num_prototypes < 2:
             raise ValueError("need at least two prototypes")
+        # Checked here, not at use: a bad temperature trains on NaN or
+        # sign-flipped logits, and a bad mode fails only at aggregation.
+        if not prototype_temperature > 0:
+            raise ValueError("prototype_temperature must be positive, "
+                             f"got {prototype_temperature!r}")
+        if not divergence_temperature >= 0:
+            raise ValueError("divergence_temperature must be >= 0, "
+                             f"got {divergence_temperature!r}")
+        if divergence_mode not in DIVERGENCE_MODES:
+            raise ValueError(f"unknown divergence_mode {divergence_mode!r}; "
+                             f"available: {DIVERGENCE_MODES}")
         self.prototype_temperature = prototype_temperature
         self.use_ln = use_ln
         self.use_lp = use_lp

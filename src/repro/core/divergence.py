@@ -25,7 +25,10 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = ["divergence_weights"]
+__all__ = ["DIVERGENCE_MODES", "divergence_weights"]
+
+DIVERGENCE_MODES = ("softmax", "inverse")
+"""The weighting forms :func:`divergence_weights` implements."""
 
 
 def divergence_weights(

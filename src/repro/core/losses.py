@@ -3,15 +3,15 @@
 The total training-stage loss is ``L = l_c + l_s + α (l_p + l_n)``:
 
 * ``l_s`` — the base SSL objective (NT-Xent for Calibre (SimCLR));
-* ``l_n`` (:func:`prototype_meta_loss`) — Algorithm 1 line 17: each view-e
-  encoding is pulled toward the prototype of its cluster (built from view-o
+* ``l_n`` (:func:`meta_term`) — Algorithm 1 line 17: each view-e encoding
+  is pulled toward the prototype of its cluster (built from view-o
   encodings) and pushed from encodings of other clusters;
-* ``l_p`` (:func:`prototype_contrastive_loss`) — lines 8-12: the two views'
+* ``l_p`` (:func:`contrastive_term`) — lines 8-12: the two views'
   per-cluster prototypes of the projector outputs form positive pairs in an
   NT-Xent loss, shrinking prototype variance across augmentations;
-* ``l_c`` (:func:`prototype_classification_loss`) — the prototypical-network
-  term softmax(-d(z, v_k)) against pseudo-labels, maximizing I(x'; y'|θ_b)
-  per Theorem 1.
+* ``l_c`` (:func:`classification_term`) — the prototypical-network term
+  softmax(-d(z, v_k)) against pseudo-labels, maximizing I(x'; y'|θ_b) per
+  Theorem 1.
 
 Each term has two halves, so one implementation of the math serves both
 the per-client loop and client-batched replay (:mod:`repro.nn.trace`):
@@ -23,20 +23,20 @@ the per-client loop and client-batched replay (:mod:`repro.nn.trace`):
   tensors (trace inputs when recording) and branch only on which arrays
   the plan holds.
 
-The ``prototype_*_loss`` functions compose the two for one batch's
-:class:`ViewClusters`.
+:meth:`repro.core.Calibre.loss_plan` and
+:meth:`~repro.core.Calibre.planned_loss` are the one composition of the
+two, and both training paths run them.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional
+from typing import Dict, Mapping
 
 import numpy as np
 
 from ..nn import functional as F
 from ..nn.losses import target_cross_entropy
 from ..nn.tensor import Tensor
-from ..nn.trace import input_leaves
 from ..ssl.losses import nt_xent
 from .prototypes import ViewClusters, cluster_membership, prototype_means
 
@@ -45,9 +45,6 @@ __all__ = [
     "classification_term",
     "meta_term",
     "contrastive_term",
-    "prototype_meta_loss",
-    "prototype_contrastive_loss",
-    "prototype_classification_loss",
 ]
 
 PlanLeaves = Mapping[str, object]
@@ -104,7 +101,18 @@ def classification_term(z: Tensor, centers: Tensor, target: Tensor) -> Tensor:
 
 def meta_term(z_e: Tensor, z_o: Tensor, plan: PlanLeaves,
               temperature: float) -> Tensor:
-    """Traceable l_n over :func:`prototype_plan`'s view-o prototypes."""
+    """Traceable l_n (Algorithm 1 line 17) over :func:`prototype_plan`.
+
+    Prototypes ``v_k`` are differentiable means of view-o encodings per
+    cluster; for every view-e encoding ``z_j`` in cluster k the loss is
+
+        -log  exp(z_j · v_k / τ) / (exp(z_j · v_k / τ) +
+              Σ_{a ∈ I_e, cluster(a) ≠ k} exp(z_a · v_k / τ))
+
+    i.e. the positive is the sample-prototype affinity, the negatives are
+    the affinities of *other clusters'* samples to the same prototype.
+    Encodings and prototypes are L2-normalized for numerical stability.
+    """
     prototypes = prototype_means(z_o, plan["member_o"], plan["counts_o"],
                                  plan.get("mask_o"), plan.get("centers"))
     z_norm = F.normalize(z_e, axis=1)
@@ -126,7 +134,9 @@ def meta_term(z_e: Tensor, z_o: Tensor, plan: PlanLeaves,
 
 def contrastive_term(h_e: Tensor, h_o: Tensor, plan: PlanLeaves,
                      temperature: float) -> Tensor:
-    """Traceable l_p over the clusters :func:`prototype_plan` keeps."""
+    """Traceable l_p (Algorithm 1 lines 8-12): NT-Xent between the two
+    views' per-cluster prototypes of the projector outputs, matching
+    clusters as positives, over the clusters :func:`prototype_plan` keeps."""
     fallback = Tensor(np.zeros((plan["counts_e"].shape[0], h_e.shape[1]),
                                dtype=h_e.data.dtype))
     nu_e = prototype_means(h_e, plan["member_e"], plan["counts_e"],
@@ -135,66 +145,3 @@ def contrastive_term(h_e: Tensor, h_o: Tensor, plan: PlanLeaves,
                            plan.get("mask_o"), fallback)
     return nt_xent(nu_e[plan["keep"]], nu_o[plan["keep"]], temperature)
 
-
-def prototype_meta_loss(
-    z_e: Tensor,
-    z_o: Tensor,
-    clusters: ViewClusters,
-    temperature: float = 0.5,
-) -> Tensor:
-    """L_n of Algorithm 1 (line 17).
-
-    Prototypes ``v_k`` are differentiable means of view-o encodings per
-    cluster; for every view-e encoding ``z_j`` in cluster k the loss is
-
-        -log  exp(z_j · v_k / τ) / (exp(z_j · v_k / τ) +
-              Σ_{a ∈ I_e, cluster(a) ≠ k} exp(z_a · v_k / τ))
-
-    i.e. the positive is the sample-prototype affinity, the negatives are
-    the affinities of *other clusters'* samples to the same prototype.
-    Encodings and prototypes are L2-normalized for numerical stability.
-    """
-    if temperature <= 0:
-        raise ValueError("temperature must be positive")
-    plan = prototype_plan(clusters, z_e.data.dtype, use_lc=False, use_lp=False)
-    return meta_term(z_e, z_o, input_leaves(plan), temperature)
-
-
-def prototype_contrastive_loss(
-    h_e: Tensor,
-    h_o: Tensor,
-    clusters: ViewClusters,
-    temperature: float = 0.5,
-) -> Optional[Tensor]:
-    """L_p of Algorithm 1 (lines 8-12).
-
-    The per-cluster prototypes of the two views' projector outputs are
-    contrasted with NT-Xent: matching clusters across views are positives,
-    all other prototypes negatives.  Only clusters populated in *both*
-    views participate; returns None when fewer than two such clusters exist
-    (the caller skips the term for that batch).
-    """
-    plan = prototype_plan(clusters, h_e.data.dtype, use_lc=False, use_ln=False)
-    if "keep" not in plan:
-        return None
-    return contrastive_term(h_e, h_o, input_leaves(plan), temperature)
-
-
-def prototype_classification_loss(
-    z: Tensor,
-    clusters: ViewClusters,
-    view: str = "e",
-) -> Tensor:
-    """l_c: prototypical-networks classification against pseudo-labels.
-
-    ``p(y' = k | x') = softmax(-d(z, v_k))`` with Euclidean distance to the
-    (constant) KMeans centers; the pseudo-label is the sample's own cluster.
-    """
-    if view not in ("e", "o"):
-        raise ValueError("view must be 'e' or 'o'")
-    labels = clusters.labels_e if view == "e" else clusters.labels_o
-    if labels.shape[0] != z.shape[0]:
-        raise ValueError("labels must match the batch dimension")
-    centers = Tensor(clusters.centers.astype(z.data.dtype))
-    target = F.one_hot(labels, clusters.num_clusters, dtype=z.data.dtype)
-    return classification_term(z, centers, Tensor(target))

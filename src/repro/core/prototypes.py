@@ -27,8 +27,7 @@ from ..cluster import kmeans
 from ..nn.tensor import Tensor
 
 __all__ = ["ViewClusters", "cluster_views", "cluster_membership",
-           "prototype_means", "differentiable_prototypes",
-           "average_prototype_distance"]
+           "prototype_means", "average_prototype_distance"]
 
 
 @dataclass
@@ -92,11 +91,11 @@ def prototype_means(
     features: Tensor, membership: Tensor, counts: Tensor,
     mask: Optional[Tensor] = None, fallback: Optional[Tensor] = None,
 ) -> Tensor:
-    """The traceable half of :func:`differentiable_prototypes`.
+    """Per-cluster means of ``features`` as a differentiable (K, d) tensor.
 
-    Every argument is a tensor from :func:`cluster_membership` (a trace
-    input when recording).  With a ``mask``, empty clusters take their
-    ``fallback`` rows.
+    The other arguments are tensors of :func:`cluster_membership`'s arrays
+    (trace inputs when recording).  With a ``mask``, empty clusters take
+    their ``fallback`` rows (small non-i.i.d. batches under-fill clusters).
     """
     prototypes = (membership.transpose() @ features) / counts  # (K, d)
     if mask is not None:
@@ -104,40 +103,13 @@ def prototype_means(
     return prototypes
 
 
-def differentiable_prototypes(
-    features: Tensor, assignments: np.ndarray, num_clusters: int,
-    fallback_centers: Optional[np.ndarray] = None,
-) -> Tensor:
-    """Per-cluster mean of ``features`` as a differentiable (K, d) tensor.
-
-    Clusters with no members in this view fall back to the constant KMeans
-    center (small SSL batches under non-i.i.d. data regularly under-fill
-    clusters; training must not crash).
-    """
-    assignments = np.asarray(assignments)
-    if assignments.shape[0] != features.shape[0]:
-        raise ValueError("assignments must match features on N")
-    dtype = features.data.dtype
-    membership, counts, mask = cluster_membership(assignments, num_clusters, dtype)
-    if mask is None:
-        return prototype_means(features, Tensor(membership), Tensor(counts))
-    if fallback_centers is None:
-        raise ValueError("empty cluster with no fallback centers")
-    return prototype_means(features, Tensor(membership), Tensor(counts),
-                           Tensor(mask), Tensor(fallback_centers.astype(dtype)))
-
-
 def average_prototype_distance(z: Tensor, clusters: ViewClusters) -> float:
     """Mean Euclidean distance between encodings and their assigned KMeans
-    centers — the paper's *local divergence rate* reported to the server."""
-    combined_labels = np.concatenate([clusters.labels_e, clusters.labels_o])
-    if combined_labels.shape[0] == z.shape[0]:
-        assigned = clusters.centers[combined_labels]
-        data = z.data
-    else:
-        # z holds a single view; use its labels only.
-        assigned = clusters.centers[clusters.labels_e]
-        data = z.data
-        if assigned.shape[0] != data.shape[0]:
-            raise ValueError("encoding/label count mismatch")
-    return float(np.linalg.norm(data - assigned, axis=1).mean())
+    centers — the paper's *local divergence rate* reported to the server.
+    ``z`` holds both views' encodings, view e first."""
+    labels = np.concatenate([clusters.labels_e, clusters.labels_o])
+    if labels.shape[0] != z.shape[0]:
+        raise ValueError(f"{z.shape[0]} encodings for {labels.shape[0]} "
+                         "cluster labels; pass both views' encodings")
+    assigned = clusters.centers[labels]
+    return float(np.linalg.norm(z.data - assigned, axis=1).mean())

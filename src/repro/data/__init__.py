@@ -16,7 +16,7 @@ from .augment import (
     default_eval_augment,
     default_ssl_augment,
 )
-from .loader import DataLoader, batch_iterator
+from .loader import batch_iterator
 from .partition import (
     partition_dirichlet,
     partition_iid,
@@ -60,7 +60,6 @@ __all__ = [
     "partition_quantity_label",
     "partition_dirichlet",
     "stratified_split",
-    "DataLoader",
     "batch_iterator",
     "RandomCrop",
     "RandomHorizontalFlip",

@@ -1,14 +1,16 @@
-"""Minibatch iteration over array datasets with explicit RNG control."""
+"""Minibatch iteration with explicit RNG control.
+
+:func:`batch_iterator` yields index batches; every training and
+personalization loop slices its own arrays with them.
+"""
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, Optional
 
 import numpy as np
 
-from .synthetic import DataSplit
-
-__all__ = ["DataLoader", "batch_iterator"]
+__all__ = ["batch_iterator"]
 
 
 def batch_iterator(
@@ -31,35 +33,3 @@ def batch_iterator(
             return
         yield batch
 
-
-class DataLoader:
-    """Iterate (images, labels) minibatches from a :class:`DataSplit`.
-
-    Seeding is explicit: pass a generator to make an epoch's batch order
-    reproducible (FL experiments derive per-client, per-round generators).
-    """
-
-    def __init__(
-        self,
-        split: DataSplit,
-        batch_size: int = 32,
-        shuffle: bool = True,
-        drop_last: bool = False,
-        rng: Optional[np.random.Generator] = None,
-    ):
-        self.split = split
-        self.batch_size = batch_size
-        self.shuffle = shuffle
-        self.drop_last = drop_last
-        self.rng = rng if rng is not None else np.random.default_rng()
-
-    def __len__(self) -> int:
-        if self.drop_last:
-            return len(self.split) // self.batch_size
-        return int(np.ceil(len(self.split) / self.batch_size))
-
-    def __iter__(self) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-        for batch in batch_iterator(
-            len(self.split), self.batch_size, self.shuffle, self.rng, self.drop_last
-        ):
-            yield self.split.images[batch], self.split.labels[batch]

@@ -23,7 +23,7 @@ from ..data.synthetic import (
     make_stl10_like,
 )
 from ..fl.client import build_federation, build_novel_clients
-from ..fl.config import FederatedConfig
+from ..fl.config import EXECUTION_FIELDS, FederatedConfig
 from ..fl.history import RunResult
 from ..fl.session import RoundCheckpointer, TrainingSession
 from ..ioutil import safe_filename
@@ -198,7 +198,7 @@ def spec_context(spec: ExperimentSpec, method_name: str) -> str:
     import json
 
     config = {name: value for name, value in asdict(spec.config).items()
-              if name not in ("backend", "workers", "client_batch")}
+              if name not in EXECUTION_FIELDS}
     payload = {
         "dataset": spec.dataset,
         "setting": [spec.setting.kind, float(spec.setting.parameter),

@@ -7,7 +7,6 @@ from .embeddings import (
     FIGURE_WORKLOADS,
     EmbedParams,
     EmbeddingResult,
-    compute_method_embeddings,
     embedding_from_record,
     embeddings_sweep,
     execute_embedding_cell,
@@ -49,7 +48,6 @@ __all__ = [
     "TABLE1_VARIANTS",
     "TABLE1_TOGGLES",
     "TABLE1_SETTING",
-    "compute_method_embeddings",
     "EmbeddingResult",
     "EmbedParams",
     "FIGURE_METHOD_SETS",

@@ -32,8 +32,8 @@ method x seed, with the t-SNE/sampling knobs carried as fingerprinted
 * :func:`render_figure_svg` — the records-to-SVG assembly behind
   ``repro figures``.
 
-:func:`compute_method_embeddings` remains as the ephemeral in-memory
-path (no store, shared dataset across methods) used by quick scripts.
+Without a store, :func:`run_figure` runs the same cells in memory, which
+is what quick scripts (``examples/tsne_embeddings.py``) use.
 """
 
 from __future__ import annotations
@@ -43,19 +43,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..eval.harness import (
-    NonIIDSetting,
-    make_dataset,
-    make_encoder_factory,
-    make_partitions,
-)
-from ..eval.registry import build_method
-from ..fl.client import build_federation, derive_rng
+from ..eval.harness import NonIIDSetting
 from ..fl.session import SessionCallback, TrainingSession
 from ..manifold import silhouette_score, tsne_embed
 from ..runs import ARRAYS_KEY, RunKey, RunStore, SweepSpec, execute_cell, run_sweep
 from ..viz.svg import ScatterPanel, render_panels
-from .settings import CALIBRE_OVERRIDES, SCALED_CONFIG, SCALED_DATASET_KWARGS, scaled_spec
+from .settings import CALIBRE_OVERRIDES, SCALED_CONFIG, SCALED_DATASET_KWARGS
 
 __all__ = [
     "EmbeddingResult",
@@ -63,7 +56,6 @@ __all__ = [
     "FIGURE_METHOD_SETS",
     "FIGURE_WORKLOADS",
     "EMBEDDING_FIGURES",
-    "compute_method_embeddings",
     "embeddings_sweep",
     "execute_embedding_cell",
     "run_figure",
@@ -173,7 +165,7 @@ class EmbeddingResult:
 
 
 # ----------------------------------------------------------------------
-# Shared embedding core
+# Embedding core
 # ----------------------------------------------------------------------
 def _embed_trained_method(
     method_name: str,
@@ -219,61 +211,6 @@ def _embed_trained_method(
         feature_silhouette=feature_sil,
         per_client_silhouette=per_client,
     )
-
-
-def compute_method_embeddings(
-    methods: Sequence[str],
-    dataset_name: str = "cifar10",
-    setting: Optional[NonIIDSetting] = None,
-    num_embed_clients: int = 6,
-    samples_per_client: int = 20,
-    seed: int = 0,
-    tsne_iterations: int = 250,
-    verbose: bool = False,
-    **spec_overrides,
-) -> List[EmbeddingResult]:
-    """Train each method, embed representations of several clients' samples.
-
-    The ephemeral in-memory path: nothing is persisted and the dataset is
-    built once and shared across methods.  For durable, resumable figure
-    artifacts use :func:`run_figure` / :func:`embeddings_sweep` instead —
-    the embedding math is shared, so for identical parameters both paths
-    produce identical results.
-    """
-    setting = setting if setting is not None else NonIIDSetting("dirichlet", 0.3, 50)
-    embed = EmbedParams(num_embed_clients=num_embed_clients,
-                        samples_per_client=samples_per_client,
-                        tsne_iterations=tsne_iterations)
-    spec = scaled_spec(dataset_name, setting, list(methods), seed=seed, **spec_overrides)
-    dataset = make_dataset(spec.dataset, seed=spec.seed, **spec.dataset_kwargs)
-    partition_rng = derive_rng(spec.seed + 1)
-    partitions = make_partitions(dataset.train.labels, spec.config.num_clients,
-                                 spec.setting, partition_rng)
-    encoder_factory = make_encoder_factory(
-        spec.encoder, dataset, width=spec.encoder_width,
-        hidden_dims=tuple(spec.encoder_hidden_dims), seed=spec.seed + 42,
-    )
-
-    results: List[EmbeddingResult] = []
-    for method_name in methods:
-        clients = build_federation(dataset, partitions,
-                                   test_fraction=spec.config.test_fraction,
-                                   seed=spec.seed + 2)
-        algorithm = build_method(method_name, spec.config, dataset.num_classes,
-                                 encoder_factory,
-                                 **spec.method_overrides.get(method_name, {}))
-        session = TrainingSession(algorithm, clients, spec.config)
-        try:
-            global_state = session.run()
-        finally:
-            session.close()
-        results.append(_embed_trained_method(method_name, algorithm, global_state,
-                                             clients, embed, tsne_seed=seed))
-        if verbose:
-            result = results[-1]
-            print(f"  {method_name:20s} tsne_sil={result.silhouette:.4f} "
-                  f"feat_sil={result.feature_silhouette:.4f}")
-    return results
 
 
 # ----------------------------------------------------------------------

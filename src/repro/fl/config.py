@@ -234,6 +234,34 @@ class FederatedConfig:
         return replace(self, **kwargs)
 
 
+FINGERPRINTED_FIELDS = (
+    "num_clients", "clients_per_round", "rounds", "local_epochs",
+    "batch_size", "learning_rate", "momentum", "weight_decay",
+    "personalization_epochs", "personalization_lr",
+    "personalization_batch_size", "test_fraction", "num_novel_clients",
+    "seed", "availability", "aggregation", "aggregation_buffer",
+    "staleness_decay",
+)
+"""``FederatedConfig`` knobs that determine results and therefore hash into
+every :class:`~repro.runs.spec.RunKey` fingerprint and session checkpoint
+context.  Together with :data:`EXECUTION_FIELDS` this classifies *every*
+config field — the FPR001 invariant rule (``repro check``) fails the build
+if a new field is added without deciding which list it belongs to."""
+
+EXECUTION_FIELDS = ("backend", "workers", "client_batch")
+"""``FederatedConfig`` knobs that change wall-clock time but never results
+(see :mod:`repro.fl.execution`).  They are excluded from content hashes so
+a sweep resumed under a different scheduler still recognizes its cells,
+and a checkpoint taken under one backend restores under any other."""
+
+DEFAULT_OMITTED_FIELDS = ("availability", "aggregation",
+                          "aggregation_buffer", "staleness_decay")
+"""Fingerprinted config fields omitted from serialized payloads while at
+their defaults (the ``RunKey.extras`` precedent): the population-plane
+knobs landed after stores already existed, so a default-valued knob must
+not shift any pre-existing fingerprint or checkpoint context."""
+
+
 PAPER_CONFIG = FederatedConfig(
     num_clients=100,
     clients_per_round=10,

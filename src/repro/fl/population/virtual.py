@@ -1,8 +1,8 @@
 """Virtual client populations: descriptors in, realized clients out.
 
 A :class:`VirtualPopulation` holds the *recipe* for every client — a
-:class:`ClientDescriptor` of ``(partition indices, generator seed)`` —
-and realizes an actual :class:`~repro.fl.client.ClientData` only when a
+:class:`ClientDescriptor` of ``(client id, generator seed, sample count)``
+— and realizes an actual :class:`~repro.fl.client.ClientData` only when a
 client participates.  Realization is a pure function of ``(population
 seed, client_id)`` via :func:`~repro.fl.client.derive_rng`, so a client
 evicted from the cache and realized again later gets bitwise-identical
@@ -10,14 +10,12 @@ arrays, and resident memory stays O(active clients) instead of
 O(population): a million-client population costs a ``range`` and a few
 scalars until someone is sampled.
 
-Two construction modes:
-
-* **explicit partitions** — the classic :func:`build_federation` shape:
-  per-client index arrays from a partitioner, carried in the descriptors;
-* **derived** — ``num_clients`` + ``samples_per_client`` (optionally
-  label-skewed with ``classes_per_client``): indices are *drawn* from the
-  dataset at realization time, so descriptors are O(1) and the population
-  scales to millions of clients.
+A population is declared by ``num_clients`` + ``samples_per_client``
+(optionally label-skewed with ``classes_per_client``): each client's
+indices are *drawn* from the dataset at realization time, so descriptors
+are O(1) and the population scales to millions of clients.  A federation
+over explicit per-client partitions is a materialized client list
+(:func:`~repro.fl.client.build_federation`).
 
 Realized clients live in an LRU cache of ``max_resident`` entries,
 pinned for the duration of a round (:meth:`realize_round` /
@@ -31,10 +29,9 @@ traffic on the ambient tracer.
 
 from __future__ import annotations
 
-import hashlib
 import pickle
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set
 
 import numpy as np
@@ -59,15 +56,13 @@ class ClientDescriptor:
     """The O(bytes) stand-in for an unrealized client.
 
     Picklable and tiny — this is what :meth:`VirtualPopulation.payload_nbytes`
-    measures for clients that never participated.  ``indices`` is ``None``
-    in derived mode (the realization draw produces them) and the explicit
-    partition array otherwise.
+    measures for clients that never participated.  The realization draw
+    produces the client's indices.
     """
 
     client_id: int
     seed: int
     num_samples: int
-    indices: Optional[np.ndarray] = field(default=None, repr=False)
 
 
 class VirtualPopulation:
@@ -78,16 +73,12 @@ class VirtualPopulation:
     dataset:
         The shared :class:`~repro.data.synthetic.SyntheticImageDataset`.
     num_clients:
-        Population size (derived mode).  Mutually exclusive with
-        ``partitions``.
-    partitions:
-        Per-client index arrays (explicit mode); the population size is
-        ``len(partitions)``.
+        Population size.
     samples_per_client:
-        Local sample count drawn per client in derived mode.
+        Local sample count drawn per client.
     classes_per_client:
-        Optional label skew in derived mode: each client draws its
-        samples from this many classes only.
+        Optional label skew: each client draws its samples from this many
+        classes only.
     test_fraction, seed:
         As in :func:`~repro.fl.client.build_federation`; realization uses
         ``derive_rng(seed, _REALIZE_STREAM, client_id)``.
@@ -100,9 +91,8 @@ class VirtualPopulation:
     def __init__(
         self,
         dataset: SyntheticImageDataset,
-        num_clients: Optional[int] = None,
+        num_clients: int,
         *,
-        partitions: Optional[Sequence[np.ndarray]] = None,
         samples_per_client: int = 32,
         classes_per_client: Optional[int] = None,
         test_fraction: float = 0.25,
@@ -110,17 +100,7 @@ class VirtualPopulation:
         unlabeled_per_client: int = 0,
         max_resident: int = 64,
     ):
-        if (num_clients is None) == (partitions is None):
-            raise ValueError(
-                "pass exactly one of num_clients (derived mode) or "
-                "partitions (explicit mode)")
-        if partitions is not None:
-            self._partitions: Optional[List[np.ndarray]] = [
-                np.asarray(indices) for indices in partitions]
-            self._size = len(self._partitions)
-        else:
-            self._partitions = None
-            self._size = int(num_clients)
+        self._size = int(num_clients)
         if self._size < 1:
             raise ValueError("population must hold at least one client")
         if samples_per_client < 4:
@@ -143,7 +123,7 @@ class VirtualPopulation:
         self._unlabeled_per_client = int(unlabeled_per_client)
         self.max_resident = int(max_resident)
         self._class_pools: Optional[List[np.ndarray]] = None
-        if self._partitions is None and self._classes_per_client is not None:
+        if self._classes_per_client is not None:
             self._class_pools = [np.flatnonzero(self._labels == class_id)
                                  for class_id in range(dataset.num_classes)]
         self._resident: "OrderedDict[int, ClientData]" = OrderedDict()
@@ -177,10 +157,6 @@ class VirtualPopulation:
     # ------------------------------------------------------------------
     def descriptor(self, client_id: int) -> ClientDescriptor:
         client_id = self._check_id(client_id)
-        if self._partitions is not None:
-            indices = self._partitions[client_id]
-            return ClientDescriptor(client_id, self._seed, int(indices.size),
-                                    indices=indices)
         return ClientDescriptor(client_id, self._seed,
                                 self._samples_per_client)
 
@@ -193,8 +169,6 @@ class VirtualPopulation:
 
     def _draw_indices(self, client_id: int,
                       rng: np.random.Generator) -> np.ndarray:
-        if self._partitions is not None:
-            return self._partitions[client_id]
         if self._class_pools is not None:
             num_classes = len(self._class_pools)
             classes = rng.choice(
@@ -358,13 +332,13 @@ class VirtualPopulation:
                                 protocol=pickle.HIGHEST_PROTOCOL))
 
     def context_payload(self) -> Dict:
-        """Shape fingerprint for session contexts — O(1) in derived mode.
+        """Shape fingerprint for session contexts — O(1) in the population.
 
         Stands in for the per-client ``[id, num_samples]`` list a
         materialized federation hashes (enumerating a million clients
         into a checkpoint guard would defeat the point of being virtual).
         """
-        payload = {
+        return {
             "population": self._size,
             "seed": self._seed,
             "test_fraction": self._test_fraction,
@@ -372,13 +346,6 @@ class VirtualPopulation:
             "classes_per_client": self._classes_per_client,
             "unlabeled_per_client": self._unlabeled_per_client,
         }
-        if self._partitions is not None:
-            digest = hashlib.sha256()
-            for indices in self._partitions:
-                digest.update(np.ascontiguousarray(
-                    indices.astype(np.int64)).tobytes())
-            payload["partitions_sha256"] = digest.hexdigest()[:16]
-        return payload
 
     # ------------------------------------------------------------------
     def close(self) -> None:

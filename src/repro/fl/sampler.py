@@ -1,23 +1,17 @@
 """Client sampling: which clients participate in each round.
 
-Both samplers expose two surfaces over the same draw:
-
-* ``sample(clients, round_index)`` — the classic list-of-
-  :class:`~repro.fl.client.ClientData` API;
-* ``sample_ids(client_ids, round_index)`` — id-based sampling for
-  virtual populations (:mod:`repro.fl.population`), where materializing
-  the candidate list as ``ClientData`` would defeat lazy realization.
-
-``sample`` delegates to ``sample_ids`` over candidate *positions*, so the
-two surfaces draw from the same stream and pick the same clients — adding
-the id surface changed no existing participant set.
+A sampler implements one method, ``sample_ids(client_ids, round_index,
+count=None)``: it picks participant ids from a candidate id list.  The
+session samples a materialized federation and a virtual population
+(:mod:`repro.fl.population`) the same way, over client ids, so a
+population never has to materialize its candidates as ``ClientData``.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-from .client import ClientData, derive_rng
+from .client import derive_rng
 
 __all__ = ["RandomSampler", "RoundRobinSampler"]
 
@@ -67,10 +61,6 @@ class RandomSampler:
         chosen = rng.choice(len(client_ids), size=count, replace=False)
         return [int(client_ids[i]) for i in sorted(chosen)]
 
-    def sample(self, clients: Sequence[ClientData], round_index: int) -> List[ClientData]:
-        positions = self.sample_ids(range(len(clients)), round_index)
-        return [clients[i] for i in positions]
-
 
 class RoundRobinSampler:
     """Deterministic rotation — useful in tests where coverage matters."""
@@ -92,7 +82,3 @@ class RoundRobinSampler:
         start = (round_index * self.count) % n
         return [int(client_ids[(start + offset) % n])
                 for offset in range(min(count, n))]
-
-    def sample(self, clients: Sequence[ClientData], round_index: int) -> List[ClientData]:
-        positions = self.sample_ids(range(len(clients)), round_index)
-        return [clients[i] for i in positions]

@@ -27,6 +27,7 @@ import hashlib
 import json
 import math
 import warnings
+from collections import Counter
 from contextlib import closing, nullcontext
 from dataclasses import asdict, dataclass
 from dataclasses import fields as dataclass_fields
@@ -39,7 +40,7 @@ from ...nn.serialize import StateDict, clone_state
 from ...telemetry import InstrumentedTask, TaskOutcome, Tracer, current_tracer
 from ..algorithm import ClientUpdate, FederatedAlgorithm, UpdateAccumulator
 from ..client import ClientData
-from ..config import FederatedConfig
+from ..config import DEFAULT_OMITTED_FIELDS, EXECUTION_FIELDS, FederatedConfig
 from ..execution import ExecutionBackend, chunk_items, resolve_backend
 from ..history import RoundRecord, RunResult
 from ..population import AvailabilityModel, BufferedAccumulator, VirtualPopulation
@@ -132,20 +133,23 @@ def _cohort_span_attrs(round_index: Optional[int],
     return attrs
 
 
-# FederatedConfig knobs that change wall-clock, never results (see
-# :mod:`repro.fl.execution`) — excluded from the context fingerprint so a
-# checkpoint taken under one backend restores under any other.
-_EXECUTION_KNOBS = ("backend", "workers", "client_batch")
-
 # Population-plane knobs are omitted from the context payload while at
-# their defaults (mirroring runs.serialize.DEFAULT_OMITTED_FIELDS, which
-# the fl layer cannot import), so checkpoints taken before those knobs
-# existed keep restoring.
+# their defaults, so checkpoints taken before those knobs existed keep
+# restoring.
 _CONTEXT_OMITTED = {
     field.name: field.default for field in dataclass_fields(FederatedConfig)
-    if field.name in ("availability", "aggregation", "aggregation_buffer",
-                      "staleness_decay")
+    if field.name in DEFAULT_OMITTED_FIELDS
 }
+
+
+def _require_unique_ids(clients: Sequence[ClientData], label: str) -> None:
+    """Reject a client list that repeats an id: stores, sampling and
+    personalization results are all keyed by client id."""
+    counts = Counter(client.client_id for client in clients)
+    repeated = sorted(client_id for client_id, n in counts.items() if n > 1)
+    if repeated:
+        raise ValueError(f"{label} repeat client ids {repeated}; "
+                         "every client needs its own id")
 
 
 def default_session_context(algorithm: FederatedAlgorithm,
@@ -166,7 +170,7 @@ def default_session_context(algorithm: FederatedAlgorithm,
     :class:`~repro.eval.harness.ExperimentSpec`.
     """
     config_payload = {name: value for name, value in asdict(config).items()
-                      if name not in _EXECUTION_KNOBS}
+                      if name not in EXECUTION_FIELDS}
     for name, default in _CONTEXT_OMITTED.items():
         if name in config_payload and config_payload[name] == default:
             config_payload.pop(name)
@@ -194,12 +198,11 @@ class TrainingSession:
     in which case only sampled participants are ever realized and the
     session drives the population's round pinning
     (:meth:`~repro.fl.population.VirtualPopulation.realize_round` /
-    ``end_round``).  With ``config.availability`` set to an active
-    :class:`~repro.fl.config.AvailabilitySpec`, sampling goes through the
-    id surface (``sampler.sample_ids``) over the deterministic per-round
-    online pool — custom samplers used under churn or populations must
-    implement ``sample_ids``; the classic ``sample(clients, round)`` path
-    is byte-for-byte untouched otherwise.
+    ``end_round``).  Client ids must be unique within ``clients`` and
+    within ``novel_clients``.  A ``sampler`` implements
+    ``sample_ids(client_ids, round_index, count=None)``; with an active
+    ``config.availability`` it samples the per-round online pool, with
+    ``count`` clamped to its size.
     """
 
     def __init__(
@@ -224,23 +227,26 @@ class TrainingSession:
         if isinstance(clients, VirtualPopulation):
             self.population: Optional[VirtualPopulation] = clients
             self.clients: List[ClientData] = []
-            self._num_clients = len(clients)
+            self._client_ids: Sequence[int] = clients.client_ids
         else:
             self.population = None
             self.clients = list(clients)
-            self._num_clients = len(self.clients)
+            _require_unique_ids(self.clients, "clients")
+            self._client_ids = [client.client_id for client in self.clients]
+        self._num_clients = len(self._client_ids)
         if self._num_clients < 1:
             raise ValueError("need at least one client")
         self._clients_by_id = {client.client_id: client
                                for client in self.clients}
         self.novel_clients = list(novel_clients)
+        _require_unique_ids(self.novel_clients, "novel_clients")
         self.config = config
         self.sampler = sampler if sampler is not None else RandomSampler(
             min(config.clients_per_round, self._num_clients), seed=config.seed
         )
         # The availability model only exists when the spec changes
-        # something: an inactive spec (or none) keeps the legacy sampling
-        # path — and its participant sets — byte-for-byte intact.
+        # something: an inactive spec (or none) samples from every client,
+        # so its participant sets are those of a run without the spec.
         spec = config.availability
         self._availability: Optional[AvailabilityModel] = None
         if spec is not None and spec.is_active:
@@ -409,21 +415,15 @@ class TrainingSession:
                              ) -> Tuple[List[ClientData], List[int]]:
         """This round's realized participants plus mid-round dropout ids.
 
-        The legacy path — materialized clients, no availability model —
-        calls ``sampler.sample`` exactly as it always has, so existing
-        participant sets are untouched.  Everything else goes through the
-        id surface: churn filters the candidate pool (clamping the sample
-        size to what is online), dropout removes sampled participants
-        before any local work runs (their data is never realized), and a
-        virtual population realizes only the survivors.
+        ``sampler.sample_ids`` draws from the client ids: churn filters
+        the candidate pool (clamping the sample size to what is online),
+        dropout removes sampled participants before any local work runs
+        (their data is never realized), and the survivors map back to
+        clients — realized by a virtual population, looked up by id in a
+        materialized federation.
         """
         model = self._availability
-        if self.population is None and model is None:
-            return self.sampler.sample(self.clients, round_index), []
-        if self.population is not None:
-            candidates: Sequence[int] = self.population.client_ids
-        else:
-            candidates = [client.client_id for client in self.clients]
+        candidates = self._client_ids
         if model is not None:
             positions = model.available_positions(round_index)
             candidates = [int(candidates[position]) for position in positions]
@@ -754,11 +754,7 @@ class TrainingSession:
                 f"session's context {self.context!r}: it was taken under a "
                 "different configuration/federation (resume only continues "
                 "the same run; delete the stale checkpoint to start over)")
-        if self.population is not None:
-            known = set(range(self._num_clients))
-        else:
-            known = {client.client_id for client in self.clients}
-        unknown = sorted(set(state.client_stores) - known)
+        unknown = sorted(set(state.client_stores) - set(self._client_ids))
         if unknown:
             raise ValueError(
                 f"checkpoint carries stores for unknown client ids {unknown}; "

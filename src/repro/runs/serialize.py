@@ -28,7 +28,12 @@ import numpy as np
 
 from ..eval.harness import ExperimentOutcome, ExperimentSpec, NonIIDSetting
 from ..eval.metrics import FairnessReport, fairness_report
-from ..fl.config import FederatedConfig
+from ..fl.config import (
+    DEFAULT_OMITTED_FIELDS,
+    EXECUTION_FIELDS,
+    FINGERPRINTED_FIELDS,
+    FederatedConfig,
+)
 from ..fl.history import RunResult
 from ..ioutil import atomic_write_text
 
@@ -59,37 +64,11 @@ __all__ = [
 RECORD_SCHEMA = 1
 """Version stamp written into every cell record and outcome file."""
 
-EXECUTION_FIELDS = ("backend", "workers", "client_batch")
-"""``FederatedConfig`` knobs that change wall-clock time but never results
-(see :mod:`repro.fl.execution`).  They are excluded from content hashes so
-a sweep resumed under a different scheduler still recognizes its cells."""
-
 RETIRED_FIELDS = ("shared_memory",)
 """Execution knobs removed from ``FederatedConfig``.  Run stores and outcome
 files written before the removal still carry them; loading drops them, and
 since execution knobs never reach a content hash, fingerprints and
 checkpoint contexts are unchanged."""
-
-FINGERPRINTED_FIELDS = (
-    "num_clients", "clients_per_round", "rounds", "local_epochs",
-    "batch_size", "learning_rate", "momentum", "weight_decay",
-    "personalization_epochs", "personalization_lr",
-    "personalization_batch_size", "test_fraction", "num_novel_clients",
-    "seed", "availability", "aggregation", "aggregation_buffer",
-    "staleness_decay",
-)
-"""``FederatedConfig`` knobs that determine results and therefore hash into
-every :class:`~repro.runs.spec.RunKey` fingerprint.  Together with
-:data:`EXECUTION_FIELDS` this classifies *every* config field — the FPR001
-invariant rule (``repro check``) fails the build if a new field is added
-without deciding which list it belongs to."""
-
-DEFAULT_OMITTED_FIELDS = ("availability", "aggregation",
-                          "aggregation_buffer", "staleness_decay")
-"""Fingerprinted config fields omitted from serialized payloads while at
-their defaults (the ``RunKey.extras`` precedent): the population-plane
-knobs landed after stores already existed, so a default-valued knob must
-not shift any pre-existing fingerprint or checkpoint context."""
 
 SWEEP_FINGERPRINTED_FIELDS = (
     "methods", "settings", "datasets", "seeds", "config", "variants",

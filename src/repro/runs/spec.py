@@ -273,14 +273,6 @@ class SweepSpec:
                                 ))
         return keys
 
-    def cells_for(self, seed: Optional[int] = None, dataset: Optional[str] = None,
-                  variant: Optional[str] = None) -> List[RunKey]:
-        """The canonical cell list filtered by coordinate (reporting helper)."""
-        return [key for key in self.cells()
-                if (seed is None or key.seed == seed)
-                and (dataset is None or key.dataset == dataset)
-                and (variant is None or key.variant == variant)]
-
     def to_experiment_spec(self, seed: Optional[int] = None,
                            name: str = "") -> ExperimentSpec:
         """Collapse a single-panel sweep back into one multi-method spec.

@@ -1,7 +1,8 @@
 """Fixture corpus for FPR001/FPR002 (fingerprint field classification).
 
-These are project-level rules reading two files, so each case builds a
-minimal in-memory project with a config dataclass and a serialize module.
+These are project-level rules, so each case builds a minimal in-memory
+project: FPR001 reads the config dataclass and its classification tuples
+from one module, FPR002 the sweep dataclass and the serialize module.
 """
 
 from pathlib import Path
@@ -41,10 +42,9 @@ class TestFpr001ConfigClassification:
             "FPR001",
             (CONFIG_REL, CONFIG_TWO_FIELDS.replace(
                 "    backend: str = 'serial'\n",
-                "    backend: str = 'serial'\n    shiny_new_knob: int = 0\n")),
-            (SERIALIZE_REL,
-             "FINGERPRINTED_FIELDS = ('rounds',)\n"
-             "EXECUTION_FIELDS = ('backend',)\n"),
+                "    backend: str = 'serial'\n    shiny_new_knob: int = 0\n")
+             + "FINGERPRINTED_FIELDS = ('rounds',)\n"
+               "EXECUTION_FIELDS = ('backend',)\n"),
         )
         assert rule_ids(found) == ["FPR001"]
         assert "shiny_new_knob" in found[0].message
@@ -52,10 +52,9 @@ class TestFpr001ConfigClassification:
     def test_flags_stale_entry(self):
         found = _check(
             "FPR001",
-            (CONFIG_REL, CONFIG_TWO_FIELDS),
-            (SERIALIZE_REL,
-             "FINGERPRINTED_FIELDS = ('rounds', 'renamed_away')\n"
-             "EXECUTION_FIELDS = ('backend',)\n"),
+            (CONFIG_REL, CONFIG_TWO_FIELDS
+             + "FINGERPRINTED_FIELDS = ('rounds', 'renamed_away')\n"
+               "EXECUTION_FIELDS = ('backend',)\n"),
         )
         assert rule_ids(found) == ["FPR001"]
         assert "renamed_away" in found[0].message
@@ -63,30 +62,30 @@ class TestFpr001ConfigClassification:
     def test_flags_double_classification(self):
         found = _check(
             "FPR001",
-            (CONFIG_REL, CONFIG_TWO_FIELDS),
-            (SERIALIZE_REL,
-             "FINGERPRINTED_FIELDS = ('rounds', 'backend')\n"
-             "EXECUTION_FIELDS = ('backend',)\n"),
+            (CONFIG_REL, CONFIG_TWO_FIELDS
+             + "FINGERPRINTED_FIELDS = ('rounds', 'backend')\n"
+               "EXECUTION_FIELDS = ('backend',)\n"),
         )
         assert rule_ids(found) == ["FPR001"]
         assert "both" in found[0].message
 
     def test_flags_missing_surface(self):
+        # A tuple declared anywhere but beside the dataclass does not count.
         found = _check(
             "FPR001",
-            (CONFIG_REL, CONFIG_TWO_FIELDS),
-            (SERIALIZE_REL, "EXECUTION_FIELDS = ('backend',)\n"),
+            (CONFIG_REL, CONFIG_TWO_FIELDS + "EXECUTION_FIELDS = ('backend',)\n"),
+            (SERIALIZE_REL, "FINGERPRINTED_FIELDS = ('rounds',)\n"),
         )
         assert rule_ids(found) == ["FPR001"]
         assert "FINGERPRINTED_FIELDS" in found[0].message
+        assert "repro.fl.config" in found[0].message
 
     def test_near_miss_fully_classified(self):
         found = _check(
             "FPR001",
-            (CONFIG_REL, CONFIG_TWO_FIELDS),
-            (SERIALIZE_REL,
-             "FINGERPRINTED_FIELDS = ('rounds',)\n"
-             "EXECUTION_FIELDS = ('backend',)\n"),
+            (CONFIG_REL, CONFIG_TWO_FIELDS
+             + "FINGERPRINTED_FIELDS = ('rounds',)\n"
+               "EXECUTION_FIELDS = ('backend',)\n"),
         )
         assert found == []
 

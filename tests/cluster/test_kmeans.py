@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import KMeans, kmeans, kmeans_plus_plus_init
+from repro.cluster import kmeans, kmeans_plus_plus_init
 
 
 def blobs(k=3, per=40, d=4, sep=8.0, seed=0):
@@ -61,13 +61,6 @@ class TestKMeansFunction:
             kmeans(np.zeros((4, 2)), 0)
         with pytest.raises(ValueError):
             kmeans(np.zeros(4), 2)
-        with pytest.raises(ValueError):
-            kmeans(np.zeros((4, 2)), 2, init="bogus")
-
-    def test_random_init_also_works(self):
-        points, labels, _ = blobs(seed=7)
-        result = kmeans(points, 3, rng=np.random.default_rng(8), init="random")
-        assert result.inertia < kmeans(points, 1, rng=np.random.default_rng(0)).inertia
 
     @given(st.integers(min_value=1, max_value=6))
     @settings(max_examples=15, deadline=None)
@@ -101,22 +94,3 @@ class TestKMeansPlusPlus:
         centers = kmeans_plus_plus_init(points, 2, np.random.default_rng(16))
         assert abs(centers[0, 0] - centers[1, 0]) > 50.0
 
-
-class TestKMeansClass:
-    def test_fit_predict(self):
-        points, labels, _ = blobs(seed=17)
-        model = KMeans(3, seed=18)
-        assigned = model.fit_predict(points)
-        assert assigned.shape == labels.shape
-
-    def test_predict_new_points(self):
-        points, _, centers = blobs(seed=19)
-        model = KMeans(3, seed=20).fit(points)
-        fresh = model.predict(centers)
-        assert np.unique(fresh).shape[0] == 3
-
-    def test_predict_before_fit_raises(self):
-        with pytest.raises(RuntimeError):
-            KMeans(2).predict(np.zeros((3, 2)))
-        with pytest.raises(RuntimeError):
-            _ = KMeans(2).centers

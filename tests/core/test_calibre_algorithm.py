@@ -5,6 +5,7 @@ import pytest
 
 from repro.core import Calibre
 from repro.data import DataSplit, make_cifar10_like, partition_dirichlet
+from repro.eval import build_method
 from repro.fl import ClientData, FederatedConfig, TrainingSession, build_federation
 from repro.nn import MLPEncoder
 
@@ -50,6 +51,28 @@ class TestConstruction:
             Calibre(config, 10, encoder_factory, num_prototypes=1)
         with pytest.raises(KeyError):
             Calibre(config, 10, encoder_factory, ssl_name="nope")
+
+    @pytest.mark.parametrize("overrides, match", [
+        (dict(prototype_temperature=0.0), "prototype_temperature"),
+        (dict(prototype_temperature=-1.0), "prototype_temperature"),
+        (dict(divergence_temperature=-0.5), "divergence_temperature"),
+        (dict(divergence_mode="sofmax"), "divergence_mode"),
+    ])
+    def test_loss_and_aggregation_knobs_validated(self, overrides, match):
+        # Through build_method, the path a sweep override takes: a bad value
+        # must fail before any local work, not as NaN losses mid-run.
+        config, _, _ = make_setup()
+        with pytest.raises(ValueError, match=match):
+            build_method("calibre-simclr", config, 10, encoder_factory, **overrides)
+
+    def test_divergence_ablation_settings_build(self):
+        # The divergence ablation's settings stay valid: both modes, and
+        # temperature 0 (FedAvg weighting).
+        config, _, _ = make_setup()
+        for mode in ("softmax", "inverse"):
+            algorithm = build_method("calibre-simclr", config, 10, encoder_factory,
+                                     divergence_temperature=0.0, divergence_mode=mode)
+            assert algorithm.divergence_mode == mode
 
 
 class TestLocalLoss:

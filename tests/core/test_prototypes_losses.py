@@ -1,4 +1,9 @@
-"""Tests for Calibre's prototype machinery and loss terms."""
+"""Tests for Calibre's prototype machinery and loss terms.
+
+The terms run the way both training paths run them: a per-batch
+:func:`prototype_plan` on raw arrays, fed as leaves to the traceable
+``*_term`` functions.
+"""
 
 import numpy as np
 import pytest
@@ -6,14 +11,16 @@ import pytest
 from repro.core import (
     ViewClusters,
     average_prototype_distance,
+    classification_term,
     cluster_views,
-    differentiable_prototypes,
+    contrastive_term,
     divergence_weights,
-    prototype_classification_loss,
-    prototype_contrastive_loss,
-    prototype_meta_loss,
+    meta_term,
+    prototype_plan,
 )
+from repro.core.prototypes import cluster_membership, prototype_means
 from repro.nn import Tensor
+from repro.nn.trace import input_leaves
 
 from ..helpers import rng
 
@@ -25,6 +32,20 @@ def clustered_views(k=3, per=10, d=6, sep=6.0, seed=0):
     z_e = np.concatenate([centers[j] + generator.standard_normal((per, d)) for j in range(k)])
     z_o = z_e + 0.1 * generator.standard_normal(z_e.shape)
     return (Tensor(z_e, requires_grad=True), Tensor(z_o, requires_grad=True))
+
+
+def plan_leaves(clusters, dtype, **terms):
+    """One batch's plan for the enabled ``terms``, as eager loss leaves."""
+    return input_leaves(prototype_plan(clusters, dtype, **terms))
+
+
+def cluster_means(features, assignments, num_clusters, fallback=None):
+    """:func:`prototype_means` over one view's :func:`cluster_membership`."""
+    membership, counts, mask = cluster_membership(
+        np.asarray(assignments), num_clusters, features.data.dtype)
+    return prototype_means(features, Tensor(membership), Tensor(counts),
+                           None if mask is None else Tensor(mask),
+                           None if fallback is None else Tensor(fallback))
 
 
 class TestClusterViews:
@@ -51,7 +72,7 @@ class TestDifferentiablePrototypes:
     def test_prototype_is_cluster_mean(self):
         features = Tensor(rng(3).standard_normal((6, 4)), requires_grad=True)
         assignments = np.array([0, 0, 1, 1, 1, 0])
-        prototypes = differentiable_prototypes(features, assignments, 2)
+        prototypes = cluster_means(features, assignments, 2)
         np.testing.assert_allclose(
             prototypes.data[0], features.data[assignments == 0].mean(axis=0), atol=1e-10
         )
@@ -62,7 +83,7 @@ class TestDifferentiablePrototypes:
     def test_gradients_flow_to_features(self):
         features = Tensor(rng(4).standard_normal((5, 3)), requires_grad=True)
         assignments = np.array([0, 1, 0, 1, 0])
-        prototypes = differentiable_prototypes(features, assignments, 2)
+        prototypes = cluster_means(features, assignments, 2)
         (prototypes**2).sum().backward()
         assert features.grad is not None
         assert np.any(features.grad != 0)
@@ -71,93 +92,88 @@ class TestDifferentiablePrototypes:
         features = Tensor(rng(5).standard_normal((4, 3)), requires_grad=True)
         assignments = np.zeros(4, dtype=int)  # cluster 1 empty
         fallback = np.full((2, 3), 7.0)
-        prototypes = differentiable_prototypes(features, assignments, 2, fallback)
+        prototypes = cluster_means(features, assignments, 2, fallback)
         np.testing.assert_allclose(prototypes.data[1], np.full(3, 7.0))
-
-    def test_empty_cluster_without_fallback_raises(self):
-        features = Tensor(np.zeros((3, 2)))
-        with pytest.raises(ValueError):
-            differentiable_prototypes(features, np.zeros(3, dtype=int), 2)
-
-    def test_assignment_length_validated(self):
-        features = Tensor(np.zeros((3, 2)))
-        with pytest.raises(ValueError):
-            differentiable_prototypes(features, np.zeros(5, dtype=int), 2)
 
 
 class TestPrototypeMetaLoss:
+    @staticmethod
+    def meta_loss(z_e, z_o, clusters):
+        plan = plan_leaves(clusters, z_e.data.dtype, use_lc=False, use_lp=False)
+        return meta_term(z_e, z_o, plan, 0.5)
+
     def test_clustered_data_gives_lower_loss_than_shuffled(self):
         z_e, z_o = clustered_views(seed=6)
         clusters = cluster_views(z_e, z_o, 3, rng=rng(6))
-        tight = prototype_meta_loss(z_e, z_o, clusters, 0.5).item()
+        tight = self.meta_loss(z_e, z_o, clusters).item()
 
         shuffled = ViewClusters(
             centers=clusters.centers,
             labels_e=rng(7).permutation(clusters.labels_e),
             labels_o=rng(8).permutation(clusters.labels_o),
         )
-        loose = prototype_meta_loss(z_e, z_o, shuffled, 0.5).item()
+        loose = self.meta_loss(z_e, z_o, shuffled).item()
         assert tight < loose
 
     def test_gradients_reach_both_views(self):
         z_e, z_o = clustered_views(seed=9)
         clusters = cluster_views(z_e, z_o, 3, rng=rng(9))
-        prototype_meta_loss(z_e, z_o, clusters, 0.5).backward()
+        self.meta_loss(z_e, z_o, clusters).backward()
         assert z_e.grad is not None and np.any(z_e.grad != 0)
         assert z_o.grad is not None and np.any(z_o.grad != 0)
-
-    def test_temperature_validated(self):
-        z_e, z_o = clustered_views()
-        clusters = cluster_views(z_e, z_o, 2, rng=rng(0))
-        with pytest.raises(ValueError):
-            prototype_meta_loss(z_e, z_o, clusters, temperature=0.0)
 
     def test_finite_under_single_cluster(self):
         z_e = Tensor(rng(10).standard_normal((8, 4)), requires_grad=True)
         z_o = Tensor(rng(11).standard_normal((8, 4)), requires_grad=True)
         clusters = cluster_views(z_e, z_o, 1, rng=rng(12))
-        loss = prototype_meta_loss(z_e, z_o, clusters, 0.5)
+        loss = self.meta_loss(z_e, z_o, clusters)
         assert np.isfinite(loss.item())
 
 
 class TestPrototypeContrastiveLoss:
+    @staticmethod
+    def plan(clusters, h_e):
+        return plan_leaves(clusters, h_e.data.dtype, use_lc=False, use_ln=False)
+
     def test_positive_and_finite(self):
         z_e, z_o = clustered_views(seed=13)
         clusters = cluster_views(z_e, z_o, 3, rng=rng(13))
-        loss = prototype_contrastive_loss(z_e, z_o, clusters, 0.5)
-        assert loss is not None
+        loss = contrastive_term(z_e, z_o, self.plan(clusters, z_e), 0.5)
         assert np.isfinite(loss.item())
+        assert loss.item() > 0
 
-    def test_returns_none_for_single_cluster(self):
+    def test_single_cluster_plans_no_term(self):
+        # l_p needs two clusters populated in both views; with one the
+        # plan keeps none and Calibre.planned_loss skips the term.
         z_e, z_o = clustered_views(seed=14)
         clusters = cluster_views(z_e, z_o, 1, rng=rng(14))
-        assert prototype_contrastive_loss(z_e, z_o, clusters) is None
+        assert "keep" not in self.plan(clusters, z_e)
 
     def test_aligned_views_lower_loss_than_opposed(self):
         z_e, z_o = clustered_views(seed=15, sep=8.0)
         clusters = cluster_views(z_e, z_o, 3, rng=rng(15))
-        aligned = prototype_contrastive_loss(z_e, z_o, clusters, 0.5).item()
-        opposed = prototype_contrastive_loss(z_e, Tensor(-z_o.data), clusters, 0.5).item()
+        plan = self.plan(clusters, z_e)
+        aligned = contrastive_term(z_e, z_o, plan, 0.5).item()
+        opposed = contrastive_term(z_e, Tensor(-z_o.data), plan, 0.5).item()
         assert aligned < opposed
 
 
 class TestPrototypeClassificationLoss:
+    @staticmethod
+    def classification_loss(z_e, clusters):
+        plan = plan_leaves(clusters, z_e.data.dtype, use_ln=False, use_lp=False)
+        return classification_term(z_e, plan["centers"], plan["member_e"])
+
     def test_tight_clusters_give_small_loss(self):
         z_e, z_o = clustered_views(seed=16, sep=10.0)
         clusters = cluster_views(z_e, z_o, 3, rng=rng(16))
-        loss = prototype_classification_loss(z_e, clusters, view="e")
+        loss = self.classification_loss(z_e, clusters)
         assert loss.item() < 0.5
-
-    def test_view_validated(self):
-        z_e, z_o = clustered_views()
-        clusters = cluster_views(z_e, z_o, 2, rng=rng(0))
-        with pytest.raises(ValueError):
-            prototype_classification_loss(z_e, clusters, view="x")
 
     def test_gradient_flows(self):
         z_e, z_o = clustered_views(seed=17)
         clusters = cluster_views(z_e, z_o, 3, rng=rng(17))
-        prototype_classification_loss(z_e, clusters).backward()
+        self.classification_loss(z_e, clusters).backward()
         assert z_e.grad is not None
 
 
@@ -174,6 +190,12 @@ class TestAveragePrototypeDistance:
         clusters = cluster_views(z_e, z_o, 3, rng=rng(19))
         combined = Tensor(np.concatenate([z_e.data, z_o.data]))
         assert average_prototype_distance(combined, clusters) > 0
+
+    def test_one_view_rejected(self):
+        z_e, z_o = clustered_views(seed=20)
+        clusters = cluster_views(z_e, z_o, 3, rng=rng(20))
+        with pytest.raises(ValueError, match="both views"):
+            average_prototype_distance(z_e, clusters)
 
 
 class TestDivergenceWeights:

@@ -1,4 +1,4 @@
-"""Tests for augmentations and the DataLoader."""
+"""Tests for augmentations and minibatch iteration."""
 
 import numpy as np
 import pytest
@@ -7,8 +7,6 @@ from repro.data import (
     ColorJitter,
     Compose,
     Cutout,
-    DataLoader,
-    DataSplit,
     GaussianNoise,
     RandomCrop,
     RandomGrayscale,
@@ -139,25 +137,3 @@ class TestBatchIterator:
         with pytest.raises(ValueError):
             list(batch_iterator(10, 0, shuffle=False))
 
-
-class TestDataLoader:
-    def make_split(self, n=10):
-        return DataSplit(np.arange(n * 3 * 2 * 2, dtype=float).reshape(n, 3, 2, 2),
-                         np.arange(n) % 2)
-
-    def test_len(self):
-        loader = DataLoader(self.make_split(10), batch_size=3, shuffle=False)
-        assert len(loader) == 4
-        loader = DataLoader(self.make_split(10), batch_size=3, shuffle=False, drop_last=True)
-        assert len(loader) == 3
-
-    def test_iteration_yields_pairs(self):
-        loader = DataLoader(self.make_split(6), batch_size=2, shuffle=False)
-        for images, labels in loader:
-            assert images.shape[0] == labels.shape[0] == 2
-
-    def test_shuffled_epochs_differ(self):
-        loader = DataLoader(self.make_split(32), batch_size=8, shuffle=True, rng=rng(0))
-        first = [labels.copy() for _, labels in loader]
-        second = [labels.copy() for _, labels in loader]
-        assert any(not np.array_equal(a, b) for a, b in zip(first, second))

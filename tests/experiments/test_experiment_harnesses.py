@@ -9,9 +9,9 @@ from repro.experiments import (
     FIG4_PANELS,
     FIGURE_METHOD_SETS,
     SCALED_CONFIG,
-    compute_method_embeddings,
     run_fig3_panel,
     run_fig4_panel,
+    run_figure,
     run_table1,
     scaled_spec,
 )
@@ -93,14 +93,14 @@ class TestTable1Harness:
 
 class TestEmbeddingHarness:
     def test_embeddings_and_silhouettes(self):
-        results = compute_method_embeddings(
-            ["pfl-simclr"],
-            dataset_name="cifar10",
-            setting=NonIIDSetting("dirichlet", 0.5, 20),
-            num_embed_clients=3,
-            samples_per_client=8,
+        results = run_figure(
+            "fig1",
+            methods=["pfl-simclr"],
             config=TINY_CONFIG,
             dataset_kwargs=TINY_DATASET,
+            samples_per_client=20,
+            embed_clients=3,
+            embed_samples=8,
             tsne_iterations=60,
         )
         result = results[0]

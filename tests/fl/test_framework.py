@@ -5,7 +5,6 @@ import pytest
 
 from repro.data import make_cifar10_like, make_stl10_like, partition_dirichlet
 from repro.fl import (
-    ClientData,
     FederatedConfig,
     PAPER_CONFIG,
     RandomSampler,
@@ -114,59 +113,46 @@ class TestFederationBuilding:
 
 
 class TestSamplers:
-    def make_clients(self, n=6):
-        return [ClientData(client_id=i,
-                           train=small_dataset().train.subset(np.arange(4)),
-                           test=small_dataset().test.subset(np.arange(2)))
-                for i in range(n)]
+    # Client ids need not be positions: samplers draw from the id list.
+    IDS = [3, 8, 14, 21, 30, 42]
 
     def test_random_sampler_size_and_distinct(self):
-        clients = self.make_clients()
-        sampler = RandomSampler(3, seed=0)
-        chosen = sampler.sample(clients, 0)
+        chosen = RandomSampler(3, seed=0).sample_ids(self.IDS, 0)
         assert len(chosen) == 3
-        assert len({c.client_id for c in chosen}) == 3
+        assert len(set(chosen)) == 3
+        assert set(chosen) <= set(self.IDS)
 
     def test_random_sampler_deterministic(self):
-        clients = self.make_clients()
-        ids_a = [c.client_id for c in RandomSampler(3, seed=5).sample(clients, 0)]
-        ids_b = [c.client_id for c in RandomSampler(3, seed=5).sample(clients, 0)]
+        ids_a = RandomSampler(3, seed=5).sample_ids(self.IDS, 0)
+        ids_b = RandomSampler(3, seed=5).sample_ids(self.IDS, 0)
         assert ids_a == ids_b
 
     def test_random_sampler_pure_in_round_index(self):
         # The determinism contract (repro.fl.execution): the participant
         # set is a function of (seed, round_index), never of call order.
-        clients = self.make_clients()
-
-        def ids(sampler, round_index):
-            return [c.client_id for c in sampler.sample(clients, round_index)]
-
         forward = RandomSampler(3, seed=7)
         shuffled = RandomSampler(3, seed=7)
-        by_round = {r: ids(forward, r) for r in range(4)}
+        by_round = {r: forward.sample_ids(self.IDS, r) for r in range(4)}
         for round_index in (2, 0, 3, 1, 2):  # out of order, with a repeat
-            assert ids(shuffled, round_index) == by_round[round_index]
+            assert shuffled.sample_ids(self.IDS, round_index) == by_round[round_index]
 
     def test_random_sampler_varies_across_rounds(self):
-        clients = self.make_clients()
         sampler = RandomSampler(3, seed=0)
-        draws = {tuple(c.client_id for c in sampler.sample(clients, r))
-                 for r in range(8)}
+        draws = {tuple(sampler.sample_ids(self.IDS, r)) for r in range(8)}
         assert len(draws) > 1
 
     def test_random_sampler_validates(self):
         with pytest.raises(ValueError):
             RandomSampler(0)
         with pytest.raises(ValueError):
-            RandomSampler(9).sample(self.make_clients(3), 0)
+            RandomSampler(9).sample_ids(self.IDS[:3], 0)
 
     def test_round_robin_covers_all(self):
-        clients = self.make_clients(6)
         sampler = RoundRobinSampler(2)
         seen = set()
         for round_index in range(3):
-            seen.update(c.client_id for c in sampler.sample(clients, round_index))
-        assert seen == set(range(6))
+            seen.update(sampler.sample_ids(self.IDS, round_index))
+        assert seen == set(self.IDS)
 
 
 class TestRunResult:

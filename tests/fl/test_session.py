@@ -196,6 +196,20 @@ class TestStepAndRunUntil:
         with pytest.raises(ValueError):
             TrainingSession(TraceAlgorithm(config), [], config)
 
+    def test_rejects_duplicate_client_ids(self):
+        # Stores, sampling and personalization results are keyed by client
+        # id: a repeated id would hand one client's store to another.
+        config = tiny_config()
+        clients = make_clients(4)
+        clients[3].client_id = 0
+        with pytest.raises(ValueError, match=r"^clients repeat client ids \[0\]"):
+            TrainingSession(TraceAlgorithm(config), clients, config)
+        novel = make_clients(3)
+        novel[2].client_id = 1
+        with pytest.raises(ValueError, match=r"^novel_clients repeat client ids \[1\]"):
+            TrainingSession(TraceAlgorithm(config), make_clients(4), config,
+                            novel_clients=novel)
+
 
 class TestBuiltinCallbacks:
     def test_history_streamer_to_stream_and_path(self, tmp_path):
