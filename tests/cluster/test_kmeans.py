@@ -71,6 +71,15 @@ class TestKMeansFunction:
         assert result.labels.min() >= 0
         assert result.labels.max() < min(k, points.shape[0])
 
+    def test_same_rng_seed_reproduces_run(self):
+        # Batched and per-client training must cluster identically.
+        points, _, _ = blobs(seed=17)
+        first = kmeans(points, 3, rng=np.random.default_rng(18))
+        second = kmeans(points, 3, rng=np.random.default_rng(18))
+        np.testing.assert_array_equal(first.centers, second.centers)
+        np.testing.assert_array_equal(first.labels, second.labels)
+        assert first.inertia == second.inertia
+
     def test_assignment_is_nearest_center(self):
         points, _, _ = blobs(seed=11)
         result = kmeans(points, 3, rng=np.random.default_rng(12))

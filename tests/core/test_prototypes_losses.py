@@ -96,6 +96,37 @@ class TestDifferentiablePrototypes:
         np.testing.assert_allclose(prototypes.data[1], np.full(3, 7.0))
 
 
+class TestPrototypePlan:
+    # Batched replay groups clients by the plan's layout, so the layout
+    # must carry exactly what the enabled terms read.
+    def test_layout_follows_enabled_terms(self):
+        z_e, z_o = clustered_views(seed=21)
+        clusters = cluster_views(z_e, z_o, 3, rng=rng(21))
+        dtype = z_e.data.dtype
+        assert prototype_plan(clusters, dtype, use_lc=False, use_ln=False,
+                              use_lp=False) == {}
+        assert set(prototype_plan(clusters, dtype, use_ln=False,
+                                  use_lp=False)) == {"centers", "member_e"}
+        plan = prototype_plan(clusters, dtype)
+        assert set(plan) == {"centers", "member_e", "member_o", "counts_e",
+                             "counts_o", "weights_e", "clusters_e", "keep"}
+        assert plan["member_e"].shape == (30, 3)
+        np.testing.assert_array_equal(plan["keep"], [0, 1, 2])
+
+    def test_masks_only_views_that_blend_fallbacks(self):
+        # Cluster 2 is empty in both views; l_n blends fallbacks into
+        # view o's prototypes only, l_p into both views'.
+        clusters = ViewClusters(centers=np.eye(3), labels_e=np.array([0, 0, 1, 1]),
+                                labels_o=np.array([0, 1, 1, 1]))
+        meta = prototype_plan(clusters, np.float64, use_lc=False, use_lp=False)
+        assert "mask_o" in meta and "mask_e" not in meta
+        np.testing.assert_array_equal(meta["mask_o"].ravel(), [1.0, 1.0, 0.0])
+        contrastive = prototype_plan(clusters, np.float64, use_lc=False,
+                                     use_ln=False)
+        assert "mask_e" in contrastive and "mask_o" in contrastive
+        np.testing.assert_array_equal(contrastive["keep"], [0, 1])
+
+
 class TestPrototypeMetaLoss:
     @staticmethod
     def meta_loss(z_e, z_o, clusters):

@@ -133,6 +133,16 @@ class TestBatchIterator:
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x, y)
 
+    def test_shuffled_epochs_differ(self):
+        # Training loops share one generator across epochs: each epoch
+        # draws a fresh permutation, never a replay of the last one.
+        generator = rng(0)
+        first = np.concatenate(list(batch_iterator(32, 8, shuffle=True, rng=generator)))
+        second = np.concatenate(list(batch_iterator(32, 8, shuffle=True, rng=generator)))
+        np.testing.assert_array_equal(np.sort(first), np.arange(32))
+        np.testing.assert_array_equal(np.sort(second), np.arange(32))
+        assert not np.array_equal(first, second)
+
     def test_invalid_batch_size(self):
         with pytest.raises(ValueError):
             list(batch_iterator(10, 0, shuffle=False))

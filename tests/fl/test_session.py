@@ -15,6 +15,7 @@ from repro.fl import (
     FederatedAlgorithm,
     FederatedConfig,
     HistoryStreamer,
+    RandomSampler,
     RoundCheckpointer,
     RoundRobinSampler,
     SessionCallback,
@@ -195,6 +196,23 @@ class TestStepAndRunUntil:
         config = tiny_config()
         with pytest.raises(ValueError):
             TrainingSession(TraceAlgorithm(config), [], config)
+
+    def test_samples_materialized_clients_by_id(self):
+        # Ids need not be positions: each round draws sample_ids over the
+        # clients' ids, in order, and maps them back to those clients.
+        config = tiny_config(rounds=4)
+        clients = make_clients(4)
+        ids = [10, 3, 7, 21]
+        for client, client_id in zip(clients, ids):
+            client.client_id = client_id
+        algorithm = TraceAlgorithm(config)
+        TrainingSession(algorithm, clients, config,
+                        sampler=RandomSampler(2, seed=11)).run()
+        reference = RandomSampler(2, seed=11)
+        for round_index in range(4):
+            drawn = [cid for kind, r, cid in algorithm.calls
+                     if kind == "update" and r == round_index]
+            assert drawn == reference.sample_ids(ids, round_index)
 
     def test_rejects_duplicate_client_ids(self):
         # Stores, sampling and personalization results are keyed by client
