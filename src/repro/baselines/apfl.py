@@ -20,7 +20,7 @@ from ..fl.client import ClientData
 from ..fl.personalization import PersonalizationResult
 from ..nn import Tensor, cross_entropy
 from ..nn.serialize import StateDict, clone_state, interpolate_states
-from .supervised import SupervisedFL, evaluate_model
+from .supervised import SupervisedFL, personal_model_result
 
 __all__ = ["APFL"]
 
@@ -119,9 +119,4 @@ class APFL(SupervisedFL):
             model.load_state_dict(mixed, strict=False)
         else:
             model.load_state_dict(global_state, strict=False)
-        return PersonalizationResult(
-            accuracy=evaluate_model(model, client.test),
-            train_accuracy=evaluate_model(model, client.train),
-            head=model.head,
-            losses=[],
-        )
+        return personal_model_result(model, client)

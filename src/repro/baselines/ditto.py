@@ -21,7 +21,7 @@ from ..fl.client import ClientData, derive_rng
 from ..fl.personalization import PersonalizationResult
 from ..nn import Tensor, cross_entropy
 from ..nn.serialize import StateDict, clone_state
-from .supervised import SupervisedFL, evaluate_model
+from .supervised import SupervisedFL, personal_model_result
 
 __all__ = ["Ditto"]
 
@@ -92,9 +92,4 @@ class Ditto(SupervisedFL):
         model = self._template
         model.load_state_dict(self._initial_state)
         model.load_state_dict(personal, strict=False)
-        return PersonalizationResult(
-            accuracy=evaluate_model(model, client.test),
-            train_accuracy=evaluate_model(model, client.train),
-            head=model.head,
-            losses=[],
-        )
+        return personal_model_result(model, client)

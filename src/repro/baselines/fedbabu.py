@@ -11,8 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..fl.algorithm import ClientUpdate
-from ..fl.client import ClientData, derive_rng
-from ..fl.personalization import PersonalizationResult, train_linear_probe
+from ..fl.client import ClientData
+from ..nn import Linear
 from ..nn.serialize import StateDict, split_state
 from .supervised import SupervisedFL, train_supervised_epochs
 
@@ -64,20 +64,6 @@ class FedBABU(SupervisedFL):
                          images: np.ndarray) -> np.ndarray:
         return self._load_body(global_state).features(images)
 
-    def personalize(self, client: ClientData, global_state: StateDict
-                    ) -> PersonalizationResult:
-        config = self.config
-        rng = derive_rng(config.seed, 9_999, client.client_id)
-        model = self._load_body(global_state)
-        train_features = model.features(client.train.images)
-        test_features = model.features(client.test.images)
-        return train_linear_probe(
-            train_features, client.train.labels,
-            test_features, client.test.labels,
-            num_classes=self.num_classes,
-            epochs=config.personalization_epochs,
-            learning_rate=config.personalization_lr,
-            batch_size=config.personalization_batch_size,
-            rng=rng,
-            head=model.head,  # fine-tune from the fixed initialization
-        )
+    def probe_head(self, client: ClientData, global_state: StateDict) -> Linear:
+        # Fine-tune from the fixed head initialization.
+        return self._load_body(global_state).head

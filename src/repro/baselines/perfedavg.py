@@ -17,7 +17,7 @@ from ..fl.client import ClientData, derive_rng
 from ..fl.personalization import PersonalizationResult
 from ..nn import Tensor, cross_entropy
 from ..nn.serialize import StateDict
-from .supervised import SupervisedFL, evaluate_model, train_supervised_epochs
+from .supervised import SupervisedFL, personal_model_result, train_supervised_epochs
 
 __all__ = ["PerFedAvg"]
 
@@ -93,9 +93,4 @@ class PerFedAvg(SupervisedFL):
                 rng=rng,
             )
             losses.append(loss)
-        return PersonalizationResult(
-            accuracy=evaluate_model(model, client.test),
-            train_accuracy=evaluate_model(model, client.train),
-            head=model.head,
-            losses=losses,
-        )
+        return personal_model_result(model, client, losses)

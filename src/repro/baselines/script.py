@@ -14,9 +14,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..fl.algorithm import ClientUpdate, FederatedAlgorithm
-from ..fl.client import ClientData, derive_rng
+from ..fl.client import ClientData
 from ..fl.config import FederatedConfig
-from ..fl.personalization import PersonalizationResult, train_linear_probe
 from ..nn.serialize import StateDict
 
 __all__ = ["ScriptLocal"]
@@ -52,20 +51,6 @@ class ScriptLocal(FederatedAlgorithm):
                          images: np.ndarray) -> np.ndarray:
         return images.reshape(images.shape[0], -1)
 
-    def personalize(self, client: ClientData, global_state: StateDict
-                    ) -> PersonalizationResult:
-        config = self.config
-        rng = derive_rng(config.seed, 9_999, client.client_id)
-        epochs = self.convergent_epochs if self.convergent \
-            else config.personalization_epochs
-        return train_linear_probe(
-            self.extract_features(client, global_state, client.train.images),
-            client.train.labels,
-            self.extract_features(client, global_state, client.test.images),
-            client.test.labels,
-            num_classes=self.num_classes,
-            epochs=epochs,
-            learning_rate=config.personalization_lr,
-            batch_size=config.personalization_batch_size,
-            rng=rng,
-        )
+    def probe_epochs(self) -> int:
+        return (self.convergent_epochs if self.convergent
+                else super().probe_epochs())

@@ -11,7 +11,8 @@ directly and the body/head methods subclass.
 
 from __future__ import annotations
 
-from typing import Optional
+import copy
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -21,11 +22,12 @@ from ..fl.algorithm import ClientUpdate, FederatedAlgorithm
 from ..fl.client import ClientData, derive_rng
 from ..fl.config import FederatedConfig
 from ..fl.models import ClassifierModel
-from ..fl.personalization import PersonalizationResult, train_linear_probe
-from ..nn import SGD, Tensor, accuracy, cross_entropy
+from ..fl.personalization import PersonalizationResult
+from ..nn import SGD, Linear, Tensor, accuracy, cross_entropy
 from ..nn.serialize import StateDict
 
-__all__ = ["train_supervised_epochs", "evaluate_model", "SupervisedFL"]
+__all__ = ["train_supervised_epochs", "evaluate_model", "personal_model_result",
+           "SupervisedFL"]
 
 
 def train_supervised_epochs(
@@ -69,11 +71,25 @@ def evaluate_model(model: ClassifierModel, split: DataSplit) -> float:
     return accuracy(model.predict(split.images), split.labels)
 
 
+def personal_model_result(model: ClassifierModel, client: ClientData,
+                          losses: Sequence[float] = ()) -> PersonalizationResult:
+    """Personalization by evaluating a personal model as-is (APFL, Ditto,
+    Per-FedAvg).  The head is copied: ``model`` is a template shared by
+    every client of a cohort."""
+    return PersonalizationResult(
+        accuracy=evaluate_model(model, client.test),
+        train_accuracy=evaluate_model(model, client.train),
+        head=copy.deepcopy(model.head),
+        losses=list(losses),
+    )
+
+
 class SupervisedFL(FederatedAlgorithm):
     """FedAvg and FedAvg-FT (McMahan et al., 2017).
 
-    The whole model (encoder + head) is averaged by sample count.  With
-    ``fine_tune_head=False`` the personalization stage evaluates the global
+    The whole model (encoder + head) is averaged by sample count.  The
+    personalization probe starts from the global head: with
+    ``fine_tune_head=False`` it runs zero epochs, i.e. evaluates the global
     model as-is (the paper's *FedAvg* row); with ``True`` the head is
     fine-tuned on local data first (*FedAvg-FT*).
     """
@@ -133,27 +149,9 @@ class SupervisedFL(FederatedAlgorithm):
         model = self._load_template(global_state)
         return model.features(images)
 
-    def personalize(self, client: ClientData, global_state: StateDict
-                    ) -> PersonalizationResult:
-        model = self._load_template(global_state)
-        if not self.fine_tune_head:
-            test_acc = evaluate_model(model, client.test)
-            train_acc = evaluate_model(model, client.train)
-            return PersonalizationResult(accuracy=test_acc, train_accuracy=train_acc,
-                                         head=model.head, losses=[])
-        config = self.config
-        rng = derive_rng(config.seed, 9_999, client.client_id)
-        train_features = model.features(client.train.images)
-        test_features = model.features(client.test.images)
-        return train_linear_probe(
-            train_features,
-            client.train.labels,
-            test_features,
-            client.test.labels,
-            num_classes=self.num_classes,
-            epochs=config.personalization_epochs,
-            learning_rate=config.personalization_lr,
-            batch_size=config.personalization_batch_size,
-            rng=rng,
-            head=model.head,
-        )
+    def probe_head(self, client: ClientData, global_state: StateDict) -> Linear:
+        return self._load_template(global_state).head
+
+    def probe_epochs(self) -> int:
+        # FedAvg evaluates the global model as-is: a zero-epoch probe.
+        return super().probe_epochs() if self.fine_tune_head else 0

@@ -6,7 +6,7 @@ sampling, aggregation, metric history, and the shared linear-probe
 personalization stage.
 """
 
-from .algorithm import ClientUpdate, FederatedAlgorithm, UpdateAccumulator
+from .algorithm import ClientUpdate, FederatedAlgorithm
 from .client import (
     ClientData,
     build_federation,
@@ -39,9 +39,9 @@ from .personalization import (
 )
 from .population import (
     AvailabilityModel,
-    BufferedAccumulator,
     ClientDescriptor,
     VirtualPopulation,
+    buffered_aggregate,
 )
 from .sampler import RandomSampler, RoundRobinSampler
 from .session import (
@@ -64,7 +64,7 @@ __all__ = [
     "AvailabilityModel",
     "VirtualPopulation",
     "ClientDescriptor",
-    "BufferedAccumulator",
+    "buffered_aggregate",
     "ClientData",
     "build_federation",
     "build_novel_clients",
@@ -72,7 +72,6 @@ __all__ = [
     "payload_nbytes",
     "ClientUpdate",
     "FederatedAlgorithm",
-    "UpdateAccumulator",
     "TrainingSession",
     "ServerState",
     "SessionCallback",

@@ -1,14 +1,20 @@
 """The federated-algorithm strategy interface.
 
 A :class:`FederatedAlgorithm` owns model construction and the three phases
-of a pFL experiment:
+of a pFL experiment, each one code path:
 
 * ``local_update`` — one sampled client's contribution in a round;
 * ``aggregate`` — combine client updates into the next global state
-  (default: FedAvg's sample-count-weighted average);
-* ``personalize`` — the post-training stage run on *every* client
-  (default: the paper's linear probe on frozen encoder features, which
-  ``cohort_personalize`` trains client-batched).
+  (default: FedAvg's sample-count-weighted average).  The session calls
+  it once per round over the updates in sampled order, or once per
+  simulated flush under the async policies
+  (:func:`~repro.fl.population.buffered_aggregate`);
+* ``personalize`` — the post-training stage run on *every* client: the
+  paper's linear probe on frozen features, which ``cohort_personalize``
+  trains client-batched.  Methods choose the probe's starting head
+  (``probe_head``) and epoch count (``probe_epochs``); only methods that
+  evaluate a personal model instead (APFL, Ditto, Per-FedAvg) override
+  ``personalize``.
 
 Baselines override the pieces they change; Calibre overrides
 ``local_update`` (prototype losses) and ``aggregate`` (divergence-aware
@@ -17,11 +23,13 @@ weighting).
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Optional, Sequence
 
 import numpy as np
 
+from ..nn import Linear
 from ..nn.serialize import StateDict, weighted_average
 from .client import ClientData, derive_rng
 from .config import FederatedConfig
@@ -32,7 +40,7 @@ from .personalization import (
     train_linear_probes,
 )
 
-__all__ = ["ClientUpdate", "FederatedAlgorithm", "UpdateAccumulator"]
+__all__ = ["ClientUpdate", "FederatedAlgorithm"]
 
 
 @dataclass
@@ -48,59 +56,6 @@ class ClientUpdate:
     weight: float
     metrics: Dict[str, float] = field(default_factory=dict)
     payload: Dict[str, object] = field(default_factory=dict)
-
-
-class UpdateAccumulator:
-    """Consumes client updates as they complete; combines at finalize.
-
-    The :class:`~repro.fl.session.TrainingSession` feeds this object from
-    an iterator of completed cohorts (``ExecutionBackend.imap``), so
-    per-update work in :meth:`ingest` overlaps with still-running clients
-    instead of waiting for the round barrier — the seam future
-    async-aggregation strategies plug into.
-
-    The final combine runs over updates reordered into *input* (dispatch)
-    order, never completion order: floating-point reduction is
-    order-sensitive, and reordering is what keeps serial, thread, and
-    process backends bitwise identical (the determinism contract of
-    :mod:`repro.fl.execution`).  The async aggregation policies
-    (:class:`~repro.fl.population.BufferedAccumulator`) subclass this and
-    override :meth:`finalize` with a *simulated* completion order — also a
-    pure function of the run config, never of real scheduling — so even
-    "async" runs keep the cross-backend guarantee.
-    """
-
-    def __init__(self, algorithm: "FederatedAlgorithm", global_state: StateDict,
-                 round_index: int):
-        self.algorithm = algorithm
-        self.global_state = global_state
-        self.round_index = round_index
-        self._slots: Dict[int, ClientUpdate] = {}
-
-    def add(self, index: int, update: ClientUpdate) -> None:
-        """Accept the update of input position ``index`` (completion order)."""
-        if index in self._slots:
-            raise ValueError(f"duplicate update for input position {index}")
-        self._slots[index] = update
-        self.ingest(update)
-
-    def ingest(self, update: ClientUpdate) -> None:
-        """Eager per-update hook, called in completion order.
-
-        The default does nothing; algorithms override it to start
-        order-insensitive work (cloning, divergence statistics, delta
-        precomputation) before the round barrier.
-        """
-
-    def finalize(self) -> StateDict:
-        """Combine all accepted updates into the next global state."""
-        ordered = [self._slots[index] for index in sorted(self._slots)]
-        return self.algorithm.aggregate(ordered, self.global_state,
-                                        self.round_index)
-
-    def updates_in_order(self) -> Sequence[ClientUpdate]:
-        """Accepted updates in input (dispatch) order."""
-        return [self._slots[index] for index in sorted(self._slots)]
 
 
 class FederatedAlgorithm:
@@ -169,32 +124,54 @@ class FederatedAlgorithm:
             return global_state
         return weighted_average([u.state for u in updates], [u.weight for u in updates])
 
+    def probe_head(self, client: ClientData, global_state: StateDict
+                   ) -> Optional[Linear]:
+        """The head the client's probe starts from, or ``None`` for a fresh
+        one drawn from the client's personalization generator.
+
+        The probe trains a copy, so the head may live on a template shared
+        by every client of a cohort.
+        """
+        return None
+
+    def probe_epochs(self) -> int:
+        """Epochs of the personalization probe (0 evaluates the starting
+        head as-is)."""
+        return self.config.personalization_epochs
+
+    def _probe_task(self, client: ClientData, global_state: StateDict
+                    ) -> ProbeTask:
+        train = self.extract_features(client, global_state, client.train.images)
+        test = self.extract_features(client, global_state, client.test.images)
+        # The probe trains its head in place, and the hook's head may live
+        # on a template the next client reloads: copy it at once.
+        head = self.probe_head(client, global_state)
+        return ProbeTask(train, client.train.labels, test, client.test.labels,
+                         rng=derive_rng(self.config.seed, 9_999, client.client_id),
+                         head=None if head is None else copy.deepcopy(head))
+
+    def _probe_options(self) -> Dict:
+        config = self.config
+        return dict(num_classes=self.num_classes, epochs=self.probe_epochs(),
+                    learning_rate=config.personalization_lr,
+                    batch_size=config.personalization_batch_size)
+
     def personalize(self, client: ClientData, global_state: StateDict
                     ) -> PersonalizationResult:
         """The paper's personalization stage: linear probe on frozen features."""
-        config = self.config
-        rng = derive_rng(config.seed, 9_999, client.client_id)
-        train_features = self.extract_features(client, global_state, client.train.images)
-        test_features = self.extract_features(client, global_state, client.test.images)
+        task = self._probe_task(client, global_state)
         return train_linear_probe(
-            train_features,
-            client.train.labels,
-            test_features,
-            client.test.labels,
-            num_classes=self.num_classes,
-            epochs=config.personalization_epochs,
-            learning_rate=config.personalization_lr,
-            batch_size=config.personalization_batch_size,
-            rng=rng,
-        )
+            task.train_features, task.train_labels,
+            task.test_features, task.test_labels,
+            rng=task.rng, head=task.head, **self._probe_options())
 
     def cohort_personalize(self, clients: Sequence[ClientData],
                            global_state: StateDict
                            ) -> List[PersonalizationResult]:
         """Personalize a cohort of clients, results in client order.
 
-        With the stock :meth:`personalize`, every client's features are
-        extracted and the probes train on the client-batched engine
+        With the stock :meth:`personalize`, every client's probe trains on
+        the client-batched engine
         (:func:`~repro.fl.personalization.train_linear_probes`), which
         groups clients by feature shape and returns results bitwise
         identical to personalizing each client alone.  An algorithm that
@@ -202,33 +179,9 @@ class FederatedAlgorithm:
         """
         if type(self).personalize is not FederatedAlgorithm.personalize:
             return [self.personalize(client, global_state) for client in clients]
-        config = self.config
-        tasks = [ProbeTask(
-            self.extract_features(client, global_state, client.train.images),
-            client.train.labels,
-            self.extract_features(client, global_state, client.test.images),
-            client.test.labels,
-            rng=derive_rng(config.seed, 9_999, client.client_id),
-        ) for client in clients]
         return train_linear_probes(
-            tasks,
-            num_classes=self.num_classes,
-            epochs=config.personalization_epochs,
-            learning_rate=config.personalization_lr,
-            batch_size=config.personalization_batch_size,
-        )
-
-    def make_aggregator(self, global_state: StateDict,
-                        round_index: int) -> UpdateAccumulator:
-        """Build this round's update consumer (see :class:`UpdateAccumulator`).
-
-        The default buffers updates and calls :meth:`aggregate` over them
-        in input order at finalize — bitwise identical to the classic
-        barriered round loop.  Algorithms with order-insensitive
-        aggregation can return an accumulator that does real work in
-        ``ingest`` instead.
-        """
-        return UpdateAccumulator(self, global_state, round_index)
+            [self._probe_task(client, global_state) for client in clients],
+            **self._probe_options())
 
     # ------------------------------------------------------------------
     # Server-side state (round-level checkpointing)

@@ -163,12 +163,12 @@ class ExecutionBackend:
         pairs as results complete.
 
         The one dispatch primitive: the caller (the session's round loop)
-        can begin consuming results — writing client stores back, feeding
-        the aggregator — before the whole batch finishes.  Completion
+        can begin consuming results — writing client stores back, emitting
+        ``ClientUpdateDone`` — before the whole batch finishes.  Completion
         order is *not* input order under parallel backends; callers needing
-        determinism must reorder by the yielded index before any
-        order-sensitive reduction (see
-        :class:`~repro.fl.algorithm.UpdateAccumulator`).
+        determinism must place results by the yielded index before any
+        order-sensitive reduction (the session aggregates updates in
+        sampled order).
 
         The base implementation evaluates lazily in input order, which is
         exactly right for :class:`SerialBackend`: item ``i``'s result is

@@ -15,7 +15,7 @@ every behaviour is a pure function of ``(seed, round, client_id)``:
   dropout, and per-client speed multipliers from an
   :class:`~repro.fl.config.AvailabilitySpec`.
 * :mod:`~repro.fl.population.aggregation` — **arrival**.
-  :class:`BufferedAccumulator` simulates FedBuff-style buffered /
+  :func:`buffered_aggregate` simulates FedBuff-style buffered /
   staleness-weighted servers over deterministic simulated completion
   times; strictly opt-in via ``FederatedConfig.aggregation`` (the sync
   path remains the CI bitwise contract).
@@ -26,7 +26,7 @@ every behaviour is a pure function of ``(seed, round, client_id)``:
 """
 
 from ..config import AGGREGATION_POLICIES, AvailabilitySpec
-from .aggregation import BufferedAccumulator, simulated_completion_order
+from .aggregation import buffered_aggregate, simulated_completion_order
 from .availability import AvailabilityModel
 from .virtual import ClientDescriptor, VirtualPopulation
 
@@ -34,8 +34,8 @@ __all__ = [
     "AGGREGATION_POLICIES",
     "AvailabilitySpec",
     "AvailabilityModel",
-    "BufferedAccumulator",
     "ClientDescriptor",
     "VirtualPopulation",
+    "buffered_aggregate",
     "simulated_completion_order",
 ]

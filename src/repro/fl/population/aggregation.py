@@ -4,7 +4,7 @@ The synchronous round loop waits for every sampled client, reorders
 updates into dispatch order, and averages once — the CI bitwise
 contract.  Real cross-device servers do not wait: they flush a buffer of
 the ``K`` fastest updates as soon as it fills (FedBuff), down-weighting
-whatever arrives late.  :class:`BufferedAccumulator` reproduces that
+whatever arrives late.  :func:`buffered_aggregate` reproduces that
 behaviour *deterministically*: client completion times are simulated
 from the availability model's per-client speed multipliers and local
 sample counts, so "who finished first" is a pure function of the run
@@ -15,8 +15,8 @@ Policy mapping (``FederatedConfig.aggregation``):
 * ``"buffered"`` — FedBuff with ``aggregation_buffer``-sized flushes;
 * ``"staleness"`` — the degenerate buffer of size 1, i.e. pure
   staleness-weighted sequential application;
-* ``"sync"`` — not this module; the classic
-  :class:`~repro.fl.algorithm.UpdateAccumulator`.
+* ``"sync"`` — not this module; the session calls the algorithm's
+  ``aggregate`` once over the round's updates in sampled order.
 
 An update in the ``f``-th flush has staleness ``f`` (it arrived ``f``
 server steps after the round's model was cut) and its weight is scaled
@@ -30,12 +30,12 @@ exactly to the synchronous path.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, List, Optional, Sequence
+from typing import List, Sequence, Tuple
 
 from ...nn.serialize import StateDict, weighted_average
-from ..algorithm import ClientUpdate, UpdateAccumulator
+from ..algorithm import ClientUpdate, FederatedAlgorithm
 
-__all__ = ["BufferedAccumulator", "simulated_completion_order"]
+__all__ = ["buffered_aggregate", "simulated_completion_order"]
 
 
 def simulated_completion_order(durations: Sequence[float]) -> List[int]:
@@ -50,55 +50,44 @@ def simulated_completion_order(durations: Sequence[float]) -> List[int]:
                   key=lambda position: (float(durations[position]), position))
 
 
-class BufferedAccumulator(UpdateAccumulator):
+def buffered_aggregate(algorithm: FederatedAlgorithm,
+                       updates: Sequence[ClientUpdate],
+                       global_state: StateDict, round_index: int, *,
+                       durations: Sequence[float], buffer_size: int,
+                       staleness_decay: float
+                       ) -> Tuple[StateDict, List[int]]:
     """FedBuff-style buffered aggregation over simulated completion order.
 
-    ``durations`` maps input position -> simulated duration (speed
-    multiplier x local sample count, supplied by the session); positions
-    without an entry default to ``0.0``.  Like the base class, the real
-    combine happens at :meth:`finalize` from accepted slots only, so
-    mid-round dropouts simply never enter a flush.
+    ``updates`` and ``durations`` are aligned by sampled position
+    (``durations`` is each participant's simulated duration: speed
+    multiplier x local sample count, supplied by the session).  Returns
+    the next global state and each update's staleness — the index of the
+    flush it landed in — in the same positions.
     """
-
-    def __init__(self, algorithm, global_state: StateDict, round_index: int,
-                 *, buffer_size: int, staleness_decay: float,
-                 durations: Optional[Dict[int, float]] = None):
-        super().__init__(algorithm, global_state, round_index)
-        if buffer_size < 1:
-            raise ValueError("buffer_size must be >= 1")
-        if staleness_decay < 0.0:
-            raise ValueError("staleness_decay must be >= 0")
-        self.buffer_size = int(buffer_size)
-        self.staleness_decay = float(staleness_decay)
-        self.durations: Dict[int, float] = dict(durations or {})
-        self.staleness_by_position: Dict[int, int] = {}
-
-    def finalize(self) -> StateDict:
-        positions = sorted(self._slots)
-        if not positions:
-            return self.global_state
-        ordered = simulated_completion_order(
-            [self.durations.get(position, 0.0) for position in positions])
-        arrival = [positions[index] for index in ordered]
-        total = len(arrival)
-        state = self.global_state
-        for start in range(0, total, self.buffer_size):
-            flush = arrival[start:start + self.buffer_size]
-            flush_index = start // self.buffer_size
-            scale = (1.0 + flush_index) ** (-self.staleness_decay)
-            updates = []
-            for position in flush:
-                update = self._slots[position]
-                self.staleness_by_position[position] = flush_index
-                updates.append(replace(update, weight=update.weight * scale))
-            flushed = self.algorithm.aggregate(updates, state, self.round_index)
-            rate = len(flush) / total
-            # One full flush is exactly the sync combine; partial flushes
-            # move the server by their population share.
-            state = flushed if rate >= 1.0 else weighted_average(
-                [state, flushed], [1.0 - rate, rate])
-        return state
-
-    def total_staleness(self) -> int:
-        """Sum of per-update staleness recorded by the last finalize."""
-        return sum(self.staleness_by_position.values())
+    if buffer_size < 1:
+        raise ValueError("buffer_size must be >= 1")
+    if staleness_decay < 0.0:
+        raise ValueError("staleness_decay must be >= 0")
+    if len(durations) != len(updates):
+        raise ValueError(f"got {len(durations)} durations for "
+                         f"{len(updates)} updates")
+    staleness = [0] * len(updates)
+    arrival = simulated_completion_order(durations)
+    total = len(arrival)
+    state = global_state
+    for start in range(0, total, buffer_size):
+        flush = arrival[start:start + buffer_size]
+        flush_index = start // buffer_size
+        scale = (1.0 + flush_index) ** -staleness_decay
+        scaled = []
+        for position in flush:
+            staleness[position] = flush_index
+            update = updates[position]
+            scaled.append(replace(update, weight=update.weight * scale))
+        flushed = algorithm.aggregate(scaled, state, round_index)
+        rate = len(flush) / total
+        # One full flush is exactly the sync combine; partial flushes
+        # move the server by their population share.
+        state = flushed if rate >= 1.0 else weighted_average(
+            [state, flushed], [1.0 - rate, rate])
+    return state, staleness

@@ -9,11 +9,11 @@ A session object
   registered callbacks at every seam of the loop;
 * dispatches every round as a plan of client cohorts — a per-client round
   is a plan of singleton cohorts — and consumes the updates as an
-  *iterator of completed results* (``ExecutionBackend.imap``), handing
-  each update to the round's
-  :class:`~repro.fl.algorithm.UpdateAccumulator` the moment its cohort
-  finishes — store write-back and per-update aggregation work overlap
-  with still-running cohorts instead of waiting for the round barrier;
+  *iterator of completed results* (``ExecutionBackend.imap``): each
+  update's store write-back and ``ClientUpdateDone`` event happen the
+  moment its cohort finishes, and the update is kept at its sampled
+  position, so the round's one aggregation call combines updates in
+  sampled order whatever the completion order;
 * checkpoints and restores at round granularity: a run resumed from a
   checkpoint taken at round k is bitwise identical to the uninterrupted
   run, across serial/thread/process backends.
@@ -38,12 +38,12 @@ import numpy as np
 
 from ...nn.serialize import StateDict, clone_state
 from ...telemetry import InstrumentedTask, TaskOutcome, Tracer, current_tracer
-from ..algorithm import ClientUpdate, FederatedAlgorithm, UpdateAccumulator
+from ..algorithm import ClientUpdate, FederatedAlgorithm
 from ..client import ClientData
 from ..config import DEFAULT_OMITTED_FIELDS, EXECUTION_FIELDS, FederatedConfig
 from ..execution import ExecutionBackend, chunk_items, resolve_backend
 from ..history import RoundRecord, RunResult
-from ..population import AvailabilityModel, BufferedAccumulator, VirtualPopulation
+from ..population import AvailabilityModel, VirtualPopulation, buffered_aggregate
 from ..sampler import RandomSampler
 from .events import (
     AggregateDone,
@@ -449,35 +449,38 @@ class TrainingSession:
                             for client_id in active]
         return participants, dropped
 
-    def _make_round_aggregator(self, participants: Sequence[ClientData],
-                               round_index: int) -> UpdateAccumulator:
-        """The round's update consumer for the configured policy.
+    def _aggregate(self, updates: Sequence[ClientUpdate],
+                   participants: Sequence[ClientData],
+                   round_index: int) -> StateDict:
+        """The round's one aggregation call, for the configured policy.
 
-        ``"sync"`` defers to the algorithm's own seam
-        (:meth:`~repro.fl.algorithm.FederatedAlgorithm.make_aggregator`)
-        — the CI bitwise contract.  The async policies wrap the same
-        algorithm in a :class:`~repro.fl.population.BufferedAccumulator`,
-        with each participant's simulated duration = its availability
-        speed multiplier × its local sample count (a deterministic proxy
-        for "slower device, more work"; 1 × samples for a homogeneous
-        fleet, so completion order degrades to dispatch order).
+        ``"sync"`` is the algorithm's own
+        :meth:`~repro.fl.algorithm.FederatedAlgorithm.aggregate` over the
+        updates in sampled order — the CI bitwise contract.  The async
+        policies run :func:`~repro.fl.population.buffered_aggregate`, with
+        each participant's simulated duration = its availability speed
+        multiplier × its local sample count (a deterministic proxy for
+        "slower device, more work"; 1 × samples for a homogeneous fleet,
+        so completion order degrades to dispatch order).
         """
-        if self.config.aggregation == "sync":
-            return self.algorithm.make_aggregator(
-                self._state.global_state, round_index)
-        durations: Dict[int, float] = {}
-        for position, client in enumerate(participants):
-            speed = (self._availability.speed_multiplier(client.client_id)
-                     if self._availability is not None else 1.0)
-            durations[position] = speed * max(client.num_train_samples, 1)
-        buffer_size = (1 if self.config.aggregation == "staleness"
-                       else self.config.aggregation_buffer)
-        return BufferedAccumulator(
-            self.algorithm, self._state.global_state, round_index,
-            buffer_size=buffer_size,
-            staleness_decay=self.config.staleness_decay,
+        global_state = self._state.global_state
+        policy = self.config.aggregation
+        if policy == "sync":
+            return self.algorithm.aggregate(updates, global_state, round_index)
+        durations = [
+            (self._availability.speed_multiplier(client.client_id)
+             if self._availability is not None else 1.0)
+            * max(client.num_train_samples, 1)
+            for client in participants]
+        state, staleness = buffered_aggregate(
+            self.algorithm, updates, global_state, round_index,
             durations=durations,
+            buffer_size=(1 if policy == "staleness"
+                         else self.config.aggregation_buffer),
+            staleness_decay=self.config.staleness_decay,
         )
+        self._count("aggregate.staleness", sum(staleness))
+        return state
 
     def _step_inner(self, round_index: int) -> RoundRecord:
         with self._span("sample", round=round_index):
@@ -488,7 +491,6 @@ class TrainingSession:
             round_index=round_index,
             participant_ids=tuple(client.client_id for client in participants),
         ))
-        aggregator = self._make_round_aggregator(participants, round_index)
         plan = self._plan_cohorts(participants)
         task = self._instrument(
             functools.partial(
@@ -499,25 +501,27 @@ class TrainingSession:
             functools.partial(_cohort_span_attrs, round_index),
         )
         # Stream completed cohorts: homogeneous clients travel together so
-        # the algorithm's vectorized engine (if any) can batch them, and the
-        # aggregator ingests each update the moment its cohort finishes, at
-        # its *sampled* position — so aggregation order, and therefore the
-        # result, never depends on the plan or on completion order.
+        # the algorithm's vectorized engine (if any) can batch them, and each
+        # update is kept at its *sampled* position the moment its cohort
+        # finishes — so aggregation order, and therefore the result, never
+        # depends on the plan or on completion order.
+        updates: List[Optional[ClientUpdate]] = [None] * len(participants)
         with self._span("dispatch", round=round_index,
                         participants=len(participants), cohorts=len(plan)), \
                 closing(self._dispatch(task, participants, plan)) as outcomes:
             for position, outcome in outcomes:
-                aggregator.add(position, outcome.result)
+                if updates[position] is not None:
+                    raise ValueError(
+                        f"round {round_index}: the backend delivered sampled "
+                        f"position {position} twice")
+                updates[position] = outcome.result
                 self._emit(ClientUpdateDone(
                     round_index=round_index,
                     client_id=outcome.client_id,
                     update=outcome.result,
                 ))
         with self._span("aggregate", round=round_index):
-            new_global = aggregator.finalize()
-            updates: List[ClientUpdate] = list(aggregator.updates_in_order())
-        if isinstance(aggregator, BufferedAccumulator):
-            self._count("aggregate.staleness", aggregator.total_staleness())
+            new_global = self._aggregate(updates, participants, round_index)
         self._emit(AggregateDone(round_index=round_index,
                                  num_updates=len(updates)))
         # Non-finite client losses (divergence, dead activations) are

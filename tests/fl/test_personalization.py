@@ -15,8 +15,9 @@ import pytest
 from repro.data import make_cifar10_like
 from repro.data.loader import batch_iterator
 from repro.data.synthetic import DataSplit
+from repro.baselines.supervised import evaluate_model
 from repro.eval import build_method
-from repro.fl import ClientData, FederatedConfig, build_federation
+from repro.fl import ClassifierModel, ClientData, FederatedConfig, build_federation
 from repro.fl.personalization import (
     ProbeTask,
     _head_layout,
@@ -204,24 +205,75 @@ def _mixed_clients():
     return build_federation(dataset, parts, test_fraction=0.25, seed=0)
 
 
+def _trained(algorithm, clients):
+    """One round of local updates and aggregation: a global state (and,
+    for body/head methods, client stores) that differ from round 0."""
+    initial = algorithm.build_global_state()
+    updates = [algorithm.local_update(client, initial, 0) for client in clients]
+    return algorithm.aggregate(updates, initial, 0)
+
+
 def _same_results(first, second):
     assert first.accuracy == second.accuracy
     assert first.train_accuracy == second.train_accuracy
     assert first.losses == second.losses
-    assert first.head.weight.data.tobytes() == second.head.weight.data.tobytes()
+    for (name, param), (_, other) in zip(first.head.named_parameters(),
+                                         second.head.named_parameters()):
+        assert param.data.tobytes() == other.data.tobytes(), name
+
+
+# Every method whose personalization is the linear probe.
+PROBE_METHODS = ["fedavg", "fedavg-ft", "scaffold", "scaffold-ft", "fedper",
+                 "fedrep", "lg-fedavg", "fedbabu", "script-fair",
+                 "script-convergent", "pfl-simclr"]
+
+# Methods whose probe starts from (or whose personal model keeps) a head
+# on the algorithm's shared template.
+TEMPLATE_HEAD_METHODS = ["fedper", "fedrep", "lg-fedavg", "fedbabu",
+                         "fedavg-ft", "scaffold-ft", "fedavg", "scaffold",
+                         "apfl", "ditto", "perfedavg"]
 
 
 class TestCohortPersonalize:
-    @pytest.mark.parametrize("name", ["pfl-simclr", "fedper"])
+    @pytest.mark.parametrize("name", PROBE_METHODS)
     def test_mixed_shapes_in_input_order(self, name):
         config = _config()
         clients = _mixed_clients()
         assert len({client.train.images.shape for client in clients}) == 2
         algorithm = build_method(name, config, 10, encoder_factory)
-        global_state = algorithm.build_global_state()
-        batched = algorithm.cohort_personalize(clients, global_state)
-        for client, result in zip(clients, batched):
+        global_state = _trained(algorithm, clients)
+        # Snapshots: no later personalization may change a result already
+        # handed out.
+        batched = copy.deepcopy(algorithm.cohort_personalize(clients, global_state))
+        lone = [copy.deepcopy(algorithm.personalize(client, global_state))
+                for client in clients]
+        for result, alone in zip(batched, lone):
+            _same_results(result, alone)
+
+    @pytest.mark.parametrize("name", TEMPLATE_HEAD_METHODS)
+    def test_every_result_owns_its_head(self, name):
+        config = _config()
+        clients = _mixed_clients()[:3]
+        algorithm = build_method(name, config, 10, encoder_factory)
+        global_state = _trained(algorithm, clients)
+        results = algorithm.cohort_personalize(clients, global_state)
+        assert len({id(result.head) for result in results}) == len(results)
+        for client, result in zip(clients, results):
             _same_results(result, algorithm.personalize(client, global_state))
+
+    @pytest.mark.parametrize("name", ["fedavg", "scaffold"])
+    def test_zero_epoch_probe_is_global_model_evaluation(self, name):
+        config = _config()
+        clients = _mixed_clients()
+        algorithm = build_method(name, config, 10, encoder_factory)
+        global_state = _trained(algorithm, clients)
+        model = ClassifierModel(encoder_factory, 10)
+        model.load_state_dict(global_state)
+        for client in clients:
+            result = algorithm.personalize(client, global_state)
+            assert result.accuracy == evaluate_model(model, client.test)
+            assert result.train_accuracy == evaluate_model(model, client.train)
+            assert result.losses == []
 
     def test_zero_training_samples_raise(self):
         config = _config()

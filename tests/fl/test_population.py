@@ -22,12 +22,11 @@ from repro.fl import (
     RandomSampler,
     RoundRobinSampler,
     TrainingSession,
-    UpdateAccumulator,
     VirtualPopulation,
 )
 from repro.fl.population import (
     AvailabilityModel,
-    BufferedAccumulator,
+    buffered_aggregate,
     simulated_completion_order,
 )
 
@@ -249,6 +248,8 @@ def make_update(position, value, weight=1.0):
 
 
 class TestBufferedAccumulator:
+    """``buffered_aggregate``: FedBuff flushes over simulated completion."""
+
     def test_completion_order_breaks_ties_by_position(self):
         assert simulated_completion_order([2.0, 1.0, 1.0]) == [1, 2, 0]
         assert simulated_completion_order([1.0, 1.0]) == [0, 1]
@@ -256,58 +257,56 @@ class TestBufferedAccumulator:
     def test_full_buffer_single_flush_equals_sync(self):
         algorithm = RecordingAlgorithm()
         zero = {"w": np.zeros(2)}
-        sync = UpdateAccumulator(algorithm, zero, round_index=0)
-        buffered = BufferedAccumulator(algorithm, zero, round_index=0,
-                                       buffer_size=8, staleness_decay=0.5)
-        for position in range(3):
-            update = make_update(position, float(position), weight=position + 1)
-            sync.add(position, update)
-            buffered.add(position, update)
-        np.testing.assert_array_equal(buffered.finalize()["w"],
-                                      sync.finalize()["w"])
-        assert buffered.total_staleness() == 0
+        updates = [make_update(position, float(position), weight=position + 1)
+                   for position in range(3)]
+        state, staleness = buffered_aggregate(
+            algorithm, updates, zero, 0, durations=[1.0, 1.0, 1.0],
+            buffer_size=8, staleness_decay=0.5)
+        np.testing.assert_array_equal(
+            state["w"], algorithm.aggregate(updates, zero, 0)["w"])
+        assert staleness == [0, 0, 0]
 
     def test_staleness_assignment_and_weight_decay(self):
         algorithm = RecordingAlgorithm()
-        accumulator = BufferedAccumulator(
-            algorithm, {"w": np.zeros(2)}, round_index=0,
-            buffer_size=1, staleness_decay=1.0,
-            durations={0: 3.0, 1: 1.0, 2: 2.0})
-        for position in range(3):
-            accumulator.add(position, make_update(position, 1.0, weight=4.0))
-        accumulator.finalize()
+        updates = [make_update(position, 1.0, weight=4.0) for position in range(3)]
+        _, staleness = buffered_aggregate(
+            algorithm, updates, {"w": np.zeros(2)}, 0,
+            durations=[3.0, 1.0, 2.0], buffer_size=1, staleness_decay=1.0)
         # Arrival order by duration: position 1, then 2, then 0.
-        assert accumulator.staleness_by_position == {1: 0, 2: 1, 0: 2}
-        assert accumulator.total_staleness() == 3
+        assert staleness == [2, 0, 1]
         # Each flush scales its updates' weights by (1 + f) ** -decay.
         assert algorithm.seen_weights == [[4.0], [2.0], [4.0 / 3.0]]
 
     def test_sequential_mixing_math(self):
-        algorithm = RecordingAlgorithm()
-        accumulator = BufferedAccumulator(
-            algorithm, {"w": np.zeros(2)}, round_index=0,
-            buffer_size=1, staleness_decay=0.0,
-            durations={0: 1.0, 1: 2.0})
-        accumulator.add(0, make_update(0, 6.0))
-        accumulator.add(1, make_update(1, 3.0))
-        final = accumulator.finalize()["w"]
+        state, _ = buffered_aggregate(
+            RecordingAlgorithm(), [make_update(0, 6.0), make_update(1, 3.0)],
+            {"w": np.zeros(2)}, 0, durations=[1.0, 2.0], buffer_size=1,
+            staleness_decay=0.0)
         # Flush 1: state = 0.5*0 + 0.5*6 = 3; flush 2: 0.5*3 + 0.5*3 = 3.
-        np.testing.assert_allclose(final, np.full(2, 3.0))
+        np.testing.assert_allclose(state["w"], np.full(2, 3.0))
 
     def test_empty_round_returns_global_state(self):
         state = {"w": np.arange(2.0)}
-        accumulator = BufferedAccumulator(
-            RecordingAlgorithm(), state, round_index=0,
-            buffer_size=2, staleness_decay=0.5)
-        assert accumulator.finalize() is state
+        result, staleness = buffered_aggregate(
+            RecordingAlgorithm(), [], state, 0, durations=[], buffer_size=2,
+            staleness_decay=0.5)
+        assert result is state
+        assert staleness == []
 
     def test_validates_parameters(self):
+        update = [make_update(0, 1.0)]
         with pytest.raises(ValueError, match="buffer_size"):
-            BufferedAccumulator(RecordingAlgorithm(), {}, 0,
-                                buffer_size=0, staleness_decay=0.5)
+            buffered_aggregate(RecordingAlgorithm(), update, {}, 0,
+                               durations=[1.0], buffer_size=0,
+                               staleness_decay=0.5)
         with pytest.raises(ValueError, match="staleness_decay"):
-            BufferedAccumulator(RecordingAlgorithm(), {}, 0,
-                                buffer_size=1, staleness_decay=-0.1)
+            buffered_aggregate(RecordingAlgorithm(), update, {}, 0,
+                               durations=[1.0], buffer_size=1,
+                               staleness_decay=-0.1)
+        with pytest.raises(ValueError, match="2 durations for 1 updates"):
+            buffered_aggregate(RecordingAlgorithm(), update, {}, 0,
+                               durations=[1.0, 2.0], buffer_size=1,
+                               staleness_decay=0.5)
 
 
 # ----------------------------------------------------------------------

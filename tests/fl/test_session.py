@@ -18,9 +18,9 @@ from repro.fl import (
     RandomSampler,
     RoundCheckpointer,
     RoundRobinSampler,
+    SerialBackend,
     SessionCallback,
     TrainingSession,
-    UpdateAccumulator,
     build_federation,
     read_checkpoint,
 )
@@ -122,40 +122,46 @@ class TestEventOrder:
 
     def test_updates_stream_into_aggregator_before_barrier(self):
         """Under the serial backend the round is a true pipeline: client
-        i's update is ingested before client i+1 even starts."""
+        i's update is delivered before client i+1 even starts, and the one
+        aggregation call follows the last update, in sampled order."""
         config = tiny_config(rounds=1, clients_per_round=3)
         trace = []
-
-        class RecordingAccumulator(UpdateAccumulator):
-            def ingest(self, update):
-                trace.append(("ingest", update.client_id))
 
         class PipelinedAlgorithm(TraceAlgorithm):
             def local_update(self, client, global_state, round_index):
                 trace.append(("update", client.client_id))
                 return super().local_update(client, global_state, round_index)
 
-            def make_aggregator(self, global_state, round_index):
-                return RecordingAccumulator(self, global_state, round_index)
+            def aggregate(self, updates, global_state, round_index):
+                trace.append(("aggregate", [u.client_id for u in updates]))
+                return super().aggregate(updates, global_state, round_index)
+
+        class Delivered(SessionCallback):
+            def on_client_update_done(self, session, event):
+                trace.append(("done", event.client_id))
 
         session = TrainingSession(PipelinedAlgorithm(config), make_clients(4),
-                                  config, sampler=RoundRobinSampler(3))
+                                  config, sampler=RoundRobinSampler(3),
+                                  callbacks=[Delivered()])
         session.step()
-        assert trace == [("update", 0), ("ingest", 0), ("update", 1),
-                         ("ingest", 1), ("update", 2), ("ingest", 2)]
+        assert trace == [("update", 0), ("done", 0), ("update", 1),
+                         ("done", 1), ("update", 2), ("done", 2),
+                         ("aggregate", [0, 1, 2])]
 
-    def test_aggregator_finalize_uses_input_order(self):
-        config = tiny_config(rounds=1)
-        algorithm = TraceAlgorithm(config)
-        accumulator = algorithm.make_aggregator({"w": np.zeros(3)}, 0)
-        second = ClientUpdate(client_id=7, state={"w": np.ones(3)}, weight=1.0)
-        first = ClientUpdate(client_id=3, state={"w": np.full(3, 3.0)}, weight=1.0)
-        accumulator.add(1, second)  # completion order: position 1 first
-        accumulator.add(0, first)
-        assert [u.client_id for u in accumulator.updates_in_order()] == [3, 7]
-        np.testing.assert_allclose(accumulator.finalize()["w"], np.full(3, 2.0))
-        with pytest.raises(ValueError):
-            accumulator.add(1, second)
+    def test_backend_delivering_a_position_twice_raises(self):
+        class RepeatingBackend(SerialBackend):
+            def imap(self, task, items):
+                yield from super().imap(task, items)
+                yield 1, task(items[1])
+
+        config = tiny_config(rounds=1, clients_per_round=3)
+        session = TrainingSession(TraceAlgorithm(config), make_clients(4), config,
+                                  sampler=RoundRobinSampler(3),
+                                  backend=RepeatingBackend())
+        with pytest.raises(ValueError, match="sampled position 1 twice"):
+            session.step()
+        assert session.round_index == 0
+        assert session.round_records == []
 
 
 class TestStepAndRunUntil:
