@@ -22,6 +22,7 @@ from .session import TrainingSession, default_session_context
 from .state import (
     CHECKPOINT_SCHEMA,
     COLUMNAR_SCHEMA,
+    SEGMENTED_SCHEMA,
     ServerState,
     checkpoint_total_bytes,
     read_checkpoint,
@@ -35,6 +36,7 @@ __all__ = [
     "ServerState",
     "CHECKPOINT_SCHEMA",
     "COLUMNAR_SCHEMA",
+    "SEGMENTED_SCHEMA",
     "read_checkpoint",
     "write_checkpoint",
     "remove_checkpoint",

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import IO, Callable, Dict, List, Optional, Tuple, Union
 
 from .events import PersonalizeDone, RoundEnd, SessionCallback
-from .state import checkpoint_total_bytes, remove_checkpoint, write_checkpoint
+from .state import StoreRef, remove_checkpoint, write_incremental_checkpoint
 
 __all__ = [
     "HistoryStreamer",
@@ -169,32 +169,41 @@ class EarlyStopping(SessionCallback):
 class RoundCheckpointer(SessionCallback):
     """Persist the session's :class:`ServerState` after rounds complete.
 
-    One file, atomically replaced (write-then-``os.replace``, the same
-    discipline as the run store) every ``every`` completed rounds — a
+    One checkpoint, atomically replaced (write-then-``os.replace``, the
+    same discipline as the run store) every ``every`` completed rounds — a
     killed run resumes from its last finished checkpointed round instead
     of round 0.  The checkpoint fires on ``round_end``, i.e. *after* the
     session committed the round, so the stored ``round_index`` is the
     next round to execute.
 
-    ``keep_last=None`` (default) keeps that single-file behaviour.
-    ``keep_last=N`` switches to *retained history*: each write lands in a
-    numbered sibling (``<stem>-r000007<suffix>`` after round 6 commits)
-    and only the newest ``N`` numbered files survive — older ones are
-    pruned after each write, never before, so a crash mid-write still
-    leaves the previous ``N`` intact.  :attr:`path` always points at the
-    most recent checkpoint: in retention mode it is atomically replaced
-    alongside the numbered copy, so resume code that only knows the base
-    path keeps working.
+    Writes are incremental
+    (:func:`~repro.fl.session.state.write_incremental_checkpoint`): each
+    packs one new ``.npcol`` segment with the global, algorithm, sampler
+    and availability state plus only the client stores
+    :meth:`~repro.fl.session.session.TrainingSession.store_changes`
+    reports as changed since this checkpointer's last write, and its
+    manifest points every other store at the older segment holding it.
+    The first write, the first after a restore, and any write whose older
+    segments went missing from disk are full.
 
-    Checkpoints are manifest + ``.npcol`` sidecar pairs (see
-    :mod:`repro.fl.session.state`), so pruning goes through
-    :func:`~repro.fl.session.state.remove_checkpoint` — a stale manifest
-    and the sidecar it alone referenced disappear together, and orphaned
-    sidecars never accumulate.  Two counters land on the session tracer
-    per write: ``checkpoint.bytes`` (manifest + sidecar footprint of the
-    base checkpoint) and ``checkpoint.encode_s`` (wall-clock of the
-    encode + write, measured on the tracer's own clock so no timing ever
-    touches the state being persisted).
+    ``keep_last=None`` (default) keeps that single-checkpoint behaviour.
+    ``keep_last=N`` switches to *retained history*: each write also lands
+    in a numbered sibling (``<stem>-r000007<suffix>`` after round 6
+    commits) and only the newest ``N`` numbered manifests survive — older
+    ones are pruned after each write, never before, so a crash mid-write
+    still leaves the previous ``N`` intact.  :attr:`path` always points
+    at the most recent checkpoint, so resume code that only knows the
+    base path keeps working.
+
+    Pruning goes through :func:`~repro.fl.session.state.remove_checkpoint`
+    — a stale manifest and the segments it alone referenced disappear
+    together, and orphaned segments never accumulate.  Two counters land
+    on the session tracer per write: ``checkpoint.bytes`` (the write's
+    I/O volume: one manifest plus the segment it packed — not the
+    checkpoint's footprint, which also counts the older segments it
+    references) and ``checkpoint.encode_s`` (wall-clock of the encode +
+    write, measured on the tracer's own clock so no timing ever touches
+    the state being persisted).
     """
 
     def __init__(self, path: Union[str, Path], every: int = 1,
@@ -207,6 +216,10 @@ class RoundCheckpointer(SessionCallback):
         self.every = every
         self.keep_last = keep_last
         self.writes = 0
+        # The session's store mark at the last write, and where that write
+        # left every store: what the next write carries.
+        self._mark = None
+        self._stores: Dict[int, StoreRef] = {}
 
     def _numbered_path(self, round_index: int) -> Path:
         suffix = self.path.suffix or ".json"
@@ -219,22 +232,42 @@ class RoundCheckpointer(SessionCallback):
         pattern = f"{self.path.stem}-r[0-9][0-9][0-9][0-9][0-9][0-9]{suffix}"
         return sorted(self.path.parent.glob(pattern))
 
+    def _segments_on_disk(self) -> bool:
+        """Whether every segment the last write left stores in still exists
+        (another writer's sweep may have removed one)."""
+        names = {ref.segment["file"]: None for ref in self._stores.values()}
+        return all((self.path.parent / name).is_file() for name in names)
+
     def on_round_end(self, session, event: RoundEnd) -> None:
         if (event.round_index + 1) % self.every != 0:
             return
         with _session_span(session, "checkpoint", round=event.round_index):
-            state = session.capture_state()
+            mark, changed = session.store_changes(self._mark)
+            if changed is not None and not self._segments_on_disk():
+                changed = None
+            state = session.capture_state(client_ids=changed)
             tracer = getattr(session, "tracer", None)
             started = tracer.now() if tracer is not None else None
+            carried = {}
+            if changed is not None:
+                # A changed store that is now empty must leave the manifest,
+                # so drop every changed id, not just the captured ones.
+                dropped = set(changed)
+                carried = {client_id: ref
+                           for client_id, ref in self._stores.items()
+                           if client_id not in dropped}
+            paths = [self.path]
             if self.keep_last is not None:
-                write_checkpoint(state, self._numbered_path(event.round_index))
+                paths.insert(0, self._numbered_path(event.round_index))
+            self._stores, written = write_incremental_checkpoint(
+                state, paths, carried)
+            self._mark = mark
+            if self.keep_last is not None:
                 for stale in self.retained()[:-self.keep_last]:
                     remove_checkpoint(stale)
-            written = write_checkpoint(state, self.path)
             if started is not None:
                 _session_count(session, "checkpoint.encode_s",
                                tracer.now() - started)
-            _session_count(session, "checkpoint.bytes",
-                           checkpoint_total_bytes(written))
+            _session_count(session, "checkpoint.bytes", written)
             _session_count(session, "checkpoint.writes")
         self.writes += 1

@@ -268,6 +268,12 @@ class TrainingSession:
                             else self.clients,
                             config))
         self._state = ServerState(algorithm=algorithm.name)
+        # Which client stores algorithm code was handed, newest last, by
+        # the dispatch count that handed them over; a restore starts a new
+        # epoch (see store_changes).
+        self._store_epoch = object()
+        self._dispatches = 0
+        self._store_touched: Dict[int, int] = {}
         self._initialized = False
         self._stop_requested = False
         self._warned_non_finite = False
@@ -372,9 +378,11 @@ class TrainingSession:
 
         ``plan`` lists position groups into ``clients``; each group is one
         task item.  Every outcome's store is reattached to its client
-        before it is yielded.  Under columnar store IPC (process backend)
-        stores travel packed, and every store still packed is unpacked on
-        every exit path — including a consumer that raises — so no
+        before it is yielded, and every federation client that held or now
+        holds a store is recorded as changed for :meth:`store_changes`.
+        Under columnar store IPC (process backend) stores travel packed,
+        and every store still packed is unpacked on every exit path —
+        including a consumer that raises — so no
         :class:`PackedState` ever reaches :meth:`capture_state` or the
         next round's algorithm code.  Consumers close the generator
         explicitly (``contextlib.closing``) so that cleanup never waits
@@ -382,6 +390,7 @@ class TrainingSession:
         """
         cohorts = [[clients[position] for position in positions]
                    for positions in plan]
+        held = [bool(client.store) for client in clients]
         if self._pack_ipc:
             for client in clients:
                 client.store = pack_store(client.store)
@@ -394,6 +403,14 @@ class TrainingSession:
             if self._pack_ipc:
                 for client in clients:
                     client.store = unpack_store(client.store)
+            # Any store algorithm code held may have changed.  One that was
+            # and stayed empty has nothing a checkpoint would record, and
+            # novel clients' stores are never checkpointed.
+            self._dispatches += 1
+            for client, had_store in zip(clients, held):
+                if (had_store or client.store) and not client.is_novel:
+                    self._store_touched.pop(client.client_id, None)
+                    self._store_touched[client.client_id] = self._dispatches
 
     # ------------------------------------------------------------------
     # The round loop
@@ -709,20 +726,49 @@ class TrainingSession:
     # ------------------------------------------------------------------
     # Checkpointing
     # ------------------------------------------------------------------
-    def capture_state(self) -> ServerState:
-        """Materialize a full, detached :class:`ServerState` snapshot.
+    def store_changes(self, since: Optional[Tuple[object, int]] = None
+                      ) -> Tuple[Tuple[object, int], Optional[List[int]]]:
+        """Which client stores may have changed since the mark ``since``.
+
+        Returns ``(mark, changed)``: ``mark`` stands for now (pass it back
+        next time) and ``changed`` lists, in ascending order, the ids of
+        the stores algorithm code was handed after ``since`` was issued —
+        in training and personalization alike (:meth:`_dispatch` is the
+        only path that hands stores over).  ``changed`` is ``None``, meaning
+        every store may have changed, when ``since`` is ``None``, comes from
+        another session, or predates a :meth:`restore_state`.
+        """
+        mark = (self._store_epoch, self._dispatches)
+        if since is None or since[0] is not self._store_epoch:
+            return mark, None
+        changed = []
+        for client_id in reversed(self._store_touched):
+            if self._store_touched[client_id] <= since[1]:
+                break
+            changed.append(client_id)
+        return mark, sorted(changed)
+
+    def capture_state(self, client_ids: Optional[Sequence[int]] = None
+                      ) -> ServerState:
+        """Materialize a detached :class:`ServerState` snapshot.
 
         Everything is deep-copied: later rounds never mutate a captured
         snapshot, and a snapshot restored into a fresh session never
-        aliases this one.
+        aliases this one.  ``client_ids`` limits ``client_stores`` to those
+        clients' non-empty stores — the part of an incremental checkpoint
+        that may have changed (:meth:`store_changes`); ``None`` captures
+        every store.
         """
-        if self.population is not None:
-            client_stores = {client_id: copy.deepcopy(store)
-                             for client_id, store
-                             in self.population.stores().items()}
+        if client_ids is not None:
+            stores = ((client_id, self._client_store(client_id))
+                      for client_id in client_ids)
+        elif self.population is not None:
+            stores = self.population.stores().items()
         else:
-            client_stores = {client.client_id: copy.deepcopy(client.store)
-                             for client in self.clients if client.store}
+            stores = ((client.client_id, client.store)
+                      for client in self.clients)
+        client_stores = {client_id: copy.deepcopy(store)
+                         for client_id, store in stores if store}
         return ServerState(
             algorithm=self.algorithm.name,
             context=self.context,
@@ -758,7 +804,12 @@ class TrainingSession:
                 f"session's context {self.context!r}: it was taken under a "
                 "different configuration/federation (resume only continues "
                 "the same run; delete the stale checkpoint to start over)")
-        unknown = sorted(set(state.client_stores) - set(self._client_ids))
+        # Membership per stored id: a virtual population's ids are a
+        # range, and materializing it as a set costs O(population).
+        known = (self._client_ids if self.population is not None
+                 else self._clients_by_id)
+        unknown = sorted(client_id for client_id in state.client_stores
+                         if client_id not in known)
         if unknown:
             raise ValueError(
                 f"checkpoint carries stores for unknown client ids {unknown}; "
@@ -767,6 +818,9 @@ class TrainingSession:
         # overwrite with the snapshot.
         self.algorithm.build_global_state()
         self.algorithm.load_server_state(copy.deepcopy(state.algorithm_state))
+        # Every store is replaced below: marks issued before now are void.
+        self._store_epoch = object()
+        self._store_touched = {}
         if self.population is not None:
             self.population.set_stores(
                 {client_id: copy.deepcopy(store)
@@ -790,6 +844,11 @@ class TrainingSession:
         )
         self._warned_non_finite = state.warned_non_finite
         self._initialized = state.global_state is not None
+
+    def _client_store(self, client_id: int) -> Dict:
+        if self.population is not None:
+            return self.population.client_store(client_id)
+        return self._clients_by_id[client_id].store
 
     def save_checkpoint(self, path: Union[str, Path]) -> Path:
         """Atomically write the current snapshot to ``path`` (JSON)."""

@@ -37,8 +37,8 @@ from repro.fl.session import (
     write_checkpoint,
 )
 from repro.fl.session.state import (
-    checkpoint_sidecar,
-    sweep_checkpoint_sidecars,
+    checkpoint_segments,
+    sweep_checkpoint_segments,
 )
 
 NUM_CLASSES = 10
@@ -293,6 +293,12 @@ class TestCheckpointFiles:
             checkpoint_total_bytes(legacy)
 
 
+def checkpoint_sidecar(path):
+    """The one segment a full (schema-2) checkpoint references."""
+    (segment,) = checkpoint_segments(path)
+    return segment
+
+
 class TestSidecarLifecycle:
     def capture(self, rounds=1):
         session = make_session("scaffold", tiny_config())
@@ -320,7 +326,7 @@ class TestSidecarLifecycle:
         write_checkpoint(self.capture(), tmp_path / "live.json")
         orphan = tmp_path / "0123456789ab.npcol"
         orphan.write_bytes(b"stale")
-        removed = sweep_checkpoint_sidecars(tmp_path)
+        removed = sweep_checkpoint_segments(tmp_path)
         assert [p.name for p in removed] == [orphan.name]
         assert checkpoint_sidecar(tmp_path / "live.json").is_file()
 

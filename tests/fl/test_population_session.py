@@ -155,6 +155,35 @@ def test_resume_bitwise_under_churn(dataset, tmp_path):
     resumed_population.close()
 
 
+def test_restore_checks_store_ids_without_enumerating_the_population(
+        dataset):
+    import tracemalloc
+
+    size = 1_000_000
+    config = FederatedConfig(num_clients=size, clients_per_round=2,
+                             rounds=1, seed=5)
+    factory = make_encoder_factory("mlp", dataset, hidden_dims=(4,), seed=7)
+    algorithm = build_method("fedavg", config, dataset.num_classes, factory)
+    with VirtualPopulation(dataset, num_clients=size, samples_per_client=12,
+                           seed=5) as population:
+        session = TrainingSession(algorithm, population, config)
+        state = session.capture_state()
+        state.client_stores = {size - 1: {"w": np.zeros(2)}}
+        tracemalloc.start()
+        try:
+            session.restore_state(state)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # A set of a million ids alone takes tens of MiB.
+        assert peak < 1 << 20
+        assert population.client_store(size - 1)["w"].shape == (2,)
+        state.client_stores = {size: {"w": np.zeros(2)}}
+        with pytest.raises(ValueError,
+                           match=r"unknown client ids \[1000000\]"):
+            session.restore_state(state)
+
+
 def test_default_config_omits_population_knobs():
     plain = config_to_jsonable(FederatedConfig(num_clients=8, rounds=2))
     for name in DEFAULT_OMITTED_FIELDS:

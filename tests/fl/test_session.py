@@ -26,7 +26,7 @@ from repro.fl import (
 )
 from repro.fl.personalization import PersonalizationResult
 from repro.fl.session.codec import PackedState
-from repro.fl.session.state import checkpoint_sidecar
+from repro.fl.session.state import checkpoint_segments
 from repro.fl.session.events import (
     AggregateDone,
     ClientUpdateDone,
@@ -289,8 +289,7 @@ class TestBuiltinCallbacks:
         assert len(state.round_records) == 4
         # Atomic discipline: no temp files left behind — just the manifest
         # and the single .npcol sidecar it references.
-        sidecar = checkpoint_sidecar(path)
-        assert sidecar is not None
+        (sidecar,) = checkpoint_segments(path)
         assert sorted(p.name for p in tmp_path.iterdir()) == \
             sorted(["ckpt.json", sidecar.name])
 
@@ -315,8 +314,8 @@ class TestBuiltinCallbacks:
         # Retention is sidecar-aware: every .npcol on disk is referenced by
         # a surviving manifest — pruned checkpoints never leave orphans.
         on_disk = {p.name for p in tmp_path.glob("*.npcol")}
-        referenced = {checkpoint_sidecar(tmp_path / name).name
-                      for name in manifests}
+        referenced = {segment.name for name in manifests
+                      for segment in checkpoint_segments(tmp_path / name)}
         assert on_disk == referenced
 
     def test_round_checkpointer_retention_respects_cadence(self, tmp_path):
