@@ -2,7 +2,7 @@
 
 Paper panels: CIFAR-10 (2, 500), CIFAR-100 (5, 500), STL-10 (2, 46),
 STL-10 (0.3, 80), each comparing ~20 methods.  Shape targets asserted here
-(DESIGN.md §4):
+(docs/reproduction.md, "Shape targets"):
 
 * Calibre (SimCLR) calibrates its base SSL method — it must not lose mean
   accuracy relative to plain SSL-trained encoders while keeping variance in
@@ -15,7 +15,12 @@ STL-10 (0.3, 80), each comparing ~20 methods.  Shape targets asserted here
 import pytest
 
 from repro.eval import format_comparison_table, format_series_csv
-from repro.experiments import COMPARISON_METHODS, run_fig3_panel
+from repro.experiments import (
+    COMPARISON_METHODS,
+    fig3_sweep,
+    panel_outcome_from_records,
+)
+from repro.runs import run_sweep
 
 from .conftest import persist
 
@@ -32,13 +37,11 @@ BENCH_METHODS = COMPARISON_METHODS + ["pfl-simclr"]
 
 @pytest.mark.parametrize("panel", PANEL_IDS)
 def test_fig3_panel(benchmark, results_dir, panel):
-    outcome = benchmark.pedantic(
-        run_fig3_panel,
-        args=(panel,),
-        kwargs={"methods": BENCH_METHODS, "seed": 0},
-        rounds=1,
-        iterations=1,
-    )
+    sweep = fig3_sweep(panel, methods=BENCH_METHODS)
+    summary = benchmark.pedantic(run_sweep, args=(sweep,), rounds=1,
+                                 iterations=1)
+    outcome = panel_outcome_from_records("fig3", panel, sweep, summary.cells,
+                                         summary.records)
     reports = outcome.reports
     table = format_comparison_table(outcome, title=outcome.spec.name)
     csv = format_series_csv(outcome)

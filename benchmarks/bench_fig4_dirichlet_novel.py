@@ -14,7 +14,8 @@ training + 50 novel clients.  Shape targets:
 import pytest
 
 from repro.eval import format_comparison_table, format_series_csv
-from repro.experiments import NOVEL_METHODS, run_fig4_panel
+from repro.experiments import NOVEL_METHODS, fig4_sweep, panel_outcome_from_records
+from repro.runs import run_sweep
 
 from .conftest import persist
 
@@ -23,13 +24,11 @@ PANEL_NAMES = {0: "cifar10_d03", 1: "cifar100_d03"}
 
 @pytest.mark.parametrize("panel", [0, 1])
 def test_fig4_panel(benchmark, results_dir, panel):
-    outcome = benchmark.pedantic(
-        run_fig4_panel,
-        args=(panel,),
-        kwargs={"methods": NOVEL_METHODS, "seed": 0, "num_novel_clients": 6},
-        rounds=1,
-        iterations=1,
-    )
+    sweep = fig4_sweep(panel, methods=NOVEL_METHODS, num_novel_clients=6)
+    summary = benchmark.pedantic(run_sweep, args=(sweep,), rounds=1,
+                                 iterations=1)
+    outcome = panel_outcome_from_records("fig4", panel, sweep, summary.cells,
+                                         summary.records)
     reports = outcome.reports
     novel = outcome.novel_reports
     text = "\n\n".join([

@@ -3,15 +3,21 @@
 Fig. 5: pFL-SimSiam / pFL-MoCoV2 vs Calibre (SimSiam) / Calibre (MoCoV2);
 Fig. 6: Calibre (SimCLR) vs Calibre (BYOL) plus per-client panels.  The
 claim: calibrated encoders produce "clear clusters with refined class
-boundaries" where the uncalibrated ones are fuzzy.  A thin wrapper over
-the fig5 sweep definition, widened to all four (plain, calibrated) pairs;
-asserted as: each Calibre variant's feature-space silhouette exceeds its
-uncalibrated counterpart's.
+boundaries" where the uncalibrated ones are fuzzy.  Runs the fig5 sweep
+definition, widened to all four (plain, calibrated) pairs, and reads it
+through the figure's records view; asserted as: each Calibre variant's
+feature-space silhouette exceeds its uncalibrated counterpart's.
 """
 
 
 from repro.eval import format_silhouette_table
-from repro.experiments import render_figure_svg, run_figure
+from repro.experiments import (
+    embeddings_sweep,
+    execute_embedding_cell,
+    figure_results_from_records,
+    render_figure_svg,
+)
+from repro.runs import run_sweep
 
 from .conftest import persist, persist_svg
 
@@ -25,13 +31,14 @@ METHODS = [name for pair in PAIRS for name in pair]
 
 
 def test_fig5_fig6_calibre_calibrates(benchmark, results_dir):
-    results = benchmark.pedantic(
-        run_figure,
-        args=("fig5",),
-        kwargs=dict(methods=METHODS, seed=0),
+    summary = benchmark.pedantic(
+        run_sweep,
+        args=(embeddings_sweep("fig5", methods=METHODS),),
+        kwargs=dict(executor=execute_embedding_cell),
         rounds=1,
         iterations=1,
     )
+    results = figure_results_from_records(summary.cells, summary.records)
     by_name = {r.method: r for r in results}
     for result in results:
         benchmark.extra_info[f"{result.method}_feature_silhouette"] = (
@@ -59,9 +66,9 @@ def test_fig5_fig6_calibre_calibrates(benchmark, results_dir):
                                            by_name["calibre-byol"]]))
 
     # Shape: calibration improves cluster quality on average and for at
-    # least half the base methods.  At 25 CPU rounds the gain is clear for
-    # SimCLR and BYOL (the paper's Fig. 6 pair) and not yet visible for
-    # SimSiam/MoCoV2 (Fig. 5 pair) — recorded in EXPERIMENTS.md.
+    # least half the base methods.  The measured gains per pair, the Fig. 5
+    # pair (SimSiam/MoCoV2) included, are in docs/reproduction.md ("Fig. 5
+    # pair").
     assert wins >= len(PAIRS) // 2, (
         f"Calibre improved silhouette for only {wins}/{len(PAIRS)} base methods"
     )

@@ -3,15 +3,22 @@
 The paper embeds FedAvg / FedRep / FedPer / FedBABU / LG-FedAvg / Calibre
 (SimCLR) representations on CIFAR-10 (D-non-iid 0.3, Fig. 7) and STL-10
 (Q-non-iid 2 classes/client, Fig. 8), claiming Calibre's representations
-"consistently present clear clusters".  A thin wrapper over the fig7/fig8
-sweep definitions; asserted as: Calibre (SimCLR) ranks in the top half of
-the six methods by feature silhouette on each dataset.
+"consistently present clear clusters".  Runs the fig7/fig8 sweep
+definitions and reads them through the figures' records view; asserted
+as: Calibre (SimCLR) ranks in the top half of the six methods by feature
+silhouette on each dataset.
 """
 
 import pytest
 
 from repro.eval import format_silhouette_table
-from repro.experiments import render_figure_svg, run_figure
+from repro.experiments import (
+    embeddings_sweep,
+    execute_embedding_cell,
+    figure_results_from_records,
+    render_figure_svg,
+)
+from repro.runs import run_sweep
 
 from .conftest import persist, persist_svg
 
@@ -20,13 +27,14 @@ PANEL_NAMES = {"fig7": "fig7_cifar10", "fig8": "fig8_stl10"}
 
 @pytest.mark.parametrize("figure", sorted(PANEL_NAMES))
 def test_fig7_fig8_method_embeddings(benchmark, results_dir, figure):
-    results = benchmark.pedantic(
-        run_figure,
-        args=(figure,),
-        kwargs=dict(seed=0),
+    summary = benchmark.pedantic(
+        run_sweep,
+        args=(embeddings_sweep(figure),),
+        kwargs=dict(executor=execute_embedding_cell),
         rounds=1,
         iterations=1,
     )
+    results = figure_results_from_records(summary.cells, summary.records)
     scores = {result.method: result.feature_silhouette for result in results}
     for result in results:
         benchmark.extra_info[f"{result.method}_feature_silhouette"] = (
@@ -50,9 +58,9 @@ def test_fig7_fig8_method_embeddings(benchmark, results_dir, figure):
             f"cluster quality on {panel}"
         )
     else:
-        # On the fully-labeled CIFAR-10 panel, supervised body/head methods
-        # also produce clustered features at this scale (EXPERIMENTS.md);
-        # assert Calibre is not last.
+        # On the fully-labeled CIFAR-10 panel, supervised methods also
+        # produce clustered features at this scale (docs/reproduction.md,
+        # "Fig. 7 supervised baselines"); assert Calibre is not last.
         assert position < len(ranking) - 1, (
             f"Calibre (SimCLR) ranked last on {panel}"
         )

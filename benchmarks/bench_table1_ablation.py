@@ -13,7 +13,8 @@ targets (§V-F):
 
 
 from repro.eval import format_ablation_table
-from repro.experiments import TABLE1_VARIANTS, run_table1
+from repro.experiments import TABLE1_VARIANTS, table1_rows_from_records, table1_sweep
+from repro.runs import run_sweep
 
 from .conftest import persist
 
@@ -26,12 +27,9 @@ def _mean(rows, ln, lp, variant):
 
 
 def test_table1_ablation(benchmark, results_dir):
-    rows = benchmark.pedantic(
-        run_table1,
-        kwargs={"variants": TABLE1_VARIANTS, "seed": 0},
-        rounds=1,
-        iterations=1,
-    )
+    summary = benchmark.pedantic(run_sweep, args=(table1_sweep(),), rounds=1,
+                                 iterations=1)
+    rows = table1_rows_from_records(summary.cells, summary.records)
     persist(results_dir, "table1_ablation", format_ablation_table(rows))
     full = _mean(rows, True, True, "calibre-simclr")
     bare = _mean(rows, False, False, "calibre-simclr")

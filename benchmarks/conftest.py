@@ -1,10 +1,10 @@
 """Shared helpers for the benchmark suite.
 
 Every bench regenerates one table or figure of the paper at the scaled
-configuration (DESIGN.md §2), prints the same rows/series the paper
-reports, persists them under ``benchmarks/results/``, and asserts the
-reproduction's *shape targets* (DESIGN.md §4) — directional claims, not
-absolute numbers.
+configuration (docs/reproduction.md, "Scale"), prints the same rows/series
+the paper reports, persists them under ``benchmarks/results/``, and
+asserts the reproduction's *shape targets* (docs/reproduction.md, "Shape
+targets") — directional claims, not absolute numbers.
 """
 
 from __future__ import annotations

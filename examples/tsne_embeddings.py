@@ -8,21 +8,26 @@ quantitative version of the paper's "fuzzy vs. clear cluster boundaries".
 Usage:  python examples/tsne_embeddings.py
 """
 
-from repro.experiments import run_figure
+from repro.experiments import (
+    embeddings_sweep,
+    execute_embedding_cell,
+    figure_results_from_records,
+)
+from repro.runs import run_sweep
 from repro.viz import ascii_scatter
 
 
 def main():
     # Fig. 1's workload (CIFAR-10, Dirichlet 0.3), in memory: no run store.
-    results = run_figure(
+    sweep = embeddings_sweep(
         "fig1",
         methods=["pfl-simclr", "calibre-simclr"],
         embed_clients=6,
         embed_samples=15,
         tsne_iterations=300,
-        seed=0,
-        verbose=True,
     )
+    summary = run_sweep(sweep, executor=execute_embedding_cell, verbose=True)
+    results = figure_results_from_records(summary.cells, summary.records)
     for result in results:
         print()
         print(ascii_scatter(

@@ -16,20 +16,17 @@ the serial default — only wall-clock changes)::
 
     python -m repro.cli run --method calibre-simclr --backend process --workers 4
 
-Regenerate a paper panel::
-
-    python -m repro.cli fig3 --panel 0
-    python -m repro.cli fig4 --panel 1
-    python -m repro.cli table1
-
-Run a paper artifact as a persistent, resumable sweep, then regenerate
-its table from the store alone (no retraining)::
+Every paper artifact runs one way: sweep its grid into a persistent,
+resumable run store, then regenerate its tables from the store alone
+(no retraining)::
 
     python -m repro.cli sweep --exp table1 --runs-dir runs/table1 --seeds 0 1 2
     python -m repro.cli report --exp table1 --runs-dir runs/table1 --seeds 0 1 2
+    python -m repro.cli sweep --exp fig4 --panel 1 --runs-dir runs/fig4
+    python -m repro.cli report --exp fig4 --panel 1 --runs-dir runs/fig4 --csv
 
-Sweep an embedding figure's grid (``--grid`` is an alias of ``--exp``),
-then render the figure as SVG purely from the stored records::
+Figures render as SVG from the stored records the same way (``--grid``
+is an alias of ``--exp``, ``--store`` of ``--runs-dir``)::
 
     python -m repro.cli sweep --grid fig5 --runs-dir runs/fig5
     python -m repro.cli figures fig5 --store runs/fig5 --out fig5.svg
@@ -40,7 +37,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import replace
 from typing import List, Optional
 
@@ -59,8 +56,7 @@ from .eval import (
 )
 from .experiments import (
     EMBEDDING_FIGURES,
-    FIG3_PANELS,
-    FIG4_PANELS,
+    PANEL_FIGURES,
     TABLE1_SETTING,
     TABLE1_VARIANTS,
     embeddings_sweep,
@@ -68,20 +64,19 @@ from .experiments import (
     fig3_sweep,
     fig4_sweep,
     figure_results_from_records,
+    panel_outcome_from_records,
+    panel_title,
     render_figure_svg,
-    run_fig3_panel,
-    run_fig4_panel,
-    run_table1,
     table1_rows_across_seeds,
     table1_rows_from_records,
     table1_sweep,
     scaled_spec,
 )
 from .experiments.settings import SCALED_CONFIG
-from .fl.config import AGGREGATION_POLICIES, AvailabilitySpec
+from .fl.config import AGGREGATION_POLICIES, AvailabilitySpec, FederatedConfig
 from .fl.execution import available_backends
 from .ioutil import atomic_write_text
-from .runs import RunStore, outcome_from_records, run_sweep, save_outcome
+from .runs import RunStore, run_sweep, save_outcome
 from .telemetry import (
     Tracer,
     chrome_trace,
@@ -92,8 +87,8 @@ from .telemetry import (
 
 __all__ = ["main", "build_parser"]
 
-SWEEP_EXPERIMENTS = ("table1", "fig3", "fig4") + EMBEDDING_FIGURES
-FIGURE_CHOICES = tuple(sorted(EMBEDDING_FIGURES + ("fig3", "fig4")))
+SWEEP_EXPERIMENTS = ("table1",) + tuple(PANEL_FIGURES) + EMBEDDING_FIGURES
+FIGURE_CHOICES = tuple(sorted(EMBEDDING_FIGURES + tuple(PANEL_FIGURES)))
 
 
 def _add_population_arguments(parser: argparse.ArgumentParser) -> None:
@@ -171,6 +166,33 @@ def _population_overrides(args) -> dict:
                              f"got {args.staleness_decay}")
         overrides["staleness_decay"] = args.staleness_decay
     return overrides
+
+
+@contextmanager
+def _flag(name: str, error: type = ValueError):
+    """Exit 2 naming flag ``name`` when the setting, config or grid built
+    from its value rejects it, instead of a traceback."""
+    try:
+        yield
+    except error as exc:
+        print(f"{name}: {exc}", file=sys.stderr)
+        raise SystemExit(2) from exc
+
+
+def _scaled_config(args, **overrides) -> FederatedConfig:
+    """``SCALED_CONFIG`` with ``--rounds``/``--clients`` (when given), the
+    population flags and ``overrides`` applied."""
+    config = SCALED_CONFIG
+    if args.rounds is not None:
+        with _flag("--rounds"):
+            config = config.with_overrides(rounds=args.rounds)
+    if args.clients is not None:
+        with _flag("--clients"):
+            config = config.with_overrides(
+                num_clients=args.clients,
+                clients_per_round=min(SCALED_CONFIG.clients_per_round,
+                                      args.clients))
+    return config.with_overrides(**overrides, **_population_overrides(args))
 
 
 def _population_flags(args) -> List[str]:
@@ -309,22 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
                                  "results are identical with or without it")
     _add_population_arguments(run_parser)
 
-    fig3_parser = sub.add_parser("fig3", help="regenerate one Fig. 3 panel")
-    fig3_parser.add_argument("--panel", type=int, default=0,
-                             choices=range(len(FIG3_PANELS)))
-    fig3_parser.add_argument("--seed", type=int, default=0)
-    fig3_parser.add_argument("--methods", nargs="*", default=None)
-
-    fig4_parser = sub.add_parser("fig4", help="regenerate one Fig. 4 panel")
-    fig4_parser.add_argument("--panel", type=int, default=0,
-                             choices=range(len(FIG4_PANELS)))
-    fig4_parser.add_argument("--seed", type=int, default=0)
-    fig4_parser.add_argument("--novel", type=int, default=6,
-                             help="number of novel clients")
-
-    table1_parser = sub.add_parser("table1", help="regenerate Table I")
-    table1_parser.add_argument("--seed", type=int, default=0)
-
     sweep_parser = sub.add_parser(
         "sweep",
         help="run a paper artifact as a persistent, resumable sweep",
@@ -432,12 +438,10 @@ def _command_list() -> int:
     print("\nexecution backends:")
     for name in available_backends():
         print(f"  {name}")
-    print("\nfig3 panels:")
-    for index, (dataset, label, setting) in enumerate(FIG3_PANELS):
-        print(f"  {index}: {dataset} paper:{label} scaled:{setting.label()}")
-    print("\nfig4 panels:")
-    for index, (dataset, label, setting) in enumerate(FIG4_PANELS):
-        print(f"  {index}: {dataset} paper:{label} scaled:{setting.label()}")
+    for figure, panels in PANEL_FIGURES.items():
+        print(f"\n{figure} panels:")
+        for index, (dataset, label, setting) in enumerate(panels):
+            print(f"  {index}: {dataset} paper:{label} scaled:{setting.label()}")
     print("\nsweep experiments (repro sweep/report --exp ...):")
     for name in SWEEP_EXPERIMENTS:
         print(f"  {name}")
@@ -466,16 +470,14 @@ def _command_run(args) -> int:
         print(f"--checkpoint-every must be >= 1, got {args.checkpoint_every}",
               file=sys.stderr)
         return 2
-    config = SCALED_CONFIG.with_overrides(
-        rounds=args.rounds, num_clients=args.clients,
-        clients_per_round=min(SCALED_CONFIG.clients_per_round, args.clients),
-        seed=args.seed, backend=args.backend, workers=args.workers,
-        client_batch=args.client_batch,
-        **_population_overrides(args),
-    )
+    config = _scaled_config(args, seed=args.seed, backend=args.backend,
+                            workers=args.workers,
+                            client_batch=args.client_batch)
+    with _flag("--samples"):
+        setting = NonIIDSetting(args.setting, args.param, args.samples)
     spec = scaled_spec(
         args.dataset,
-        NonIIDSetting(args.setting, args.param, args.samples),
+        setting,
         args.method,
         seed=args.seed,
         config=config,
@@ -521,40 +523,37 @@ def _build_sweep(args, experiment: Optional[str] = None):
         unknown = [m for m in args.methods if m not in available_methods()]
         if unknown:
             raise SystemExit(f"unknown methods: {unknown}")
-    overrides = {}
-    if args.rounds is not None:
-        overrides["rounds"] = args.rounds
-    if args.clients is not None:
-        overrides["num_clients"] = args.clients
-        overrides["clients_per_round"] = min(SCALED_CONFIG.clients_per_round,
-                                             args.clients)
-    overrides.update(_population_overrides(args))
-    config = SCALED_CONFIG.with_overrides(**overrides) if overrides else None
-
-    if experiment in EMBEDDING_FIGURES:
-        return embeddings_sweep(
-            experiment, methods=args.methods or None, seeds=args.seeds,
-            config=config, samples_per_client=args.samples,
-            embed_clients=args.embed_clients, embed_samples=args.embed_samples,
-            tsne_iterations=args.tsne_iterations,
-        )
-    if experiment == "table1":
-        setting = TABLE1_SETTING
-        if args.samples is not None:
-            setting = replace(setting, samples_per_client=args.samples)
-        return table1_sweep(variants=args.methods or TABLE1_VARIANTS,
-                            seeds=args.seeds, setting=setting, config=config)
-    try:
+    config = _scaled_config(args)
+    if experiment == "fig4":
+        # fig4_sweep sets the same value again; setting it here first lets
+        # a rejected --novel be named apart from a rejected --samples.
+        with _flag("--novel"):
+            config = config.with_overrides(num_novel_clients=args.novel)
+    # Each artifact builds its own setting, so a bad --samples surfaces
+    # from its sweep function; fig3/fig4 check --panel before that.
+    with _flag("--samples"), _flag("--panel", IndexError):
+        if experiment in EMBEDDING_FIGURES:
+            return embeddings_sweep(
+                experiment, methods=args.methods or None, seeds=args.seeds,
+                config=config, samples_per_client=args.samples,
+                embed_clients=args.embed_clients,
+                embed_samples=args.embed_samples,
+                tsne_iterations=args.tsne_iterations,
+            )
+        if experiment == "table1":
+            setting = TABLE1_SETTING
+            if args.samples is not None:
+                setting = replace(setting, samples_per_client=args.samples)
+            return table1_sweep(variants=args.methods or TABLE1_VARIANTS,
+                                seeds=args.seeds, setting=setting,
+                                config=config)
         if experiment == "fig3":
-            sweep = fig3_sweep(args.panel, methods=args.methods, seeds=args.seeds,
-                               config=config, samples_per_client=args.samples)
-        else:
-            sweep = fig4_sweep(args.panel, methods=args.methods, seeds=args.seeds,
-                               num_novel_clients=args.novel, config=config,
-                               samples_per_client=args.samples)
-    except IndexError as error:
-        raise SystemExit(f"--panel: {error}") from error
-    return sweep
+            return fig3_sweep(args.panel, methods=args.methods,
+                              seeds=args.seeds, config=config,
+                              samples_per_client=args.samples)
+        return fig4_sweep(args.panel, methods=args.methods, seeds=args.seeds,
+                          num_novel_clients=args.novel, config=config,
+                          samples_per_client=args.samples)
 
 
 def _grid_flags(args) -> str:
@@ -717,22 +716,20 @@ def _silhouette_pairs(cells, records):
     return per_method
 
 
-def _report_across_seeds(args, cells, records) -> int:
+def _report_across_seeds(args, cells, records) -> None:
     seeds_label = f"[across seeds {' '.join(str(s) for s in args.seeds)}]"
     if args.exp in EMBEDDING_FIGURES:
         print(format_silhouette_across_seeds(
             _silhouette_pairs(cells, records),
             title=f"{args.exp} silhouettes {seeds_label}"))
-        return 0
+        return
     if args.exp == "table1":
         rows = table1_rows_across_seeds(
             cells, records, variants=args.methods or TABLE1_VARIANTS,
             seeds=args.seeds)
         print(format_ablation_table(rows, title=f"Table I {seeds_label}"))
-        return 0
-    panels = FIG3_PANELS if args.exp == "fig3" else FIG4_PANELS
-    dataset, paper_label, _setting = panels[args.panel]
-    name = f"{args.exp}-panel{args.panel} {dataset} paper:{paper_label}"
+        return
+    name = panel_title(args.exp, args.panel)
     print(format_across_seeds_table(_across_seeds_pairs(cells, records),
                                     title=f"{name} {seeds_label}"))
     novel_pairs = _across_seeds_pairs(cells, records, novel=True)
@@ -740,68 +737,72 @@ def _report_across_seeds(args, cells, records) -> int:
         print()
         print(format_across_seeds_table(
             novel_pairs, title=f"{name} [novel] {seeds_label}"))
-    return 0
 
 
-def _command_report(args) -> int:
-    sweep = _build_sweep(args)
+def _report_seed(args, sweep, store, cells, records, seed: int) -> None:
+    """Print one seed's tables, each formatted from its artifact's view."""
+    many_seeds = len(args.seeds) > 1
+    if args.exp in EMBEDDING_FIGURES:
+        results = figure_results_from_records(
+            cells, records, methods=args.methods or None, seed=seed,
+            store=store)
+        print(format_silhouette_table(
+            results, title=_report_title(f"{args.exp} silhouettes", seed,
+                                         many_seeds)))
+        return
+    if args.exp == "table1":
+        rows = table1_rows_from_records(
+            cells, records, variants=args.methods or TABLE1_VARIANTS, seed=seed)
+        print(format_ablation_table(
+            rows, title=_report_title("Table I", seed, many_seeds)))
+        return
+    outcome = panel_outcome_from_records(args.exp, args.panel, sweep, cells,
+                                         records, seed=seed)
+    name = outcome.spec.name
+    print(format_comparison_table(
+        outcome, title=_report_title(name, seed, many_seeds)))
+    if outcome.novel_reports:
+        print(format_comparison_table(
+            outcome, novel=True,
+            title=_report_title(name + " [novel]", seed, many_seeds)))
+    if args.csv:
+        print(format_series_csv(outcome))
+
+
+def _stored_records(runs_dir: str, cells, experiment: str):
+    """``(store, records)`` for ``cells`` — or ``(None, None)`` after naming
+    the missing store or cells on stderr (``report`` and ``figures``)."""
     try:
-        store = RunStore(args.runs_dir, create=False)
+        store = RunStore(runs_dir, create=False)
     except FileNotFoundError as error:
         print(error, file=sys.stderr)
-        return 1
-    cells = sweep.cells()
+        return None, None
     missing = store.missing(cells)
     if missing:
         print(f"{len(missing)} of {len(cells)} cells missing from {store.root}; "
-              f"finish the sweep first:", file=sys.stderr)
+              f"finish the sweep first (repro sweep --exp {experiment} ...):",
+              file=sys.stderr)
         for key in missing[:10]:
             print(f"  {key.fingerprint}  {key.label()}", file=sys.stderr)
         if len(missing) > 10:
             print(f"  ... and {len(missing) - 10} more", file=sys.stderr)
+        return None, None
+    return store, store.load_records(cells)
+
+
+def _command_report(args) -> int:
+    sweep = _build_sweep(args)
+    cells = sweep.cells()
+    store, records = _stored_records(args.runs_dir, cells, args.exp)
+    if store is None:
         return 1
-    records = store.load_records(cells)
     if args.across_seeds:
-        status = _report_across_seeds(args, cells, records)
-        if args.timings:
-            print()
-            _print_timings(store, cells)
-        return status
-    many_seeds = len(args.seeds) > 1
-    first = True
-    for seed in args.seeds:
-        if not first:
-            print()
-        first = False
-        if args.exp in EMBEDDING_FIGURES:
-            results = figure_results_from_records(
-                cells, records, methods=args.methods or None, seed=seed,
-                store=store)
-            print(format_silhouette_table(
-                results, title=_report_title(f"{args.exp} silhouettes",
-                                             seed, many_seeds)))
-            continue
-        if args.exp == "table1":
-            rows = table1_rows_from_records(
-                cells, records, variants=args.methods or TABLE1_VARIANTS, seed=seed)
-            print(format_ablation_table(
-                rows, title=_report_title("Table I", seed, many_seeds)))
-            continue
-        panels = FIG3_PANELS if args.exp == "fig3" else FIG4_PANELS
-        dataset, paper_label, _setting = panels[args.panel]
-        name = f"{args.exp}-panel{args.panel} {dataset} paper:{paper_label}"
-        spec = sweep.to_experiment_spec(seed=seed, name=name)
-        seed_records = [record for key, record in zip(cells, records)
-                        if key.seed == seed]
-        outcome = outcome_from_records(spec, seed_records)
-        print(format_comparison_table(
-            outcome, title=_report_title(spec.name, seed, many_seeds)))
-        if outcome.novel_reports:
-            print(format_comparison_table(
-                outcome, novel=True,
-                title=_report_title(spec.name + " [novel]", seed, many_seeds)))
-        if args.csv:
-            print(format_series_csv(outcome))
+        _report_across_seeds(args, cells, records)
+    else:
+        for index, seed in enumerate(args.seeds):
+            if index:
+                print()
+            _report_seed(args, sweep, store, cells, records, seed)
     if args.timings:
         print()
         _print_timings(store, cells)
@@ -827,21 +828,10 @@ def _command_figures(args) -> int:
                   f"{args.seeds}", file=sys.stderr)
             return 2
     sweep = _build_sweep(args, experiment=args.figure)
-    try:
-        store = RunStore(args.runs_dir, create=False)
-    except FileNotFoundError as error:
-        print(error, file=sys.stderr)
-        return 1
     cells = [key for key in sweep.cells() if key.seed == args.seed]
-    missing = store.missing(cells)
-    if missing:
-        print(f"{len(missing)} of {len(cells)} cells missing from {store.root}; "
-              f"run the sweep first (repro sweep --exp {args.figure} ...):",
-              file=sys.stderr)
-        for key in missing[:10]:
-            print(f"  {key.fingerprint}  {key.label()}", file=sys.stderr)
+    store, records = _stored_records(args.runs_dir, cells, args.figure)
+    if store is None:
         return 1
-    records = store.load_records(cells)
     if args.figure in EMBEDDING_FIGURES:
         results = figure_results_from_records(
             cells, records, methods=args.methods or None, seed=args.seed,
@@ -850,12 +840,9 @@ def _command_figures(args) -> int:
         print(format_silhouette_table(results, title=f"{args.figure} silhouettes"))
         default_out = f"{args.figure}.svg"
     else:
-        panels = FIG3_PANELS if args.figure == "fig3" else FIG4_PANELS
-        dataset, paper_label, _setting = panels[args.panel]
-        name = f"{args.figure}-panel{args.panel} {dataset} paper:{paper_label}"
-        spec = sweep.to_experiment_spec(seed=args.seed, name=name)
-        outcome = outcome_from_records(spec, records)
-        svg = render_series_svg(outcome, title=name)
+        outcome = panel_outcome_from_records(args.figure, args.panel, sweep,
+                                             cells, records, seed=args.seed)
+        svg = render_series_svg(outcome, title=outcome.spec.name)
         default_out = f"{args.figure}-panel{args.panel}.svg"
     path = atomic_write_text(args.out or default_out, svg)
     print(f"wrote {path}")
@@ -886,18 +873,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return run_check_command(args)
     if args.command == "run":
         return _command_run(args)
-    if args.command == "fig3":
-        run_fig3_panel(args.panel, methods=args.methods or None, seed=args.seed,
-                       verbose=True)
-        return 0
-    if args.command == "fig4":
-        run_fig4_panel(args.panel, seed=args.seed, num_novel_clients=args.novel,
-                       verbose=True)
-        return 0
-    if args.command == "table1":
-        rows = run_table1(seed=args.seed)
-        print(format_ablation_table(rows))
-        return 0
     if args.command == "sweep":
         return _command_sweep(args)
     if args.command == "report":

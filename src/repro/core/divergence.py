@@ -15,8 +15,8 @@ structure) contribute more to the aggregate — and records the choice:
 
 Both reduce to plain FedAvg when all divergences are equal; η (temperature)
 controls how aggressively divergent clients are down-weighted.  The
-substitution is documented in DESIGN.md and exercised by the ablation
-benchmark.
+choice is recorded in docs/reproduction.md ("Divergence weighting") and
+exercised by the ablation benchmark.
 """
 
 from __future__ import annotations

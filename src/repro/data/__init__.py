@@ -1,7 +1,7 @@
 """``repro.data`` — synthetic datasets, non-i.i.d. partitioners, augmentations.
 
 Substitutes for CIFAR-10/100 and STL-10 in this offline reproduction; see
-DESIGN.md §2 for the substitution rationale.
+docs/reproduction.md ("Data") for the substitution and its evidence.
 """
 
 from .augment import (

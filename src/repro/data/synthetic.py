@@ -3,7 +3,7 @@
 The paper evaluates on CIFAR-10, CIFAR-100, and STL-10.  None of these can
 be downloaded in this offline environment, so we substitute generative
 equivalents that preserve the two properties every experiment in the paper
-relies on (DESIGN.md §2):
+relies on (docs/reproduction.md, "Data"):
 
 1. **Class structure** — each class has a distinct latent prototype, so a
    supervised classifier (and a linear probe over good features) can

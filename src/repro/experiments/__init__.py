@@ -1,5 +1,12 @@
-"""``repro.experiments`` — per-figure/table harnesses for the paper's
-evaluation section (Figs. 1-8 and Table I)."""
+"""``repro.experiments`` — the paper's evaluation section (Figs. 1-8 and
+Table I), one sweep declaration and one records view per artifact:
+
+* Table I: :func:`table1_sweep` → :func:`table1_rows_from_records`;
+* Figs. 3/4: :func:`fig3_sweep` / :func:`fig4_sweep` →
+  :func:`panel_outcome_from_records`;
+* Figs. 1, 2, 5-8: :func:`embeddings_sweep` (run with
+  :func:`execute_embedding_cell`) → :func:`figure_results_from_records`.
+"""
 
 from .embeddings import (
     EMBEDDING_FIGURES,
@@ -12,10 +19,10 @@ from .embeddings import (
     execute_embedding_cell,
     figure_results_from_records,
     render_figure_svg,
-    run_figure,
 )
-from .fig3 import FIG3_PANELS, fig3_sweep, run_fig3_panel
-from .fig4 import FIG4_PANELS, fig4_sweep, run_fig4_panel
+from .fig3 import FIG3_PANELS, fig3_sweep
+from .fig4 import FIG4_PANELS, fig4_sweep
+from .panels import PANEL_FIGURES, panel_outcome_from_records, panel_title
 from .settings import (
     CALIBRE_OVERRIDES,
     COMPARISON_METHODS,
@@ -28,20 +35,19 @@ from .table1 import (
     TABLE1_SETTING,
     TABLE1_TOGGLES,
     TABLE1_VARIANTS,
-    run_table1,
     table1_rows_across_seeds,
     table1_rows_from_records,
     table1_sweep,
 )
 
 __all__ = [
-    "run_fig3_panel",
     "fig3_sweep",
     "FIG3_PANELS",
-    "run_fig4_panel",
     "fig4_sweep",
     "FIG4_PANELS",
-    "run_table1",
+    "PANEL_FIGURES",
+    "panel_title",
+    "panel_outcome_from_records",
     "table1_sweep",
     "table1_rows_from_records",
     "table1_rows_across_seeds",
@@ -55,7 +61,6 @@ __all__ = [
     "EMBEDDING_FIGURES",
     "embeddings_sweep",
     "execute_embedding_cell",
-    "run_figure",
     "figure_results_from_records",
     "embedding_from_record",
     "render_figure_svg",

@@ -25,15 +25,14 @@ method x seed, with the t-SNE/sampling knobs carried as fingerprinted
 * :func:`embeddings_sweep` — declare a figure's grid;
 * :func:`execute_embedding_cell` — train one cell, embed, and return a
   store record carrying both the training result and the embedding;
-* :func:`run_figure` — sweep a figure (resumably, given a store) and
-  return its :class:`EmbeddingResult` list;
 * :func:`figure_results_from_records` / :func:`embedding_from_record` —
-  rebuild results from persisted records alone (no retraining);
-* :func:`render_figure_svg` — the records-to-SVG assembly behind
+  the records view: one :class:`EmbeddingResult` per method, from a
+  sweep's records alone (no retraining);
+* :func:`render_figure_svg` — the results-to-SVG assembly behind
   ``repro figures``.
 
-Without a store, :func:`run_figure` runs the same cells in memory, which
-is what quick scripts (``examples/tsne_embeddings.py``) use.
+``run_sweep`` without a store runs the same cells in memory, which is
+what quick scripts (``examples/tsne_embeddings.py``) use.
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ import numpy as np
 from ..eval.harness import NonIIDSetting
 from ..fl.session import SessionCallback, TrainingSession
 from ..manifold import silhouette_score, tsne_embed
-from ..runs import ARRAYS_KEY, RunKey, RunStore, SweepSpec, execute_cell, run_sweep
+from ..runs import ARRAYS_KEY, RunKey, RunStore, SweepSpec, execute_cell
 from ..viz.svg import ScatterPanel, render_panels
 from .settings import CALIBRE_OVERRIDES, SCALED_CONFIG, SCALED_DATASET_KWARGS
 
@@ -58,7 +57,6 @@ __all__ = [
     "EMBEDDING_FIGURES",
     "embeddings_sweep",
     "execute_embedding_cell",
-    "run_figure",
     "figure_results_from_records",
     "embedding_from_record",
     "render_figure_svg",
@@ -316,8 +314,10 @@ def execute_embedding_cell(key: RunKey, client_backend: Optional[str] = None,
     semantics, ``result``/``report`` record fields — entirely to
     :func:`~repro.runs.execute_cell`, hooking the cell's session to embed
     the trained encoder's representations *between* training and
-    personalization; the t-SNE points, labels, client ids and silhouette
-    scores are serialized under the record's ``embedding`` key.
+    personalization.  The silhouette scores and the names of the t-SNE
+    point, label and client-id columns go under the record's ``embedding``
+    key; the columns themselves under :data:`~repro.runs.ARRAYS_KEY`,
+    which the store writes to the cell's ``.npcol`` sidecar.
     """
     embed = embed_params_of(key)
     captured: Dict[str, EmbeddingResult] = {}
@@ -471,31 +471,6 @@ def figure_results_from_records(
             arrays = store.read_arrays(key)
         results.append(embedding_from_record(record, arrays=arrays))
     return results
-
-
-def run_figure(
-    figure: str,
-    store=None,
-    scheduler: str = "serial",
-    jobs: Optional[int] = None,
-    seed: int = 0,
-    verbose: bool = False,
-    **sweep_kwargs,
-) -> List[EmbeddingResult]:
-    """Sweep one embedding figure (resumably, given ``store``) and return
-    its per-method results.
-
-    ``store`` (a path or :class:`~repro.runs.RunStore`) makes the run
-    persistent: finished cells are skipped on relaunch and the figure is
-    afterwards renderable from the store alone via
-    :func:`figure_results_from_records` + :func:`render_figure_svg`.
-    """
-    sweep = embeddings_sweep(figure, seeds=(seed,), **sweep_kwargs)
-    summary = run_sweep(sweep, store=store, backend=scheduler, workers=jobs,
-                        executor=execute_embedding_cell, verbose=verbose)
-    return figure_results_from_records(summary.cells, summary.records,
-                                       methods=sweep.methods, seed=seed,
-                                       store=store)
 
 
 # ----------------------------------------------------------------------

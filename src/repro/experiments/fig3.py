@@ -7,7 +7,8 @@ low-variance (fair) region.
 
 Each panel is a sweep grid of one cell per method, declared by
 :func:`fig3_sweep` and executed/resumed through :mod:`repro.runs`;
-:func:`run_fig3_panel` reassembles the stored cells into the familiar
+:func:`~repro.experiments.panels.panel_outcome_from_records` reassembles
+one seed's cells into the familiar
 :class:`~repro.eval.harness.ExperimentOutcome`.
 """
 
@@ -16,9 +17,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Dict, Optional, Sequence
 
-from ..eval.harness import ExperimentOutcome
-from ..eval.reporting import format_comparison_table, format_series_csv
-from ..runs import SweepSpec, outcome_from_records, run_sweep
+from ..runs import SweepSpec
 from .settings import (
     CALIBRE_OVERRIDES,
     COMPARISON_METHODS,
@@ -27,7 +26,7 @@ from .settings import (
     SCALED_DATASET_KWARGS,
 )
 
-__all__ = ["run_fig3_panel", "fig3_sweep", "FIG3_PANELS"]
+__all__ = ["fig3_sweep", "FIG3_PANELS"]
 
 
 def fig3_sweep(
@@ -63,30 +62,3 @@ def fig3_sweep(
                                   **(dataset_kwargs or {})}},
         **spec_overrides,
     )
-
-
-def run_fig3_panel(
-    panel_index: int,
-    methods: Optional[Sequence[str]] = None,
-    seed: int = 0,
-    verbose: bool = False,
-    store=None,
-    scheduler: str = "serial",
-    jobs: Optional[int] = None,
-    **spec_overrides,
-) -> ExperimentOutcome:
-    """Run one of the four Fig. 3 panels (0-3), resumably when ``store``
-    is given; the outcome is reassembled from the panel's cell records."""
-    sweep = fig3_sweep(panel_index, methods=methods, seeds=(seed,),
-                       **spec_overrides)
-    summary = run_sweep(sweep, store=store, backend=scheduler, workers=jobs,
-                        verbose=verbose)
-    dataset, paper_label, _setting = FIG3_PANELS[panel_index]
-    spec = sweep.to_experiment_spec(
-        seed=seed, name=f"fig3-panel{panel_index} {dataset} paper:{paper_label}"
-    )
-    outcome = outcome_from_records(spec, summary.records)
-    if verbose:
-        print(format_comparison_table(outcome, title=spec.name))
-        print(format_series_csv(outcome))
-    return outcome

@@ -7,7 +7,10 @@ the final global model and personalize from scratch (§V-D).
 
 Each panel is a sweep grid of one cell per method (novel clients included
 in every cell's config), declared by :func:`fig4_sweep` and
-executed/resumed through :mod:`repro.runs`.
+executed/resumed through :mod:`repro.runs`;
+:func:`~repro.experiments.panels.panel_outcome_from_records` reassembles
+one seed's cells into an outcome carrying both the training-client and
+the novel-client series.
 """
 
 from __future__ import annotations
@@ -15,9 +18,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Dict, Optional, Sequence
 
-from ..eval.harness import ExperimentOutcome
-from ..eval.reporting import format_comparison_table
-from ..runs import SweepSpec, outcome_from_records, run_sweep
+from ..runs import SweepSpec
 from .settings import (
     CALIBRE_OVERRIDES,
     FIG4_PANELS,
@@ -26,7 +27,7 @@ from .settings import (
     SCALED_DATASET_KWARGS,
 )
 
-__all__ = ["run_fig4_panel", "fig4_sweep", "FIG4_PANELS"]
+__all__ = ["fig4_sweep", "FIG4_PANELS"]
 
 
 def fig4_sweep(
@@ -63,36 +64,3 @@ def fig4_sweep(
                                   **(dataset_kwargs or {})}},
         **spec_overrides,
     )
-
-
-def run_fig4_panel(
-    panel_index: int,
-    methods: Optional[Sequence[str]] = None,
-    seed: int = 0,
-    num_novel_clients: int = 6,
-    config=None,
-    verbose: bool = False,
-    store=None,
-    scheduler: str = "serial",
-    jobs: Optional[int] = None,
-    **spec_overrides,
-) -> ExperimentOutcome:
-    """Run one Fig. 4 panel, novel clients included — the outcome carries
-    both the training-client and the novel-client series.  With ``store``
-    the panel is persistent and resumable."""
-    sweep = fig4_sweep(panel_index, methods=methods, seeds=(seed,),
-                       num_novel_clients=num_novel_clients, config=config,
-                       **spec_overrides)
-    summary = run_sweep(sweep, store=store, backend=scheduler, workers=jobs,
-                        verbose=verbose)
-    dataset, paper_label, _setting = FIG4_PANELS[panel_index]
-    spec = sweep.to_experiment_spec(
-        seed=seed, name=f"fig4-panel{panel_index} {dataset} paper:{paper_label}"
-    )
-    outcome = outcome_from_records(spec, summary.records)
-    if verbose:
-        print(format_comparison_table(outcome, title=spec.name))
-        if outcome.novel_reports:
-            print(format_comparison_table(outcome, novel=True,
-                                          title=spec.name + " [novel]"))
-    return outcome

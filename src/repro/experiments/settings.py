@@ -7,8 +7,8 @@ configurations:
 
 * ``paper``  — the faithful setting (kept runnable for completeness);
 * ``scaled`` — the benchmark default: fewer/smaller clients and rounds and
-  a compact encoder, chosen (see EXPERIMENTS.md) so the paper's comparative
-  *shapes* survive.
+  a compact encoder, meant to keep the paper's comparative *shapes*;
+  docs/reproduction.md ("Scale", "Encoder") records which shapes survive.
 
 Both flow through identical code paths.
 """
@@ -55,8 +55,9 @@ SCALED_DATASET_KWARGS: Dict[str, Dict] = {
                   color_jitter=0.5, class_sep=1.2),
 }
 
-# Calibre clusters each batch with KMeans; at the scaled batch size a small
-# prototype count is the stable choice (see EXPERIMENTS.md calibration).
+# Calibre clusters each batch with k-means into num_prototypes clusters; the
+# scaled cells fix 5 for their 32-sample batches.  No calibration backs the
+# number yet (docs/reproduction.md, "Prototype count").
 CALIBRE_OVERRIDES: Dict[str, Dict] = {
     f"calibre-{variant}": {"num_prototypes": 5}
     for variant in ("simclr", "byol", "simsiam", "mocov2", "swav", "smog")

@@ -10,21 +10,22 @@ L_n and L_p.  Directional findings to reproduce (§V-F):
 
 The table is a 12-cell sweep grid (3 methods x 4 toggle variants), declared
 by :func:`table1_sweep` and executed/resumed through :mod:`repro.runs`;
-:func:`table1_rows_from_records` regenerates the paper's rows from stored
-cell records alone, so ``repro report`` reproduces the table with no
-retraining.
+:func:`table1_rows_from_records` regenerates the paper's rows from cell
+records alone, so ``repro report`` reproduces the table from a store with
+no retraining.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..eval.harness import NonIIDSetting
-from ..eval.reporting import format_ablation_table
-from ..runs import RunKey, SweepSpec, SweepVariant, run_sweep
+from ..runs import RunKey, SweepSpec, SweepVariant
 from .settings import SCALED_CONFIG, SCALED_DATASET_KWARGS
 
-__all__ = ["run_table1", "table1_sweep", "table1_rows_from_records",
+__all__ = ["table1_sweep", "table1_rows_from_records",
            "table1_rows_across_seeds",
            "TABLE1_VARIANTS", "TABLE1_TOGGLES", "TABLE1_SETTING"]
 
@@ -109,55 +110,19 @@ def table1_rows_across_seeds(
     Where :func:`table1_rows_from_records` renders one seed's accuracy
     mean ± std *across clients*, this renders the across-*seed* mean ±
     population std of each cell's mean accuracy (the Cali3F-style
-    multi-seed presentation).  Every ``(seed, toggle, method)`` cell must
-    be present.
+    multi-seed presentation).  It reads each seed through
+    :func:`table1_rows_from_records`, so every ``(seed, toggle, method)``
+    cell must be present.
     """
-    import numpy as np
-
-    by_coordinate = {(key.seed, key.variant, key.method): record
-                     for key, record in zip(cells, records)}
+    per_seed = [table1_rows_from_records(cells, records, variants=variants,
+                                         seed=seed)
+                for seed in seeds]
     rows: List[Dict] = []
-    for use_ln, use_lp in TABLE1_TOGGLES:
-        label = _toggle_variant(use_ln, use_lp).label
+    for index, (use_ln, use_lp) in enumerate(TABLE1_TOGGLES):
         results: Dict[str, Tuple[float, float]] = {}
         for method in variants:
-            means = []
-            for seed in seeds:
-                record = by_coordinate.get((seed, label, method))
-                if record is None:
-                    raise KeyError(
-                        f"no record for cell (seed={seed}, {label}, {method}); "
-                        "run the sweep over every seed first")
-                means.append(record["report"]["mean"])
-            means = np.asarray(means, dtype=np.float64)
+            means = np.asarray([seed_rows[index]["results"][method][0]
+                                for seed_rows in per_seed], dtype=np.float64)
             results[method] = (float(means.mean()), float(means.std()))
         rows.append({"ln": use_ln, "lp": use_lp, "results": results})
-    return rows
-
-
-def run_table1(
-    variants: Sequence[str] = TABLE1_VARIANTS,
-    seed: int = 0,
-    setting: Optional[NonIIDSetting] = None,
-    verbose: bool = False,
-    store=None,
-    scheduler: str = "serial",
-    jobs: Optional[int] = None,
-    **spec_overrides,
-) -> List[Dict]:
-    """Regenerate Table I rows: one sweep cell per (variant, L_n, L_p).
-
-    ``store`` (a path or :class:`~repro.runs.RunStore`) makes the run
-    persistent and resumable; ``scheduler``/``jobs`` pick the
-    experiment-level execution backend.  Returns rows in the paper's row
-    order (see :func:`table1_rows_from_records`).
-    """
-    sweep = table1_sweep(variants=variants, seeds=(seed,), setting=setting,
-                         **spec_overrides)
-    summary = run_sweep(sweep, store=store, backend=scheduler, workers=jobs,
-                        verbose=verbose)
-    rows = table1_rows_from_records(summary.cells, summary.records,
-                                    variants=list(variants), seed=seed)
-    if verbose:
-        print(format_ablation_table(rows))
     return rows

@@ -3,8 +3,8 @@
 ``FederatedConfig`` captures the paper's learning settings (§V-A): 100
 clients, 10 sampled per round, 200 rounds, 3 local epochs, 10-epoch
 personalization with SGD at lr 0.05 and batch size 32, plus 50 novel
-clients.  Benchmark configurations scale these down for CPU (DESIGN.md §2)
-without changing any code path.
+clients.  Benchmark configurations scale these down for CPU
+(docs/reproduction.md, "Scale") without changing any code path.
 """
 
 from __future__ import annotations

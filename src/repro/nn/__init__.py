@@ -1,6 +1,7 @@
 """``repro.nn`` — a from-scratch numpy deep-learning substrate.
 
-Substitutes for PyTorch in this reproduction (see DESIGN.md §2): a dynamic
+Substitutes for PyTorch in this reproduction (see docs/reproduction.md,
+"Substrate"): a dynamic
 autograd engine, modules/layers, losses, optimizers, weight init, state-dict
 serialization algebra, and the encoder architectures used by the paper.
 """

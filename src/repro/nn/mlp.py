@@ -3,7 +3,8 @@
 An MLP encoder over flattened images keeps every algorithmic code path of
 the conv encoders (feature extraction, SSL heads, prototypes) while running
 an order of magnitude faster, which matters for the full Fig. 3/4 method
-sweeps in pure numpy.  The substitution is documented in DESIGN.md §2.
+sweeps in pure numpy.  The substitution is recorded in
+docs/reproduction.md ("Encoder").
 """
 
 from __future__ import annotations

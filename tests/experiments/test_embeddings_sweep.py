@@ -13,7 +13,6 @@ from repro.experiments import (
     embeddings_sweep,
     figure_results_from_records,
     render_figure_svg,
-    run_figure,
 )
 from repro.experiments.embeddings import embed_params_of, execute_embedding_cell
 from repro.fl import FederatedConfig
@@ -142,12 +141,13 @@ class TestStoreRoundTrip:
         assert again.executed == []
         assert len(again.skipped) == 1
 
-    def test_run_figure_replays_from_store(self, tmp_path):
-        kwargs = dict(methods=["script-fair"], config=TINY_CONFIG,
-                      dataset_kwargs=TINY_DATASET, embed=TINY_EMBED,
-                      samples_per_client=20, store=tmp_path)
-        first = run_figure("fig1", **kwargs)
-        second = run_figure("fig1", **kwargs)  # no cells left to execute
+    def test_figure_replays_from_store(self, tmp_path):
+        _sweep, live = self.run_tiny(tmp_path)
+        _sweep, replayed = self.run_tiny(tmp_path)  # no cells left to execute
+        assert replayed.executed == []
+        first, second = (figure_results_from_records(
+            summary.cells, summary.records, store=tmp_path)
+            for summary in (live, replayed))
         np.testing.assert_array_equal(first[0].embedding, second[0].embedding)
         assert first[0].silhouette == second[0].silhouette
 

@@ -1,6 +1,5 @@
-"""Tests for the per-figure experiment harnesses (scaled way down)."""
-
-import pytest
+"""Tests for the per-figure experiment harnesses (scaled way down): each
+artifact's sweep, run in memory, read through its records view."""
 
 from repro.eval import NonIIDSetting
 from repro.experiments import (
@@ -9,13 +8,18 @@ from repro.experiments import (
     FIG4_PANELS,
     FIGURE_METHOD_SETS,
     SCALED_CONFIG,
-    run_fig3_panel,
-    run_fig4_panel,
-    run_figure,
-    run_table1,
+    embeddings_sweep,
+    execute_embedding_cell,
+    fig3_sweep,
+    fig4_sweep,
+    figure_results_from_records,
+    panel_outcome_from_records,
     scaled_spec,
+    table1_rows_from_records,
+    table1_sweep,
 )
 from repro.fl import FederatedConfig
+from repro.runs import run_sweep
 
 TINY_CONFIG = FederatedConfig(num_clients=4, clients_per_round=2, rounds=1,
                               local_epochs=1, batch_size=16,
@@ -53,35 +57,36 @@ class TestSettings:
 
 class TestFig3Harness:
     def test_panel_runs_and_reports(self):
-        outcome = run_fig3_panel(0, methods=["script-fair", "fedavg"],
-                                 config=TINY_CONFIG, dataset_kwargs=TINY_DATASET)
+        sweep = fig3_sweep(0, methods=["script-fair", "fedavg"],
+                           config=TINY_CONFIG, dataset_kwargs=TINY_DATASET)
+        summary = run_sweep(sweep)
+        outcome = panel_outcome_from_records("fig3", 0, sweep, summary.cells,
+                                             summary.records)
+        assert outcome.spec.name == "fig3-panel0 cifar10 paper:Q-non-iid (2, 500)"
         assert set(outcome.reports) == {"script-fair", "fedavg"}
         series = outcome.series()
         assert {row["method"] for row in series} == {"script-fair", "fedavg"}
 
-    def test_bad_panel_index(self):
-        with pytest.raises(IndexError):
-            run_fig3_panel(9)
-
 
 class TestFig4Harness:
     def test_panel_includes_novel_clients(self):
-        outcome = run_fig4_panel(0, methods=["fedavg-ft"], config=None,
-                                 num_novel_clients=2,
-                                 dataset_kwargs=TINY_DATASET)
         # config=None builds the scaled config with the requested novel count
+        sweep = fig4_sweep(0, methods=["fedavg-ft"], config=None,
+                           num_novel_clients=2, dataset_kwargs=TINY_DATASET)
+        summary = run_sweep(sweep)
+        outcome = panel_outcome_from_records("fig4", 0, sweep, summary.cells,
+                                             summary.records)
         assert "fedavg-ft" in outcome.novel_reports
-
-    def test_bad_panel_index(self):
-        with pytest.raises(IndexError):
-            run_fig4_panel(5)
 
 
 class TestTable1Harness:
     def test_rows_cover_all_toggles(self):
-        rows = run_table1(variants=["calibre-simclr"], config=TINY_CONFIG,
-                          dataset_kwargs=TINY_DATASET,
-                          setting=NonIIDSetting("quantity", 2, 20))
+        summary = run_sweep(table1_sweep(
+            variants=["calibre-simclr"], config=TINY_CONFIG,
+            dataset_kwargs=TINY_DATASET,
+            setting=NonIIDSetting("quantity", 2, 20)))
+        rows = table1_rows_from_records(summary.cells, summary.records,
+                                        variants=["calibre-simclr"])
         assert [(r["ln"], r["lp"]) for r in rows] == [
             (False, False), (True, False), (False, True), (True, True)
         ]
@@ -93,7 +98,7 @@ class TestTable1Harness:
 
 class TestEmbeddingHarness:
     def test_embeddings_and_silhouettes(self):
-        results = run_figure(
+        sweep = embeddings_sweep(
             "fig1",
             methods=["pfl-simclr"],
             config=TINY_CONFIG,
@@ -103,6 +108,8 @@ class TestEmbeddingHarness:
             embed_samples=8,
             tsne_iterations=60,
         )
+        summary = run_sweep(sweep, executor=execute_embedding_cell)
+        results = figure_results_from_records(summary.cells, summary.records)
         result = results[0]
         assert result.method == "pfl-simclr"
         assert result.embedding.shape[1] == 2

@@ -8,7 +8,6 @@ from repro.experiments import (
     TABLE1_VARIANTS,
     fig3_sweep,
     fig4_sweep,
-    run_table1,
     table1_rows_from_records,
     table1_sweep,
 )
@@ -95,10 +94,13 @@ class TestTable1RowOrdering:
 
 class TestRunTable1StoreBacked:
     def test_store_backed_rerun_skips_training(self, tmp_path):
-        kwargs = dict(variants=["calibre-simclr"], config=TINY_CONFIG,
-                      setting=TINY_SETTING, dataset_kwargs=TINY_DATASET,
-                      store=tmp_path)
-        first = run_table1(**kwargs)
+        sweep = table1_sweep(variants=["calibre-simclr"], config=TINY_CONFIG,
+                             setting=TINY_SETTING, dataset_kwargs=TINY_DATASET)
+        first = run_sweep(sweep, store=tmp_path)
         assert len(RunStore(tmp_path)) == len(TABLE1_TOGGLES)
-        second = run_table1(**kwargs)  # replays from the store
-        assert format_ablation_table(second) == format_ablation_table(first)
+        second = run_sweep(sweep, store=tmp_path)  # replays from the store
+        assert second.executed == []
+        rows = [table1_rows_from_records(summary.cells, summary.records,
+                                         variants=["calibre-simclr"])
+                for summary in (first, second)]
+        assert format_ablation_table(rows[1]) == format_ablation_table(rows[0])

@@ -27,9 +27,41 @@ class TestParser:
         )
         assert args.method == ["fedavg", "script-fair"]
 
-    def test_fig3_panel_bounds(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["fig3", "--panel", "9"])
+    def test_fig3_panel_bounds(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["sweep", "--exp", "fig3", "--panel", "9",
+                  "--runs-dir", str(tmp_path)])
+        assert exit_info.value.code == 2
+        assert "--panel: panel_index must be in [0, 3]" in capsys.readouterr().err
+
+    def test_one_shot_artifact_commands_are_gone(self):
+        for command in ("fig3", "fig4", "table1"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([command])
+
+    @pytest.mark.parametrize("argv, message", [
+        (["run", "--method", "fedavg", "--samples", "3"],
+         "--samples: samples_per_client must be >= 4"),
+        (["sweep", "--exp", "fig3", "--clients", "0"],
+         "--clients: num_clients must be >= 1"),
+        (["report", "--exp", "fig3", "--samples", "3"],
+         "--samples: samples_per_client must be >= 4"),
+        (["figures", "fig1", "--clients", "0"],
+         "--clients: num_clients must be >= 1"),
+        (["run", "--method", "fedavg", "--rounds", "-1"],
+         "--rounds: rounds must be >= 0"),
+        (["sweep", "--exp", "fig4", "--novel", "-1"],
+         "--novel: num_novel_clients must be >= 0"),
+    ], ids=["run", "sweep", "report", "figures", "run-rounds", "sweep-novel"])
+    def test_bad_grid_value_exits_2_naming_the_flag(self, capsys, tmp_path,
+                                                    argv, message):
+        if argv[0] != "run":
+            argv = argv + ["--runs-dir", str(tmp_path / "store")]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "store").exists()
 
 
 class TestMain:
@@ -272,3 +304,92 @@ class TestFiguresCommands:
         assert main(["figures", "fig1", "--runs-dir", runs_dir, "--seeds",
                      "0", "1"] + TINY_FIGURE_ARGS) == 2
         assert "pick one" in capsys.readouterr().err
+
+
+def _tiny_config():
+    """The config the CLI builds from ``--rounds 1 --clients 4``."""
+    from repro.experiments import SCALED_CONFIG
+
+    return SCALED_CONFIG.with_overrides(rounds=1, num_clients=4,
+                                        clients_per_round=4)
+
+
+class TestReportMatchesLiveRun:
+    """``repro report`` over a stored grid prints exactly what the
+    artifact's records view formats from an in-memory sweep of the same
+    grid: one test per kind of view."""
+
+    def report_from_store(self, capsys, tmp_path, grid, report_flags=()):
+        base = ["--runs-dir", str(tmp_path / "store")] + grid
+        assert main(["sweep", "--quiet"] + base) == 0
+        capsys.readouterr()
+        assert main(["report", *report_flags] + base) == 0
+        return capsys.readouterr().out
+
+    def test_fig4_panel_tables_and_csv(self, capsys, tmp_path):
+        from repro.eval import format_comparison_table, format_series_csv
+        from repro.experiments import fig4_sweep, panel_outcome_from_records
+        from repro.runs import run_sweep
+
+        grid = ["--exp", "fig4", "--panel", "0", "--methods", "fedavg-ft",
+                "--rounds", "1", "--clients", "4", "--samples", "20",
+                "--novel", "2"]
+        stored = self.report_from_store(capsys, tmp_path, grid, ["--csv"])
+
+        sweep = fig4_sweep(0, methods=["fedavg-ft"], num_novel_clients=2,
+                           config=_tiny_config(), samples_per_client=20)
+        summary = run_sweep(sweep, store=None)
+        outcome = panel_outcome_from_records("fig4", 0, sweep, summary.cells,
+                                             summary.records)
+        title = outcome.spec.name
+        assert outcome.novel_reports
+        assert stored == "".join(block + "\n" for block in (
+            format_comparison_table(outcome, title=title),
+            format_comparison_table(outcome, novel=True,
+                                    title=title + " [novel]"),
+            format_series_csv(outcome),
+        ))
+
+    def test_table1_rows(self, capsys, tmp_path):
+        from dataclasses import replace
+
+        from repro.eval import format_ablation_table
+        from repro.experiments import (
+            TABLE1_SETTING,
+            table1_rows_from_records,
+            table1_sweep,
+        )
+        from repro.runs import run_sweep
+
+        grid = ["--exp", "table1", "--methods", "calibre-simclr",
+                "--rounds", "1", "--clients", "4", "--samples", "20"]
+        stored = self.report_from_store(capsys, tmp_path, grid)
+
+        sweep = table1_sweep(
+            variants=["calibre-simclr"], config=_tiny_config(),
+            setting=replace(TABLE1_SETTING, samples_per_client=20))
+        summary = run_sweep(sweep, store=None)
+        rows = table1_rows_from_records(summary.cells, summary.records,
+                                        variants=["calibre-simclr"])
+        assert stored == format_ablation_table(rows, title="Table I") + "\n"
+
+    def test_embedding_figure_silhouettes(self, capsys, tmp_path):
+        from repro.eval import format_silhouette_table
+        from repro.experiments import (
+            embeddings_sweep,
+            execute_embedding_cell,
+            figure_results_from_records,
+        )
+        from repro.runs import run_sweep
+
+        grid = ["--grid", "fig1", "--methods", "fedavg"] + TINY_FIGURE_ARGS[2:]
+        stored = self.report_from_store(capsys, tmp_path, grid)
+
+        sweep = embeddings_sweep("fig1", methods=["fedavg"],
+                                 config=_tiny_config(), samples_per_client=20,
+                                 embed_clients=3, embed_samples=8,
+                                 tsne_iterations=30)
+        summary = run_sweep(sweep, store=None, executor=execute_embedding_cell)
+        results = figure_results_from_records(summary.cells, summary.records)
+        assert stored == format_silhouette_table(
+            results, title="fig1 silhouettes") + "\n"
