@@ -10,7 +10,12 @@ The rows are:
 * ``calibre-simclr@buffered-churn``: buffered aggregation under
   availability churn, mid-round dropout and speed spread;
 * ``fedavg@staleness``: staleness-weighted aggregation;
-* ``fedper@process`` and ``calibre-simclr@process``: the process backend.
+* ``fedper@process`` and ``calibre-simclr@process``: the process backend;
+* ``pfl-simclr@smallconv``: a conv encoder, whose personalization
+  features are encoded array by array;
+* ``calibre-simclr@population``: a virtual population whose
+  personalization chunks hold cohorts of three train/test shapes, so the
+  MLP encoder's stacked feature forward runs several shape groups.
 
 Usage::
 
@@ -26,10 +31,12 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.eval import available_methods  # noqa: E402
+from repro.eval import available_methods, build_method  # noqa: E402
 from repro.eval.harness import (ExperimentSpec, NonIIDSetting,  # noqa: E402
+                                make_dataset, make_encoder_factory,
                                 run_experiment)
-from repro.fl import AvailabilitySpec, FederatedConfig  # noqa: E402
+from repro.fl import (AvailabilitySpec, FederatedConfig,  # noqa: E402
+                      TrainingSession, VirtualPopulation)
 
 CONFIG = FederatedConfig(num_clients=6, clients_per_round=4, rounds=2,
                          local_epochs=1, batch_size=8,
@@ -55,19 +62,39 @@ def digest(result) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def print_rows(methods, suffix: str = "", **overrides) -> None:
+def print_rows(methods, suffix: str = "", encoder: str = "mlp",
+               **overrides) -> None:
     spec = ExperimentSpec(dataset="cifar10", setting=SETTING,
                           config=CONFIG.with_overrides(**overrides),
-                          methods=methods, dataset_kwargs=DATASET_KWARGS)
+                          methods=methods, dataset_kwargs=DATASET_KWARGS,
+                          encoder=encoder)
     outcome = run_experiment(spec)
     for name in methods:
         print(f"{name}{suffix} {digest(outcome.results[name])}", flush=True)
+
+
+def print_population_row() -> None:
+    """Calibre over 24 virtual clients, personalized in chunks of 12."""
+    config = CONFIG.with_overrides(num_clients=24, num_novel_clients=0)
+    dataset = make_dataset("cifar10", seed=0, **DATASET_KWARGS)
+    algorithm = build_method("calibre-simclr", config, dataset.num_classes,
+                             make_encoder_factory("mlp", dataset))
+    with VirtualPopulation(dataset, num_clients=24, samples_per_client=16,
+                           classes_per_client=3,
+                           test_fraction=config.test_fraction, seed=0,
+                           max_resident=12) as population, \
+            TrainingSession(algorithm, population, config) as session:
+        session.run()
+        result = session.personalize()
+    print(f"calibre-simclr@population {digest(result)}", flush=True)
 
 
 def main() -> None:
     print_rows(available_methods())
     for suffix, methods, overrides in VARIANTS:
         print_rows(methods, "@" + suffix, **overrides)
+    print_rows(["pfl-simclr"], "@smallconv", encoder="smallconv")
+    print_population_row()
 
 
 if __name__ == "__main__":

@@ -8,6 +8,8 @@ the paper's closest two-stage supervised competitor to Calibre.
 
 from __future__ import annotations
 
+from typing import List, Sequence
+
 import numpy as np
 
 from ..fl.algorithm import ClientUpdate
@@ -60,9 +62,11 @@ class FedBABU(SupervisedFL):
             metrics={"loss": loss},
         )
 
-    def extract_features(self, client: ClientData, global_state: StateDict,
-                         images: np.ndarray) -> np.ndarray:
-        return self._load_body(global_state).features(images)
+    def extract_features(self, clients: Sequence[ClientData],
+                         global_state: StateDict,
+                         images: Sequence[np.ndarray]) -> List[np.ndarray]:
+        model = self._load_body(global_state)
+        return [model.features(array) for array in images]
 
     def probe_head(self, client: ClientData, global_state: StateDict) -> Linear:
         # Fine-tune from the fixed head initialization.

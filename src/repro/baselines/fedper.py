@@ -7,6 +7,8 @@ rounds and is used — and further refined — at personalization time.
 
 from __future__ import annotations
 
+from typing import List, Sequence
+
 import numpy as np
 
 from ..fl.algorithm import ClientUpdate
@@ -64,12 +66,13 @@ class FedPer(SupervisedFL):
             metrics={"loss": loss},
         )
 
-    def extract_features(self, client: ClientData, global_state: StateDict,
-                         images: np.ndarray) -> np.ndarray:
+    def extract_features(self, clients: Sequence[ClientData],
+                         global_state: StateDict,
+                         images: Sequence[np.ndarray]) -> List[np.ndarray]:
         model = self._template
         model.load_state_dict(self._initial_state)
         model.load_state_dict(global_state, strict=False)
-        return model.features(images)
+        return [model.features(array) for array in images]
 
     def probe_head(self, client: ClientData, global_state: StateDict) -> Linear:
         # The probe continues from the client's persistent head.

@@ -8,6 +8,8 @@ the global head.
 
 from __future__ import annotations
 
+from typing import List, Sequence
+
 import numpy as np
 
 from ..fl.algorithm import ClientUpdate
@@ -64,10 +66,12 @@ class LGFedAvg(SupervisedFL):
             metrics={"loss": loss},
         )
 
-    def extract_features(self, client: ClientData, global_state: StateDict,
-                         images: np.ndarray) -> np.ndarray:
-        model = self._assemble(client, global_state)
-        return model.features(images)
+    def extract_features(self, clients: Sequence[ClientData],
+                         global_state: StateDict,
+                         images: Sequence[np.ndarray]) -> List[np.ndarray]:
+        # Each client encodes with its own local encoder.
+        return [self._assemble(client, global_state).features(array)
+                for client, array in zip(clients, images)]
 
     def probe_head(self, client: ClientData, global_state: StateDict) -> Linear:
         # The probe fine-tunes the global head over the local encoder.

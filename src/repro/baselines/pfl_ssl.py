@@ -524,9 +524,30 @@ class PFLSSL(FederatedAlgorithm):
     # ------------------------------------------------------------------
     # Personalization support
     # ------------------------------------------------------------------
-    def extract_features(self, client: ClientData, global_state: StateDict,
-                         images: np.ndarray) -> np.ndarray:
+    def extract_features(self, clients: Sequence[ClientData],
+                         global_state: StateDict,
+                         images: Sequence[np.ndarray]) -> List[np.ndarray]:
+        """The frozen global encoder over each array, loaded once.
+
+        An encoder that accepts a client axis encodes each group of
+        same-shape, same-dtype arrays as one eval-mode ``(K, N, C, H, W)``
+        forward; others encode array by array.  The arrays stack on a new
+        axis and are never concatenated by rows: a ``(K, N, D) @ (D, H)``
+        product runs each slice's GEMM with the lone call's shape, while a
+        row-concatenated ``(ΣN, D)`` one changes the shape and, with it,
+        the rounding.
+        """
         method = self._template
         method.load_state_dict(self._initial_state)
         method.load_global_state(global_state)
-        return method.encode(images)
+        if not getattr(type(method.encoder), "accepts_client_axis", False):
+            return [method.encode(array) for array in images]
+        groups: Dict[Tuple, List[int]] = {}
+        for position, array in enumerate(images):
+            groups.setdefault((array.shape, array.dtype.str), []).append(position)
+        features: List[Optional[np.ndarray]] = [None] * len(images)
+        for positions in groups.values():
+            stacked = method.encode(np.stack([images[p] for p in positions]))
+            for row, position in enumerate(positions):
+                features[position] = stacked[row]
+        return features

@@ -11,6 +11,8 @@ pixels — no shared encoder exists because nothing is communicated.
 
 from __future__ import annotations
 
+from typing import List, Sequence
+
 import numpy as np
 
 from ..fl.algorithm import ClientUpdate, FederatedAlgorithm
@@ -47,9 +49,10 @@ class ScriptLocal(FederatedAlgorithm):
     def aggregate(self, updates, global_state: StateDict, round_index: int) -> StateDict:
         return global_state
 
-    def extract_features(self, client: ClientData, global_state: StateDict,
-                         images: np.ndarray) -> np.ndarray:
-        return images.reshape(images.shape[0], -1)
+    def extract_features(self, clients: Sequence[ClientData],
+                         global_state: StateDict,
+                         images: Sequence[np.ndarray]) -> List[np.ndarray]:
+        return [array.reshape(array.shape[0], -1) for array in images]
 
     def probe_epochs(self) -> int:
         return (self.convergent_epochs if self.convergent

@@ -12,7 +12,7 @@ directly and the body/head methods subclass.
 from __future__ import annotations
 
 import copy
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -144,10 +144,11 @@ class SupervisedFL(FederatedAlgorithm):
             metrics={"loss": loss},
         )
 
-    def extract_features(self, client: ClientData, global_state: StateDict,
-                         images: np.ndarray) -> np.ndarray:
+    def extract_features(self, clients: Sequence[ClientData],
+                         global_state: StateDict,
+                         images: Sequence[np.ndarray]) -> List[np.ndarray]:
         model = self._load_template(global_state)
-        return model.features(images)
+        return [model.features(array) for array in images]
 
     def probe_head(self, client: ClientData, global_state: StateDict) -> Linear:
         return self._load_template(global_state).head

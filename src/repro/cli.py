@@ -57,6 +57,7 @@ from .eval import (
 from .experiments import (
     EMBEDDING_FIGURES,
     PANEL_FIGURES,
+    EmbedParams,
     TABLE1_SETTING,
     TABLE1_VARIANTS,
     embeddings_sweep,
@@ -523,6 +524,20 @@ def _build_sweep(args, experiment: Optional[str] = None):
         unknown = [m for m in args.methods if m not in available_methods()]
         if unknown:
             raise SystemExit(f"unknown methods: {unknown}")
+    # The grid rejects these too, but under the --samples guard below; so
+    # each flag is checked alone first, to be named.
+    for flag, values in (("--seeds", args.seeds), ("--methods", args.methods or [])):
+        if len(set(values)) != len(values):
+            print(f"{flag}: values must be unique, got {values}", file=sys.stderr)
+            raise SystemExit(2)
+    if experiment in EMBEDDING_FIGURES:
+        for flag, name, value in (
+                ("--embed-clients", "num_embed_clients", args.embed_clients),
+                ("--embed-samples", "samples_per_client", args.embed_samples),
+                ("--tsne-iterations", "tsne_iterations", args.tsne_iterations)):
+            if value is not None:
+                with _flag(flag):
+                    EmbedParams(**{name: value})
     config = _scaled_config(args)
     if experiment == "fig4":
         # fig4_sweep sets the same value again; setting it here first lets

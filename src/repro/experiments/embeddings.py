@@ -113,6 +113,17 @@ class EmbedParams:
     tsne_iterations: int = 250
     tsne_perplexity: float = 15.0
 
+    def __post_init__(self):
+        # Rejected here, when the grid is declared, not after a cell has
+        # trained and handed t-SNE an empty or degenerate input.
+        for name in ("num_embed_clients", "samples_per_client",
+                     "tsne_iterations"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not self.tsne_perplexity > 0:
+            raise ValueError(
+                f"tsne_perplexity must be > 0, got {self.tsne_perplexity}")
+
     def to_jsonable(self) -> Dict:
         return {
             "num_embed_clients": int(self.num_embed_clients),
@@ -179,17 +190,14 @@ def _embed_trained_method(
     the t-SNE seed is explicit.
     """
     chosen = clients[: embed.num_embed_clients]
-    feature_blocks, label_blocks, client_blocks = [], [], []
-    for client in chosen:
-        count = min(embed.samples_per_client, len(client.train))
-        images = client.train.images[:count]
-        features = algorithm.extract_features(client, global_state, images)
-        feature_blocks.append(features)
-        label_blocks.append(client.train.labels[:count])
-        client_blocks.append(np.full(count, client.client_id))
-    features = np.concatenate(feature_blocks)
-    labels = np.concatenate(label_blocks)
-    client_ids = np.concatenate(client_blocks)
+    counts = [min(embed.samples_per_client, len(client.train)) for client in chosen]
+    features = np.concatenate(algorithm.extract_features(
+        chosen, global_state,
+        [client.train.images[:count] for client, count in zip(chosen, counts)]))
+    labels = np.concatenate([client.train.labels[:count]
+                             for client, count in zip(chosen, counts)])
+    client_ids = np.concatenate([np.full(count, client.client_id)
+                                 for client, count in zip(chosen, counts)])
 
     embedding = tsne_embed(features, perplexity=embed.tsne_perplexity,
                            n_iterations=embed.tsne_iterations, seed=tsne_seed)

@@ -11,10 +11,12 @@ of a pFL experiment, each one code path:
   (:func:`~repro.fl.population.buffered_aggregate`);
 * ``personalize`` — the post-training stage run on *every* client: the
   paper's linear probe on frozen features, which ``cohort_personalize``
-  trains client-batched.  Methods choose the probe's starting head
-  (``probe_head``) and epoch count (``probe_epochs``); only methods that
-  evaluate a personal model instead (APFL, Ditto, Per-FedAvg) override
-  ``personalize``.
+  trains client-batched.  The cohort step extracts every client's train
+  and test features in one ``extract_features`` call, so a method loads
+  its frozen model once per cohort, not once per array.  Methods choose
+  the probe's starting head (``probe_head``) and epoch count
+  (``probe_epochs``); only methods that evaluate a personal model
+  instead (APFL, Ditto, Per-FedAvg) override ``personalize``.
 
 Baselines override the pieces they change; Calibre overrides
 ``local_update`` (prototype losses) and ``aggregate`` (divergence-aware
@@ -79,9 +81,17 @@ class FederatedAlgorithm:
         """Run local training on one client, returning its update."""
         raise NotImplementedError
 
-    def extract_features(self, client: ClientData, global_state: StateDict,
-                         images: np.ndarray) -> np.ndarray:
-        """Frozen-feature extraction used by the default personalization."""
+    def extract_features(self, clients: Sequence[ClientData],
+                         global_state: StateDict,
+                         images: Sequence[np.ndarray]) -> List[np.ndarray]:
+        """Frozen features of a cohort, one array per input, in input order.
+
+        ``images[i]`` holds samples of ``clients[i]`` (a client may appear
+        more than once, say for its train and test arrays).  One call
+        serves a whole cohort, so an implementation loads its frozen model
+        once per call.  Each result must be bitwise what the array alone
+        would give, whatever else the call carries.
+        """
         raise NotImplementedError
 
     # ------------------------------------------------------------------
@@ -139,16 +149,29 @@ class FederatedAlgorithm:
         head as-is)."""
         return self.config.personalization_epochs
 
-    def _probe_task(self, client: ClientData, global_state: StateDict
-                    ) -> ProbeTask:
-        train = self.extract_features(client, global_state, client.train.images)
-        test = self.extract_features(client, global_state, client.test.images)
-        # The probe trains its head in place, and the hook's head may live
-        # on a template the next client reloads: copy it at once.
-        head = self.probe_head(client, global_state)
-        return ProbeTask(train, client.train.labels, test, client.test.labels,
-                         rng=derive_rng(self.config.seed, 9_999, client.client_id),
-                         head=None if head is None else copy.deepcopy(head))
+    def _probe_tasks(self, clients: Sequence[ClientData],
+                     global_state: StateDict) -> List[ProbeTask]:
+        """Every client's probe inputs, from one feature-extraction call
+        over the cohort's train and test arrays."""
+        for client in clients:
+            if len(client.train) == 0:
+                raise ValueError(f"cannot personalize client {client.client_id} "
+                                 "with no training samples")
+        features = self.extract_features(
+            [client for client in clients for _ in range(2)], global_state,
+            [split.images for client in clients
+             for split in (client.train, client.test)])
+        tasks = []
+        for position, client in enumerate(clients):
+            # The probe trains its head in place, and the hook's head may
+            # live on a template the next client reloads: copy it at once.
+            head = self.probe_head(client, global_state)
+            tasks.append(ProbeTask(
+                features[2 * position], client.train.labels,
+                features[2 * position + 1], client.test.labels,
+                rng=derive_rng(self.config.seed, 9_999, client.client_id),
+                head=None if head is None else copy.deepcopy(head)))
+        return tasks
 
     def _probe_options(self) -> Dict:
         config = self.config
@@ -158,8 +181,9 @@ class FederatedAlgorithm:
 
     def personalize(self, client: ClientData, global_state: StateDict
                     ) -> PersonalizationResult:
-        """The paper's personalization stage: linear probe on frozen features."""
-        task = self._probe_task(client, global_state)
+        """The paper's personalization stage: linear probe on frozen
+        features — the K=1 case of :meth:`cohort_personalize`."""
+        (task,) = self._probe_tasks([client], global_state)
         return train_linear_probe(
             task.train_features, task.train_labels,
             task.test_features, task.test_labels,
@@ -170,7 +194,8 @@ class FederatedAlgorithm:
                            ) -> List[PersonalizationResult]:
         """Personalize a cohort of clients, results in client order.
 
-        With the stock :meth:`personalize`, every client's probe trains on
+        With the stock :meth:`personalize`, one :meth:`extract_features`
+        call encodes the whole cohort, then every client's probe trains on
         the client-batched engine
         (:func:`~repro.fl.personalization.train_linear_probes`), which
         groups clients by feature shape and returns results bitwise
@@ -179,9 +204,8 @@ class FederatedAlgorithm:
         """
         if type(self).personalize is not FederatedAlgorithm.personalize:
             return [self.personalize(client, global_state) for client in clients]
-        return train_linear_probes(
-            [self._probe_task(client, global_state) for client in clients],
-            **self._probe_options())
+        return train_linear_probes(self._probe_tasks(clients, global_state),
+                                   **self._probe_options())
 
     # ------------------------------------------------------------------
     # Server-side state (round-level checkpointing)

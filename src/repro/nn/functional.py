@@ -304,7 +304,9 @@ def batch_norm(
 
     Running statistics are updated in place when ``training`` is True, so
     callers (the :class:`~repro.nn.layers.BatchNorm2d` module) own the
-    buffers and FL code can ship them alongside weights.
+    buffers and FL code can ship them alongside weights.  Eval mode also
+    takes a (K, N, C) stack of K clients' batches, normalized over its
+    last axis.
     """
     if x.ndim == 4:
         axes = (0, 2, 3)
@@ -312,8 +314,11 @@ def batch_norm(
     elif x.ndim == 2:
         axes = (0,)
         view = (1, -1)
+    elif x.ndim == 3 and not training:
+        view = (1, 1, -1)
     else:
-        raise ValueError(f"batch_norm expects 2-D or 4-D input, got shape {x.shape}")
+        raise ValueError(f"batch_norm expects 2-D or 4-D input (or 3-D in "
+                         f"eval mode), got shape {x.shape}")
 
     trace = getattr(x, "_trace", None)
     if training:

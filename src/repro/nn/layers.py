@@ -126,10 +126,16 @@ class _BatchNorm(Module):
 
 
 class BatchNorm1d(_BatchNorm):
-    """BatchNorm over (N, C) feature matrices (projection-head layers)."""
+    """BatchNorm over (N, C) feature matrices (projection-head layers).
+
+    In eval mode it also takes a (K, N, C) stack of K clients' batches and
+    normalizes its last axis with the running statistics, elementwise as
+    each (N, C) slice alone would be.
+    """
 
     def _check_input(self, x: Tensor) -> None:
-        if x.ndim != 2 or x.shape[1] != self.num_features:
+        stacked = x.ndim == 3 and not self.training
+        if (x.ndim != 2 and not stacked) or x.shape[-1] != self.num_features:
             raise ValueError(f"BatchNorm1d expected (N, {self.num_features}), got {x.shape}")
 
 
@@ -188,12 +194,19 @@ class GlobalAvgPool2d(Module):
 
 
 class Flatten(Module):
+    """Flatten the axes from ``start_dim`` on.
+
+    A 5-D input is a (K, N, C, H, W) stack of K clients' image batches: its
+    leading client axis is kept too, so each slice flattens as it would
+    alone.
+    """
+
     def __init__(self, start_dim: int = 1):
         super().__init__()
         self.start_dim = start_dim
 
     def forward(self, x: Tensor) -> Tensor:
-        return x.flatten(self.start_dim)
+        return x.flatten(self.start_dim + 1 if x.ndim == 5 else self.start_dim)
 
 
 class Dropout(Module):

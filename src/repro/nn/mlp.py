@@ -21,7 +21,18 @@ __all__ = ["MLPEncoder", "MLPClassifier"]
 
 
 class MLPEncoder(Module):
-    """Flatten -> [Linear -> BN -> ReLU] x L encoder with ``feature_dim``."""
+    """Flatten -> [Linear -> BN -> ReLU] x L encoder with ``feature_dim``.
+
+    In eval mode it also encodes a (K, N, C, H, W) stack of K clients'
+    batches in one forward, and slice k of the result is bitwise the lone
+    forward of batch k: every op is elementwise except ``Linear``, whose
+    stacked ``(K, N, D) @ (D, H)`` product runs one GEMM per slice with
+    the lone call's shape.
+    """
+
+    #: Whether an eval-mode forward takes a leading client axis; encoders
+    #: without it (the conv encoders) encode one client batch per forward.
+    accepts_client_axis = True
 
     def __init__(
         self,

@@ -227,9 +227,13 @@ class SweepSpec:
         if unknown:
             raise KeyError(f"unknown methods {unknown}; "
                            f"available: {available_methods()}")
-        labels = [variant.label for variant in self.variants]
-        if len(set(labels)) != len(labels):
-            raise ValueError(f"variant labels must be unique, got {labels}")
+        # A repeated seed or method would list its cells twice, and a
+        # repeated label would make two variants indistinguishable.
+        for values, label in ((self.methods, "methods"), (self.seeds, "seeds"),
+                              ([variant.label for variant in self.variants],
+                               "variant labels")):
+            if len(set(values)) != len(values):
+                raise ValueError(f"{label} must be unique, got {values}")
 
     # ------------------------------------------------------------------
     @property

@@ -53,6 +53,18 @@ class TestSweepDeclaration:
         fig2 = [key.fingerprint for key in embeddings_sweep("fig2").cells()]
         assert fig1 == fig2
 
+    @pytest.mark.parametrize("field, value", [
+        ("num_embed_clients", 0), ("samples_per_client", 0),
+        ("tsne_iterations", -1), ("tsne_perplexity", 0.0)])
+    def test_embed_params_reject_non_positive_values(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            EmbedParams(**{field: value})
+
+    def test_bad_override_fails_when_the_grid_is_declared(self):
+        # Not after a cell has trained and handed t-SNE nothing to embed.
+        with pytest.raises(ValueError, match="samples_per_client must be >= 1"):
+            embeddings_sweep("fig1", embed_samples=0)
+
     def test_embed_params_are_fingerprinted(self):
         base = tiny_sweep().cells()[0]
         longer = tiny_sweep(tsne_iterations=31).cells()[0]

@@ -26,7 +26,8 @@ from repro.fl.personalization import (
     train_linear_probe,
     train_linear_probes,
 )
-from repro.nn import SGD, Linear, MLPEncoder, Tensor, accuracy, cross_entropy, no_grad
+from repro.nn import (SGD, Linear, MLPEncoder, SmallConvEncoder, Tensor,
+                      accuracy, cross_entropy, no_grad)
 
 FEATURE_DIM = 6
 CLASSES = 4
@@ -189,6 +190,20 @@ def encoder_factory():
     return MLPEncoder(INPUT_DIM, hidden_dims=(16, 8), rng=np.random.default_rng(7))
 
 
+def conv_encoder_factory():
+    """An encoder without a client axis: features are encoded per array."""
+    return SmallConvEncoder(in_channels=3, width=2, rng=np.random.default_rng(7))
+
+
+ENCODER_FACTORIES = {"mlp": encoder_factory, "smallconv": conv_encoder_factory}
+
+
+def _build(name, config):
+    """``build_method`` for ``<method>[@<encoder>]`` (default encoder mlp)."""
+    method, _, encoder = name.partition("@")
+    return build_method(method, config, 10, ENCODER_FACTORIES[encoder or "mlp"])
+
+
 def _config():
     return FederatedConfig(num_clients=5, clients_per_round=5, rounds=1,
                            local_epochs=1, batch_size=4,
@@ -235,12 +250,12 @@ TEMPLATE_HEAD_METHODS = ["fedper", "fedrep", "lg-fedavg", "fedbabu",
 
 
 class TestCohortPersonalize:
-    @pytest.mark.parametrize("name", PROBE_METHODS)
+    @pytest.mark.parametrize("name", PROBE_METHODS + ["pfl-simclr@smallconv"])
     def test_mixed_shapes_in_input_order(self, name):
         config = _config()
         clients = _mixed_clients()
         assert len({client.train.images.shape for client in clients}) == 2
-        algorithm = build_method(name, config, 10, encoder_factory)
+        algorithm = _build(name, config)
         global_state = _trained(algorithm, clients)
         # Snapshots: no later personalization may change a result already
         # handed out.
@@ -285,11 +300,42 @@ class TestCohortPersonalize:
             test=clients[0].test)
         algorithm = build_method("pfl-simclr", config, 10, encoder_factory)
         global_state = algorithm.build_global_state()
-        with pytest.raises(ValueError) as lone:
+        message = "cannot personalize client 99 with no training samples"
+        with pytest.raises(ValueError, match=message):
             algorithm.personalize(empty, global_state)
-        with pytest.raises(ValueError) as cohort:
+        with pytest.raises(ValueError, match=message):
             algorithm.cohort_personalize(clients[:2] + [empty], global_state)
-        assert str(cohort.value) == str(lone.value)
+
+    @pytest.mark.parametrize("encoder", ["mlp", "smallconv"])
+    def test_cohort_features_equal_lone_features(self, encoder):
+        # One call over every client's train and test arrays (four shape
+        # groups) gives each array bitwise its lone extraction.
+        config = _config()
+        clients = _mixed_clients()
+        algorithm = _build(f"pfl-simclr@{encoder}", config)
+        global_state = _trained(algorithm, clients)
+        owners = [client for client in clients for _ in range(2)]
+        arrays = [split.images for client in clients
+                  for split in (client.train, client.test)]
+        cohort = algorithm.extract_features(owners, global_state, arrays)
+        assert len(cohort) == len(arrays)
+        for owner, array, features in zip(owners, arrays, cohort):
+            (alone,) = algorithm.extract_features([owner], global_state, [array])
+            assert features.shape == alone.shape == (len(array), 8)
+            assert features.tobytes() == alone.tobytes()
+
+    def test_cohort_loads_the_global_state_once(self, monkeypatch):
+        config = _config()
+        clients = _mixed_clients()
+        algorithm = build_method("pfl-simclr", config, 10, encoder_factory)
+        global_state = _trained(algorithm, clients)
+        template = algorithm._template
+        loads = []
+        load = template.load_global_state
+        monkeypatch.setattr(template, "load_global_state",
+                            lambda state: loads.append(1) or load(state))
+        algorithm.cohort_personalize(clients, global_state)
+        assert len(loads) == 1
 
     def test_engine_rejects_zero_training_samples(self):
         train, labels, test, test_labels = _client_arrays(0, 8)

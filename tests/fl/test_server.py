@@ -44,8 +44,8 @@ class CountingAlgorithm(FederatedAlgorithm):
         self.aggregations += 1
         return super().aggregate(updates, global_state, round_index)
 
-    def extract_features(self, client, global_state, images):
-        return images.reshape(images.shape[0], -1)
+    def extract_features(self, clients, global_state, images):
+        return [array.reshape(array.shape[0], -1) for array in images]
 
     def personalize(self, client, global_state):
         self.personalizations.append(client.client_id)

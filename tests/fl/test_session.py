@@ -59,8 +59,8 @@ class TraceAlgorithm(FederatedAlgorithm):
             metrics={"loss": self.loss_per_round.get(round_index, 1.0)},
         )
 
-    def extract_features(self, client, global_state, images):
-        return images.reshape(images.shape[0], -1)
+    def extract_features(self, clients, global_state, images):
+        return [array.reshape(array.shape[0], -1) for array in images]
 
     def personalize(self, client, global_state):
         return PersonalizationResult(accuracy=0.5, train_accuracy=0.5,

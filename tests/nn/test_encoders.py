@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.nn import (
+    BatchNorm1d,
     MLPClassifier,
     MLPEncoder,
     SGD,
@@ -80,6 +81,26 @@ class TestMLP:
     def test_requires_hidden_layers(self):
         with pytest.raises(ValueError):
             MLPEncoder(input_dim=10, hidden_dims=())
+
+    @pytest.mark.parametrize("clients", [1, 5])
+    def test_eval_stack_equals_lone_forwards_bitwise(self, clients):
+        encoder = MLPEncoder(input_dim=48, hidden_dims=(32, 16), rng=rng(0))
+        generator = rng(2)
+        for _, buffer in encoder.named_buffers():
+            buffer[...] = generator.random(buffer.shape) + 0.5
+        encoder.eval()
+        stack = generator.standard_normal((clients, 7, 3, 4, 4))
+        out = encoder(Tensor(stack)).data
+        assert out.shape == (clients, 7, 16)
+        for k in range(clients):
+            assert out[k].tobytes() == encoder(Tensor(stack[k])).data.tobytes()
+
+    def test_training_batchnorm_rejects_a_client_axis(self):
+        layer = BatchNorm1d(4)
+        with pytest.raises(ValueError, match="BatchNorm1d expected"):
+            layer(Tensor(np.zeros((2, 3, 4))))
+        layer.eval()
+        assert layer(Tensor(np.zeros((2, 3, 4)))).shape == (2, 3, 4)
 
     def test_classifier_trains_on_blobs(self):
         generator = rng(0)

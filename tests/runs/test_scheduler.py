@@ -7,6 +7,7 @@ from repro.fl import FederatedConfig
 from repro.runs import (
     RunStore,
     SweepSpec,
+    SweepVariant,
     outcome_from_records,
     run_sweep,
 )
@@ -17,7 +18,8 @@ TINY_CONFIG = FederatedConfig(num_clients=4, clients_per_round=2, rounds=1,
 TINY_DATASET = dict(image_size=8, train_per_class=16, test_per_class=4)
 
 
-def tiny_sweep(methods=("script-fair", "fedavg"), seeds=(0,)):
+def tiny_sweep(methods=("script-fair", "fedavg"), seeds=(0,),
+               variants=(SweepVariant(),)):
     return SweepSpec(
         name="tiny",
         methods=list(methods),
@@ -25,6 +27,7 @@ def tiny_sweep(methods=("script-fair", "fedavg"), seeds=(0,)):
         seeds=list(seeds),
         config=TINY_CONFIG,
         dataset_kwargs={"cifar10": dict(TINY_DATASET)},
+        variants=list(variants),
     )
 
 
@@ -84,8 +87,12 @@ class TestRunSweep:
             outcome_from_records(sweep.to_experiment_spec(), [record, dict(record)])
 
     def test_duplicate_cells_execute_once(self, tmp_path):
-        summary = run_sweep(tiny_sweep(methods=["script-fair", "script-fair"]),
-                            store=tmp_path)
+        # A variant label is cosmetic, so two labels with equal overrides
+        # list one cell twice (a repeated method is rejected outright).
+        sweep = tiny_sweep(methods=["script-fair"],
+                           variants=[SweepVariant("a"), SweepVariant("b")])
+        assert len({key.fingerprint for key in sweep.cells()}) == 1
+        summary = run_sweep(sweep, store=tmp_path)
         assert len(summary.executed) == 1
         assert len(summary.records) == 2
         assert summary.records[0] is summary.records[1]

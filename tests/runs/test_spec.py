@@ -116,6 +116,13 @@ class TestSweepSpec:
         with pytest.raises(ValueError):
             self.make_sweep(variants=[SweepVariant("x"), SweepVariant("x")])
 
+    @pytest.mark.parametrize("axis, values", [
+        ("seeds", [0, 0]), ("methods", ["fedavg", "script-fair", "fedavg"])])
+    def test_repeated_axis_values_rejected(self, axis, values):
+        # A repeated value would list its cells twice.
+        with pytest.raises(ValueError, match=f"{axis} must be unique"):
+            self.make_sweep(**{axis: values})
+
     def test_empty_axis_rejected(self):
         with pytest.raises(ValueError):
             self.make_sweep(seeds=[])

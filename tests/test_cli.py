@@ -52,7 +52,24 @@ class TestParser:
          "--rounds: rounds must be >= 0"),
         (["sweep", "--exp", "fig4", "--novel", "-1"],
          "--novel: num_novel_clients must be >= 0"),
-    ], ids=["run", "sweep", "report", "figures", "run-rounds", "sweep-novel"])
+        (["sweep", "--exp", "fig1", "--embed-clients", "0"],
+         "--embed-clients: num_embed_clients must be >= 1"),
+        (["sweep", "--exp", "fig1", "--embed-samples", "0"],
+         "--embed-samples: samples_per_client must be >= 1"),
+        (["report", "--exp", "fig5", "--tsne-iterations", "0"],
+         "--tsne-iterations: tsne_iterations must be >= 1"),
+        (["sweep", "--exp", "fig3", "--seeds", "0", "0"],
+         "--seeds: values must be unique"),
+        (["report", "--exp", "fig3", "--seeds", "1", "0", "1"],
+         "--seeds: values must be unique"),
+        (["sweep", "--exp", "fig3", "--methods", "fedavg", "fedavg"],
+         "--methods: values must be unique"),
+        (["report", "--exp", "fig3", "--methods", "fedavg", "fedavg"],
+         "--methods: values must be unique"),
+    ], ids=["run", "sweep", "report", "figures", "run-rounds", "sweep-novel",
+            "sweep-embed-clients", "sweep-embed-samples",
+            "report-tsne-iterations", "sweep-seeds", "report-seeds",
+            "sweep-methods", "report-methods"])
     def test_bad_grid_value_exits_2_naming_the_flag(self, capsys, tmp_path,
                                                     argv, message):
         if argv[0] != "run":
