@@ -12,9 +12,11 @@ can never silently drift from reality.
     a package the map has never heard of).
 
 ``LAY002``
-    A third-party import in a stdlib-only package.  ``repro.ioutil``,
-    ``repro.analysis``, and ``repro.telemetry`` must stay importable in a
-    bare lint environment — no numpy, no scipy.
+    A dependency the package may not import.  numpy is the one runtime
+    dependency (``pyproject.toml``): every package may import the stdlib
+    and numpy, nothing else.  ``repro.ioutil``, ``repro.analysis``, and
+    ``repro.telemetry`` must stay importable in a bare lint environment —
+    the stdlib alone.
 """
 
 from __future__ import annotations
@@ -65,6 +67,10 @@ docs/architecture.md's layer map bottom-up."""
 STDLIB_ONLY = ("repro.ioutil", "repro.analysis", "repro.telemetry")
 """Packages that must not import anything outside the standard library."""
 
+RUNTIME_DEPENDENCIES = ("numpy",)
+"""The only non-stdlib imports any other package may make: the
+``dependencies`` of ``pyproject.toml``."""
+
 _STDLIB = set(sys.stdlib_module_names) | {"__future__"}
 
 
@@ -109,20 +115,29 @@ class LayerMapRule(Rule):
 
 
 @register
-class StdlibOnlyRule(Rule):
+class DependencyRule(Rule):
     id = "LAY002"
-    summary = "stdlib-only packages (ioutil, analysis, telemetry) must import only the stdlib"
-    scope = STDLIB_ONLY
+    summary = ("packages import only the stdlib and numpy; ioutil, analysis "
+               "and telemetry only the stdlib")
+    scope = ("repro",)
 
     def check_file(self, source: SourceFile,
                    project: Project) -> Iterable[Diagnostic]:
         own = _package_of(source.module)
+        stdlib_only = source.in_scope(STDLIB_ONLY)
         for node, target in import_targets(source):
             top = target.split(".")[0]
             if top == "repro" or top in _STDLIB:
                 continue
-            yield self.diagnostic(
-                source.rel, node.lineno,
-                f"{own} is stdlib-only but imports {target}",
-                hint="keep heavy deps out so 'repro check' runs in a bare "
-                     "lint environment")
+            if stdlib_only:
+                yield self.diagnostic(
+                    source.rel, node.lineno,
+                    f"{own} is stdlib-only but imports {target}",
+                    hint="keep heavy deps out so 'repro check' runs in a bare "
+                         "lint environment")
+            elif top not in RUNTIME_DEPENDENCIES:
+                yield self.diagnostic(
+                    source.rel, node.lineno,
+                    f"{own} may import only the stdlib and numpy, not {target}",
+                    hint="numpy is the one runtime dependency; every extra "
+                         "import costs each process its start-up time")

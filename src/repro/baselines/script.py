@@ -41,10 +41,11 @@ class ScriptLocal(FederatedAlgorithm):
 
     def local_update(self, client: ClientData, global_state: StateDict,
                      round_index: int) -> ClientUpdate:
-        # No training stage: clients do not participate in federation.
+        # No training stage: clients do not participate in federation, so
+        # there is no loss to report (the round's mean_loss stays NaN, and
+        # no client counts as non-finite).
         return ClientUpdate(client_id=client.client_id, state={},
-                            weight=float(client.num_train_samples),
-                            metrics={"loss": float("nan")})
+                            weight=float(client.num_train_samples))
 
     def aggregate(self, updates, global_state: StateDict, round_index: int) -> StateDict:
         return global_state

@@ -13,8 +13,9 @@ relies on (docs/reproduction.md, "Data"):
    flip, jitter) operate on exactly these factors, so SSL pretraining can
    learn class-relevant invariant features without labels.
 
-Prototypes are smooth random fields (white noise passed through a Gaussian
-filter), which gives them CIFAR-like spatial autocorrelation.  CIFAR-100's
+Prototypes are smooth random fields (white noise passed through a periodic
+Gaussian filter, scipy's ``gaussian_filter`` reproduced bit for bit in
+numpy), which gives them CIFAR-like spatial autocorrelation.  CIFAR-100's
 coarse/fine hierarchy is mimicked by drawing fine-class prototypes around
 superclass anchors.  STL-10's 100k-sample unlabeled split becomes an
 unlabeled pool drawn from the same generative process.
@@ -22,11 +23,10 @@ unlabeled pool drawn from the same generative process.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import ndimage
 
 __all__ = [
     "DataSplit",
@@ -76,10 +76,52 @@ class DataSplit:
         return self
 
 
+def _gaussian_wrap(field: np.ndarray, sigma: float) -> np.ndarray:
+    """``scipy.ndimage.gaussian_filter(field, (0, sigma, sigma), mode="wrap")``,
+    bit for bit, in numpy alone.
+
+    Axis 1, then axis 2, is correlated with the normalized kernel
+    ``exp(-k^2 / 2 sigma^2)``, ``k = -r..r`` with ``r = int(4 sigma + 0.5)``,
+    over a periodic extension, so a radius at or above the axis length wraps
+    more than once.
+    """
+    if sigma <= 1e-15:  # scipy skips the axis: the identity
+        return field
+    radius = int(4.0 * sigma + 0.5)
+    taps = np.arange(-radius, radius + 1)
+    weights = np.exp(-0.5 / (sigma * sigma) * taps ** 2)
+    weights = weights / weights.sum()
+    for axis in (1, 2):
+        field = _correlate_wrap(field, weights, axis)
+    return field
+
+
+def _correlate_wrap(field: np.ndarray, weights: np.ndarray, axis: int) -> np.ndarray:
+    """Correlate ``field`` along ``axis`` with the symmetric odd-length
+    ``weights`` under periodic boundaries.
+
+    The sum runs in scipy's symmetric-kernel order: the centre tap, then
+    each pair of taps from the outermost in.  Any other order rounds
+    differently and changes every dataset byte downstream.
+    """
+    radius = weights.size // 2
+    size = field.shape[axis]
+    padded = np.take(field, np.arange(-radius, size + radius) % size, axis=axis)
+    lead = (slice(None),) * axis
+
+    def shifted(offset: int) -> np.ndarray:  # element i reads field[i + offset]
+        return padded[lead + (slice(radius + offset, radius + offset + size),)]
+
+    out = shifted(0) * weights[radius]
+    for offset in range(radius, 0, -1):
+        out = out + (shifted(-offset) + shifted(offset)) * weights[radius + offset]
+    return out
+
+
 def _smooth_field(rng: np.random.Generator, channels: int, size: int, sigma: float) -> np.ndarray:
     """A unit-variance smooth random field with CIFAR-like autocorrelation."""
     noise = rng.standard_normal((channels, size, size))
-    smoothed = ndimage.gaussian_filter(noise, sigma=(0, sigma, sigma), mode="wrap")
+    smoothed = _gaussian_wrap(noise, sigma)
     std = smoothed.std()
     if std < 1e-12:
         return smoothed
@@ -106,11 +148,20 @@ class SyntheticImageDataset:
         values give cleaner class structure.
     noise_level:
         Standard deviation of additive pixel noise.
+    shift_range / color_jitter:
+        Largest per-sample roll in pixels, and the half-width of the
+        per-channel gain and bias draws.
+    smoothness:
+        Gaussian filter sigma of the prototypes, in pixels; 0 leaves them
+        white noise.
     num_superclasses:
         When set, fine-class prototypes are drawn around superclass anchors
         (CIFAR-100's coarse/fine hierarchy).
     seed:
         Seeds the entire generative process (prototypes + samples).
+
+    Counts below 1 (``train_per_class``, ``channels``) and negative sizes
+    or scales raise ``ValueError`` naming the field.
     """
 
     def __init__(
@@ -136,6 +187,17 @@ class SyntheticImageDataset:
             raise ValueError("image_size must be >= 4")
         if num_superclasses is not None and num_classes % num_superclasses != 0:
             raise ValueError("num_classes must be divisible by num_superclasses")
+        for field_name, value in (("train_per_class", train_per_class), ("channels", channels)):
+            if value < 1:
+                raise ValueError(f"{field_name} must be >= 1, got {value}")
+        for field_name, value in (
+            ("test_per_class", test_per_class), ("unlabeled_size", unlabeled_size),
+            ("class_sep", class_sep), ("noise_level", noise_level),
+            ("shift_range", shift_range), ("color_jitter", color_jitter),
+            ("smoothness", smoothness),
+        ):
+            if value < 0:
+                raise ValueError(f"{field_name} must be >= 0, got {value}")
         self.num_classes = num_classes
         self.image_size = image_size
         self.channels = channels
@@ -187,15 +249,22 @@ class SyntheticImageDataset:
     def _render(self, labels: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """Render one image per label through the nuisance pipeline."""
         count = labels.shape[0]
-        images = np.empty((count, self.channels, self.image_size, self.image_size))
+        shape = (count, self.channels, self.image_size, self.image_size)
         shifts = rng.integers(-self.shift_range, self.shift_range + 1, size=(count, 2))
         gains = 1.0 + self.color_jitter * rng.uniform(-1.0, 1.0, size=(count, self.channels, 1, 1))
         biases = self.color_jitter * rng.uniform(-1.0, 1.0, size=(count, self.channels, 1, 1))
-        noise = self.noise_level * rng.standard_normal(images.shape)
-        for index, label in enumerate(labels):
-            base = self._prototypes[label % self.num_classes]
-            shifted = np.roll(base, shift=tuple(shifts[index]), axis=(1, 2))
-            images[index] = shifted
+        noise = self.noise_level * rng.standard_normal(shape)
+        # Each prototype rolled by its sample's (dy, dx), as one gather:
+        # pixel (y, x) reads the prototype at ((y - dy) mod H, (x - dx) mod W).
+        pixels = np.arange(self.image_size)
+        rows = (pixels - shifts[:, :1]) % self.image_size
+        cols = (pixels - shifts[:, 1:]) % self.image_size
+        images = self._prototypes[
+            (labels % self.num_classes)[:, None, None, None],
+            np.arange(self.channels)[None, :, None, None],
+            rows[:, None, :, None],
+            cols[:, None, None, :],
+        ]
         images = images * gains + biases + noise
         return images
 

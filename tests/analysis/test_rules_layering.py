@@ -67,3 +67,37 @@ class TestLay002StdlibOnly:
             "import numpy as np\n"
         ))
         assert found == []
+
+    def test_flags_scipy_in_data(self):
+        # numpy is the one runtime dependency: scipy is a test reference.
+        found = rule_diagnostics("LAY002", "src/repro/data/synthetic_fix.py", (
+            "from scipy import ndimage\n"
+        ))
+        assert rule_ids(found) == ["LAY002"]
+        assert "repro.data may import only the stdlib and numpy" in found[0].message
+        assert "scipy" in found[0].message
+
+    def test_flags_lazy_third_party_import_in_function(self):
+        found = rule_diagnostics("LAY002", "src/repro/viz/render_fix.py", (
+            "def render():\n"
+            "    import matplotlib.pyplot as plt\n"
+            "    return plt\n"
+        ))
+        assert rule_ids(found) == ["LAY002"]
+        assert "matplotlib.pyplot" in found[0].message
+
+    def test_near_miss_numpy_in_data(self):
+        found = rule_diagnostics("LAY002", "src/repro/data/synthetic_fix.py", (
+            "import numpy as np\n"
+            "from numpy.lib.stride_tricks import sliding_window_view\n"
+            "from ..arrays import pack_columns\n"
+        ))
+        assert found == []
+
+    def test_flags_numpy_in_telemetry(self):
+        # The stdlib-only packages do not get numpy back.
+        found = rule_diagnostics("LAY002", "src/repro/telemetry/spans_fix.py", (
+            "import numpy as np\n"
+        ))
+        assert rule_ids(found) == ["LAY002"]
+        assert "repro.telemetry is stdlib-only" in found[0].message

@@ -198,6 +198,23 @@ class TestMethodSpecificInvariants:
         update = algorithm.local_update(clients[0], {}, 0)
         assert update.state == {}
 
+    @pytest.mark.parametrize("name", ["script-fair", "script-convergent"])
+    def test_script_rounds_report_no_loss(self, name):
+        # No local training means no loss to report, not a NaN one: a
+        # script round counts no client as non-finite and warns nothing.
+        import warnings
+
+        config = tiny_config()
+        dataset, clients = tiny_federation(config)
+        algorithm = build_method(name, config, NUM_CLASSES, encoder_factory)
+        assert "loss" not in algorithm.local_update(clients[0], {}, 0).metrics
+        session = TrainingSession(algorithm, clients, config)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            session.run()
+        assert [r.metrics["non_finite_losses"] for r in session.round_records] == [0.0, 0.0]
+        assert all(np.isnan(r.mean_loss) for r in session.round_records)
+
     def test_calibre_reports_divergence(self):
         config = tiny_config()
         dataset, clients = tiny_federation(config)
