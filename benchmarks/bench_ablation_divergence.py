@@ -2,38 +2,22 @@
 
 The paper introduces prototype-distance divergence rates as aggregation
 weights but reports no isolated ablation; docs/reproduction.md records the
-functional form as an interpretation choice, so this bench measures it: Calibre
-(SimCLR) with divergence weighting (softmax mode, temperature 1) vs. the
-same algorithm with plain FedAvg weighting (temperature 0), plus the
-inverse mode.
+functional form as an interpretation choice, so this bench measures it: the
+``divergence_sweep`` grid runs Calibre (SimCLR) with divergence weighting
+(softmax mode, temperature 1) vs. the same algorithm with plain FedAvg
+weighting (temperature 0), plus the inverse mode.
 """
 
 
-from repro.eval import NonIIDSetting, run_experiment
-from repro.experiments import scaled_spec
+from repro.experiments import divergence_rows_from_records, divergence_sweep
+from repro.runs import run_sweep
 
 from .conftest import persist
 
-MODES = {
-    "fedavg-weighting": dict(divergence_temperature=0.0),
-    "softmax-t1": dict(divergence_temperature=1.0, divergence_mode="softmax"),
-    "inverse-t1": dict(divergence_temperature=1.0, divergence_mode="inverse"),
-}
-
 
 def _run():
-    rows = {}
-    for label, extra in MODES.items():
-        spec = scaled_spec(
-            "cifar10",
-            NonIIDSetting("dirichlet", 0.3, 50),
-            ["calibre-simclr"],
-            seed=0,
-            method_overrides={"calibre-simclr": {"num_prototypes": 5, **extra}},
-        )
-        outcome = run_experiment(spec)
-        rows[label] = outcome.reports["calibre-simclr"]
-    return rows
+    summary = run_sweep(divergence_sweep())
+    return divergence_rows_from_records(summary.cells, summary.records)
 
 
 def test_divergence_aggregation_ablation(benchmark, results_dir):

@@ -17,11 +17,14 @@ The rows are:
   personalization chunks hold cohorts of three train/test shapes, so the
   MLP encoder's stacked feature forward runs several shape groups.
 
+The committed ``benchmarks/method_digests.txt`` holds the current rows,
+and CI regenerates and diffs it.  A change that moves a result
+regenerates the file in the same commit and names the rows it moved.
+
 Usage::
 
-    python benchmarks/method_digests.py > digests.txt
-    git stash && python benchmarks/method_digests.py > before.txt; git stash pop
-    diff before.txt digests.txt
+    python benchmarks/method_digests.py | diff benchmarks/method_digests.txt -
+    python benchmarks/method_digests.py > benchmarks/method_digests.txt
 """
 
 import hashlib
@@ -32,11 +35,11 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.eval import available_methods, build_method  # noqa: E402
-from repro.eval.harness import (ExperimentSpec, NonIIDSetting,  # noqa: E402
-                                make_dataset, make_encoder_factory,
-                                run_experiment)
+from repro.eval.harness import (NonIIDSetting, make_dataset,  # noqa: E402
+                                make_encoder_factory)
 from repro.fl import (AvailabilitySpec, FederatedConfig,  # noqa: E402
                       TrainingSession, VirtualPopulation)
+from repro.runs import SweepSpec, run_sweep  # noqa: E402
 
 CONFIG = FederatedConfig(num_clients=6, clients_per_round=4, rounds=2,
                          local_epochs=1, batch_size=8,
@@ -56,21 +59,22 @@ VARIANTS = [
 ]
 
 
-def digest(result) -> str:
-    text = json.dumps(result.to_json(), sort_keys=True, separators=(",", ":"),
+def digest(result_json) -> str:
+    """sha256 of a ``RunResult.to_json()`` payload."""
+    text = json.dumps(result_json, sort_keys=True, separators=(",", ":"),
                       allow_nan=True)
     return hashlib.sha256(text.encode()).hexdigest()
 
 
 def print_rows(methods, suffix: str = "", encoder: str = "mlp",
                **overrides) -> None:
-    spec = ExperimentSpec(dataset="cifar10", setting=SETTING,
-                          config=CONFIG.with_overrides(**overrides),
-                          methods=methods, dataset_kwargs=DATASET_KWARGS,
-                          encoder=encoder)
-    outcome = run_experiment(spec)
-    for name in methods:
-        print(f"{name}{suffix} {digest(outcome.results[name])}", flush=True)
+    sweep = SweepSpec(name="digests", methods=methods, settings=[SETTING],
+                      config=CONFIG.with_overrides(**overrides),
+                      dataset_kwargs={"cifar10": DATASET_KWARGS},
+                      encoder=encoder)
+    summary = run_sweep(sweep)
+    for key, record in zip(summary.cells, summary.records):
+        print(f"{key.method}{suffix} {digest(record['result'])}", flush=True)
 
 
 def print_population_row() -> None:
@@ -86,7 +90,7 @@ def print_population_row() -> None:
             TrainingSession(algorithm, population, config) as session:
         session.run()
         result = session.personalize()
-    print(f"calibre-simclr@population {digest(result)}", flush=True)
+    print(f"calibre-simclr@population {digest(result.to_json())}", flush=True)
 
 
 def main() -> None:

@@ -10,9 +10,9 @@ Usage:  python examples/fairness_comparison.py [--full]
 
 import sys
 
-from repro.eval import NonIIDSetting, format_comparison_table, format_series_csv, \
-    run_experiment
-from repro.experiments import COMPARISON_METHODS, scaled_spec
+from repro.eval import NonIIDSetting, format_comparison_table, format_series_csv
+from repro.experiments import COMPARISON_METHODS, scaled_sweep
+from repro.runs import outcome_from_records, run_sweep
 
 REPRESENTATIVE = [
     "fedavg", "fedavg-ft", "script-fair", "fedbabu", "fedrep",
@@ -22,17 +22,17 @@ REPRESENTATIVE = [
 
 def main():
     methods = COMPARISON_METHODS if "--full" in sys.argv else REPRESENTATIVE
-    spec = scaled_spec(
+    sweep = scaled_sweep(
+        "CIFAR-10 Q-non-iid — Fig. 3 panel 1 (scaled)",
         dataset="cifar10",
         setting=NonIIDSetting("quantity", 2, 50),  # the paper's (2, 500), scaled
         methods=methods,
-        seed=0,
-        name="CIFAR-10 Q-non-iid — Fig. 3 panel 1 (scaled)",
     )
     print(f"Running {len(methods)} methods on identical partitions ...")
-    outcome = run_experiment(spec, verbose=True)
+    summary = run_sweep(sweep, verbose=True)
+    outcome = outcome_from_records(sweep.to_experiment_spec(), summary.records)
     print()
-    print(format_comparison_table(outcome, title=spec.name))
+    print(format_comparison_table(outcome, title=sweep.name))
     print("\nCSV series (paste into any plotting tool):")
     print(format_series_csv(outcome))
 

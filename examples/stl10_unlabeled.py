@@ -10,26 +10,27 @@ supervised baselines can only use the labeled samples.
 Usage:  python examples/stl10_unlabeled.py
 """
 
-from repro.eval import NonIIDSetting, format_comparison_table, run_experiment
-from repro.experiments import scaled_spec
+from repro.eval import NonIIDSetting, format_comparison_table
+from repro.experiments import scaled_sweep
+from repro.runs import outcome_from_records, run_sweep
 
 METHODS = ["fedavg-ft", "script-fair", "pfl-simclr", "calibre-simclr"]
 
 
 def main():
-    spec = scaled_spec(
+    sweep = scaled_sweep(
+        "STL-10 Q-non-iid with unlabeled pool (scaled)",
         dataset="stl10",
         setting=NonIIDSetting("quantity", 2, 24),  # the paper's (2, 46), scaled
         methods=METHODS,
-        seed=0,
-        name="STL-10 Q-non-iid with unlabeled pool (scaled)",
         dataset_kwargs=dict(train_per_class=10, unlabeled_size=1500),
     )
     print("Labeled samples are scarce; SSL methods also train on the "
           "unlabeled pool.\n")
-    outcome = run_experiment(spec, verbose=True)
+    summary = run_sweep(sweep, verbose=True)
+    outcome = outcome_from_records(sweep.to_experiment_spec(), summary.records)
     print()
-    print(format_comparison_table(outcome, title=spec.name))
+    print(format_comparison_table(outcome, title=sweep.name))
 
 
 if __name__ == "__main__":

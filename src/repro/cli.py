@@ -52,7 +52,6 @@ from .eval import (
     format_silhouette_across_seeds,
     format_silhouette_table,
     render_series_svg,
-    run_experiment,
 )
 from .experiments import (
     EMBEDDING_FIGURES,
@@ -71,13 +70,13 @@ from .experiments import (
     table1_rows_across_seeds,
     table1_rows_from_records,
     table1_sweep,
-    scaled_spec,
+    scaled_sweep,
 )
 from .experiments.settings import SCALED_CONFIG
 from .fl.config import AGGREGATION_POLICIES, AvailabilitySpec, FederatedConfig
 from .fl.execution import available_backends
 from .ioutil import atomic_write_text
-from .runs import RunStore, run_sweep, save_outcome
+from .runs import RunStore, outcome_from_records, run_sweep, save_outcome
 from .telemetry import (
     Tracer,
     chrome_trace,
@@ -178,6 +177,14 @@ def _flag(name: str, error: type = ValueError):
     except error as exc:
         print(f"{name}: {exc}", file=sys.stderr)
         raise SystemExit(2) from exc
+
+
+def _require_unique(flag: str, values: List) -> None:
+    """Exit 2 naming ``flag`` when ``values`` repeats one: a repeated
+    method or seed would list its cells twice."""
+    if len(set(values)) != len(values):
+        print(f"{flag}: values must be unique, got {values}", file=sys.stderr)
+        raise SystemExit(2)
 
 
 def _scaled_config(args, **overrides) -> FederatedConfig:
@@ -311,20 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument("--out", default=None, metavar="PATH",
                             help="persist the full ExperimentOutcome as JSON "
                                  "(same serializer as the sweep run store)")
-    run_parser.add_argument("--checkpoints", default=None, metavar="DIR",
-                            help="write a round-level session checkpoint per "
-                                 "method under DIR (atomic, one file per "
-                                 "method, overwritten each round)")
-    run_parser.add_argument("--resume", action="store_true",
-                            help="resume each method from its checkpoint in "
-                                 "--checkpoints if one exists; only the "
-                                 "remaining rounds recompute and the result "
-                                 "is bitwise identical to an uninterrupted run")
-    run_parser.add_argument("--checkpoint-every", type=int, default=1,
-                            metavar="K",
-                            help="checkpoint after every K-th round "
-                                 "(default: 1; larger K trades at most K-1 "
-                                 "recomputed rounds for less write I/O)")
     run_parser.add_argument("--trace-out", default=None, metavar="PATH",
                             help="record span telemetry for the whole run "
                                  "and write it as Chrome trace-event JSON "
@@ -457,6 +450,7 @@ def _command_run(args) -> int:
     if unknown:
         print(f"unknown methods: {unknown}", file=sys.stderr)
         return 2
+    _require_unique("--method", args.method)
     if args.workers is not None and args.workers < 1:
         print(f"--workers must be >= 1, got {args.workers}", file=sys.stderr)
         return 2
@@ -464,44 +458,21 @@ def _command_run(args) -> int:
         print(f"--client-batch must be >= 1, got {args.client_batch}",
               file=sys.stderr)
         return 2
-    if args.resume and not args.checkpoints:
-        print("--resume requires --checkpoints DIR", file=sys.stderr)
-        return 2
-    if args.checkpoint_every < 1:
-        print(f"--checkpoint-every must be >= 1, got {args.checkpoint_every}",
-              file=sys.stderr)
-        return 2
-    config = _scaled_config(args, seed=args.seed, backend=args.backend,
-                            workers=args.workers,
+    config = _scaled_config(args, backend=args.backend, workers=args.workers,
                             client_batch=args.client_batch)
     with _flag("--samples"):
         setting = NonIIDSetting(args.setting, args.param, args.samples)
-    spec = scaled_spec(
-        args.dataset,
-        setting,
-        args.method,
-        seed=args.seed,
-        config=config,
-        name=f"{args.dataset} {args.setting}({args.param}, {args.samples})",
-    )
+    name = f"{args.dataset} {args.setting}({args.param}, {args.samples})"
+    sweep = scaled_sweep(name, args.dataset, setting, args.method,
+                         seeds=[args.seed], config=config)
     # With --trace-out, an ambient tracer spans the entire run: every
     # method's session, worker fragments included, lands on one timeline.
     tracer = Tracer() if args.trace_out else None
-    try:
-        with tracer.activate() if tracer is not None else nullcontext():
-            outcome = run_experiment(spec, verbose=True,
-                                     checkpoint_dir=args.checkpoints,
-                                     resume=args.resume,
-                                     checkpoint_every=args.checkpoint_every)
-    except ValueError as error:
-        if not args.resume:
-            raise
-        # A stale checkpoint from different settings must fail loudly but
-        # cleanly: the session refuses the restore by context fingerprint.
-        print(f"resume failed: {error}", file=sys.stderr)
-        return 1
+    with tracer.activate() if tracer is not None else nullcontext():
+        summary = run_sweep(sweep, verbose=True)
+    outcome = outcome_from_records(sweep.to_experiment_spec(), summary.records)
     print()
-    print(format_comparison_table(outcome, title=spec.name))
+    print(format_comparison_table(outcome, title=name))
     if args.csv:
         print()
         print(format_series_csv(outcome))
@@ -509,7 +480,7 @@ def _command_run(args) -> int:
         path = save_outcome(outcome, args.out)
         print(f"\nwrote {path}")
     if tracer is not None:
-        payload = chrome_trace(tracer, process_name=spec.name)
+        payload = chrome_trace(tracer, process_name=name)
         path = atomic_write_text(args.trace_out,
                                  json.dumps(payload, sort_keys=True))
         print(f"wrote trace {path} ({len(payload['traceEvents'])} events; "
@@ -526,10 +497,8 @@ def _build_sweep(args, experiment: Optional[str] = None):
             raise SystemExit(f"unknown methods: {unknown}")
     # The grid rejects these too, but under the --samples guard below; so
     # each flag is checked alone first, to be named.
-    for flag, values in (("--seeds", args.seeds), ("--methods", args.methods or [])):
-        if len(set(values)) != len(values):
-            print(f"{flag}: values must be unique, got {values}", file=sys.stderr)
-            raise SystemExit(2)
+    _require_unique("--seeds", args.seeds)
+    _require_unique("--methods", args.methods or [])
     if experiment in EMBEDDING_FIGURES:
         for flag, name, value in (
                 ("--embed-clients", "num_embed_clients", args.embed_clients),

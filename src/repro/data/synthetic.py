@@ -186,7 +186,8 @@ class SyntheticImageDataset:
         if image_size < 4:
             raise ValueError("image_size must be >= 4")
         if num_superclasses is not None and num_classes % num_superclasses != 0:
-            raise ValueError("num_classes must be divisible by num_superclasses")
+            raise ValueError(f"num_classes={num_classes} must be divisible by "
+                             f"num_superclasses={num_superclasses}")
         for field_name, value in (("train_per_class", train_per_class), ("channels", channels)):
             if value < 1:
                 raise ValueError(f"{field_name} must be >= 1, got {value}")
@@ -309,8 +310,20 @@ def make_cifar100_like(
     seed: int = 0,
     **overrides,
 ) -> SyntheticImageDataset:
-    """CIFAR-100 equivalent: 100 fine classes around 20 superclass anchors."""
-    num_superclasses = overrides.pop("num_superclasses", max(num_classes // 5, 1))
+    """CIFAR-100 equivalent: 100 fine classes around 20 superclass anchors.
+
+    ``num_superclasses`` defaults to ``max(num_classes // 5, 1)``; a class
+    count that default does not divide needs it passed explicitly.
+    """
+    if "num_superclasses" in overrides:
+        num_superclasses = overrides.pop("num_superclasses")
+    else:
+        num_superclasses = max(num_classes // 5, 1)
+        if num_classes % num_superclasses:
+            raise ValueError(
+                f"num_classes={num_classes} is not divisible by the default "
+                f"num_superclasses={num_superclasses} "
+                "(max(num_classes // 5, 1)); pass num_superclasses explicitly")
     return SyntheticImageDataset(
         num_classes=num_classes,
         image_size=image_size,

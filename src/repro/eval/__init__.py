@@ -5,11 +5,9 @@ from .harness import (
     ExperimentOutcome,
     ExperimentSpec,
     NonIIDSetting,
-    checkpoint_path_for,
     make_dataset,
     make_encoder_factory,
     make_partitions,
-    run_experiment,
 )
 from .metrics import FairnessReport, accuracy_variance, fairness_report, mean_accuracy
 from .registry import (
@@ -33,7 +31,6 @@ __all__ = [
     "NonIIDSetting",
     "ExperimentSpec",
     "ExperimentOutcome",
-    "run_experiment",
     "make_dataset",
     "make_encoder_factory",
     "EncoderSpec",
@@ -46,7 +43,6 @@ __all__ = [
     "available_methods",
     "build_method",
     "valid_overrides",
-    "checkpoint_path_for",
     "format_comparison_table",
     "format_report_table",
     "format_ablation_table",

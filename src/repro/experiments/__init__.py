@@ -5,9 +5,17 @@ Table I), one sweep declaration and one records view per artifact:
 * Figs. 3/4: :func:`fig3_sweep` / :func:`fig4_sweep` →
   :func:`panel_outcome_from_records`;
 * Figs. 1, 2, 5-8: :func:`embeddings_sweep` (run with
-  :func:`execute_embedding_cell`) → :func:`figure_results_from_records`.
+  :func:`execute_embedding_cell`) → :func:`figure_results_from_records`;
+* the divergence-aware aggregation ablation: :func:`divergence_sweep` →
+  :func:`divergence_rows_from_records`.
 """
 
+from .divergence import (
+    DIVERGENCE_SETTING,
+    DIVERGENCE_VARIANTS,
+    divergence_rows_from_records,
+    divergence_sweep,
+)
 from .embeddings import (
     EMBEDDING_FIGURES,
     FIGURE_METHOD_SETS,
@@ -29,7 +37,7 @@ from .settings import (
     NOVEL_METHODS,
     SCALED_CONFIG,
     SCALED_DATASET_KWARGS,
-    scaled_spec,
+    scaled_sweep,
 )
 from .table1 import (
     TABLE1_SETTING,
@@ -48,6 +56,10 @@ __all__ = [
     "PANEL_FIGURES",
     "panel_title",
     "panel_outcome_from_records",
+    "divergence_sweep",
+    "divergence_rows_from_records",
+    "DIVERGENCE_VARIANTS",
+    "DIVERGENCE_SETTING",
     "table1_sweep",
     "table1_rows_from_records",
     "table1_rows_across_seeds",
@@ -69,5 +81,5 @@ __all__ = [
     "COMPARISON_METHODS",
     "NOVEL_METHODS",
     "CALIBRE_OVERRIDES",
-    "scaled_spec",
+    "scaled_sweep",
 ]

@@ -47,7 +47,7 @@ from ..fl.session import SessionCallback, TrainingSession
 from ..manifold import silhouette_score, tsne_embed
 from ..runs import ARRAYS_KEY, RunKey, RunStore, SweepSpec, execute_cell
 from ..viz.svg import ScatterPanel, render_panels
-from .settings import CALIBRE_OVERRIDES, SCALED_CONFIG, SCALED_DATASET_KWARGS
+from .settings import scaled_sweep
 
 __all__ = [
     "EmbeddingResult",
@@ -273,19 +273,12 @@ def embeddings_sweep(
     }
     if embed_overrides:
         embed = replace(embed, **embed_overrides)
-    return SweepSpec(
-        name=figure,
-        methods=list(methods) if methods is not None else list(FIGURE_METHOD_SETS[figure]),
-        settings=[setting],
-        datasets=[dataset],
-        seeds=list(seeds),
-        config=config if config is not None else SCALED_CONFIG,
-        method_overrides={**CALIBRE_OVERRIDES, **(method_overrides or {})},
-        dataset_kwargs={dataset: {**SCALED_DATASET_KWARGS[dataset],
-                                  **(dataset_kwargs or {})}},
-        extras={"embed": embed.to_jsonable()},
-        **spec_overrides,
-    )
+    return scaled_sweep(
+        figure, dataset, setting,
+        methods if methods is not None else FIGURE_METHOD_SETS[figure],
+        seeds=seeds, config=config, dataset_kwargs=dataset_kwargs,
+        method_overrides=method_overrides,
+        extras={"embed": embed.to_jsonable()}, **spec_overrides)
 
 
 def embed_params_of(key: RunKey) -> EmbedParams:

@@ -18,13 +18,7 @@ from dataclasses import replace
 from typing import Dict, Optional, Sequence
 
 from ..runs import SweepSpec
-from .settings import (
-    CALIBRE_OVERRIDES,
-    COMPARISON_METHODS,
-    FIG3_PANELS,
-    SCALED_CONFIG,
-    SCALED_DATASET_KWARGS,
-)
+from .settings import COMPARISON_METHODS, FIG3_PANELS, scaled_sweep
 
 __all__ = ["fig3_sweep", "FIG3_PANELS"]
 
@@ -50,15 +44,8 @@ def fig3_sweep(
     dataset, _paper_label, setting = FIG3_PANELS[panel_index]
     if samples_per_client is not None:
         setting = replace(setting, samples_per_client=samples_per_client)
-    return SweepSpec(
-        name=f"fig3-panel{panel_index}",
-        methods=list(methods) if methods is not None else list(COMPARISON_METHODS),
-        settings=[setting],
-        datasets=[dataset],
-        seeds=list(seeds),
-        config=config if config is not None else SCALED_CONFIG,
-        method_overrides={**CALIBRE_OVERRIDES, **(method_overrides or {})},
-        dataset_kwargs={dataset: {**SCALED_DATASET_KWARGS[dataset],
-                                  **(dataset_kwargs or {})}},
-        **spec_overrides,
-    )
+    return scaled_sweep(
+        f"fig3-panel{panel_index}", dataset, setting,
+        methods if methods is not None else COMPARISON_METHODS,
+        seeds=seeds, config=config, dataset_kwargs=dataset_kwargs,
+        method_overrides=method_overrides, **spec_overrides)

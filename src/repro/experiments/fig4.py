@@ -19,13 +19,7 @@ from dataclasses import replace
 from typing import Dict, Optional, Sequence
 
 from ..runs import SweepSpec
-from .settings import (
-    CALIBRE_OVERRIDES,
-    FIG4_PANELS,
-    NOVEL_METHODS,
-    SCALED_CONFIG,
-    SCALED_DATASET_KWARGS,
-)
+from .settings import FIG4_PANELS, NOVEL_METHODS, SCALED_CONFIG, scaled_sweep
 
 __all__ = ["fig4_sweep", "FIG4_PANELS"]
 
@@ -52,15 +46,10 @@ def fig4_sweep(
     if samples_per_client is not None:
         setting = replace(setting, samples_per_client=samples_per_client)
     base_config = config if config is not None else SCALED_CONFIG
-    return SweepSpec(
-        name=f"fig4-panel{panel_index}",
-        methods=list(methods) if methods is not None else list(NOVEL_METHODS),
-        settings=[setting],
-        datasets=[dataset],
-        seeds=list(seeds),
+    return scaled_sweep(
+        f"fig4-panel{panel_index}", dataset, setting,
+        methods if methods is not None else NOVEL_METHODS,
+        seeds=seeds,
         config=base_config.with_overrides(num_novel_clients=num_novel_clients),
-        method_overrides={**CALIBRE_OVERRIDES, **(method_overrides or {})},
-        dataset_kwargs={dataset: {**SCALED_DATASET_KWARGS[dataset],
-                                  **(dataset_kwargs or {})}},
-        **spec_overrides,
-    )
+        dataset_kwargs=dataset_kwargs, method_overrides=method_overrides,
+        **spec_overrides)

@@ -15,10 +15,11 @@ Both flow through identical code paths.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence
 
-from ..eval.harness import ExperimentSpec, NonIIDSetting
+from ..eval.harness import NonIIDSetting
 from ..fl.config import FederatedConfig
+from ..runs import SweepSpec
 
 __all__ = [
     "SCALED_CONFIG",
@@ -28,7 +29,7 @@ __all__ = [
     "COMPARISON_METHODS",
     "NOVEL_METHODS",
     "CALIBRE_OVERRIDES",
-    "scaled_spec",
+    "scaled_sweep",
 ]
 
 SCALED_CONFIG = FederatedConfig(
@@ -94,28 +95,34 @@ FIG4_PANELS = [
 ]
 
 
-def scaled_spec(
+def scaled_sweep(
+    name: str,
     dataset: str,
     setting: NonIIDSetting,
     methods: Sequence[str],
-    seed: int = 0,
-    config: FederatedConfig = None,
-    name: str = "",
+    seeds: Sequence[int] = (0,),
+    config: Optional[FederatedConfig] = None,
+    dataset_kwargs: Optional[Dict] = None,
+    method_overrides: Optional[Dict[str, Dict]] = None,
     **spec_overrides,
-) -> ExperimentSpec:
-    """Build the scaled-down spec for one panel."""
-    config = config if config is not None else SCALED_CONFIG.with_overrides(seed=seed)
-    return ExperimentSpec(
-        dataset=dataset,
-        setting=setting,
-        config=config,
-        methods=list(methods),
-        encoder=spec_overrides.pop("encoder", "mlp"),
-        dataset_kwargs={**SCALED_DATASET_KWARGS[dataset],
-                        **spec_overrides.pop("dataset_kwargs", {})},
-        method_overrides={**CALIBRE_OVERRIDES,
-                          **spec_overrides.pop("method_overrides", {})},
-        seed=seed,
+) -> SweepSpec:
+    """Declare a one-workload grid at the scaled configuration.
+
+    ``config`` defaults to :data:`SCALED_CONFIG`, ``dataset_kwargs``
+    update the dataset's :data:`SCALED_DATASET_KWARGS`, and
+    ``method_overrides`` replace :data:`CALIBRE_OVERRIDES` method by
+    method.  ``spec_overrides`` (``variants``, ``encoder``, ``extras``,
+    ...) pass through to the :class:`~repro.runs.SweepSpec`.
+    """
+    return SweepSpec(
         name=name,
+        methods=list(methods),
+        settings=[setting],
+        datasets=[dataset],
+        seeds=list(seeds),
+        config=config if config is not None else SCALED_CONFIG,
+        method_overrides={**CALIBRE_OVERRIDES, **(method_overrides or {})},
+        dataset_kwargs={dataset: {**SCALED_DATASET_KWARGS[dataset],
+                                  **(dataset_kwargs or {})}},
         **spec_overrides,
     )

@@ -12,7 +12,7 @@ bitwise identical across the serial/thread/process backends:
   make membership sticky).  Membership for round ``r`` is a pure function
   of ``(seed, rounds 0..r)``: querying out of order simply replays the
   chain from round 0, and the checkpointed ``round_cursor``
-  (:meth:`state_dict`) lets ``--resume`` re-derive the exact state.
+  (:meth:`state_dict`) lets a resumed session re-derive the exact state.
 * **dropout** — a per-``(round, client)`` Bernoulli draw from its own
   stream, independent of the sampled set, so whether a client drops never
   depends on who else was sampled.

@@ -165,9 +165,9 @@ def default_session_context(algorithm: FederatedAlgorithm,
     virtual population (enumerating a million clients into a checkpoint
     guard would defeat laziness).  It is a guard against *accidental*
     cross-run resume — a different seed, sample count, or client grid —
-    not a cryptographic identity of the data.  The experiment harness
-    substitutes a stronger fingerprint of the full
-    :class:`~repro.eval.harness.ExperimentSpec`.
+    not a cryptographic identity of the data.  A sweep cell substitutes
+    a stronger one: :func:`repro.runs.execute_cell` passes its
+    :class:`~repro.runs.RunKey` fingerprint.
     """
     config_payload = {name: value for name, value in asdict(config).items()
                       if name not in EXECUTION_FIELDS}

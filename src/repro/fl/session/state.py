@@ -121,11 +121,12 @@ class ServerState:
     empty when the run has no availability model.
 
     ``context`` is a fingerprint of the run the checkpoint belongs to
-    (config minus execution knobs, federation shape — or the experiment
-    spec when the harness supplies one): a session refuses to restore a
-    state whose context differs from its own, so ``--resume`` against a
-    checkpoint taken under different settings fails loudly instead of
-    silently reporting the old run's model on the new workload.
+    (config minus execution knobs, federation shape — or the cell's
+    :class:`~repro.runs.RunKey` fingerprint for a sweep cell): a session
+    refuses to restore a state whose context differs from its own, so
+    resuming against a checkpoint taken under different settings fails
+    loudly instead of silently reporting the old run's model on the new
+    workload.
     """
 
     algorithm: str

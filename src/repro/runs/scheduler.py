@@ -1,11 +1,13 @@
-"""Sweep scheduler: dispatch pending cells over the execution backends.
+"""Sweep scheduler: build and run cells, dispatched over the execution backends.
 
-This is experiment-level parallelism layered *above* the client-level
-parallelism of :mod:`repro.fl.execution`: one sweep cell = one
-single-method :func:`~repro.eval.harness.run_experiment`, and the cells
-are mapped over an :class:`~repro.fl.execution.ExecutionBackend` with a
-chunk size of 1 so every finished cell is persisted immediately — a
-killed sweep loses at most the cells in flight.
+A cell is one :class:`RunKey`, and :func:`execute_cell` is the one
+function that builds and runs it: dataset, partitions, federation, novel
+clients, method and :class:`~repro.fl.session.TrainingSession`.  This is
+experiment-level parallelism layered *above* the client-level
+parallelism of :mod:`repro.fl.execution`: the cells of a sweep are mapped
+over an :class:`~repro.fl.execution.ExecutionBackend` with a chunk size
+of 1 so every finished cell is persisted immediately — a killed sweep
+loses at most the cells in flight.
 
 Determinism: cells are pure functions of their :class:`RunKey` (the
 execution engines are bitwise-deterministic), each record lands in a file
@@ -23,12 +25,17 @@ from __future__ import annotations
 
 import shutil
 from contextlib import nullcontext as _no_activation
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Union
 
-from ..eval.harness import run_experiment
+from ..eval.harness import make_dataset, make_encoder_factory, make_partitions
+from ..eval.metrics import fairness_report
+from ..eval.registry import build_method
+from ..fl.client import build_federation, build_novel_clients, derive_rng
 from ..fl.execution import resolve_backend
+from ..fl.session import RoundCheckpointer, TrainingSession
+from ..ioutil import safe_filename
 from ..telemetry import Tracer, sidecar_lines
 from .serialize import RECORD_SCHEMA
 from .spec import RunKey, SweepSpec
@@ -67,27 +74,68 @@ def execute_cell(key: RunKey, client_backend: Optional[str] = None,
                  verbose: bool = False,
                  checkpoint_dir: Union[str, Path, None] = None,
                  checkpoint_every: int = 1,
-                 session_hook=None) -> Dict:
-    """Run one cell end-to-end and return its store record.
+                 session_hook: Optional[Callable[[str, TrainingSession], None]]
+                 = None) -> Dict:
+    """Build and run one cell end-to-end and return its store record.
 
-    With ``checkpoint_dir`` set, the cell's session writes a round-level
-    checkpoint there after every round and resumes from an existing one —
-    a killed sweep restarts *mid-cell* at its last finished round rather
-    than from round 0 (resume is bitwise exact, so the record is
-    identical either way).  ``session_hook(method, session)`` passes
-    through to :func:`~repro.eval.harness.run_experiment` for attaching
-    callbacks to the cell's session.
+    Everything derives from ``key``, and the session's checkpoint context
+    is ``key.fingerprint``: a checkpoint resumes only the cell that wrote
+    it.  ``client_backend``/``client_batch`` override the key's execution
+    knobs, which change wall-clock only.
+
+    With ``checkpoint_dir`` set, the session writes a round checkpoint to
+    ``<checkpoint_dir>/<method>.json`` after every ``checkpoint_every``-th
+    round and first resumes from an existing one — a killed cell restarts
+    at its last finished round rather than from round 0 (resume is
+    bitwise exact, so the record is identical either way).
+    ``session_hook(method, session)`` runs right before training starts:
+    the seam for attaching callbacks to the cell's session.
     """
-    outcome = run_experiment(key.to_spec(), verbose=verbose,
-                             backend=client_backend,
-                             client_batch=client_batch,
-                             checkpoint_dir=checkpoint_dir,
-                             resume=checkpoint_dir is not None,
-                             checkpoint_every=checkpoint_every,
-                             session_hook=session_hook)
-    result = outcome.results[key.method]
-    report = outcome.reports[key.method]
-    novel_report = outcome.novel_reports.get(key.method)
+    config = key.config.with_overrides(**{
+        name: value for name, value in (("backend", client_backend),
+                                        ("client_batch", client_batch))
+        if value is not None})
+    dataset = make_dataset(key.dataset, seed=key.seed, **key.dataset_kwargs)
+    partitions = make_partitions(dataset.train.labels, config.num_clients,
+                                 key.setting, derive_rng(key.seed + 1))
+    encoder_factory = make_encoder_factory(
+        key.encoder, dataset, width=key.encoder_width,
+        hidden_dims=tuple(key.encoder_hidden_dims), seed=key.seed + 42)
+
+    def novel_partitions(labels, num_clients, rng):
+        novel_setting = replace(key.setting, samples_per_client=min(
+            key.setting.samples_per_client,
+            max(labels.shape[0] // num_clients, 4)))
+        return make_partitions(labels, num_clients, novel_setting, rng)
+
+    clients = build_federation(dataset, partitions,
+                               test_fraction=config.test_fraction,
+                               seed=key.seed + 2)
+    novel_clients = build_novel_clients(
+        dataset, config.num_novel_clients, novel_partitions,
+        test_fraction=config.test_fraction, seed=key.seed + 3)
+    algorithm = build_method(key.method, config, dataset.num_classes,
+                             encoder_factory, **key.overrides)
+    session = TrainingSession(algorithm, clients, config,
+                              novel_clients=novel_clients, verbose=verbose,
+                              context=key.fingerprint)
+    if checkpoint_dir is not None:
+        path = Path(checkpoint_dir) / f"{safe_filename(key.method)}.json"
+        if path.is_file():
+            session.load_checkpoint(path)
+            if verbose and session.round_index > 0:
+                print(f"  [resume] {key.method} at round "
+                      f"{session.round_index}/{config.rounds}")
+        session.add_callback(RoundCheckpointer(path, every=checkpoint_every))
+    if session_hook is not None:
+        session_hook(key.method, session)
+    result = session.execute()
+    report = fairness_report(result.accuracy_vector())
+    novel_report = (fairness_report(result.accuracy_vector(novel=True))
+                    if result.novel_accuracies else None)
+    if verbose:
+        print(f"  {key.method:20s} mean={report.mean:.4f} "
+              f"var={report.variance:.5f}")
     return make_record(key, result, report, novel_report)
 
 
@@ -127,8 +175,11 @@ class _CellTask:
         # owns the monotonic-clock reads (repro.telemetry sits outside the
         # DET002 scope by design), and the numbers land in the timing
         # index and the telemetry sidecar only — never in hashed records.
+        # The cell's tracer is activated only when a store will persist
+        # it; without one, the cell's spans reach the caller's tracer.
         tracer = Tracer()
-        with tracer.activate() if self.telemetry else _no_activation(), \
+        sidecar = self.telemetry and self.store_root is not None
+        with tracer.activate() if sidecar else _no_activation(), \
                 tracer.span("cell", fingerprint=key.fingerprint,
                             method=key.method, dataset=key.dataset,
                             seed=key.seed) as cell_span:
@@ -167,7 +218,7 @@ class _CellTask:
                 # arrays are missing.
                 store.write_arrays(key, columns)
             store.write_record(record, timing=timing)
-            if self.telemetry:
+            if sidecar:
                 store.write_telemetry(key, sidecar_lines(tracer, meta={
                     "fingerprint": key.fingerprint,
                     "label": key.label(),
@@ -248,10 +299,12 @@ def run_sweep(sweep: SweepSpec,
 
     ``telemetry`` (default on; requires a store to persist anything)
     makes every executed cell write a ``telemetry/<fingerprint>.jsonl``
-    span/counter sidecar next to its record.  Sidecars are diagnostics
-    living outside the hashed records — store bytes are identical with
-    the flag on or off (the TEL001 invariant) — so the only reason to
-    turn it off is the (small) tracing overhead itself.
+    span/counter sidecar next to its record.  Without a store, a cell
+    run by the serial scheduler reports its spans to the tracer active
+    around the call, if any.  Sidecars are diagnostics living outside the
+    hashed records — store bytes are identical with the flag on or off
+    (the TEL001 invariant) — so the only reason to turn it off is the
+    (small) tracing overhead itself.
 
     ``executor`` swaps the per-cell execution function (default:
     :func:`execute_cell`, a plain training run).  It must be a

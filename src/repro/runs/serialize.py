@@ -233,10 +233,10 @@ def outcome_from_records(spec: ExperimentSpec,
                          records: Sequence[Optional[Dict]]) -> ExperimentOutcome:
     """Reassemble a multi-method ``ExperimentOutcome`` from cell records.
 
-    ``records`` are store records (one per method of ``spec``); fairness
-    reports are *recomputed* from the stored accuracy vectors rather than
-    read back, so an outcome rebuilt from the store is bit-for-bit what
-    :func:`~repro.eval.harness.run_experiment` would have returned.
+    ``records`` are cell records (one per method of ``spec``), live from
+    :func:`~repro.runs.run_sweep` or read back from a store; fairness
+    reports are *recomputed* from the accuracy vectors, so an outcome
+    rebuilt from the store is bit-for-bit the one a live sweep yields.
     """
     results: Dict[str, RunResult] = {}
     reports: Dict[str, FairnessReport] = {}

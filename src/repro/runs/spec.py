@@ -129,22 +129,6 @@ class RunKey:
             extras=dict(payload.get("extras", {})),
         )
 
-    def to_spec(self) -> ExperimentSpec:
-        """The single-method :class:`ExperimentSpec` this cell executes."""
-        return ExperimentSpec(
-            dataset=self.dataset,
-            setting=self.setting,
-            config=self.config,
-            methods=[self.method],
-            encoder=self.encoder,
-            encoder_width=self.encoder_width,
-            encoder_hidden_dims=tuple(self.encoder_hidden_dims),
-            dataset_kwargs=dict(self.dataset_kwargs),
-            method_overrides={self.method: dict(self.overrides)},
-            seed=self.seed,
-            name=self.label(),
-        )
-
 
 @dataclass
 class SweepVariant:

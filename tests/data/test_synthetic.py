@@ -162,6 +162,27 @@ class TestFactories:
                     across.append(sim)
         assert np.mean(within) > np.mean(across) + 0.2
 
+    def test_cifar100_like_names_the_default_superclass_count(self):
+        # 11 classes: the default max(11 // 5, 1) = 2 superclasses does
+        # not divide them, and the caller never set num_superclasses.
+        with pytest.raises(ValueError) as error:
+            make_cifar100_like(image_size=8, train_per_class=2,
+                               test_per_class=1, num_classes=11)
+        assert str(error.value) == (
+            "num_classes=11 is not divisible by the default "
+            "num_superclasses=2 (max(num_classes // 5, 1)); pass "
+            "num_superclasses explicitly")
+        # Passing it explicitly builds the set, or names both values.
+        dataset = make_cifar100_like(image_size=8, train_per_class=2,
+                                     test_per_class=1, num_classes=11,
+                                     num_superclasses=11)
+        assert dataset.num_classes == 11
+        with pytest.raises(ValueError, match="num_classes=11 must be "
+                                             "divisible by num_superclasses=3"):
+            make_cifar100_like(image_size=8, train_per_class=2,
+                               test_per_class=1, num_classes=11,
+                               num_superclasses=3)
+
     def test_stl10_like_has_unlabeled_pool(self):
         dataset = make_stl10_like(image_size=8, train_per_class=3, test_per_class=2,
                                   unlabeled_size=50, seed=0)

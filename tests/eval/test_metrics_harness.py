@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.eval import (
-    ExperimentSpec,
     NonIIDSetting,
     accuracy_variance,
     fairness_report,
@@ -17,9 +16,9 @@ from repro.eval import (
     make_encoder_factory,
     make_partitions,
     mean_accuracy,
-    run_experiment,
 )
 from repro.fl import FederatedConfig
+from repro.runs import SweepSpec, outcome_from_records, run_sweep
 from repro.viz import ascii_scatter, points_to_csv
 
 
@@ -105,24 +104,30 @@ class TestHarnessPieces:
             np.testing.assert_array_equal(pa.data, pb.data)
 
 
-class TestRunExperiment:
-    def make_spec(self, methods, novel=0):
-        config = FederatedConfig(num_clients=4, clients_per_round=2, rounds=2,
-                                 local_epochs=1, batch_size=16,
-                                 personalization_epochs=3,
-                                 num_novel_clients=novel, seed=0)
-        return ExperimentSpec(
-            dataset="cifar10",
-            setting=NonIIDSetting("dirichlet", 0.5, 30),
-            config=config,
-            methods=methods,
-            encoder="mlp",
-            encoder_hidden_dims=(24, 12),
-            dataset_kwargs=dict(image_size=8, train_per_class=24, test_per_class=4),
-        )
+def run_outcome(methods, novel=0, rounds=2, samples=30, hidden_dims=(24, 12),
+                train_per_class=24, personalization_epochs=3):
+    """A tiny one-seed sweep, run store-less, as an ExperimentOutcome."""
+    config = FederatedConfig(num_clients=4, clients_per_round=2, rounds=rounds,
+                             local_epochs=1, batch_size=16,
+                             personalization_epochs=personalization_epochs,
+                             num_novel_clients=novel, seed=0)
+    sweep = SweepSpec(
+        name="tiny",
+        methods=methods,
+        settings=[NonIIDSetting("dirichlet", 0.5, samples)],
+        config=config,
+        encoder_hidden_dims=hidden_dims,
+        dataset_kwargs={"cifar10": dict(image_size=8,
+                                        train_per_class=train_per_class,
+                                        test_per_class=4)},
+    )
+    summary = run_sweep(sweep)
+    return outcome_from_records(sweep.to_experiment_spec(), summary.records)
 
+
+class TestRunSweepOutcome:
     def test_runs_multiple_methods_on_same_partitions(self):
-        outcome = run_experiment(self.make_spec(["fedavg", "script-fair"]))
+        outcome = run_outcome(["fedavg", "script-fair"])
         assert set(outcome.results) == {"fedavg", "script-fair"}
         assert set(outcome.reports) == {"fedavg", "script-fair"}
         fa = outcome.results["fedavg"]
@@ -130,28 +135,21 @@ class TestRunExperiment:
         assert sorted(fa.accuracies) == sorted(sf.accuracies)
 
     def test_series_rows(self):
-        outcome = run_experiment(self.make_spec(["fedavg"]))
+        outcome = run_outcome(["fedavg"])
         series = outcome.series()
         assert series[0]["method"] == "fedavg"
         assert 0.0 <= series[0]["mean"] <= 1.0
 
     def test_novel_reports_present(self):
-        outcome = run_experiment(self.make_spec(["fedavg-ft"], novel=2))
+        outcome = run_outcome(["fedavg-ft"], novel=2)
         assert "fedavg-ft" in outcome.novel_reports
 
 
 class TestReporting:
     def run_outcome(self):
-        config = FederatedConfig(num_clients=4, clients_per_round=2, rounds=1,
-                                 local_epochs=1, batch_size=16,
-                                 personalization_epochs=2, seed=0)
-        spec = ExperimentSpec(
-            dataset="cifar10", setting=NonIIDSetting("dirichlet", 0.5, 20),
-            config=config, methods=["script-fair"], encoder="mlp",
-            encoder_hidden_dims=(16, 8),
-            dataset_kwargs=dict(image_size=8, train_per_class=16, test_per_class=4),
-        )
-        return run_experiment(spec)
+        return run_outcome(["script-fair"], rounds=1, samples=20,
+                           hidden_dims=(16, 8), train_per_class=16,
+                           personalization_epochs=2)
 
     def test_comparison_table_contains_method(self):
         table = format_comparison_table(self.run_outcome())

@@ -1,20 +1,29 @@
 """Tests for the per-figure experiment harnesses (scaled way down): each
 artifact's sweep, run in memory, read through its records view."""
 
+from dataclasses import replace
+
+import pytest
+
 from repro.eval import NonIIDSetting
 from repro.experiments import (
     COMPARISON_METHODS,
+    DIVERGENCE_SETTING,
+    DIVERGENCE_VARIANTS,
     FIG3_PANELS,
     FIG4_PANELS,
     FIGURE_METHOD_SETS,
     SCALED_CONFIG,
+    SCALED_DATASET_KWARGS,
+    divergence_rows_from_records,
+    divergence_sweep,
     embeddings_sweep,
     execute_embedding_cell,
     fig3_sweep,
     fig4_sweep,
     figure_results_from_records,
     panel_outcome_from_records,
-    scaled_spec,
+    scaled_sweep,
     table1_rows_from_records,
     table1_sweep,
 )
@@ -42,10 +51,16 @@ class TestSettings:
         assert "calibre-simclr" in COMPARISON_METHODS
         assert "fedema" in COMPARISON_METHODS
 
-    def test_scaled_spec_injects_calibre_overrides(self):
-        spec = scaled_spec("cifar10", NonIIDSetting("quantity", 2, 50),
-                           ["calibre-simclr"])
-        assert spec.method_overrides["calibre-simclr"]["num_prototypes"] == 5
+    def test_scaled_sweep_injects_scaled_defaults(self):
+        sweep = scaled_sweep("panel", "cifar10", NonIIDSetting("quantity", 2, 50),
+                             ["calibre-simclr", "fedavg"],
+                             dataset_kwargs={"image_size": 8})
+        calibre, fedavg = sweep.cells()
+        assert calibre.overrides == {"num_prototypes": 5}
+        assert fedavg.overrides == {}
+        assert calibre.config == SCALED_CONFIG
+        assert calibre.dataset_kwargs == {**SCALED_DATASET_KWARGS["cifar10"],
+                                          "image_size": 8}
 
     def test_scaled_config_preserves_paper_personalization(self):
         # The personalization protocol (10 epochs, lr 0.05, batch 32) is kept
@@ -77,6 +92,35 @@ class TestFig4Harness:
         outcome = panel_outcome_from_records("fig4", 0, sweep, summary.cells,
                                              summary.records)
         assert "fedavg-ft" in outcome.novel_reports
+
+
+class TestDivergenceAblation:
+    def test_grid_is_three_weightings_of_calibre(self):
+        sweep = divergence_sweep(seeds=[0, 1])
+        cells = sweep.cells()
+        assert [(key.seed, key.variant) for key in cells] == [
+            (seed, variant.label) for seed in (0, 1)
+            for variant in DIVERGENCE_VARIANTS]
+        assert {key.method for key in cells} == {"calibre-simclr"}
+        assert {key.setting for key in cells} == {DIVERGENCE_SETTING}
+        by_variant = {key.variant: key.overrides for key in cells}
+        assert by_variant["fedavg-weighting"] == {
+            "num_prototypes": 5, "divergence_temperature": 0.0}
+        assert by_variant["inverse-t1"] == {
+            "num_prototypes": 5, "divergence_temperature": 1.0,
+            "divergence_mode": "inverse"}
+
+    def test_rows_from_records(self):
+        sweep = replace(
+            divergence_sweep(config=TINY_CONFIG, dataset_kwargs=TINY_DATASET),
+            settings=[NonIIDSetting("dirichlet", 0.3, 20)])
+        summary = run_sweep(sweep)
+        rows = divergence_rows_from_records(summary.cells, summary.records)
+        assert list(rows) == [variant.label for variant in DIVERGENCE_VARIANTS]
+        for record, report in zip(summary.records, rows.values()):
+            assert report.as_dict() == record["report"]
+        with pytest.raises(KeyError, match="seed=1"):
+            divergence_rows_from_records(summary.cells, summary.records, seed=1)
 
 
 class TestTable1Harness:

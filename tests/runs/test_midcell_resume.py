@@ -7,11 +7,11 @@ what an uninterrupted sweep writes.
 """
 
 import json
+import shutil
 
 import pytest
 
 from repro.eval import NonIIDSetting
-from repro.eval.harness import checkpoint_path_for
 from repro.fl import FederatedConfig, SessionCallback
 from repro.fl.session import read_checkpoint
 from repro.runs import (
@@ -71,8 +71,9 @@ class TestMidCellResume:
             execute_cell(key, checkpoint_dir=checkpoints,
                          session_hook=lambda name, session:
                          session.add_callback(_KillAfter(2)))
-        checkpoint_file = checkpoint_path_for(checkpoints, key.method)
+        checkpoint_file = checkpoints / f"{key.method}.json"
         assert read_checkpoint(checkpoint_file).round_index == 2
+        assert read_checkpoint(checkpoint_file).context == key.fingerprint
         assert not store.has(key)
 
         # Relaunch: the cell resumes at round 2, not round 0.
@@ -92,6 +93,23 @@ class TestMidCellResume:
         # The marker survives an index rebuild like any other timing.
         store.rebuild_index()
         assert store.timings()[key.fingerprint] == {"resumed": True}
+
+    def test_checkpoint_of_another_cell_is_refused(self, tmp_path):
+        # The session context is the cell fingerprint, so a checkpoint
+        # left by a different cell (here: another seed) fails to resume
+        # with a context mismatch instead of reporting the stale run.
+        key, other = tiny_sweep(seeds=(0, 1)).cells()
+        checkpoints = tmp_path / "checkpoints"
+        with pytest.raises(_KillAfter.Killed):
+            execute_cell(other, checkpoint_dir=checkpoints,
+                         session_hook=lambda name, session:
+                         session.add_callback(_KillAfter(1)))
+        with pytest.raises(ValueError, match="does not match"):
+            execute_cell(key, checkpoint_dir=checkpoints)
+        # Deleting the stale checkpoint is the way out.
+        shutil.rmtree(checkpoints)
+        assert execute_cell(key, checkpoint_dir=checkpoints)["fingerprint"] \
+            == key.fingerprint
 
     def test_round_checkpoints_leave_store_bytes_unchanged(self, tmp_path):
         sweep = tiny_sweep(methods=("script-fair", "fedavg"))

@@ -2,15 +2,17 @@
 
 import pytest
 
-from repro.eval import NonIIDSetting, format_comparison_table, run_experiment
+from repro.eval import NonIIDSetting, format_comparison_table
 from repro.fl import FederatedConfig
 from repro.runs import (
     RunStore,
     SweepSpec,
     SweepVariant,
+    execute_cell,
     outcome_from_records,
     run_sweep,
 )
+from repro.telemetry import Tracer, load_store_telemetry
 
 TINY_CONFIG = FederatedConfig(num_clients=4, clients_per_round=2, rounds=1,
                               local_epochs=1, batch_size=16,
@@ -68,14 +70,19 @@ class TestRunSweep:
             thread_bytes = RunStore(thread_dir).path_for(key).read_bytes()
             assert serial_bytes == thread_bytes
 
-    def test_outcome_from_records_matches_live_run(self):
+    def test_outcome_from_records_matches_live_run(self, tmp_path):
+        # An outcome read back from a store equals one over the records
+        # each cell returns live, reports included.
         sweep = tiny_sweep()
-        summary = run_sweep(sweep)
-        rebuilt = outcome_from_records(sweep.to_experiment_spec(), summary.records)
-        live = run_experiment(sweep.to_experiment_spec())
+        run_sweep(sweep, store=tmp_path)
+        stored = RunStore(tmp_path).load_records(sweep.cells())
+        live_records = [execute_cell(key) for key in sweep.cells()]
+        rebuilt = outcome_from_records(sweep.to_experiment_spec(), stored)
+        live = outcome_from_records(sweep.to_experiment_spec(), live_records)
         assert format_comparison_table(rebuilt) == format_comparison_table(live)
-        for method in sweep.methods:
+        for method, record in zip(sweep.methods, live_records):
             assert rebuilt.results[method].accuracies == live.results[method].accuracies
+            assert rebuilt.reports[method].as_dict() == record["report"]
 
     def test_outcome_from_records_rejects_duplicate_methods(self):
         # records spanning seeds/variants must be sliced by the caller, not
@@ -108,3 +115,29 @@ class TestRunSweep:
         run_sweep(sweep, store=tmp_path, max_cells=0)
         store = RunStore(tmp_path)
         assert (store.sweeps_dir / "tiny.json").is_file()
+
+
+class TestSweepTelemetry:
+    def test_storeless_sweep_reports_to_the_ambient_tracer(self):
+        # With no store there is no sidecar to write, so the cell's spans
+        # must reach the tracer active around the call.
+        tracer = Tracer()
+        with tracer.activate():
+            run_sweep(tiny_sweep(methods=["script-fair"]))
+        names = [span.name for span in tracer.spans]
+        assert names.count("session") == 1
+        assert names.count("round") == TINY_CONFIG.rounds
+
+    def test_store_backed_sweep_writes_its_sidecar(self, tmp_path):
+        sweep = tiny_sweep(methods=["script-fair"])
+        tracer = Tracer()
+        with tracer.activate():
+            run_sweep(sweep, store=tmp_path)
+        (key,) = sweep.cells()
+        ((fingerprint, cell),) = load_store_telemetry(str(tmp_path))
+        assert fingerprint == key.fingerprint
+        assert len(cell.spans_named("cell")) == 1
+        assert len(cell.spans_named("session")) == 1
+        assert len(cell.spans_named("round")) == TINY_CONFIG.rounds
+        # The cell's spans went to its sidecar, not to the caller.
+        assert not [span for span in tracer.spans if span.name == "session"]

@@ -4,7 +4,13 @@ import pytest
 
 from repro.eval import NonIIDSetting
 from repro.fl import FederatedConfig
-from repro.runs import FINGERPRINT_LENGTH, RunKey, SweepSpec, SweepVariant
+from repro.runs import (
+    FINGERPRINT_LENGTH,
+    RunKey,
+    SweepSpec,
+    SweepVariant,
+    execute_cell,
+)
 
 CONFIG = FederatedConfig(num_clients=4, clients_per_round=2, rounds=1,
                          local_epochs=1, batch_size=16,
@@ -62,13 +68,30 @@ class TestRunKeyConversions:
         assert clone.method == key.method
         assert clone.setting == key.setting
 
-    def test_to_spec_is_single_method(self):
-        key = make_key(overrides={"num_prototypes": 5})
-        spec = key.to_spec()
-        assert spec.methods == ["script-fair"]
-        assert spec.method_overrides == {"script-fair": {"num_prototypes": 5}}
-        assert spec.config == CONFIG
-        assert spec.seed == 0
+    def test_execute_cell_builds_the_keyed_cell(self):
+        # The key's method, overrides and config reach the session, and
+        # its fingerprint is the session's checkpoint context.
+        class Built(Exception):
+            pass
+
+        built = {}
+
+        def capture(method, session):
+            built.update(method=method, session=session)
+            raise Built
+
+        key = make_key(method="calibre-simclr", overrides={"num_prototypes": 3},
+                       dataset_kwargs={"image_size": 8, "train_per_class": 8,
+                                       "test_per_class": 2})
+        with pytest.raises(Built):
+            execute_cell(key, session_hook=capture)
+        session = built["session"]
+        assert built["method"] == "calibre-simclr"
+        assert session.algorithm.name == "calibre-simclr"
+        assert session.algorithm.num_prototypes == 3
+        assert session.config == CONFIG
+        assert session.context == key.fingerprint
+        assert len(session.clients) == CONFIG.num_clients
 
     def test_label_mentions_coordinates(self):
         label = make_key(variant="ln1-lp0").label()
@@ -172,7 +195,6 @@ class TestRetiredSharedMemoryKnob:
         "method_overrides": {}, "seed": 4, "name": "compat",
     }
     FINGERPRINT = "5725beaec25f84b9"
-    SPEC_CONTEXT = "bad45e9c517754eb"
     SESSION_CONTEXT = "521a7846f92eea29"
 
     @pytest.mark.parametrize("stored", [None, True, False])
@@ -180,7 +202,6 @@ class TestRetiredSharedMemoryKnob:
         import copy
         import types
 
-        from repro.eval.harness import spec_context
         from repro.fl.session.session import default_session_context
         from repro.runs.serialize import spec_from_jsonable, spec_to_jsonable
 
@@ -192,7 +213,6 @@ class TestRetiredSharedMemoryKnob:
                      method="calibre-simclr", seed=spec.seed,
                      config=spec.config)
         assert key.fingerprint == self.FINGERPRINT
-        assert spec_context(spec, "calibre-simclr") == self.SPEC_CONTEXT
         clients = [types.SimpleNamespace(client_id=i, num_train_samples=12)
                    for i in range(3)]
         algorithm = types.SimpleNamespace(name="calibre-simclr")

@@ -66,10 +66,12 @@ class TestParser:
          "--methods: values must be unique"),
         (["report", "--exp", "fig3", "--methods", "fedavg", "fedavg"],
          "--methods: values must be unique"),
+        (["run", "--method", "script-fair", "--method", "script-fair"],
+         "--method: values must be unique"),
     ], ids=["run", "sweep", "report", "figures", "run-rounds", "sweep-novel",
             "sweep-embed-clients", "sweep-embed-samples",
             "report-tsne-iterations", "sweep-seeds", "report-seeds",
-            "sweep-methods", "report-methods"])
+            "sweep-methods", "report-methods", "run-methods"])
     def test_bad_grid_value_exits_2_naming_the_flag(self, capsys, tmp_path,
                                                     argv, message):
         if argv[0] != "run":
@@ -118,6 +120,24 @@ class TestMain:
 
         outcome = load_outcome(out_path)
         assert outcome.reports["script-fair"].num_clients == 4
+
+    def test_run_trace_out_writes_one_timeline(self, capsys, tmp_path):
+        from repro.telemetry import validate_chrome_trace
+
+        trace_path = tmp_path / "run-trace.json"
+        code = main([
+            "run", "--method", "script-fair", "--method", "fedavg",
+            "--setting", "dirichlet", "--param", "0.5", "--samples", "20",
+            "--rounds", "1", "--clients", "4", "--trace-out", str(trace_path),
+        ])
+        assert code == 0
+        assert f"wrote trace {trace_path}" in capsys.readouterr().out
+        payload = json.loads(trace_path.read_text())
+        assert validate_chrome_trace(payload) == []
+        sessions = [event["args"]["algorithm"]
+                    for event in payload["traceEvents"]
+                    if event.get("name") == "session" and event["ph"] == "X"]
+        assert sessions == ["script-fair", "fedavg"]
 
 
 class TestSweepCommands:
@@ -186,23 +206,6 @@ class TestSweepCommands:
         first = capsys.readouterr().out
         assert main(["report", "--across-seeds"] + base) == 0
         assert capsys.readouterr().out == first
-
-    def test_run_resume_requires_checkpoints(self, capsys):
-        assert main(["run", "--method", "script-fair", "--resume"]) == 2
-        assert "--resume requires --checkpoints" in capsys.readouterr().err
-
-    def test_run_checkpoint_and_resume_round_trip(self, capsys, tmp_path):
-        checkpoints = str(tmp_path / "ckpts")
-        base = ["run", "--method", "fedavg", "--setting", "dirichlet",
-                "--param", "0.5", "--samples", "20", "--rounds", "2",
-                "--clients", "4", "--checkpoints", checkpoints]
-        assert main(base) == 0
-        first = capsys.readouterr().out
-        assert main(base + ["--resume"]) == 0
-        second = capsys.readouterr().out
-        assert "[resume] fedavg at round 2/2" in second
-        # The resumed run skips training but lands on the same table.
-        assert first.splitlines()[-1] == second.splitlines()[-1]
 
 
 TINY_FIGURE_ARGS = [
