@@ -13,6 +13,9 @@ The rows are:
 * ``fedper@process`` and ``calibre-simclr@process``: the process backend;
 * ``pfl-simclr@smallconv``: a conv encoder, whose personalization
   features are encoded array by array;
+* ``calibre-simclr@resnet9``: a residual conv encoder (stride-2 1x1
+  shortcuts and residual adds) under Calibre's per-client loss, so the
+  conv VJP runs inside the prototype-regularized step;
 * ``calibre-simclr@population``: a virtual population whose
   personalization chunks hold cohorts of three train/test shapes, so the
   MLP encoder's stacked feature forward runs several shape groups.
@@ -98,6 +101,7 @@ def main() -> None:
     for suffix, methods, overrides in VARIANTS:
         print_rows(methods, "@" + suffix, **overrides)
     print_rows(["pfl-simclr"], "@smallconv", encoder="smallconv")
+    print_rows(["calibre-simclr"], "@resnet9", encoder="resnet9")
     print_population_row()
 
 

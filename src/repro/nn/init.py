@@ -1,4 +1,4 @@
-"""Weight initialization schemes (Kaiming/Xavier) with explicit RNG plumbing.
+"""Weight initialization (Kaiming-uniform) with explicit RNG plumbing.
 
 Every initializer takes a ``numpy.random.Generator`` so that federated
 experiments are reproducible: the server seeds one generator, builds the
@@ -14,11 +14,6 @@ import numpy as np
 
 __all__ = [
     "kaiming_uniform",
-    "kaiming_normal",
-    "xavier_uniform",
-    "xavier_normal",
-    "zeros",
-    "ones",
     "compute_fans",
 ]
 
@@ -49,35 +44,3 @@ def kaiming_uniform(shape, rng: Optional[np.random.Generator] = None,
     fan_in, _ = compute_fans(shape)
     bound = gain * math.sqrt(3.0 / fan_in)
     return _rng(rng).uniform(-bound, bound, size=shape).astype(dtype)
-
-
-def kaiming_normal(shape, rng: Optional[np.random.Generator] = None,
-                   gain: float = math.sqrt(2.0), dtype=np.float64) -> np.ndarray:
-    """He-normal initialization."""
-    fan_in, _ = compute_fans(shape)
-    std = gain / math.sqrt(fan_in)
-    return (_rng(rng).standard_normal(shape) * std).astype(dtype)
-
-
-def xavier_uniform(shape, rng: Optional[np.random.Generator] = None,
-                   gain: float = 1.0, dtype=np.float64) -> np.ndarray:
-    """Glorot-uniform initialization (for tanh/linear heads)."""
-    fan_in, fan_out = compute_fans(shape)
-    bound = gain * math.sqrt(6.0 / (fan_in + fan_out))
-    return _rng(rng).uniform(-bound, bound, size=shape).astype(dtype)
-
-
-def xavier_normal(shape, rng: Optional[np.random.Generator] = None,
-                  gain: float = 1.0, dtype=np.float64) -> np.ndarray:
-    """Glorot-normal initialization."""
-    fan_in, fan_out = compute_fans(shape)
-    std = gain * math.sqrt(2.0 / (fan_in + fan_out))
-    return (_rng(rng).standard_normal(shape) * std).astype(dtype)
-
-
-def zeros(shape, dtype=np.float64) -> np.ndarray:
-    return np.zeros(shape, dtype=dtype)
-
-
-def ones(shape, dtype=np.float64) -> np.ndarray:
-    return np.ones(shape, dtype=dtype)

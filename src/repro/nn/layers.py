@@ -1,4 +1,4 @@
-"""Trainable layers: Linear, Conv2d, BatchNorm, pooling, dropout, flatten.
+"""Trainable layers: Linear, Conv2d, BatchNorm, global pooling, flatten.
 
 Layouts follow PyTorch conventions so the paper's model descriptions map
 one-to-one: ``Linear.weight`` is (out, in), ``Conv2d.weight`` is
@@ -23,13 +23,8 @@ __all__ = [
     "BatchNorm1d",
     "BatchNorm2d",
     "ReLU",
-    "LeakyReLU",
-    "Tanh",
-    "MaxPool2d",
-    "AvgPool2d",
     "GlobalAvgPool2d",
     "Flatten",
-    "Dropout",
     "Identity",
 ]
 
@@ -152,42 +147,6 @@ class ReLU(Module):
         return x.relu()
 
 
-class LeakyReLU(Module):
-    def __init__(self, negative_slope: float = 0.01):
-        super().__init__()
-        self.negative_slope = negative_slope
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x.leaky_relu(self.negative_slope)
-
-
-class Tanh(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.tanh()
-
-
-class MaxPool2d(Module):
-    def __init__(self, kernel_size: int, stride: Optional[int] = None, padding: int = 0):
-        super().__init__()
-        self.kernel_size = kernel_size
-        self.stride = stride
-        self.padding = padding
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.max_pool2d(x, self.kernel_size, self.stride, self.padding)
-
-
-class AvgPool2d(Module):
-    def __init__(self, kernel_size: int, stride: Optional[int] = None, padding: int = 0):
-        super().__init__()
-        self.kernel_size = kernel_size
-        self.stride = stride
-        self.padding = padding
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.avg_pool2d(x, self.kernel_size, self.stride, self.padding)
-
-
 class GlobalAvgPool2d(Module):
     def forward(self, x: Tensor) -> Tensor:
         return F.global_avg_pool2d(x)
@@ -207,17 +166,6 @@ class Flatten(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return x.flatten(self.start_dim + 1 if x.ndim == 5 else self.start_dim)
-
-
-class Dropout(Module):
-    def __init__(self, p: float = 0.5, rng: Optional[np.random.Generator] = None):
-        super().__init__()
-        self.p = p
-        # repro: allow[DET001] -- unseeded convenience fallback; federated paths always pass rng
-        self._rng = rng if rng is not None else np.random.default_rng()
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.dropout(x, self.p, training=self.training, rng=self._rng)
 
 
 class Identity(Module):

@@ -7,8 +7,7 @@ import numpy as np
 from . import functional as F
 from .tensor import Tensor
 
-__all__ = ["cross_entropy", "target_cross_entropy", "mse_loss",
-           "l2_regularization", "accuracy"]
+__all__ = ["cross_entropy", "target_cross_entropy", "accuracy"]
 
 
 def cross_entropy(logits: Tensor, labels: np.ndarray, label_smoothing: float = 0.0) -> Tensor:
@@ -39,27 +38,6 @@ def target_cross_entropy(logits: Tensor, target: Tensor) -> Tensor:
     """
     log_probs = F.log_softmax(logits, axis=1)
     return -(target * log_probs).sum(axis=1).mean()
-
-
-def mse_loss(prediction: Tensor, target: Tensor) -> Tensor:
-    """Mean squared error."""
-    diff = prediction - target
-    return (diff * diff).mean()
-
-
-def l2_regularization(parameters, weight: float) -> Tensor:
-    """``weight * sum(||p||^2)`` over an iterable of parameters.
-
-    Used by Ditto's proximal term and weight-decay-style penalties expressed
-    in the loss (rather than in the optimizer).
-    """
-    total = None
-    for param in parameters:
-        term = (param * param).sum()
-        total = term if total is None else total + term
-    if total is None:
-        raise ValueError("no parameters supplied to l2_regularization")
-    return total * weight
 
 
 def accuracy(logits, labels: np.ndarray) -> float:

@@ -17,7 +17,7 @@ from .layers import BatchNorm1d, Flatten, Linear, ReLU
 from .module import Module, Sequential
 from .tensor import Tensor
 
-__all__ = ["MLPEncoder", "MLPClassifier"]
+__all__ = ["MLPEncoder"]
 
 
 class MLPEncoder(Module):
@@ -58,16 +58,3 @@ class MLPEncoder(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return self.net(x)
-
-
-class MLPClassifier(Module):
-    """Encoder + linear head as one module (Script baselines train this)."""
-
-    def __init__(self, encoder: Module, num_classes: int,
-                 rng: Optional[np.random.Generator] = None):
-        super().__init__()
-        self.encoder = encoder
-        self.head = Linear(encoder.feature_dim, num_classes, rng=rng)
-
-    def forward(self, x: Tensor) -> Tensor:
-        return self.head(self.encoder(x))

@@ -16,7 +16,7 @@ import numpy as np
 
 from .tensor import Tensor
 
-__all__ = ["Parameter", "Module", "Sequential", "ModuleList"]
+__all__ = ["Parameter", "Module", "Sequential"]
 
 
 class Parameter(Tensor):
@@ -199,28 +199,3 @@ class Sequential(Module):
         for module in self._modules.values():
             x = module(x)
         return x
-
-
-class ModuleList(Module):
-    """A list container whose entries register as sub-modules."""
-
-    def __init__(self, modules: Optional[List[Module]] = None):
-        super().__init__()
-        for index, module in enumerate(modules or []):
-            setattr(self, str(index), module)
-
-    def __iter__(self) -> Iterator[Module]:
-        return iter(self._modules.values())
-
-    def __len__(self) -> int:
-        return len(self._modules)
-
-    def __getitem__(self, index: int) -> Module:
-        return list(self._modules.values())[index]
-
-    def append(self, module: Module) -> "ModuleList":
-        setattr(self, str(len(self._modules)), module)
-        return self
-
-    def forward(self, *args, **kwargs):
-        raise RuntimeError("ModuleList is a container and cannot be called")

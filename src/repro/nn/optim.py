@@ -1,15 +1,13 @@
-"""Optimizers and learning-rate schedulers.
+"""Optimizers.
 
 The paper trains SSL encoders with SGD and personalizes heads with SGD
 (lr 0.05); FedEMA and MoCo-style methods need momentum updates that live
-outside the optimizer (see :mod:`repro.ssl.ema`).  Adam is provided for the
-ablation/extension experiments.
+outside the optimizer (see :mod:`repro.ssl.ema`).
 """
 
 from __future__ import annotations
 
-import math
-from typing import Dict, Iterable, List, Optional
+from typing import Iterable, List, Optional
 
 import numpy as np
 
@@ -19,12 +17,6 @@ __all__ = [
     "Optimizer",
     "SGD",
     "BatchedSGD",
-    "Adam",
-    "LRScheduler",
-    "ConstantLR",
-    "StepLR",
-    "CosineAnnealingLR",
-    "WarmupCosineLR",
 ]
 
 
@@ -46,15 +38,9 @@ class Optimizer:
     def step(self) -> None:
         raise NotImplementedError
 
-    def state_dict(self) -> Dict:
-        return {"lr": self.lr}
-
-    def load_state_dict(self, state: Dict) -> None:
-        self.lr = float(state["lr"])
-
 
 class SGD(Optimizer):
-    """SGD with momentum, Nesterov, and decoupled weight decay."""
+    """SGD with momentum and weight decay added to the gradient."""
 
     def __init__(
         self,
@@ -62,16 +48,12 @@ class SGD(Optimizer):
         lr: float,
         momentum: float = 0.0,
         weight_decay: float = 0.0,
-        nesterov: bool = False,
     ):
         super().__init__(parameters, lr)
         if not 0.0 <= momentum < 1.0:
             raise ValueError(f"momentum must be in [0, 1), got {momentum}")
-        if nesterov and momentum == 0.0:
-            raise ValueError("nesterov momentum requires momentum > 0")
         self.momentum = momentum
         self.weight_decay = weight_decay
-        self.nesterov = nesterov
         self._velocity: List[Optional[np.ndarray]] = [None] * len(self.parameters)
 
     def step(self) -> None:
@@ -87,24 +69,8 @@ class SGD(Optimizer):
                 velocity = self._velocity[index]
                 velocity *= self.momentum
                 velocity += grad
-                grad = grad + self.momentum * velocity if self.nesterov else velocity
+                grad = velocity
             param.data -= self.lr * grad
-
-    def state_dict(self) -> Dict:
-        return {
-            "lr": self.lr,
-            "momentum": self.momentum,
-            "weight_decay": self.weight_decay,
-            "nesterov": self.nesterov,
-            "velocity": [None if v is None else v.copy() for v in self._velocity],
-        }
-
-    def load_state_dict(self, state: Dict) -> None:
-        super().load_state_dict(state)
-        self.momentum = state["momentum"]
-        self.weight_decay = state["weight_decay"]
-        self.nesterov = state["nesterov"]
-        self._velocity = [None if v is None else v.copy() for v in state["velocity"]]
 
 
 class BatchedSGD(SGD):
@@ -119,10 +85,9 @@ class BatchedSGD(SGD):
     """
 
     def __init__(self, parameters, lr: float, momentum: float = 0.0,
-                 weight_decay: float = 0.0, nesterov: bool = False,
-                 num_clients: Optional[int] = None):
+                 weight_decay: float = 0.0, num_clients: Optional[int] = None):
         super().__init__(parameters, lr, momentum=momentum,
-                         weight_decay=weight_decay, nesterov=nesterov)
+                         weight_decay=weight_decay)
         if num_clients is not None:
             for param in self.parameters:
                 if param.data.ndim < 1 or param.data.shape[0] != num_clients:
@@ -130,117 +95,3 @@ class BatchedSGD(SGD):
                         f"batched parameter has shape {param.data.shape}; "
                         f"expected a leading client axis of {num_clients}")
         self.num_clients = num_clients
-
-
-class Adam(Optimizer):
-    """Adam with bias correction (Kingma & Ba, 2015)."""
-
-    def __init__(
-        self,
-        parameters: Iterable[Parameter],
-        lr: float = 1e-3,
-        betas: tuple = (0.9, 0.999),
-        eps: float = 1e-8,
-        weight_decay: float = 0.0,
-    ):
-        super().__init__(parameters, lr)
-        self.beta1, self.beta2 = betas
-        self.eps = eps
-        self.weight_decay = weight_decay
-        self._step_count = 0
-        self._m: List[Optional[np.ndarray]] = [None] * len(self.parameters)
-        self._v: List[Optional[np.ndarray]] = [None] * len(self.parameters)
-
-    def step(self) -> None:
-        self._step_count += 1
-        bias1 = 1.0 - self.beta1**self._step_count
-        bias2 = 1.0 - self.beta2**self._step_count
-        for index, param in enumerate(self.parameters):
-            if param.grad is None:
-                continue
-            grad = param.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param.data
-            if self._m[index] is None:
-                self._m[index] = np.zeros_like(param.data)
-                self._v[index] = np.zeros_like(param.data)
-            m, v = self._m[index], self._v[index]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * grad
-            v *= self.beta2
-            v += (1.0 - self.beta2) * grad**2
-            m_hat = m / bias1
-            v_hat = v / bias2
-            param.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
-
-class LRScheduler:
-    """Base class: call :meth:`step` once per epoch/round."""
-
-    def __init__(self, optimizer: Optimizer):
-        self.optimizer = optimizer
-        self.base_lr = optimizer.lr
-        self.epoch = 0
-
-    def get_lr(self) -> float:
-        raise NotImplementedError
-
-    def step(self) -> float:
-        self.epoch += 1
-        lr = self.get_lr()
-        self.optimizer.lr = lr
-        return lr
-
-
-class ConstantLR(LRScheduler):
-    def get_lr(self) -> float:
-        return self.base_lr
-
-
-class StepLR(LRScheduler):
-    """Multiply the learning rate by ``gamma`` every ``step_size`` epochs."""
-
-    def __init__(self, optimizer: Optimizer, step_size: int, gamma: float = 0.1):
-        super().__init__(optimizer)
-        if step_size <= 0:
-            raise ValueError("step_size must be positive")
-        self.step_size = step_size
-        self.gamma = gamma
-
-    def get_lr(self) -> float:
-        return self.base_lr * self.gamma ** (self.epoch // self.step_size)
-
-
-class CosineAnnealingLR(LRScheduler):
-    """Cosine decay from the base LR to ``eta_min`` over ``t_max`` epochs."""
-
-    def __init__(self, optimizer: Optimizer, t_max: int, eta_min: float = 0.0):
-        super().__init__(optimizer)
-        if t_max <= 0:
-            raise ValueError("t_max must be positive")
-        self.t_max = t_max
-        self.eta_min = eta_min
-
-    def get_lr(self) -> float:
-        progress = min(self.epoch, self.t_max) / self.t_max
-        return self.eta_min + 0.5 * (self.base_lr - self.eta_min) * (1 + math.cos(math.pi * progress))
-
-
-class WarmupCosineLR(LRScheduler):
-    """Linear warmup followed by cosine decay (common SSL schedule)."""
-
-    def __init__(self, optimizer: Optimizer, warmup_epochs: int, t_max: int,
-                 eta_min: float = 0.0):
-        super().__init__(optimizer)
-        if warmup_epochs < 0 or t_max <= warmup_epochs:
-            raise ValueError("need 0 <= warmup_epochs < t_max")
-        self.warmup_epochs = warmup_epochs
-        self.t_max = t_max
-        self.eta_min = eta_min
-
-    def get_lr(self) -> float:
-        if self.warmup_epochs and self.epoch <= self.warmup_epochs:
-            return self.base_lr * self.epoch / self.warmup_epochs
-        span = self.t_max - self.warmup_epochs
-        progress = min(self.epoch - self.warmup_epochs, span) / span
-        return self.eta_min + 0.5 * (self.base_lr - self.eta_min) * (1 + math.cos(math.pi * progress))

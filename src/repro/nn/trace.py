@@ -5,32 +5,33 @@ clients per round, and :mod:`repro.nn.tensor` pays Python-side graph
 bookkeeping per client per op.  This module removes the per-client factor:
 
 1. **Record** — run one client's forward once with :class:`TraceTensor`
-   operands.  Every primitive computes its result eagerly (so shape checks
-   and data-dependent Python control flow behave exactly as in a normal
-   run) and appends a :class:`TapeOp` to a :class:`Trace`.
+   operands.  Every primitive still runs through
+   :func:`~repro.nn.tensor.apply`, which sees the traced operand and hands
+   the application to :meth:`Trace.record`: the op table entry computes
+   its result eagerly (so shape checks and data-dependent Python control
+   flow behave exactly as in a normal run), runs its record-time checks,
+   and a :class:`TapeOp` naming the entry's kind is appended.
 2. **Replay** — :class:`BatchedReplay` re-executes the tape over K clients'
-   data stacked into a new leading axis, as *real* :class:`Tensor` ops with
-   gradients enabled.  One graph of K-wide numpy ops replaces K graphs, and
-   ``backward()`` comes from the existing engine unchanged.
+   data stacked into a new leading axis: each entry's replay rule
+   (:mod:`repro.nn.ops`) applies table entries to real :class:`Tensor`
+   operands with gradients enabled.  One graph of K-wide numpy ops
+   replaces K graphs, and ``backward()`` runs the same VJPs.
 
-The contract is bitwise equivalence: slice ``k`` of every replayed op equals
-the op the per-client path would have computed for client ``k``.  Axis
-handling is therefore exact, not approximate — reductions/reshapes/indexing
-recorded against unbatched operands are remapped by shifting one axis right,
-and elementwise operands of lower rank get an explicit leading-ones reshape
-so numpy broadcasting aligns their *trailing* axes the same way it did
-unbatched.
+The contract is bitwise equivalence: slice ``k`` of every replayed op
+equals the op the per-client path would have computed for client ``k``;
+:mod:`repro.nn.ops` states how each entry keeps it.
 
 Anything that cannot keep that contract raises :exc:`UntraceableError` —
-including any op that reaches the base-class graph plumbing
-(``_make_output``), data-dependent constants (dropout masks), and eval-mode
-batch norm (which reads per-client buffers).  Callers treat the exception
-as "fall back to the per-client loop", never as corruption.
+an entry without a replay rule (``conv2d``), an index or product the
+client axis would change, and eval-mode batch norm (which reads
+per-client buffers).  Callers treat the exception as "fall back to the
+per-client loop", never as corruption.
 
 Batch-norm running statistics are the one intentional side effect: the
-training-mode buffer update is recorded as a ``bn_update`` tape entry and
-replayed against K-stacked buffers, *staged* so the two sequential updates
-per step (one per view) chain exactly like the in-place per-client updates.
+training-mode buffer update is the ``bn_update`` entry, recorded against
+registered buffer slots and replayed against K-stacked buffers, *staged*
+so the two sequential updates per step (one per view) chain exactly like
+the in-place per-client updates.
 
 Per-client data enters a tape only as a leaf: float arrays through
 :meth:`Trace.add_input`, integer row selections through
@@ -44,12 +45,12 @@ from __future__ import annotations
 
 import contextlib
 from collections import OrderedDict
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from .. import telemetry
-from .tensor import Tensor, as_tensor
+from .tensor import OPS, Tensor
 
 __all__ = [
     "UntraceableError",
@@ -59,15 +60,9 @@ __all__ = [
     "TraceIndex",
     "BatchedReplay",
     "input_leaves",
-    "traced_concat",
     "patched_parameters",
     "commit_buffer_updates",
 ]
-
-# Elementwise binary kinds whose lower-rank traced operands need an explicit
-# leading-ones reshape before the batch axis is added (see _aligned_operand).
-_ELEMENTWISE_BINARY = ("add", "mul", "truediv")
-
 
 class UntraceableError(RuntimeError):
     """The computation cannot be recorded for batched replay.
@@ -81,6 +76,7 @@ class UntraceableError(RuntimeError):
 class TapeOp:
     """One recorded primitive: kind, operands, params, and unbatched output.
 
+    ``kind`` is the op table key (a string, so sealed traces pickle).
     ``inputs`` holds operand encodings: ``("t", tid)`` for traced tensors,
     ``("c", ndarray)`` for constants captured (copied) at record time.
     ``out`` is the output's trace id, or ``None`` for side-effect entries
@@ -199,155 +195,61 @@ class Trace:
     # ------------------------------------------------------------------
     def operand(self, value) -> Tuple:
         """Encode ``value`` as a tape operand (traced ref or copied constant)."""
-        if isinstance(value, TraceTensor):
-            if value._trace is not self:
-                raise UntraceableError("cannot mix tensors from different traces")
-            return ("t", value._tid)
-        if isinstance(value, Tensor):
+        trace = value._trace
+        if trace is None:
             return ("c", np.array(value.data, copy=True))
-        return ("c", np.array(as_tensor(value).data, copy=True))
+        if trace is not self:
+            raise UntraceableError("cannot mix tensors from different traces")
+        return ("t", value._tid)
 
-    def record(self, kind: str, data: np.ndarray, inputs: Sequence[Tuple],
-               params: Optional[Dict] = None) -> "TraceTensor":
-        if self.sealed:
-            raise UntraceableError("trace is sealed; recording is finished")
-        out = self._new_tensor(data)
-        self.ops.append(TapeOp(kind, out._tid, tuple(inputs), dict(params or {}),
-                               tuple(data.shape), str(data.dtype)))
-        return out
-
-    def _aligned_operand(self, value, out_ndim: int) -> Tuple:
-        """Encode an elementwise operand, reshaping lower-rank traced ones.
-
-        Unbatched, numpy aligns broadcast operands on *trailing* axes; with a
-        leading client axis a rank-r traced operand would instead align on the
-        batch side.  An explicit recorded reshape to ``(1,)*(R-r) + shape``
-        restores trailing alignment and is bitwise-free (reshape forward and
-        backward copy/flatten without any arithmetic).
-        """
-        encoded = self.operand(value)
-        if encoded[0] == "t" and isinstance(value, TraceTensor):
-            rank = value.data.ndim
-            if rank < out_ndim:
-                new_shape = (1,) * (out_ndim - rank) + value.data.shape
-                reshaped = self.record("reshape", value.data.reshape(new_shape),
-                                       (encoded,), {"shape": new_shape})
-                return ("t", reshaped._tid)
-        return encoded
-
-    def record_binary(self, kind: str, left, right, data: np.ndarray) -> "TraceTensor":
-        if kind in _ELEMENTWISE_BINARY:
-            out_ndim = data.ndim
-            operands = (self._aligned_operand(left, out_ndim),
-                        self._aligned_operand(right, out_ndim))
-        else:
-            operands = (self.operand(left), self.operand(right))
-        return self.record(kind, data, operands)
-
-    def record_matmul(self, left: Tensor, right: Tensor) -> "TraceTensor":
-        """Record ``left @ right``, including matrix-vector products.
-
-        Replay gives a 1-D operand an explicit unit axis
-        (``params["vector"]`` names its side) — the axis numpy's own 1-D
-        promotion adds unbatched.  A traced vector arrives as ``(K, n)``,
-        which numpy would read as a matrix, and ``Tensor``'s 1-D backward
-        assumes an unbatched partner.
-        """
-        ranks = (left.data.ndim, right.data.ndim)
-        if min(ranks) == 0 or ranks == (1, 1):
-            raise UntraceableError("matmul of scalars or two vectors is not traceable")
-        vector = "left" if ranks[0] == 1 else "right" if ranks[1] == 1 else None
-        return self.record("matmul", left.data @ right.data,
-                           (self.operand(left), self.operand(right)),
-                           {"vector": vector})
-
-    def record_bn_update(self, x: "TraceTensor", running_mean: np.ndarray,
-                         running_var: np.ndarray, axes: Tuple[int, ...],
-                         momentum: float, count_scale: float) -> None:
-        """Record the training-mode batch-norm buffer side effect."""
-        mean_slot = self._buffer_slots.get(id(running_mean))
-        var_slot = self._buffer_slots.get(id(running_var))
-        if mean_slot is None or var_slot is None:
+    def buffer_slot(self, buffer: np.ndarray) -> str:
+        """The registered name of a module buffer (see :meth:`register_buffers`)."""
+        slot = self._buffer_slots.get(id(buffer))
+        if slot is None:
             raise UntraceableError(
                 "batch_norm buffers are not registered with the trace "
                 "(module buffers must be registered before recording)")
-        self.ops.append(TapeOp(
-            "bn_update", None, (self.operand(x),),
-            {"mean_slot": mean_slot, "var_slot": var_slot,
-             "axes": tuple(int(a) for a in axes),
-             "momentum": float(momentum), "count_scale": float(count_scale)},
-            (), ""))
+        return slot
 
+    def record(self, op, operands: Tuple, params: Dict) -> Optional["TraceTensor"]:
+        """Record one application of an op table entry; called by ``apply``.
 
-def _normalize_axes(axis, ndim: int) -> Optional[Tuple[int, ...]]:
-    if axis is None:
-        return None
-    axes = axis if isinstance(axis, tuple) else (axis,)
-    return tuple(sorted(int(a) % ndim for a in axes))
-
-
-def _normalize_index(index, ndim: int) -> Tuple:
-    """Validate and normalize a ``__getitem__`` index for batched replay.
-
-    Allowed: ints, slices with int (or None) bounds, and integer arrays whose
-    advanced-index block is contiguous — exactly the cases where prepending
-    ``slice(None)`` yields per-slice-identical results.  Everything else
-    (bool masks, None/Ellipsis, separated advanced indices) is untraceable.
-    """
-    parts = index if isinstance(index, tuple) else (index,)
-    if len(parts) > ndim:
-        raise UntraceableError(f"index has more components than dimensions ({len(parts)} > {ndim})")
-    normalized = []
-    advanced_positions = []
-    has_array = False
-    for position, part in enumerate(parts):
-        if part is None or part is Ellipsis:
-            raise UntraceableError("None/Ellipsis indexing is not traceable")
-        if isinstance(part, slice):
-            for bound in (part.start, part.stop, part.step):
-                if bound is not None and not isinstance(bound, (int, np.integer)):
-                    raise UntraceableError("non-integer slice bounds are not traceable")
-            normalized.append(slice(part.start, part.stop, part.step))
-            continue
-        if isinstance(part, (int, np.integer)):
-            normalized.append(int(part))
-            advanced_positions.append(position)
-            continue
-        array = np.asarray(part)
-        if array.dtype.kind == "b":
-            raise UntraceableError("boolean-mask indexing is not traceable")
-        if array.dtype.kind not in "iu":
-            raise UntraceableError(f"unsupported index component dtype {array.dtype}")
-        normalized.append(np.array(array, copy=True))
-        advanced_positions.append(position)
-        has_array = True
-    if has_array and advanced_positions != list(
-            range(advanced_positions[0], advanced_positions[0] + len(advanced_positions))):
-        raise UntraceableError("non-adjacent advanced indices are not traceable")
-    return tuple(normalized)
+        The entry's forward computes the donor's result, then its
+        record-time checks decide what the tape stores.  Returns the traced
+        output (``None`` for the side-effect entry).
+        """
+        if self.sealed:
+            raise UntraceableError("trace is sealed; recording is finished")
+        if op.replay is None:
+            raise UntraceableError(
+                f"{op.kind!r} has no replay rule and cannot be recorded for "
+                "batched replay")
+        data, _ = op.forward(*[operand.data for operand in operands], **params)
+        operands, params = op.record(self, operands, params, data)
+        inputs = tuple(self.operand(operand) for operand in operands)
+        if data is None:
+            self.ops.append(TapeOp(op.kind, None, inputs, params, (), ""))
+            return None
+        out = self._new_tensor(data)
+        self.ops.append(TapeOp(op.kind, out._tid, inputs, params,
+                               tuple(data.shape), str(data.dtype)))
+        return out
 
 
 class TraceTensor(Tensor):
-    """A :class:`Tensor` whose primitives also record onto a :class:`Trace`.
+    """A :class:`Tensor` recorded on a :class:`Trace`.
 
-    Every override computes its data eagerly (numpy, no autograd graph) and
-    records a tape entry.  The base-class graph constructor is overridden to
-    raise, so any primitive this class does not explicitly support fails
-    loudly instead of silently producing an untracked plain tensor.
+    It only carries its identity: every op that reads it records through
+    :func:`~repro.nn.tensor.apply`.  It refuses the two escapes that would
+    specialize the tape to the donor client.
     """
 
     __slots__ = ("_trace", "_tid")
 
     def __init__(self, data, trace: Trace, tid: int):
-        super().__init__(data, requires_grad=False)
-        object.__setattr__(self, "_trace", trace)
-        object.__setattr__(self, "_tid", tid)
-
-    # -- safety nets ---------------------------------------------------
-    def _make_output(self, data, parents):
-        raise UntraceableError(
-            "an operation outside the traceable primitive set reached the "
-            "base autograd plumbing during recording")
+        super().__init__(data)
+        self._trace = trace
+        self._tid = tid
 
     def backward(self, grad=None):
         raise UntraceableError("backward() is not available while recording")
@@ -357,160 +259,22 @@ class TraceTensor(Tensor):
             "item() during recording would capture a per-client value as a "
             "shared constant")
 
-    # -- arithmetic ----------------------------------------------------
-    def __add__(self, other):
-        other_t = as_tensor(other, dtype=self.data.dtype)
-        return self._trace.record_binary("add", self, other_t,
-                                         self.data + other_t.data)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return self._trace.record("neg", -self.data, (self._trace.operand(self),))
-
-    def __mul__(self, other):
-        other_t = as_tensor(other, dtype=self.data.dtype)
-        return self._trace.record_binary("mul", self, other_t,
-                                         self.data * other_t.data)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other_t = as_tensor(other, dtype=self.data.dtype)
-        return self._trace.record_binary("truediv", self, other_t,
-                                         self.data / other_t.data)
-
-    def __rtruediv__(self, other):
-        other_t = as_tensor(other, dtype=self.data.dtype)
-        return self._trace.record_binary("truediv", other_t, self,
-                                         other_t.data / self.data)
-
-    def __pow__(self, exponent):
-        if not np.isscalar(exponent):
-            raise TypeError("only scalar exponents are supported")
-        return self._trace.record("pow", self.data ** exponent,
-                                  (self._trace.operand(self),),
-                                  {"exponent": exponent})
-
-    def __matmul__(self, other):
-        return self._trace.record_matmul(self, as_tensor(other, dtype=self.data.dtype))
-
-    def __rmatmul__(self, other):
-        return self._trace.record_matmul(as_tensor(other, dtype=self.data.dtype), self)
-
-    # -- elementwise nonlinearities ------------------------------------
-    def exp(self):
-        return self._trace.record("exp", np.exp(self.data), (self._trace.operand(self),))
-
-    def log(self):
-        return self._trace.record("log", np.log(self.data), (self._trace.operand(self),))
-
-    def sqrt(self):
-        return self._trace.record("sqrt", np.sqrt(self.data), (self._trace.operand(self),))
-
-    def tanh(self):
-        return self._trace.record("tanh", np.tanh(self.data), (self._trace.operand(self),))
-
-    def sigmoid(self):
-        return self._trace.record("sigmoid", 1.0 / (1.0 + np.exp(-self.data)),
-                                  (self._trace.operand(self),))
-
-    def relu(self):
-        return self._trace.record("relu", self.data * (self.data > 0),
-                                  (self._trace.operand(self),))
-
-    def leaky_relu(self, negative_slope: float = 0.01):
-        scale = np.where(self.data > 0, 1.0, negative_slope)
-        return self._trace.record("leaky_relu", self.data * scale,
-                                  (self._trace.operand(self),),
-                                  {"negative_slope": float(negative_slope)})
-
-    def abs(self):
-        return self._trace.record("abs", np.abs(self.data), (self._trace.operand(self),))
-
-    def clip(self, low=None, high=None):
-        return self._trace.record("clip", np.clip(self.data, low, high),
-                                  (self._trace.operand(self),),
-                                  {"low": low, "high": high})
-
-    def astype(self, dtype):
-        return self._trace.record("astype", self.data.astype(dtype),
-                                  (self._trace.operand(self),),
-                                  {"dtype": str(np.dtype(dtype))})
-
-    def detach(self):
-        return self._trace.record("detach", self.data, (self._trace.operand(self),))
-
-    def copy(self):
-        return self._trace.record("copy", self.data.copy(), (self._trace.operand(self),))
-
-    # -- reductions ----------------------------------------------------
-    def sum(self, axis=None, keepdims: bool = False):
-        return self._trace.record(
-            "sum", self.data.sum(axis=axis, keepdims=keepdims),
-            (self._trace.operand(self),),
-            {"axis": _normalize_axes(axis, self.data.ndim), "keepdims": bool(keepdims)})
-
-    def max(self, axis=None, keepdims: bool = False):
-        return self._trace.record(
-            "max", self.data.max(axis=axis, keepdims=keepdims),
-            (self._trace.operand(self),),
-            {"axis": _normalize_axes(axis, self.data.ndim), "keepdims": bool(keepdims)})
-
-    # mean/var/min/flatten/T/__sub__/__rsub__/stack are inherited composites:
-    # they bottom out in the primitives above, so they record for free.
-
-    # -- shape manipulation --------------------------------------------
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        data = self.data.reshape(shape)
-        return self._trace.record("reshape", data, (self._trace.operand(self),),
-                                  {"shape": data.shape})
-
-    def transpose(self, *axes):
-        if len(axes) == 0:
-            axes = tuple(reversed(range(self.ndim)))
-        elif len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
-        axes = tuple(int(a) % self.data.ndim for a in axes)
-        return self._trace.record("transpose", self.data.transpose(axes),
-                                  (self._trace.operand(self),), {"axes": axes})
-
-    def __getitem__(self, index):
-        if isinstance(index, TraceIndex):
-            if index._trace is not self._trace:
-                raise UntraceableError("cannot mix tensors from different traces")
-            return self._trace.record("take", self.data[index.array],
-                                      (self._trace.operand(self), ("t", index._tid)))
-        normalized = _normalize_index(index, self.data.ndim)
-        return self._trace.record("getitem", self.data[normalized],
-                                  (self._trace.operand(self),),
-                                  {"index": normalized})
-
-    def expand_dims(self, axis: int):
-        axis = int(axis)
-        if axis < 0:
-            axis += self.data.ndim + 1
-        return self._trace.record("expand_dims", np.expand_dims(self.data, axis),
-                                  (self._trace.operand(self),), {"axis": axis})
-
 
 class TraceIndex:
     """A per-client row index registered by :meth:`Trace.add_index`.
 
     Its one use is ``x[index]`` on a :class:`TraceTensor`: the recorded
-    ``take`` selects rows of the leading axis, and replay selects each
-    client's own rows — where a plain integer array would be captured as
-    the donor client's constant.
+    ``getitem`` takes it as an operand and selects rows of the leading
+    axis, and replay selects each client's own rows — where a plain
+    integer array would be captured as the donor client's constant.
     """
 
-    __slots__ = ("_trace", "_tid", "array")
+    __slots__ = ("_trace", "_tid", "data")
 
-    def __init__(self, trace: Trace, tid: int, array: np.ndarray):
+    def __init__(self, trace: Trace, tid: int, data: np.ndarray):
         self._trace = trace
         self._tid = tid
-        self.array = array
+        self.data = data
 
 
 def input_leaves(arrays: Dict[str, np.ndarray],
@@ -530,24 +294,6 @@ def input_leaves(arrays: Dict[str, np.ndarray],
         else:
             leaves[name] = (trace.add_index if integer else trace.add_input)(name, value)
     return leaves
-
-
-def traced_concat(tensors: Sequence[Tensor], axis: int = 0) -> TraceTensor:
-    """Record a concat involving at least one :class:`TraceTensor`.
-
-    Dispatched from :meth:`Tensor.concat` (a staticmethod, so subclass method
-    resolution cannot route it here automatically).
-    """
-    tensors = [as_tensor(t) for t in tensors]
-    traces = {t._trace for t in tensors if isinstance(t, TraceTensor)}
-    if len(traces) != 1:
-        raise UntraceableError("concat inputs belong to different traces")
-    trace = traces.pop()
-    ndim = tensors[0].data.ndim
-    axis = int(axis) % ndim
-    data = np.concatenate([t.data for t in tensors], axis=axis)
-    return trace.record("concat", data, tuple(trace.operand(t) for t in tensors),
-                        {"axis": axis})
 
 
 @contextlib.contextmanager
@@ -596,8 +342,9 @@ class BatchedReplay:
     """Execute a sealed :class:`Trace` over ``num_clients`` stacked clients.
 
     ``run`` builds one real autograd graph whose tensors carry a leading
-    client axis; slice ``k`` of every op is bitwise what the per-client path
-    computes for client ``k``.  Gradients flow through the ordinary
+    client axis: every tape entry goes through its op table rule, and
+    slice ``k`` of every op is bitwise what the per-client path computes
+    for client ``k``.  Gradients flow through the ordinary
     ``Tensor.backward``, so batched parameter leaves accumulate per-client
     gradients with no new backward code.
 
@@ -606,7 +353,8 @@ class BatchedReplay:
     different stages stay distinguishable in a profile.
 
     After :meth:`run`, :attr:`outputs` maps each named extra output of the
-    trace to its ``(K, *recorded_shape)`` tensor.
+    trace to its ``(K, *recorded_shape)`` tensor, and :attr:`staged` holds
+    the run's ``bn_update`` results: buffer name to ``(K, *shape)`` array.
     """
 
     def __init__(self, trace: Trace, num_clients: int, counter: str = "trace"):
@@ -616,6 +364,8 @@ class BatchedReplay:
         self.num_clients = int(num_clients)
         self.counter = counter
         self.outputs: Dict[str, Tensor] = {}
+        self.buffers: Dict[str, np.ndarray] = {}
+        self.staged: "OrderedDict[str, np.ndarray]" = OrderedDict()
 
     def run(self, inputs: Dict[str, np.ndarray], params: Dict[str, Tensor],
             buffers: Dict[str, np.ndarray]):
@@ -647,12 +397,17 @@ class BatchedReplay:
                     f"parameter {name!r} has shape {leaf.data.shape}/{leaf.data.dtype}, "
                     f"trace recorded {(k,) + shape}/{dtype}")
             env[tid] = leaf
-        staged: "OrderedDict[str, np.ndarray]" = OrderedDict()
+        self.buffers = buffers
+        self.staged = OrderedDict()
         for op in self.trace.ops:
-            if op.kind == "bn_update":
-                self._bn_update(op, env, buffers, staged)
+            entry = OPS.get(op.kind)
+            if entry is None:
+                raise UntraceableError(f"unknown tape op {op.kind!r}")
+            operands = [env[payload] if tag == "t" else Tensor(payload)
+                        for tag, payload in op.inputs]
+            out = entry.replay(self, operands, op.params, op.out_shape)
+            if op.out is None:
                 continue
-            out = self._execute(op, env)
             expected = (k,) + op.out_shape
             if out.data.shape != expected:
                 raise UntraceableError(
@@ -661,109 +416,4 @@ class BatchedReplay:
             env[op.out] = out
         self.outputs = {name: env[tid] for name, tid in self.trace.outputs.items()}
         loss = None if self.trace.output is None else env[self.trace.output]
-        return loss, staged
-
-    # ------------------------------------------------------------------
-    def _value(self, encoded, env: Dict[int, Tensor]) -> Tensor:
-        tag, payload = encoded
-        if tag == "t":
-            return env[payload]
-        return Tensor(payload)
-
-    def _batched_axes(self, axis) -> Tuple[int, ...]:
-        return tuple(a + 1 for a in axis)
-
-    def _execute(self, op: TapeOp, env: Dict[int, Tensor]) -> Tensor:
-        kind = op.kind
-        params = op.params
-        if kind in ("add", "mul", "truediv", "matmul"):
-            left = self._value(op.inputs[0], env)
-            right = self._value(op.inputs[1], env)
-            if kind == "add":
-                return left + right
-            if kind == "mul":
-                return left * right
-            if kind == "truediv":
-                return left / right
-            out_shape = (self.num_clients,) + op.out_shape
-            if params["vector"] == "left":
-                return (left.expand_dims(-2) @ right).reshape(out_shape)
-            if params["vector"] == "right":
-                return (left @ right.expand_dims(-1)).reshape(out_shape)
-            return left @ right
-        x = self._value(op.inputs[0], env)
-        if kind == "take":
-            rows = self._value(op.inputs[1], env)
-            return x[np.arange(self.num_clients)[:, None], rows]
-        if kind == "neg":
-            return -x
-        if kind == "pow":
-            return x ** params["exponent"]
-        if kind in ("exp", "log", "sqrt", "tanh", "sigmoid", "relu", "abs",
-                    "detach", "copy"):
-            return getattr(x, kind)()
-        if kind == "leaky_relu":
-            return x.leaky_relu(params["negative_slope"])
-        if kind == "clip":
-            return x.clip(params["low"], params["high"])
-        if kind == "astype":
-            return x.astype(params["dtype"])
-        if kind in ("sum", "max"):
-            axis = params["axis"]
-            if axis is None:
-                axis = tuple(range(1, x.data.ndim))
-            else:
-                axis = self._batched_axes(axis)
-            return getattr(x, kind)(axis=axis, keepdims=params["keepdims"])
-        if kind == "reshape":
-            return x.reshape((self.num_clients,) + tuple(params["shape"]))
-        if kind == "transpose":
-            return x.transpose((0,) + self._batched_axes(params["axes"]))
-        if kind == "getitem":
-            out = x[(slice(None),) + tuple(params["index"])]
-            # Advanced indexing on the unbatched tensor returns a fresh
-            # C-contiguous array, but with the leading client slice numpy
-            # moves the advanced axes to the front and transposes back — a
-            # *strided* result.  Downstream pairwise-summed reductions
-            # block differently over strided memory, breaking bitwise
-            # equality with the per-client path, so restore the layout the
-            # per-client result has.
-            if (any(isinstance(part, np.ndarray) for part in params["index"])
-                    and not out.data.flags["C_CONTIGUOUS"]):
-                out.data = np.ascontiguousarray(out.data)
-            return out
-        if kind == "expand_dims":
-            return x.expand_dims(params["axis"] + 1)
-        if kind == "concat":
-            parts = [self._value(encoded, env) for encoded in op.inputs]
-            widened = []
-            for part in parts:
-                if part.data.ndim == len(op.out_shape):
-                    # Captured constant: broadcast across the client axis.
-                    part = Tensor(np.broadcast_to(
-                        part.data, (self.num_clients,) + part.data.shape).copy())
-                widened.append(part)
-            return Tensor.concat(widened, axis=params["axis"] + 1)
-        raise UntraceableError(f"unknown tape op {kind!r}")
-
-    def _bn_update(self, op: TapeOp, env: Dict[int, Tensor],
-                   buffers: Dict[str, np.ndarray],
-                   staged: "OrderedDict[str, np.ndarray]") -> None:
-        """Stage one training-mode batch-norm buffer update for K clients.
-
-        Mirrors the eager per-client update in ``functional.batch_norm``
-        exactly, including the second-update-reads-the-first chaining when
-        the encoder runs once per view within a step.
-        """
-        x = self._value(op.inputs[0], env).data
-        axes = self._batched_axes(op.params["axes"])
-        momentum = op.params["momentum"]
-        batch_mean = x.mean(axis=axes)
-        batch_var = x.var(axis=axes)
-        unbiased = batch_var * op.params["count_scale"]
-        for slot, stat in ((op.params["mean_slot"], batch_mean),
-                           (op.params["var_slot"], unbiased)):
-            current = staged.get(slot)
-            if current is None:
-                current = buffers[slot]
-            staged[slot] = current * (1.0 - momentum) + momentum * stat
+        return loss, self.staged

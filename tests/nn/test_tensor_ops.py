@@ -59,10 +59,6 @@ class TestArithmetic:
         a = make((3,), 1, shift=4.0)
         np.testing.assert_allclose((2.0 / a).data, 2.0 / a.data)
 
-    def test_pow_gradients(self):
-        a = make((4,), 5, shift=3.0)
-        assert_gradients_close(lambda: (a**3).sum(), [a])
-
     def test_neg_gradients(self):
         a = make((4,), 5)
         assert_gradients_close(lambda: (-a).sum(), [a])
@@ -77,15 +73,11 @@ class TestArithmetic:
 
 
 class TestNonlinearities:
-    @pytest.mark.parametrize("name", ["exp", "tanh", "sigmoid", "relu", "abs", "sqrt", "log"])
+    @pytest.mark.parametrize("name", ["exp", "relu", "sqrt", "log"])
     def test_unary_gradients(self, name):
         shift = 2.5 if name in ("sqrt", "log") else 0.0
         a = make((3, 4), 7, shift=shift)
         assert_gradients_close(lambda: getattr(a, name)().sum(), [a], atol=1e-4)
-
-    def test_leaky_relu_gradients(self):
-        a = make((3, 4), 8)
-        assert_gradients_close(lambda: a.leaky_relu(0.1).sum(), [a])
 
     def test_relu_zeroes_negatives(self):
         a = Tensor([-1.0, 0.5, -0.2, 2.0])
@@ -138,10 +130,6 @@ class TestReductions:
         out.backward()
         np.testing.assert_allclose(a.grad, np.full((1, 3), 1.0 / 3.0))
 
-    def test_min_matches_numpy(self):
-        a = make((3, 5), 11)
-        np.testing.assert_allclose(a.min(axis=1).data, a.data.min(axis=1))
-
 
 class TestShapeOps:
     def test_reshape_gradients(self):
@@ -178,12 +166,6 @@ class TestShapeOps:
         a, b = make((2, 3), 1), make((2, 5), 2)
         assert Tensor.concat([a, b], axis=1).shape == (2, 8)
 
-    def test_stack(self):
-        a, b = make((3,), 1), make((3,), 2)
-        stacked = Tensor.stack([a, b])
-        assert stacked.shape == (2, 3)
-        assert_gradients_close(lambda: Tensor.stack([a, b]).sum(), [a, b])
-
     def test_expand_dims_gradients(self):
         a = make((3, 4), 1)
         assert_gradients_close(lambda: a.expand_dims(1).sum(), [a])
@@ -219,12 +201,6 @@ class TestAutogradMechanics:
         out = (a.detach() * a).sum()
         out.backward()
         np.testing.assert_allclose(a.grad, a.data)
-
-    def test_zero_grad(self):
-        a = make((3,), 1)
-        a.sum().backward()
-        a.zero_grad()
-        assert a.grad is None
 
     def test_backward_with_seed(self):
         a = make((3,), 1)
@@ -293,15 +269,6 @@ class TestUnbroadcast:
 
 
 class TestConstructors:
-    def test_zeros_ones(self):
-        assert Tensor.zeros((2, 2)).data.sum() == 0.0
-        assert Tensor.ones((2, 2)).data.sum() == 4.0
-
-    def test_randn_seeded(self):
-        a = Tensor.randn((3,), rng=rng(5))
-        b = Tensor.randn((3,), rng=rng(5))
-        np.testing.assert_array_equal(a.data, b.data)
-
     def test_int_input_promoted_to_float(self):
         t = Tensor([1, 2, 3])
         assert t.data.dtype in (np.float32, np.float64)

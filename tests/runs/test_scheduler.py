@@ -1,5 +1,8 @@
 """Tests for the sweep scheduler: resume, budgets, and determinism."""
 
+from collections import Counter
+from functools import lru_cache
+
 import pytest
 
 from repro.eval import NonIIDSetting, format_comparison_table
@@ -117,16 +120,26 @@ class TestRunSweep:
         assert (store.sweeps_dir / "tiny.json").is_file()
 
 
+@lru_cache(maxsize=None)
+def storeless_span_names(backend):
+    """Span-name counts a tracer around a store-less 2-cell sweep records."""
+    tracer = Tracer()
+    with tracer.activate():
+        run_sweep(tiny_sweep(), backend=backend, workers=2)
+    return Counter(span.name for span in tracer.spans)
+
+
 class TestSweepTelemetry:
-    def test_storeless_sweep_reports_to_the_ambient_tracer(self):
-        # With no store there is no sidecar to write, so the cell's spans
-        # must reach the tracer active around the call.
-        tracer = Tracer()
-        with tracer.activate():
-            run_sweep(tiny_sweep(methods=["script-fair"]))
-        names = [span.name for span in tracer.spans]
-        assert names.count("session") == 1
-        assert names.count("round") == TINY_CONFIG.rounds
+    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    def test_storeless_sweep_reports_to_the_ambient_tracer(self, backend):
+        # With no store there is no sidecar to write, so every cell's
+        # spans must reach the tracer active around the call, whichever
+        # scheduler ran the cell.
+        names = storeless_span_names(backend)
+        assert names["cell"] == 2
+        assert names["session"] == 2
+        assert names["round"] == 2 * TINY_CONFIG.rounds
+        assert names == storeless_span_names("serial")
 
     def test_store_backed_sweep_writes_its_sidecar(self, tmp_path):
         sweep = tiny_sweep(methods=["script-fair"])

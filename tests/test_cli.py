@@ -95,7 +95,8 @@ class TestMain:
 
     def test_run_tiny_experiment(self, capsys):
         code = main([
-            "run", "--method", "script-fair", "--dataset", "cifar10",
+            "run", "--method", "script-fair", "--method", "fedavg",
+            "--dataset", "cifar10",
             "--setting", "dirichlet", "--param", "0.5", "--samples", "20",
             "--rounds", "1", "--clients", "4", "--seed", "0",
             "--csv",
@@ -104,6 +105,12 @@ class TestMain:
         out = capsys.readouterr().out
         assert "script-fair" in out
         assert "method,mean_accuracy,accuracy_variance" in out
+        # One result line per cell, not one from the cell and one from
+        # the scheduler.
+        results = [line for line in out.splitlines() if "mean=" in line]
+        assert len(results) == 2
+        assert [method for method in ("script-fair", "fedavg")
+                if any(method in line for line in results)] == ["script-fair", "fedavg"]
 
     def test_run_out_persists_outcome(self, capsys, tmp_path):
         out_path = tmp_path / "outcome.json"
