@@ -40,10 +40,9 @@ def test_fig3_panel(benchmark, results_dir, panel):
     sweep = fig3_sweep(panel, methods=BENCH_METHODS)
     summary = benchmark.pedantic(run_sweep, args=(sweep,), rounds=1,
                                  iterations=1)
-    outcome = panel_outcome_from_records("fig3", panel, sweep, summary.cells,
-                                         summary.records)
+    outcome = panel_outcome_from_records("fig3", panel, sweep, summary.records)
     reports = outcome.reports
-    table = format_comparison_table(outcome, title=outcome.spec.name)
+    table = format_comparison_table(outcome, title=outcome.title)
     csv = format_series_csv(outcome)
     persist(results_dir, f"fig3_{PANEL_NAMES[panel]}", table + "\n\n" + csv)
     benchmark.extra_info["calibre_simclr_mean"] = reports["calibre-simclr"].mean
@@ -57,7 +56,7 @@ def test_fig3_panel(benchmark, results_dir, panel):
     # low-mean region under severe quantity-based label skew.  Under the
     # milder D-non-iid STL-10 panel the global model survives — matching
     # the paper, whose FedAvg rows only appear in the severe-skew panels.
-    if outcome.spec.setting.kind == "quantity":
+    if outcome.setting.kind == "quantity":
         means = sorted(r.mean for r in reports.values())
         assert reports["fedavg"].mean <= means[len(means) // 3], (
             "FedAvg without personalization should sit near the bottom"

@@ -27,14 +27,13 @@ def test_fig4_panel(benchmark, results_dir, panel):
     sweep = fig4_sweep(panel, methods=NOVEL_METHODS, num_novel_clients=6)
     summary = benchmark.pedantic(run_sweep, args=(sweep,), rounds=1,
                                  iterations=1)
-    outcome = panel_outcome_from_records("fig4", panel, sweep, summary.cells,
-                                         summary.records)
+    outcome = panel_outcome_from_records("fig4", panel, sweep, summary.records)
     reports = outcome.reports
     novel = outcome.novel_reports
     text = "\n\n".join([
-        format_comparison_table(outcome, title=outcome.spec.name),
+        format_comparison_table(outcome, title=outcome.title),
         format_comparison_table(outcome, novel=True,
-                                title=outcome.spec.name + " [novel clients]"),
+                                title=outcome.title + " [novel clients]"),
         format_series_csv(outcome),
         format_series_csv(outcome, novel=True),
     ])

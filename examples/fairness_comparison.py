@@ -30,9 +30,9 @@ def main():
     )
     print(f"Running {len(methods)} methods on identical partitions ...")
     summary = run_sweep(sweep, verbose=True)
-    outcome = outcome_from_records(sweep.to_experiment_spec(), summary.records)
+    outcome = outcome_from_records(sweep, summary.records)
     print()
-    print(format_comparison_table(outcome, title=sweep.name))
+    print(format_comparison_table(outcome, title=outcome.title))
     print("\nCSV series (paste into any plotting tool):")
     print(format_series_csv(outcome))
 

@@ -19,8 +19,7 @@ def main():
     # Panel 0 is CIFAR-10, D-non-iid (0.3, ...); in memory, no run store.
     sweep = fig4_sweep(0, methods=METHODS, num_novel_clients=6)
     summary = run_sweep(sweep, verbose=True)
-    outcome = panel_outcome_from_records("fig4", 0, sweep, summary.cells,
-                                         summary.records)
+    outcome = panel_outcome_from_records("fig4", 0, sweep, summary.records)
     print()
     print(format_comparison_table(outcome, title="training clients"))
     print()

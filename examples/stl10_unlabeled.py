@@ -28,9 +28,9 @@ def main():
     print("Labeled samples are scarce; SSL methods also train on the "
           "unlabeled pool.\n")
     summary = run_sweep(sweep, verbose=True)
-    outcome = outcome_from_records(sweep.to_experiment_spec(), summary.records)
+    outcome = outcome_from_records(sweep, summary.records)
     print()
-    print(format_comparison_table(outcome, title=sweep.name))
+    print(format_comparison_table(outcome, title=outcome.title))
 
 
 if __name__ == "__main__":

@@ -11,9 +11,9 @@ a raw handle, so in those modules every file write must route through
     ``open(..., "w"/"a"/"x"/...)``, ``.write_text()``/``.write_bytes()``,
     or stream-writing ``json.dump``/``pickle.dump``.  Reads are fine.
 
-Deliberate exceptions exist — the append-only ``index.jsonl`` journal,
-the event stream, and ``atomic_write_text``'s own temp-file write — and
-each carries an inline allow with its reason.
+Deliberate exceptions exist — the session's append-only event stream,
+the benchmarks' append-only perf journal, and ``atomic_write_text``'s own
+temp-file write — and each carries an inline allow with its reason.
 """
 
 from __future__ import annotations

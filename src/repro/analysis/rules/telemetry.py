@@ -4,9 +4,8 @@ The determinism contract says store cell records, fingerprints, round
 histories, and checkpoints are pure functions of their inputs — byte
 identical across schedulers, backends, and hosts.  Telemetry measures
 wall-clock, which is none of those things, so it must only ever flow
-*beside* the hashed artifacts (the ``telemetry/`` sidecar, the timing
-index, ``--trace-out`` files), never through the modules that produce
-them:
+*beside* the hashed artifacts (the ``telemetry/`` sidecar, ``--trace-out``
+files), never through the modules that produce them:
 
 ``TEL001``
     A hashed-record surface module imports ``repro.telemetry``.  The

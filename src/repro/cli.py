@@ -76,12 +76,21 @@ from .experiments.settings import SCALED_CONFIG
 from .fl.config import AGGREGATION_POLICIES, AvailabilitySpec, FederatedConfig
 from .fl.execution import available_backends
 from .ioutil import atomic_write_text
-from .runs import RunStore, outcome_from_records, run_sweep, save_outcome
+from .runs import (
+    CorruptCellRecord,
+    RunStore,
+    encode_record,
+    outcome_from_records,
+    run_sweep,
+)
 from .telemetry import (
+    CellTelemetry,
     Tracer,
     chrome_trace,
     chrome_trace_from_cells,
     load_store_telemetry,
+    parse_sidecar,
+    profile_cell,
     render_profile,
 )
 
@@ -316,8 +325,9 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument("--csv", action="store_true",
                             help="also print the CSV series")
     run_parser.add_argument("--out", default=None, metavar="PATH",
-                            help="persist the full ExperimentOutcome as JSON "
-                                 "(same serializer as the sweep run store)")
+                            help="write the run's cell records as one JSON "
+                                 "list (the objects a run store's "
+                                 "cells/<hash>.json files hold)")
     run_parser.add_argument("--trace-out", default=None, metavar="PATH",
                             help="record span telemetry for the whole run "
                                  "and write it as Chrome trace-event JSON "
@@ -384,8 +394,9 @@ def build_parser() -> argparse.ArgumentParser:
                                     "seed")
     report_parser.add_argument("--timings", action="store_true",
                                help="also print per-cell wall-clock (and "
-                                    "mean per-round time) recorded in the "
-                                    "store's index.jsonl")
+                                    "mean per-round time) from each cell's "
+                                    "telemetry sidecar; cells swept with "
+                                    "--no-telemetry have no recorded timing")
 
     figures_parser = sub.add_parser(
         "figures",
@@ -470,14 +481,14 @@ def _command_run(args) -> int:
     tracer = Tracer() if args.trace_out else None
     with tracer.activate() if tracer is not None else nullcontext():
         summary = run_sweep(sweep, verbose=True)
-    outcome = outcome_from_records(sweep.to_experiment_spec(), summary.records)
+    outcome = outcome_from_records(sweep, summary.records)
     print()
-    print(format_comparison_table(outcome, title=name))
+    print(format_comparison_table(outcome, title=outcome.title))
     if args.csv:
         print()
         print(format_series_csv(outcome))
     if args.out:
-        path = save_outcome(outcome, args.out)
+        path = atomic_write_text(args.out, encode_record(summary.records))
         print(f"\nwrote {path}")
     if tracer is not None:
         payload = chrome_trace(tracer, process_name=name)
@@ -581,14 +592,18 @@ def _command_sweep(args) -> int:
     store = RunStore(args.runs_dir)
     executor = (execute_embedding_cell if args.exp in EMBEDDING_FIGURES
                 else None)
-    summary = run_sweep(sweep, store=store, backend=args.scheduler,
-                        workers=args.jobs, max_cells=args.max_cells,
-                        client_batch=args.client_batch,
-                        round_checkpoints=args.round_checkpoints,
-                        checkpoint_every=args.checkpoint_every,
-                        executor=executor,
-                        telemetry=not args.no_telemetry,
-                        verbose=not args.quiet)
+    try:
+        summary = run_sweep(sweep, store=store, backend=args.scheduler,
+                            workers=args.jobs, max_cells=args.max_cells,
+                            client_batch=args.client_batch,
+                            round_checkpoints=args.round_checkpoints,
+                            checkpoint_every=args.checkpoint_every,
+                            executor=executor,
+                            telemetry=not args.no_telemetry,
+                            verbose=not args.quiet)
+    except CorruptCellRecord as error:
+        _print_corrupt(error)
+        return 1
     print(summary.describe())
     print(f"store: {store.root} ({len(store)} cells)")
     if args.trace_out:
@@ -618,46 +633,55 @@ def _report_title(base: str, seed: int, many_seeds: bool) -> str:
     return f"{base} [seed {seed}]" if many_seeds else base
 
 
-def _print_timings(store: RunStore, cells) -> None:
+def _cell_telemetry(store: RunStore, key) -> Optional[CellTelemetry]:
+    """The cell's telemetry sidecar, or ``None`` when it has none (swept
+    with ``--no-telemetry``) or a torn line keeps it from parsing."""
+    try:
+        return parse_sidecar(
+            store.telemetry_path_for(key).read_text(encoding="utf-8"))
+    except (FileNotFoundError, ValueError):
+        return None
+
+
+def _print_timings(store: RunStore, cells, records) -> None:
     """Render the per-cell wall-clock block (``repro report --timings``).
 
-    Timings are index-only diagnostics: cells swept before timing existed
-    (or re-indexed from records alone) simply have none recorded.
+    A cell's wall clock is the ``cell`` span of its telemetry sidecar and
+    its per-round time that over the record's round count; a cell without
+    a readable sidecar has no recorded timing.
     """
-    timings = store.timings()
-    print("cell timings (from index.jsonl):")
+    print("cell timings (from telemetry sidecars):")
     totals = []
     rows_missing = 0
     rows_resumed = 0
     rows_churned = 0
-    for key in cells:
-        timing = timings.get(key.fingerprint)
-        if timing is None:
+    for key, record in zip(cells, records):
+        telemetry = _cell_telemetry(store, key)
+        if telemetry is None:
+            rows_missing += 1
+            continue
+        resumed = bool(telemetry.meta.get("resumed"))
+        wall = profile_cell(key.fingerprint, telemetry).cell_duration_s
+        if not (resumed or wall):
             rows_missing += 1
             continue
         # Churn-affected cells (active availability model) ran fewer or
         # different clients per round; their wall clocks are flagged so
-        # they never read as baseline numbers.  The index marker is
-        # authoritative; the config fallback covers cells indexed before
-        # the marker existed.
+        # they never read as baseline numbers.
         availability = key.config.availability
-        churned = bool(timing.get("churn")) or (
-            availability is not None and availability.is_active)
+        churned = availability is not None and availability.is_active
         marker = " (churn)" if churned else ""
         if churned:
             rows_churned += 1
-        wall = timing.get("wall_clock_s")
-        if wall is None:
-            # A resumed cell carries the marker instead of numbers: its
-            # elapsed covered only the recomputed tail of the run.
-            if timing.get("resumed"):
-                rows_resumed += 1
-                print(f"  {key.fingerprint}   (resumed)            "
-                      f"{key.label()}{marker}")
-            else:
-                rows_missing += 1
+        if resumed:
+            # A resumed cell's span covered only the recomputed tail of
+            # the run, so it prints a marker instead of numbers.
+            rows_resumed += 1
+            print(f"  {key.fingerprint}   (resumed)            "
+                  f"{key.label()}{marker}")
             continue
-        per_round = timing.get("mean_round_s")
+        rounds = len(record["result"].get("rounds", []))
+        per_round = wall / rounds if rounds else None
         totals.append(wall)
         per_round_text = f" ({per_round:8.3f}s/round)" if per_round else ""
         print(f"  {key.fingerprint}  {wall:9.3f}s{per_round_text}  "
@@ -740,9 +764,9 @@ def _report_seed(args, sweep, store, cells, records, seed: int) -> None:
         print(format_ablation_table(
             rows, title=_report_title("Table I", seed, many_seeds)))
         return
-    outcome = panel_outcome_from_records(args.exp, args.panel, sweep, cells,
-                                         records, seed=seed)
-    name = outcome.spec.name
+    outcome = panel_outcome_from_records(args.exp, args.panel, sweep, records,
+                                         seed=seed)
+    name = outcome.title
     print(format_comparison_table(
         outcome, title=_report_title(name, seed, many_seeds)))
     if outcome.novel_reports:
@@ -753,9 +777,15 @@ def _report_seed(args, sweep, store, cells, records, seed: int) -> None:
         print(format_series_csv(outcome))
 
 
+def _print_corrupt(error: CorruptCellRecord) -> None:
+    print(f"{error}; delete the file and re-run the sweep to recompute "
+          "the cell", file=sys.stderr)
+
+
 def _stored_records(runs_dir: str, cells, experiment: str):
     """``(store, records)`` for ``cells`` — or ``(None, None)`` after naming
-    the missing store or cells on stderr (``report`` and ``figures``)."""
+    the missing store, missing cells or a corrupt record on stderr
+    (``report`` and ``figures``)."""
     try:
         store = RunStore(runs_dir, create=False)
     except FileNotFoundError as error:
@@ -771,7 +801,11 @@ def _stored_records(runs_dir: str, cells, experiment: str):
         if len(missing) > 10:
             print(f"  ... and {len(missing) - 10} more", file=sys.stderr)
         return None, None
-    return store, store.load_records(cells)
+    try:
+        return store, store.load_records(cells)
+    except CorruptCellRecord as error:
+        _print_corrupt(error)
+        return None, None
 
 
 def _command_report(args) -> int:
@@ -789,7 +823,7 @@ def _command_report(args) -> int:
             _report_seed(args, sweep, store, cells, records, seed)
     if args.timings:
         print()
-        _print_timings(store, cells)
+        _print_timings(store, cells, records)
     return 0
 
 
@@ -825,8 +859,8 @@ def _command_figures(args) -> int:
         default_out = f"{args.figure}.svg"
     else:
         outcome = panel_outcome_from_records(args.figure, args.panel, sweep,
-                                             cells, records, seed=args.seed)
-        svg = render_series_svg(outcome, title=outcome.spec.name)
+                                             records, seed=args.seed)
+        svg = render_series_svg(outcome, title=outcome.title)
         default_out = f"{args.figure}-panel{args.panel}.svg"
     path = atomic_write_text(args.out or default_out, svg)
     print(f"wrote {path}")

@@ -3,7 +3,6 @@
 from .harness import (
     EncoderSpec,
     ExperimentOutcome,
-    ExperimentSpec,
     NonIIDSetting,
     make_dataset,
     make_encoder_factory,
@@ -29,7 +28,6 @@ from .reporting import (
 
 __all__ = [
     "NonIIDSetting",
-    "ExperimentSpec",
     "ExperimentOutcome",
     "make_dataset",
     "make_encoder_factory",

@@ -2,10 +2,9 @@
 
 The builders here — :func:`make_dataset`, :func:`make_partitions` and
 :func:`make_encoder_factory` — are what :func:`repro.runs.execute_cell`
-assembles one cell from.  An :class:`ExperimentSpec` names one panel of
-the paper's evaluation (dataset, non-i.i.d. setting, federated
-configuration, and a method list), and an :class:`ExperimentOutcome`
-holds its methods' comparable results, reassembled from cell records by
+assembles one cell from.  An :class:`ExperimentOutcome` holds one panel's
+comparable per-method results (one dataset, one non-i.i.d. setting, one
+seed), reassembled from cell records by
 :func:`repro.runs.outcome_from_records`.
 """
 
@@ -23,12 +22,11 @@ from ..data.synthetic import (
     make_cifar100_like,
     make_stl10_like,
 )
-from ..fl.config import FederatedConfig
 from ..fl.history import RunResult
 from ..nn import MLPEncoder, SmallConvEncoder, resnet9, resnet18
 from .metrics import FairnessReport
 
-__all__ = ["NonIIDSetting", "ExperimentSpec", "ExperimentOutcome",
+__all__ = ["NonIIDSetting", "ExperimentOutcome",
            "make_dataset", "make_encoder_factory", "make_partitions", "EncoderSpec"]
 
 DATASET_FACTORIES = {
@@ -141,27 +139,12 @@ def make_encoder_factory(kind: str, dataset: SyntheticImageDataset,
 
 
 @dataclass
-class ExperimentSpec:
-    """One comparison panel: dataset + setting + config + methods."""
+class ExperimentOutcome:
+    """All methods' results for one panel: one dataset, setting and seed."""
 
+    title: str
     dataset: str
     setting: NonIIDSetting
-    config: FederatedConfig
-    methods: Sequence[str]
-    encoder: str = "mlp"
-    encoder_width: int = 8
-    encoder_hidden_dims: Sequence[int] = (64, 32)
-    dataset_kwargs: Dict = field(default_factory=dict)
-    method_overrides: Dict[str, Dict] = field(default_factory=dict)
-    seed: int = 0
-    name: str = ""
-
-
-@dataclass
-class ExperimentOutcome:
-    """All methods' results for one spec."""
-
-    spec: ExperimentSpec
     results: Dict[str, RunResult]
     reports: Dict[str, FairnessReport]
     novel_reports: Dict[str, FairnessReport] = field(default_factory=dict)

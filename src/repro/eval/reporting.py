@@ -46,7 +46,7 @@ def format_comparison_table(outcome: ExperimentOutcome, novel: bool = False,
     """A Fig. 3/4-style table: method, mean accuracy, variance, extremes."""
     source = outcome.novel_reports if novel else outcome.reports
     header_title = title or (
-        f"{outcome.spec.dataset} {outcome.spec.setting.label()}"
+        f"{outcome.dataset} {outcome.setting.label()}"
         + (" [novel clients]" if novel else "")
     )
     return format_report_table(source, header_title)
@@ -133,7 +133,7 @@ def render_series_svg(outcome: ExperimentOutcome, title: Optional[str] = None,
         panels.append(accuracy_fairness_panel(outcome.series(novel=True),
                                               title="novel clients"))
     header = title if title is not None else (
-        f"{outcome.spec.dataset} {outcome.spec.setting.label()}")
+        f"{outcome.dataset} {outcome.setting.label()}")
     return render_accuracy_fairness_panels(panels, title=header)
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Dict, Optional, Sequence
 
 from ..eval.harness import ExperimentOutcome
-from ..runs import RunKey, SweepSpec, outcome_from_records
+from ..runs import SweepSpec, outcome_from_records
 from .settings import FIG3_PANELS, FIG4_PANELS
 
 __all__ = ["PANEL_FIGURES", "panel_title", "panel_outcome_from_records"]
@@ -34,20 +34,18 @@ def panel_outcome_from_records(
     figure: str,
     panel_index: int,
     sweep: SweepSpec,
-    cells: Sequence[RunKey],
     records: Sequence[Optional[Dict]],
     seed: int = 0,
 ) -> ExperimentOutcome:
     """One seed of a Fig. 3/4 panel, from its cell records alone.
 
-    ``sweep`` is the panel's grid and ``cells``/``records`` align (a
-    :class:`~repro.runs.SweepSummary`'s pair, or
-    :meth:`~repro.runs.RunStore.load_records` over ``cells``); records of
-    other seeds are skipped.  Fairness reports are recomputed from the
-    stored accuracies, so an outcome read back from a store equals the
-    one a live :func:`~repro.runs.run_sweep` of the same grid yields.
+    ``sweep`` is the panel's grid and ``records`` its cell records (a
+    :class:`~repro.runs.SweepSummary`'s, or
+    :meth:`~repro.runs.RunStore.load_records` over the grid's cells);
+    records of other seeds are skipped.  Fairness reports are recomputed
+    from the stored accuracies, so an outcome read back from a store
+    equals the one a live :func:`~repro.runs.run_sweep` of the same grid
+    yields.
     """
-    spec = sweep.to_experiment_spec(seed=seed,
-                                    name=panel_title(figure, panel_index))
-    return outcome_from_records(
-        spec, [record for key, record in zip(cells, records) if key.seed == seed])
+    return outcome_from_records(sweep, records, seed=seed,
+                                title=panel_title(figure, panel_index))

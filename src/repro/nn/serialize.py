@@ -2,15 +2,14 @@
 
 Federated algorithms manipulate model snapshots as ordered mappings from
 dotted parameter names to numpy arrays.  This module supplies the vector
-algebra those algorithms need — averaging, weighted combination, deltas,
-norms, and flat-vector packing (used by SCAFFOLD control variates and by
-tests that treat a model as a point in R^d).
+algebra those algorithms need — averaging, weighted combination, deltas
+(SCAFFOLD's control variates), distances, and body/head splits.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -18,15 +17,11 @@ StateDict = Dict[str, np.ndarray]
 
 __all__ = [
     "clone_state",
-    "zeros_like_state",
     "state_add",
     "state_sub",
     "state_scale",
     "weighted_average",
-    "state_norm",
     "state_distance",
-    "flatten_state",
-    "unflatten_state",
     "split_state",
     "merge_states",
     "interpolate_states",
@@ -36,10 +31,6 @@ __all__ = [
 def clone_state(state: StateDict) -> StateDict:
     """Deep-copy a state dict."""
     return OrderedDict((name, np.array(value, copy=True)) for name, value in state.items())
-
-
-def zeros_like_state(state: StateDict) -> StateDict:
-    return OrderedDict((name, np.zeros_like(value)) for name, value in state.items())
 
 
 def _check_same_keys(a: StateDict, b: StateDict) -> None:
@@ -92,39 +83,10 @@ def weighted_average(states: Sequence[StateDict], weights: Sequence[float]) -> S
     return result
 
 
-def state_norm(state: StateDict) -> float:
-    """Euclidean norm of the flattened state."""
-    return float(np.sqrt(sum(float((value**2).sum()) for value in state.values())))
-
-
 def state_distance(a: StateDict, b: StateDict) -> float:
     """Euclidean distance between two snapshots (divergence diagnostics)."""
-    return state_norm(state_sub(a, b))
-
-
-def flatten_state(state: StateDict) -> Tuple[np.ndarray, List[Tuple[str, Tuple[int, ...]]]]:
-    """Pack a state dict into a flat float64 vector plus a shape spec."""
-    spec = [(name, value.shape) for name, value in state.items()]
-    if not spec:
-        return np.zeros(0, dtype=np.float64), spec
-    vector = np.concatenate([np.asarray(value, dtype=np.float64).ravel() for value in state.values()])
-    return vector, spec
-
-
-def unflatten_state(vector: np.ndarray, spec: List[Tuple[str, Tuple[int, ...]]]) -> StateDict:
-    """Inverse of :func:`flatten_state`."""
-    state: StateDict = OrderedDict()
-    offset = 0
-    for name, shape in spec:
-        count = int(np.prod(shape)) if shape else 1
-        chunk = vector[offset : offset + count]
-        if chunk.size != count:
-            raise ValueError("vector too short for spec")
-        state[name] = chunk.reshape(shape).copy()
-        offset += count
-    if offset != vector.size:
-        raise ValueError(f"vector has {vector.size - offset} unused entries")
-    return state
+    return float(np.sqrt(sum(float((value**2).sum())
+                             for value in state_sub(a, b).values())))
 
 
 def split_state(state: StateDict, prefix: str) -> Tuple[StateDict, StateDict]:

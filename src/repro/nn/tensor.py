@@ -169,6 +169,11 @@ class Tensor:
     #: The trace recording this tensor; set only on trace tensors.
     _trace = None
 
+    #: numpy defers every binary operator to the Tensor's reflected method
+    #: (``ndarray @ Tensor`` calls ``Tensor.__rmatmul__``) instead of
+    #: broadcasting the Tensor into an object array.
+    __array_ufunc__ = None
+
     def __init__(
         self,
         data: ArrayLike,
@@ -320,6 +325,9 @@ class Tensor:
 
     def __matmul__(self, other: ArrayLike) -> "Tensor":
         return apply("matmul", self, as_tensor(other, dtype=self.data.dtype))
+
+    def __rmatmul__(self, other: ArrayLike) -> "Tensor":
+        return as_tensor(other, dtype=self.data.dtype) @ self
 
     # ------------------------------------------------------------------
     # Elementwise nonlinearities

@@ -21,37 +21,30 @@ from .serialize import (
     atomic_write_text,
     canonical_json,
     encode_record,
-    load_outcome,
-    outcome_from_jsonable,
-    outcome_from_records,
-    outcome_to_jsonable,
-    save_outcome,
-    spec_from_jsonable,
-    spec_to_jsonable,
     to_jsonable,
 )
-from .spec import FINGERPRINT_LENGTH, RunKey, SweepSpec, SweepVariant
-from .store import ARRAYS_KEY, RunStore, TIMING_FIELDS
+from .spec import (
+    FINGERPRINT_LENGTH,
+    RunKey,
+    SweepSpec,
+    SweepVariant,
+    outcome_from_records,
+)
+from .store import ARRAYS_KEY, CorruptCellRecord, RunStore
 
 __all__ = [
     "SweepSpec",
     "SweepVariant",
     "RunKey",
     "RunStore",
+    "CorruptCellRecord",
     "ARRAYS_KEY",
     "run_sweep",
     "execute_cell",
     "make_record",
     "cell_checkpoint_dir",
     "SweepSummary",
-    "TIMING_FIELDS",
     "outcome_from_records",
-    "outcome_to_jsonable",
-    "outcome_from_jsonable",
-    "save_outcome",
-    "load_outcome",
-    "spec_to_jsonable",
-    "spec_from_jsonable",
     "to_jsonable",
     "canonical_json",
     "encode_record",

@@ -173,23 +173,21 @@ class _CellTask:
             resumed_mid_cell = any(checkpoint_dir.glob("*.json"))
         # The cell's wall clock is the "cell" span's duration: the tracer
         # owns the monotonic-clock reads (repro.telemetry sits outside the
-        # DET002 scope by design), and the numbers land in the timing
-        # index and the telemetry sidecar only — never in hashed records.
-        # The cell's tracer is always the active one: with a store it
-        # becomes the sidecar; without one it travels back as a fragment
-        # that run_sweep merges into the caller's tracer, on every
-        # scheduler alike.
+        # DET002 scope by design), and the span lands in the telemetry
+        # sidecar only — never in hashed records.  The cell's tracer is
+        # always the active one: with a store it becomes the sidecar;
+        # without one it travels back as a fragment that run_sweep merges
+        # into the caller's tracer, on every scheduler alike.
         tracer = Tracer()
         with tracer.activate(), \
                 tracer.span("cell", fingerprint=key.fingerprint,
                             method=key.method, dataset=key.dataset,
-                            seed=key.seed) as cell_span:
+                            seed=key.seed):
             record = self.executor(key, client_backend=self.client_backend,
                                    client_batch=self.client_batch,
                                    verbose=self.verbose,
                                    checkpoint_dir=checkpoint_dir,
                                    checkpoint_every=self.checkpoint_every)
-        elapsed = cell_span.duration
         # Bulky numeric columns travel out of the executor under the
         # reserved ARRAYS_KEY; they are popped before the record is
         # persisted (or hashed by anything downstream) and routed to the
@@ -197,29 +195,17 @@ class _CellTask:
         # attached so ephemeral in-memory runs keep working.
         columns = record.pop(ARRAYS_KEY, None)
         if self.store_root is not None:
-            # A cell resumed from a mid-run checkpoint only recomputed its
-            # remaining rounds; recording that partial elapsed as the
-            # cell's wall clock would understate it, so mark it "resumed"
-            # instead of recording misleading numbers.
-            if resumed_mid_cell:
-                timing = {"resumed": True}
-            else:
-                rounds = len(record["result"].get("rounds", []))
-                timing = {"wall_clock_s": elapsed,
-                          "mean_round_s": elapsed / rounds if rounds else None}
-            # Churn-affected cells train fewer/different clients per round;
-            # mark them so timing comparisons don't read them as baseline.
-            availability = key.config.availability
-            if availability is not None and availability.is_active:
-                timing["churn"] = True
             store = RunStore(self.store_root)
             if columns:
                 # Sidecar first: a crash between the two writes leaves an
                 # unreferenced .npcol (harmless) rather than a record whose
                 # arrays are missing.
                 store.write_arrays(key, columns)
-            store.write_record(record, timing=timing)
+            store.write_record(record)
             if self.telemetry:
+                # A cell resumed from a mid-run checkpoint only recomputed
+                # its remaining rounds, so its "cell" span understates the
+                # wall clock; the "resumed" meta says so to its readers.
                 store.write_telemetry(key, sidecar_lines(tracer, meta={
                     "fingerprint": key.fingerprint,
                     "label": key.label(),
@@ -307,8 +293,8 @@ def run_sweep(sweep: SweepSpec,
     every scheduler: each cell records into its own tracer, whose
     fragment is merged here as the cell returns.  Sidecars are diagnostics living outside the
     hashed records — store bytes are identical with the flag on or off
-    (the TEL001 invariant) — so the only reason to turn it off is the
-    (small) tracing overhead itself.
+    (the TEL001 invariant) — and they are where a cell's wall clock is
+    recorded, so a cell swept with the flag off has no recorded timing.
 
     ``executor`` swaps the per-cell execution function (default:
     :func:`execute_cell`, a plain training run).  It must be a

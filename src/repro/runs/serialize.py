@@ -2,9 +2,8 @@
 
 Everything the :mod:`repro.runs` subsystem persists goes through this
 module: numpy-to-Python coercion, canonical (hash-stable) encodings, the
-atomic write-then-rename primitive, and (de)serializers for the harness
-types (:class:`~repro.eval.harness.ExperimentSpec`/``Outcome``,
-:class:`~repro.fl.history.RunResult`, fairness reports).
+atomic write-then-rename primitive, and (de)serializers for the settings
+and federated configs that cell keys carry.
 
 Determinism contract
 --------------------
@@ -21,20 +20,17 @@ from __future__ import annotations
 import json
 from dataclasses import asdict
 from dataclasses import fields as dataclass_fields
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Union
 
 import numpy as np
 
-from ..eval.harness import ExperimentOutcome, ExperimentSpec, NonIIDSetting
-from ..eval.metrics import FairnessReport, fairness_report
+from ..eval.harness import NonIIDSetting
 from ..fl.config import (
     DEFAULT_OMITTED_FIELDS,
     EXECUTION_FIELDS,
     FINGERPRINTED_FIELDS,
     FederatedConfig,
 )
-from ..fl.history import RunResult
 from ..ioutil import atomic_write_text
 
 __all__ = [
@@ -52,23 +48,16 @@ __all__ = [
     "setting_from_jsonable",
     "config_to_jsonable",
     "config_from_jsonable",
-    "spec_to_jsonable",
-    "spec_from_jsonable",
-    "outcome_to_jsonable",
-    "outcome_from_jsonable",
-    "save_outcome",
-    "load_outcome",
-    "outcome_from_records",
 ]
 
 RECORD_SCHEMA = 1
-"""Version stamp written into every cell record and outcome file."""
+"""Version stamp written into every cell record."""
 
 RETIRED_FIELDS = ("shared_memory",)
-"""Execution knobs removed from ``FederatedConfig``.  Run stores and outcome
-files written before the removal still carry them; loading drops them, and
-since execution knobs never reach a content hash, fingerprints and
-checkpoint contexts are unchanged."""
+"""Execution knobs removed from ``FederatedConfig``.  Cell records written
+before the removal still carry them; loading drops them, and since
+execution knobs never reach a content hash, fingerprints and checkpoint
+contexts are unchanged."""
 
 SWEEP_FINGERPRINTED_FIELDS = (
     "methods", "settings", "datasets", "seeds", "config", "variants",
@@ -104,8 +93,10 @@ def canonical_json(payload) -> str:
                       allow_nan=True)
 
 
-def encode_record(record: Dict) -> str:
-    """The on-disk encoding: sorted keys, indented for greppability."""
+def encode_record(record: Union[Dict, List[Dict]]) -> str:
+    """The on-disk encoding: sorted keys, indented for greppability.
+
+    A list of records (``repro run --out``) encodes the same way."""
     return json.dumps(to_jsonable(record), sort_keys=True, indent=2) + "\n"
 
 
@@ -157,115 +148,3 @@ def config_from_jsonable(payload: Dict) -> FederatedConfig:
     # Execution fields may be absent (canonical form); defaults fill them in.
     return FederatedConfig(**{name: value for name, value in payload.items()
                               if name not in RETIRED_FIELDS})
-
-
-def spec_to_jsonable(spec: ExperimentSpec) -> Dict:
-    return {
-        "dataset": spec.dataset,
-        "setting": setting_to_jsonable(spec.setting),
-        "config": config_to_jsonable(spec.config),
-        "methods": list(spec.methods),
-        "encoder": spec.encoder,
-        "encoder_width": int(spec.encoder_width),
-        "encoder_hidden_dims": [int(dim) for dim in spec.encoder_hidden_dims],
-        "dataset_kwargs": to_jsonable(spec.dataset_kwargs),
-        "method_overrides": to_jsonable(spec.method_overrides),
-        "seed": int(spec.seed),
-        "name": spec.name,
-    }
-
-
-def spec_from_jsonable(payload: Dict) -> ExperimentSpec:
-    return ExperimentSpec(
-        dataset=payload["dataset"],
-        setting=setting_from_jsonable(payload["setting"]),
-        config=config_from_jsonable(payload["config"]),
-        methods=list(payload["methods"]),
-        encoder=payload.get("encoder", "mlp"),
-        encoder_width=int(payload.get("encoder_width", 8)),
-        encoder_hidden_dims=tuple(payload.get("encoder_hidden_dims", (64, 32))),
-        dataset_kwargs=dict(payload.get("dataset_kwargs", {})),
-        method_overrides={k: dict(v)
-                          for k, v in payload.get("method_overrides", {}).items()},
-        seed=int(payload.get("seed", 0)),
-        name=payload.get("name", ""),
-    )
-
-
-def outcome_to_jsonable(outcome: ExperimentOutcome) -> Dict:
-    payload = {
-        "schema": RECORD_SCHEMA,
-        "spec": spec_to_jsonable(outcome.spec),
-        "results": {name: result.to_json()
-                    for name, result in outcome.results.items()},
-        "reports": {name: to_jsonable(report.as_dict())
-                    for name, report in outcome.reports.items()},
-    }
-    if outcome.novel_reports:
-        payload["novel_reports"] = {name: to_jsonable(report.as_dict())
-                                    for name, report in outcome.novel_reports.items()}
-    return payload
-
-
-def outcome_from_jsonable(payload: Dict) -> ExperimentOutcome:
-    return ExperimentOutcome(
-        spec=spec_from_jsonable(payload["spec"]),
-        results={name: RunResult.from_json(result)
-                 for name, result in payload["results"].items()},
-        reports={name: FairnessReport.from_dict(report)
-                 for name, report in payload["reports"].items()},
-        novel_reports={name: FairnessReport.from_dict(report)
-                       for name, report in payload.get("novel_reports", {}).items()},
-    )
-
-
-def save_outcome(outcome: ExperimentOutcome, path: Union[str, Path]) -> Path:
-    """Persist one ``ExperimentOutcome`` as JSON (``repro run --out``)."""
-    return atomic_write_text(path, encode_record(outcome_to_jsonable(outcome)))
-
-
-def load_outcome(path: Union[str, Path]) -> ExperimentOutcome:
-    with open(path) as stream:
-        return outcome_from_jsonable(json.load(stream))
-
-
-def outcome_from_records(spec: ExperimentSpec,
-                         records: Sequence[Optional[Dict]]) -> ExperimentOutcome:
-    """Reassemble a multi-method ``ExperimentOutcome`` from cell records.
-
-    ``records`` are cell records (one per method of ``spec``), live from
-    :func:`~repro.runs.run_sweep` or read back from a store; fairness
-    reports are *recomputed* from the accuracy vectors, so an outcome
-    rebuilt from the store is bit-for-bit the one a live sweep yields.
-    """
-    results: Dict[str, RunResult] = {}
-    reports: Dict[str, FairnessReport] = {}
-    novel_reports: Dict[str, FairnessReport] = {}
-    missing: List[str] = []
-    by_method: Dict[str, Dict] = {}
-    for record in records:
-        if record is None:
-            continue
-        method = record["key"]["method"]
-        if method in by_method:
-            # Records spanning seeds/variants would silently last-win into
-            # one outcome otherwise — make the caller slice first.
-            raise ValueError(
-                f"multiple records for method '{method}'; pass exactly one "
-                "record per method (filter by seed/variant before assembling)")
-        by_method[method] = record
-    for method in spec.methods:
-        record = by_method.get(method)
-        if record is None:
-            missing.append(method)
-            continue
-        result = RunResult.from_json(record["result"])
-        results[method] = result
-        reports[method] = fairness_report(result.accuracy_vector())
-        if result.novel_accuracies:
-            novel_reports[method] = fairness_report(result.accuracy_vector(novel=True))
-    if missing:
-        raise KeyError(f"no stored records for methods {missing}; "
-                       f"run the sweep first (repro sweep)")
-    return ExperimentOutcome(spec=spec, results=results, reports=reports,
-                             novel_reports=novel_reports)

@@ -5,7 +5,8 @@ method x dataset x :class:`~repro.eval.harness.NonIIDSetting` x seed x
 override variant — exactly the structure of the paper's artifacts
 (Table I is 3 methods x 4 regularizer toggles; Fig. 3 is 20 methods per
 panel).  :meth:`SweepSpec.cells` expands the grid into :class:`RunKey`
-objects in a deterministic order.
+objects in a deterministic order, and :func:`outcome_from_records` reads
+one seed of a single-panel grid back from its cell records.
 
 A :class:`RunKey` is the unit of work and the unit of storage: its
 ``fingerprint`` is a SHA-256 content hash of everything that determines
@@ -25,8 +26,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from dataclasses import asdict
 
-from ..eval.harness import ExperimentSpec, NonIIDSetting
+from ..eval.harness import ExperimentOutcome, NonIIDSetting
+from ..eval.metrics import fairness_report
 from ..fl.config import AvailabilitySpec, FederatedConfig
+from ..fl.history import RunResult
 from .serialize import (
     canonical_json,
     config_from_jsonable,
@@ -36,7 +39,8 @@ from .serialize import (
     to_jsonable,
 )
 
-__all__ = ["RunKey", "SweepVariant", "SweepSpec", "FINGERPRINT_LENGTH"]
+__all__ = ["RunKey", "SweepVariant", "SweepSpec", "FINGERPRINT_LENGTH",
+           "outcome_from_records"]
 
 FINGERPRINT_LENGTH = 16
 """Hex digits kept from the SHA-256 digest (64 bits — ample for any grid)."""
@@ -261,48 +265,6 @@ class SweepSpec:
                                 ))
         return keys
 
-    def to_experiment_spec(self, seed: Optional[int] = None,
-                           name: str = "") -> ExperimentSpec:
-        """Collapse a single-panel sweep back into one multi-method spec.
-
-        Only valid when the grid has exactly one dataset, setting,
-        availability point, and variant (the Fig. 3/4 shape); ``seed``
-        defaults to the sweep's single seed and must be one of ``seeds``
-        otherwise.
-        """
-        if len(self.datasets) != 1 or len(self.settings) != 1 \
-                or len(self.variants) != 1 or len(self.availability) != 1:
-            raise ValueError(
-                "to_experiment_spec needs a single-panel sweep "
-                f"(got {len(self.datasets)} datasets, {len(self.settings)} settings, "
-                f"{len(self.availability)} availability points, "
-                f"{len(self.variants)} variants)")
-        if seed is None:
-            if len(self.seeds) != 1:
-                raise ValueError(f"pick one of seeds {self.seeds}")
-            seed = self.seeds[0]
-        elif seed not in self.seeds:
-            raise ValueError(f"seed {seed} not in sweep seeds {self.seeds}")
-        variant = self.variants[0]
-        dataset = self.datasets[0]
-        overrides = {"seed": seed}
-        if self.availability[0] is not None:
-            overrides["availability"] = self.availability[0]
-        return ExperimentSpec(
-            dataset=dataset,
-            setting=self.settings[0],
-            config=self.config.with_overrides(**overrides),
-            methods=list(self.methods),
-            encoder=self.encoder,
-            encoder_width=self.encoder_width,
-            encoder_hidden_dims=tuple(self.encoder_hidden_dims),
-            dataset_kwargs=dict(self.dataset_kwargs.get(dataset, {})),
-            method_overrides={method: self.merged_overrides(method, variant)
-                              for method in self.methods},
-            seed=seed,
-            name=name or self.name,
-        )
-
     def to_jsonable(self) -> Dict:
         payload = {
             "name": self.name,
@@ -328,3 +290,61 @@ class SweepSpec:
         if self.extras:
             payload["extras"] = to_jsonable(self.extras)
         return payload
+
+
+def outcome_from_records(sweep: SweepSpec, records: Sequence[Optional[Dict]],
+                         seed: Optional[int] = None,
+                         title: Optional[str] = None) -> ExperimentOutcome:
+    """One seed of a single-panel sweep, reassembled from its cell records.
+
+    The sweep must have exactly one dataset, setting, availability point,
+    and variant (the Fig. 3/4 shape); ``seed`` defaults to the sweep's
+    single seed and must be one of ``sweep.seeds`` otherwise.  ``records``
+    are cell records, live from :func:`~repro.runs.run_sweep` or read back
+    from a store; records of other seeds are skipped.  Fairness reports
+    are *recomputed* from the accuracy vectors, so an outcome rebuilt from
+    the store is bit-for-bit the one a live sweep yields.  ``title``
+    defaults to the sweep's name.
+    """
+    if len(sweep.datasets) != 1 or len(sweep.settings) != 1 \
+            or len(sweep.variants) != 1 or len(sweep.availability) != 1:
+        raise ValueError(
+            "outcome_from_records needs a single-panel sweep "
+            f"(got {len(sweep.datasets)} datasets, {len(sweep.settings)} settings, "
+            f"{len(sweep.availability)} availability points, "
+            f"{len(sweep.variants)} variants)")
+    if seed is None:
+        if len(sweep.seeds) != 1:
+            raise ValueError(f"pick one of seeds {sweep.seeds}")
+        seed = sweep.seeds[0]
+    elif seed not in sweep.seeds:
+        raise ValueError(f"seed {seed} not in sweep seeds {sweep.seeds}")
+    by_method: Dict[str, Dict] = {}
+    for record in records:
+        if record is None or record["key"]["seed"] != seed:
+            continue
+        method = record["key"]["method"]
+        if method in by_method:
+            # Two records of one method (say, two grids' records passed
+            # together) would silently last-win into one outcome otherwise.
+            raise ValueError(
+                f"multiple records for method '{method}' at seed {seed}; "
+                "pass exactly one record per method")
+        by_method[method] = record
+    missing = [method for method in sweep.methods if method not in by_method]
+    if missing:
+        raise KeyError(f"no stored records for methods {missing}; "
+                       "run the sweep first (repro sweep)")
+    results = {method: RunResult.from_json(by_method[method]["result"])
+               for method in sweep.methods}
+    return ExperimentOutcome(
+        title=title or sweep.name,
+        dataset=sweep.datasets[0],
+        setting=sweep.settings[0],
+        results=results,
+        reports={method: fairness_report(result.accuracy_vector())
+                 for method, result in results.items()},
+        novel_reports={method: fairness_report(result.accuracy_vector(novel=True))
+                       for method, result in results.items()
+                       if result.novel_accuracies},
+    )

@@ -4,7 +4,6 @@ Directory layout (everything human-readable except ``arrays/``)::
 
     <runs-dir>/
         cells/<fingerprint>.json       # authoritative: one record per finished cell
-        index.jsonl                    # append-only log: one line per write
         sweeps/<name>.json             # provenance: the sweep grids that ran here
         telemetry/<fingerprint>.jsonl  # diagnostic sidecar: spans + counters
         arrays/<fingerprint>.npcol     # binary sidecar: the cell's array columns
@@ -14,10 +13,9 @@ file exists.  Records are written with write-then-``os.replace`` so a
 killed sweep never leaves a torn file, and the filename *is* the content
 hash of the cell's parameters, so resume is a directory scan, identical
 cells across sweeps share storage, and two schedulers racing on the same
-cell converge on identical bytes.  ``index.jsonl`` is a convenience log
-(its line order reflects completion order and may interleave under
-parallel scheduling); :meth:`RunStore.rebuild_index` regenerates it from
-the cell files in canonical fingerprint order.
+cell converge on identical bytes.  A cell's wall clock is a diagnostic,
+not a result: it lives only in the telemetry sidecar (the ``cell`` span),
+never in the record.
 """
 
 from __future__ import annotations
@@ -33,8 +31,7 @@ from ..ioutil import safe_filename
 from .serialize import atomic_write_text, encode_record
 from .spec import RunKey, SweepSpec
 
-__all__ = ["RunStore", "ARRAYS_KEY", "TIMING_FIELDS", "RESUMED_FIELD",
-           "CHURN_FIELD"]
+__all__ = ["RunStore", "ARRAYS_KEY", "CorruptCellRecord"]
 
 ARRAYS_KEY = "__arrays__"
 """Reserved record key carrying in-memory array columns.
@@ -52,48 +49,10 @@ def _fingerprint_of(key: Union[str, RunKey]) -> str:
     return key.fingerprint if isinstance(key, RunKey) else str(key)
 
 
-TIMING_FIELDS = ("wall_clock_s", "mean_round_s")
-"""Per-cell timing keys carried in ``index.jsonl`` entries.
-
-Timings are *diagnostics*, not results: cell records stay byte-identical
-across schedulers and hosts, so wall-clock lives only in the index.
-``wall_clock_s`` is the cell's end-to-end execution time (training +
-personalization); ``mean_round_s`` is that total divided by the round
-count.
-
-A cell finished from a mid-cell checkpoint carries ``"resumed": true``
-instead of numbers — its wall clock covers only the resumed tail, which
-would poison timing comparisons — so ``repro report --timings`` can tell
-"resumed" apart from "never measured"."""
-
-RESUMED_FIELD = "resumed"
-
-CHURN_FIELD = "churn"
-"""Marker on cells executed under an active availability model
-(:mod:`repro.fl.population`).  Churned cells run fewer (and different)
-clients per round, so their wall clocks are not comparable with the full
-grid's — ``repro report --timings`` flags them the way it flags resumes."""
-
-
-def _index_entry(record: Dict, timing: Optional[Dict] = None) -> Dict:
-    """The one-line ``index.jsonl`` shape (shared by append and rebuild)."""
-    key = record.get("key", {})
-    entry = {
-        "fingerprint": record["fingerprint"],
-        "dataset": key.get("dataset"),
-        "method": key.get("method"),
-        "seed": key.get("seed"),
-        "variant": key.get("variant", ""),
-        "setting": key.get("setting"),
-    }
-    if timing:
-        entry.update({name: timing[name] for name in TIMING_FIELDS
-                      if timing.get(name) is not None})
-        if timing.get(RESUMED_FIELD):
-            entry[RESUMED_FIELD] = True
-        if timing.get(CHURN_FIELD):
-            entry[CHURN_FIELD] = True
-    return entry
+class CorruptCellRecord(ValueError):
+    """A stored cell record is unreadable — torn, not a JSON object, or
+    filed under another cell's fingerprint.  Raised on read, naming the
+    file: a damaged record never reaches a report as a finished cell."""
 
 
 class RunStore:
@@ -103,7 +62,6 @@ class RunStore:
         self.root = Path(root)
         self.cells_dir = self.root / "cells"
         self.sweeps_dir = self.root / "sweeps"
-        self.index_path = self.root / "index.jsonl"
         if create:
             self.cells_dir.mkdir(parents=True, exist_ok=True)
             self.sweeps_dir.mkdir(parents=True, exist_ok=True)
@@ -132,34 +90,37 @@ class RunStore:
         return f"RunStore({str(self.root)!r}, cells={len(self)})"
 
     # ------------------------------------------------------------------
-    def write_record(self, record: Dict, timing: Optional[Dict] = None) -> Path:
-        """Atomically persist one cell record and append its index line.
-
-        ``timing`` (optional ``{"wall_clock_s": ..., "mean_round_s": ...}``)
-        is recorded in the index entry only — never in the cell record,
-        which must stay byte-identical across schedulers and hosts.
-        """
+    def write_record(self, record: Dict) -> Path:
+        """Atomically persist one cell record under its fingerprint."""
         fingerprint = record.get("fingerprint")
         if not fingerprint:
             raise ValueError("record is missing its 'fingerprint' field")
-        path = atomic_write_text(self.path_for(fingerprint), encode_record(record))
-        self._append_index(record, timing)
-        return path
-
-    def _append_index(self, record: Dict, timing: Optional[Dict] = None) -> None:
-        # One small single-line write in append mode: safe enough under
-        # concurrent writers, and the index is a rebuildable cache anyway.
-        # repro: allow[ATM001] -- append-only journal of a rebuildable cache; rebuild_index() is atomic
-        with open(self.index_path, "a") as stream:
-            stream.write(json.dumps(_index_entry(record, timing),
-                                    sort_keys=True) + "\n")
+        return atomic_write_text(self.path_for(fingerprint), encode_record(record))
 
     def read_record(self, key: Union[str, RunKey]) -> Dict:
+        """The stored record of cell ``key``.
+
+        Raises ``KeyError`` if the cell has no record, and
+        :class:`CorruptCellRecord` if its file does not parse to a record
+        whose ``fingerprint`` is the file's name.
+        """
         path = self.path_for(key)
         if not path.is_file():
             raise KeyError(f"no record for cell {_fingerprint_of(key)} in {self.root}")
-        with open(path) as stream:
-            return json.load(stream)
+        try:
+            with open(path) as stream:
+                record = json.load(stream)
+        except ValueError as error:
+            raise CorruptCellRecord(
+                f"corrupt cell record {path}: {error}") from error
+        if not isinstance(record, dict):
+            raise CorruptCellRecord(
+                f"corrupt cell record {path}: not a JSON object")
+        if record.get("fingerprint") != path.stem:
+            raise CorruptCellRecord(
+                f"misplaced cell record {path}: it holds cell "
+                f"{record.get('fingerprint')!r}")
+        return record
 
     # ------------------------------------------------------------------
     def missing(self, cells: Sequence[RunKey]) -> List[RunKey]:
@@ -188,55 +149,6 @@ class RunStore:
                 f"{len(absent)} of {len(list(cells))} cells missing from {self.root}: "
                 + "; ".join(absent[:5]) + ("; ..." if len(absent) > 5 else ""))
         return records
-
-    def timings(self) -> Dict[str, Dict]:
-        """Per-cell wall-clock from ``index.jsonl``: fingerprint → timing.
-
-        Last write wins (a cell re-executed after store surgery keeps its
-        most recent timing).  Cells indexed before timing existed — or
-        re-indexed by :meth:`rebuild_index` without a prior timing — are
-        absent from the result.  A resumed cell's timing is the marker
-        ``{"resumed": True}`` (no comparable numbers exist for it).
-        """
-        timings: Dict[str, Dict[str, float]] = {}
-        if not self.index_path.is_file():
-            return timings
-        with open(self.index_path) as stream:
-            for line in stream:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    entry = json.loads(line)
-                except ValueError:
-                    continue  # torn concurrent append; the index is a cache
-                timing = {name: float(entry[name]) for name in TIMING_FIELDS
-                          if entry.get(name) is not None}
-                if entry.get(RESUMED_FIELD):
-                    timing[RESUMED_FIELD] = True
-                if entry.get(CHURN_FIELD):
-                    timing[CHURN_FIELD] = True
-                if timing:
-                    timings[entry["fingerprint"]] = timing
-        return timings
-
-    def rebuild_index(self) -> int:
-        """Rewrite ``index.jsonl`` from the cell files, sorted by fingerprint.
-
-        Returns the number of indexed cells.  Use after crashes or manual
-        surgery on ``cells/`` — the cell files stay authoritative either
-        way.  Timings recorded in the old index are preserved (they exist
-        nowhere else); cells whose records vanished drop out along with
-        their timing.
-        """
-        old_timings = self.timings()
-        fingerprints = sorted(self.completed_fingerprints())
-        lines = [json.dumps(_index_entry(self.read_record(fingerprint),
-                                         old_timings.get(fingerprint)),
-                            sort_keys=True)
-                 for fingerprint in fingerprints]
-        atomic_write_text(self.index_path, "".join(line + "\n" for line in lines))
-        return len(fingerprints)
 
     # ------------------------------------------------------------------
     @property

@@ -122,7 +122,7 @@ def run_outcome(methods, novel=0, rounds=2, samples=30, hidden_dims=(24, 12),
                                         test_per_class=4)},
     )
     summary = run_sweep(sweep)
-    return outcome_from_records(sweep.to_experiment_spec(), summary.records)
+    return outcome_from_records(sweep, summary.records)
 
 
 class TestRunSweepOutcome:

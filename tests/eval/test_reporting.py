@@ -15,25 +15,20 @@ from repro.eval import (
     format_report_table,
     format_series_csv,
 )
-from repro.eval.harness import ExperimentOutcome, ExperimentSpec, NonIIDSetting
-from repro.fl import FederatedConfig
+from repro.eval.harness import ExperimentOutcome, NonIIDSetting
 from repro.fl.history import RunResult
 
 
 def tiny_outcome():
-    spec = ExperimentSpec(
-        dataset="cifar10",
-        setting=NonIIDSetting("quantity", 2, 20),
-        config=FederatedConfig(num_clients=4, clients_per_round=2, rounds=1),
-        methods=["alpha", "beta"],
-    )
     results = {
         "alpha": RunResult(algorithm="alpha", accuracies={0: 0.5, 1: 1.0}),
         "beta": RunResult(algorithm="beta", accuracies={0: 0.5, 1: 0.5}),
     }
     reports = {name: fairness_report(result.accuracy_vector())
                for name, result in results.items()}
-    return ExperimentOutcome(spec=spec, results=results, reports=reports)
+    return ExperimentOutcome(title="tiny", dataset="cifar10",
+                             setting=NonIIDSetting("quantity", 2, 20),
+                             results=results, reports=reports)
 
 
 GOLDEN_REPORT_TABLE = (

@@ -75,9 +75,10 @@ class TestFig3Harness:
         sweep = fig3_sweep(0, methods=["script-fair", "fedavg"],
                            config=TINY_CONFIG, dataset_kwargs=TINY_DATASET)
         summary = run_sweep(sweep)
-        outcome = panel_outcome_from_records("fig3", 0, sweep, summary.cells,
-                                             summary.records)
-        assert outcome.spec.name == "fig3-panel0 cifar10 paper:Q-non-iid (2, 500)"
+        outcome = panel_outcome_from_records("fig3", 0, sweep, summary.records)
+        assert outcome.title == "fig3-panel0 cifar10 paper:Q-non-iid (2, 500)"
+        assert (outcome.dataset, outcome.setting) == ("cifar10",
+                                                      sweep.settings[0])
         assert set(outcome.reports) == {"script-fair", "fedavg"}
         series = outcome.series()
         assert {row["method"] for row in series} == {"script-fair", "fedavg"}
@@ -89,8 +90,7 @@ class TestFig4Harness:
         sweep = fig4_sweep(0, methods=["fedavg-ft"], config=None,
                            num_novel_clients=2, dataset_kwargs=TINY_DATASET)
         summary = run_sweep(sweep)
-        outcome = panel_outcome_from_records("fig4", 0, sweep, summary.cells,
-                                             summary.records)
+        outcome = panel_outcome_from_records("fig4", 0, sweep, summary.records)
         assert "fedavg-ft" in outcome.novel_reports
 
 

@@ -9,18 +9,14 @@ from hypothesis import strategies as st
 
 from repro.nn.serialize import (
     clone_state,
-    flatten_state,
     interpolate_states,
     merge_states,
     split_state,
     state_add,
     state_distance,
-    state_norm,
     state_scale,
     state_sub,
-    unflatten_state,
     weighted_average,
-    zeros_like_state,
 )
 
 
@@ -43,10 +39,6 @@ class TestBasicAlgebra:
         cloned["head.bias"][...] = 0.0
         assert not np.allclose(state["head.bias"], 0.0)
 
-    def test_zeros_like(self):
-        zeros = zeros_like_state(make_state())
-        assert all(np.all(value == 0) for value in zeros.values())
-
     def test_add_sub_inverse(self):
         a, b = make_state(1), make_state(2)
         recovered = state_sub(state_add(a, b), b)
@@ -66,11 +58,10 @@ class TestBasicAlgebra:
             state_add(a, b)
 
     def test_norm_and_distance(self):
-        a = make_state(4)
+        a, b = make_state(4), make_state(5)
         assert state_distance(a, a) == 0.0
-        assert state_norm(zeros_like_state(a)) == 0.0
-        flat, _ = flatten_state(a)
-        assert state_norm(a) == pytest.approx(np.linalg.norm(flat))
+        flat = np.concatenate([(a[name] - b[name]).ravel() for name in a])
+        assert state_distance(a, b) == pytest.approx(np.linalg.norm(flat))
 
 
 class TestWeightedAverage:
@@ -111,38 +102,6 @@ class TestWeightedAverage:
             stacked = np.stack([s[name] for s in states])
             assert np.all(avg[name] <= stacked.max(axis=0) + 1e-9)
             assert np.all(avg[name] >= stacked.min(axis=0) - 1e-9)
-
-
-class TestFlatten:
-    def test_round_trip(self):
-        state = make_state(7)
-        vector, spec = flatten_state(state)
-        recovered = unflatten_state(vector, spec)
-        assert list(recovered) == list(state)
-        for name in state:
-            np.testing.assert_allclose(recovered[name], state[name])
-
-    def test_vector_length(self):
-        state = make_state()
-        vector, _ = flatten_state(state)
-        assert vector.size == sum(v.size for v in state.values())
-
-    def test_short_vector_raises(self):
-        state = make_state()
-        vector, spec = flatten_state(state)
-        with pytest.raises(ValueError):
-            unflatten_state(vector[:-1], spec)
-
-    def test_long_vector_raises(self):
-        state = make_state()
-        vector, spec = flatten_state(state)
-        with pytest.raises(ValueError):
-            unflatten_state(np.concatenate([vector, [0.0]]), spec)
-
-    def test_empty_state(self):
-        vector, spec = flatten_state(OrderedDict())
-        assert vector.size == 0
-        assert unflatten_state(vector, spec) == OrderedDict()
 
 
 class TestSplitMerge:

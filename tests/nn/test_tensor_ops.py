@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.nn import GraphReleasedError, Tensor, no_grad, unbroadcast
+from repro.nn.trace import Trace, TraceTensor
 
 from ..helpers import assert_gradients_close, rng
 
@@ -70,6 +71,44 @@ class TestArithmetic:
     def test_matmul_values(self):
         a, b = make((2, 3), 1), make((3, 2), 2)
         np.testing.assert_allclose((a @ b).data, a.data @ b.data)
+
+
+NUMPY_LEFT_OPS = {
+    "matmul": lambda x, y: x @ y,
+    "mul": lambda x, y: x * y,
+    "add": lambda x, y: x + y,
+    "sub": lambda x, y: x - y,
+    "truediv": lambda x, y: x / y,
+}
+
+
+class TestNumpyLeftOperands:
+    """A numpy array or scalar left of a Tensor defers to the Tensor's
+    reflected operator instead of broadcasting it into an object array."""
+
+    @pytest.mark.parametrize("name, left", [
+        (name, left) for name in sorted(NUMPY_LEFT_OPS)
+        for left in ("array", "scalar") if (name, left) != ("matmul", "scalar")])
+    def test_values_and_gradients_match_tensor_left(self, name, left):
+        op = NUMPY_LEFT_OPS[name]
+        left = rng(1).standard_normal((3, 3)) if left == "array" else np.float64(2.5)
+        b = make((3, 3), 2, shift=3.0)
+        out = op(left, b)
+        assert type(out) is Tensor
+        out.sum().backward()
+        grad, b.grad = b.grad, None
+        eager = op(Tensor(left), b)
+        np.testing.assert_array_equal(out.data, eager.data)
+        eager.sum().backward()
+        np.testing.assert_array_equal(grad, b.grad)
+        assert_gradients_close(lambda: op(left, b).sum(), [b])
+
+    def test_traced_numpy_left_matmul_records_one_op(self):
+        trace = Trace()
+        x = trace.add_input("x", rng(3).standard_normal((3, 2)))
+        out = np.ones((4, 3)) @ x
+        assert isinstance(out, TraceTensor)
+        assert [op.kind for op in trace.ops] == ["matmul"]
 
 
 class TestNonlinearities:

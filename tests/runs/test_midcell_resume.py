@@ -6,7 +6,6 @@ cell at its last finished round and the resulting record is byte-for-byte
 what an uninterrupted sweep writes.
 """
 
-import json
 import shutil
 
 import pytest
@@ -21,11 +20,16 @@ from repro.runs import (
     run_sweep,
 )
 from repro.runs.scheduler import execute_cell
+from repro.telemetry import parse_sidecar
 
 TINY_CONFIG = FederatedConfig(num_clients=4, clients_per_round=2, rounds=3,
                               local_epochs=1, batch_size=16,
                               personalization_epochs=2, seed=0)
 TINY_DATASET = dict(image_size=8, train_per_class=16, test_per_class=4)
+
+
+def sidecar(store, key):
+    return parse_sidecar(store.telemetry_path_for(key).read_text())
 
 
 def tiny_sweep(methods=("fedavg",), seeds=(0,), rounds=3):
@@ -85,14 +89,11 @@ class TestMidCellResume:
         assert store.path_for(key).read_bytes() == \
             RunStore(reference).path_for(key).read_bytes()
         assert not checkpoints.exists()
-        # A resumed cell's elapsed covers only the recomputed rounds, so
-        # instead of (misleading) numbers its index entry carries an
-        # explicit marker — distinguishing "resumed" from "never timed".
-        timing = store.timings()[key.fingerprint]
-        assert timing == {"resumed": True}
-        # The marker survives an index rebuild like any other timing.
-        store.rebuild_index()
-        assert store.timings()[key.fingerprint] == {"resumed": True}
+        # A resumed cell's "cell" span covers only the recomputed rounds,
+        # so its sidecar carries an explicit marker: "repro report
+        # --timings" prints "(resumed)" instead of misleading numbers.
+        assert sidecar(store, key).meta["resumed"] is True
+        assert sidecar(RunStore(reference), key).meta["resumed"] is False
 
     def test_checkpoint_of_another_cell_is_refused(self, tmp_path):
         # The session context is the cell fingerprint, so a checkpoint
@@ -127,34 +128,16 @@ class TestMidCellResume:
             run_sweep(tiny_sweep(), round_checkpoints=True)
 
 
-class TestWallClockIndex:
-    def test_write_record_carries_timing_into_index(self, tmp_path):
+class TestWallClockSidecar:
+    def test_cell_wall_clock_lives_in_the_sidecar(self, tmp_path):
         sweep = tiny_sweep()
         store = RunStore(tmp_path)
         run_sweep(sweep, store=store)
         (key,) = sweep.cells()
-        timings = store.timings()
-        assert key.fingerprint in timings
-        timing = timings[key.fingerprint]
-        assert timing["wall_clock_s"] > 0
-        assert timing["mean_round_s"] == pytest.approx(
-            timing["wall_clock_s"] / 3)
-        # ... but never into the (deterministic) cell record itself.
+        telemetry = sidecar(store, key)
+        (cell_span,) = telemetry.spans_named("cell")
+        assert cell_span.duration > 0
+        assert telemetry.meta["resumed"] is False
+        # ... but never in the (deterministic) cell record itself.
         record_text = store.path_for(key).read_text()
-        assert "wall_clock_s" not in record_text
-
-    def test_rebuild_index_preserves_timings(self, tmp_path):
-        sweep = tiny_sweep()
-        store = RunStore(tmp_path)
-        run_sweep(sweep, store=store)
-        before = store.timings()
-        assert before
-        assert store.rebuild_index() == 1
-        assert store.timings() == before
-
-    def test_timing_free_records_have_no_timing_entries(self, tmp_path):
-        store = RunStore(tmp_path)
-        store.write_record({"fingerprint": "abc", "key": {"method": "m"}})
-        assert store.timings() == {}
-        line = json.loads(store.index_path.read_text())
-        assert "wall_clock_s" not in line
+        assert "dur_s" not in record_text and "wall_clock" not in record_text

@@ -80,21 +80,28 @@ class TestRunSweep:
         run_sweep(sweep, store=tmp_path)
         stored = RunStore(tmp_path).load_records(sweep.cells())
         live_records = [execute_cell(key) for key in sweep.cells()]
-        rebuilt = outcome_from_records(sweep.to_experiment_spec(), stored)
-        live = outcome_from_records(sweep.to_experiment_spec(), live_records)
+        rebuilt = outcome_from_records(sweep, stored)
+        live = outcome_from_records(sweep, live_records)
         assert format_comparison_table(rebuilt) == format_comparison_table(live)
         for method, record in zip(sweep.methods, live_records):
             assert rebuilt.results[method].accuracies == live.results[method].accuracies
             assert rebuilt.reports[method].as_dict() == record["report"]
 
     def test_outcome_from_records_rejects_duplicate_methods(self):
-        # records spanning seeds/variants must be sliced by the caller, not
-        # silently last-win merged into one outcome
+        # two records of one method at the chosen seed are never silently
+        # last-win merged into one outcome
         sweep = tiny_sweep(methods=["script-fair"])
-        record = {"key": {"method": "script-fair"},
+        record = {"key": {"method": "script-fair", "seed": 0},
                   "result": {"algorithm": "script-fair", "accuracies": {"0": 0.5}}}
         with pytest.raises(ValueError):
-            outcome_from_records(sweep.to_experiment_spec(), [record, dict(record)])
+            outcome_from_records(sweep, [record, dict(record)])
+
+    def test_outcome_from_records_names_missing_methods(self):
+        sweep = tiny_sweep()
+        record = {"key": {"method": "script-fair", "seed": 0},
+                  "result": {"algorithm": "script-fair", "accuracies": {"0": 0.5}}}
+        with pytest.raises(KeyError, match="fedavg"):
+            outcome_from_records(sweep, [record, None])
 
     def test_duplicate_cells_execute_once(self, tmp_path):
         # A variant label is cosmetic, so two labels with equal overrides

@@ -10,6 +10,7 @@ from repro.runs import (
     SweepSpec,
     SweepVariant,
     execute_cell,
+    outcome_from_records,
 )
 
 CONFIG = FederatedConfig(num_clients=4, clients_per_round=2, rounds=1,
@@ -150,16 +151,37 @@ class TestSweepSpec:
         with pytest.raises(ValueError):
             self.make_sweep(seeds=[])
 
-    def test_to_experiment_spec_single_panel(self):
-        sweep = self.make_sweep(seeds=[3], variants=[SweepVariant()])
-        spec = sweep.to_experiment_spec()
-        assert spec.methods == ["script-fair", "fedavg"]
-        assert spec.seed == 3
-        assert spec.config.seed == 3
+    @staticmethod
+    def fake_records(sweep):
+        # Each record's one accuracy is its seed / 4, naming its seed.
+        return [{"key": key.to_jsonable(),
+                 "result": {"algorithm": key.method,
+                            "accuracies": {"0": key.seed / 4}}}
+                for key in sweep.cells()]
 
-    def test_to_experiment_spec_rejects_multi_variant(self):
-        with pytest.raises(ValueError):
-            self.make_sweep().to_experiment_spec(seed=0)
+    def test_outcome_from_records_single_panel(self):
+        sweep = self.make_sweep(seeds=[3], variants=[SweepVariant()])
+        outcome = outcome_from_records(sweep, self.fake_records(sweep))
+        assert list(outcome.results) == ["script-fair", "fedavg"]
+        assert (outcome.title, outcome.dataset, outcome.setting) == \
+            ("grid", "cifar10", SETTING)
+        assert outcome.reports["fedavg"].mean == 0.75
+
+    def test_outcome_from_records_keeps_the_chosen_seed(self):
+        sweep = self.make_sweep(variants=[SweepVariant()])
+        records = self.fake_records(sweep)
+        outcome = outcome_from_records(sweep, records, seed=1, title="t")
+        assert outcome.title == "t"
+        assert outcome.reports["script-fair"].mean == 0.25
+        with pytest.raises(ValueError, match="pick one of seeds"):
+            outcome_from_records(sweep, records)
+        with pytest.raises(ValueError, match="not in sweep seeds"):
+            outcome_from_records(sweep, records, seed=2)
+
+    def test_outcome_from_records_rejects_multi_variant(self):
+        sweep = self.make_sweep()
+        with pytest.raises(ValueError, match="single-panel"):
+            outcome_from_records(sweep, self.fake_records(sweep), seed=0)
 
     def test_jsonable_includes_fingerprints(self):
         sweep = self.make_sweep()
@@ -171,50 +193,47 @@ class TestSweepSpec:
 
 
 class TestRetiredSharedMemoryKnob:
-    """Outcome files written while ``FederatedConfig`` still had a
-    ``shared_memory`` knob carry it in their spec; they must keep loading,
-    with the fingerprint and checkpoint contexts they were written under."""
+    """Cell records written while ``FederatedConfig`` still had a
+    ``shared_memory`` knob carry it in their config; they must keep
+    loading, with the fingerprint and checkpoint contexts they were
+    written under."""
 
-    # spec_to_jsonable output of a release that still had the knob; the
-    # expected hashes were computed by that release.
-    STORED_SPEC = {
-        "dataset": "cifar10",
-        "setting": {"kind": "dirichlet", "parameter": 0.3,
-                    "samples_per_client": 20},
-        "config": {
-            "num_clients": 3, "clients_per_round": 2, "rounds": 2,
-            "local_epochs": 3, "batch_size": 32, "learning_rate": 0.05,
-            "momentum": 0.9, "weight_decay": 0.0,
-            "personalization_epochs": 10, "personalization_lr": 0.05,
-            "personalization_batch_size": 32, "test_fraction": 0.25,
-            "num_novel_clients": 0, "seed": 4, "backend": "process",
-            "workers": 2, "client_batch": None,
-        },
-        "methods": ["calibre-simclr"], "encoder": "mlp", "encoder_width": 8,
-        "encoder_hidden_dims": [64, 32], "dataset_kwargs": {},
-        "method_overrides": {}, "seed": 4, "name": "compat",
+    # A config and setting as a release that still had the knob stored
+    # them; the expected hashes were computed by that release.
+    STORED_CONFIG = {
+        "num_clients": 3, "clients_per_round": 2, "rounds": 2,
+        "local_epochs": 3, "batch_size": 32, "learning_rate": 0.05,
+        "momentum": 0.9, "weight_decay": 0.0,
+        "personalization_epochs": 10, "personalization_lr": 0.05,
+        "personalization_batch_size": 32, "test_fraction": 0.25,
+        "num_novel_clients": 0, "seed": 4, "backend": "process",
+        "workers": 2, "client_batch": None,
     }
+    STORED_SETTING = {"kind": "dirichlet", "parameter": 0.3,
+                      "samples_per_client": 20}
     FINGERPRINT = "5725beaec25f84b9"
     SESSION_CONTEXT = "521a7846f92eea29"
 
     @pytest.mark.parametrize("stored", [None, True, False])
     def test_stored_payload_loads_with_unchanged_hashes(self, stored):
-        import copy
         import types
 
         from repro.fl.session.session import default_session_context
-        from repro.runs.serialize import spec_from_jsonable, spec_to_jsonable
+        from repro.runs.serialize import (
+            config_from_jsonable,
+            config_to_jsonable,
+            setting_from_jsonable,
+        )
 
-        payload = copy.deepcopy(self.STORED_SPEC)
-        payload["config"]["shared_memory"] = stored
-        spec = spec_from_jsonable(payload)
-        assert "shared_memory" not in spec_to_jsonable(spec)["config"]
-        key = RunKey(dataset=spec.dataset, setting=spec.setting,
-                     method="calibre-simclr", seed=spec.seed,
-                     config=spec.config)
+        config = config_from_jsonable({**self.STORED_CONFIG,
+                                       "shared_memory": stored})
+        assert "shared_memory" not in config_to_jsonable(config)
+        key = RunKey(dataset="cifar10",
+                     setting=setting_from_jsonable(self.STORED_SETTING),
+                     method="calibre-simclr", seed=4, config=config)
         assert key.fingerprint == self.FINGERPRINT
         clients = [types.SimpleNamespace(client_id=i, num_train_samples=12)
                    for i in range(3)]
         algorithm = types.SimpleNamespace(name="calibre-simclr")
-        assert default_session_context(algorithm, clients, spec.config) == \
+        assert default_session_context(algorithm, clients, config) == \
             self.SESSION_CONTEXT

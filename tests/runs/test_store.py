@@ -1,6 +1,7 @@
 """Tests for the persistent run store (layout, atomicity, resume scans)."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from repro.arrays import CorruptArrayFile
 from repro.eval import NonIIDSetting
 from repro.fl import FederatedConfig
-from repro.runs import RunStore, SweepSpec
+from repro.runs import CorruptCellRecord, RunStore, SweepSpec
 
 CONFIG = FederatedConfig(num_clients=4, clients_per_round=2, rounds=1,
                          local_epochs=1, batch_size=16,
@@ -80,19 +81,32 @@ class TestRunStore:
         records = store.load_records(cells)
         assert [r["key"]["method"] for r in records] == [k.method for k in cells]
 
-    def test_rebuild_index(self, tmp_path):
+    def test_torn_record_raises_named_error(self, tmp_path):
         store = RunStore(tmp_path)
-        cells = make_sweep().cells()
-        for key in cells:
-            store.write_record(fake_record(key))
-        store.index_path.write_text("garbage\n")
-        count = store.rebuild_index()
-        assert count == 2
-        lines = [json.loads(line) for line in
-                 store.index_path.read_text().splitlines()]
-        assert [e["fingerprint"] for e in lines] == sorted(
-            k.fingerprint for k in cells)
-        assert {e["method"] for e in lines} == {"script-fair", "fedavg"}
+        key = make_sweep().cells()[0]
+        path = store.write_record(fake_record(key))
+        path.write_text(path.read_text()[:30])
+        with pytest.raises(CorruptCellRecord,
+                           match=re.escape(str(path)) + ".*Unterminated string"):
+            store.read_record(key)
+        path.write_text("[]\n")
+        with pytest.raises(CorruptCellRecord, match="not a JSON object"):
+            store.read_record(key)
+
+    def test_misplaced_record_raises_named_error(self, tmp_path):
+        # A record filed under another cell's name is never returned as
+        # the requested cell.
+        store = RunStore(tmp_path)
+        first, second = make_sweep().cells()
+        store.path_for(second).write_text(
+            store.write_record(fake_record(first)).read_text())
+        with pytest.raises(CorruptCellRecord) as excinfo:
+            store.read_record(second)
+        message = str(excinfo.value)
+        assert str(store.path_for(second)) in message
+        assert "misplaced cell record" in message and first.fingerprint in message
+        assert isinstance(excinfo.value, ValueError)
+        assert store.read_record(first)["fingerprint"] == first.fingerprint
 
     def test_write_sweep_is_deterministic(self, tmp_path):
         store = RunStore(tmp_path)

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.fl import SessionCallback
 
 TINY_SWEEP_ARGS = [
     "--exp", "fig3", "--panel", "0", "--methods", "script-fair", "fedavg",
@@ -112,8 +113,10 @@ class TestMain:
         assert [method for method in ("script-fair", "fedavg")
                 if any(method in line for line in results)] == ["script-fair", "fedavg"]
 
-    def test_run_out_persists_outcome(self, capsys, tmp_path):
-        out_path = tmp_path / "outcome.json"
+    def test_run_out_writes_cell_records(self, capsys, tmp_path):
+        from repro.runs import RunKey, encode_record, execute_cell
+
+        out_path = tmp_path / "records.json"
         code = main([
             "run", "--method", "script-fair", "--setting", "dirichlet",
             "--param", "0.5", "--samples", "20", "--rounds", "1",
@@ -121,12 +124,12 @@ class TestMain:
         ])
         assert code == 0
         assert f"wrote {out_path}" in capsys.readouterr().out
-        payload = json.loads(out_path.read_text())
-        assert set(payload["results"]) == {"script-fair"}
-        from repro.runs import load_outcome
-
-        outcome = load_outcome(out_path)
-        assert outcome.reports["script-fair"].num_clients == 4
+        (record,) = json.loads(out_path.read_text())
+        assert record["report"]["num_clients"] == 4
+        # The object a run store's cells/<fingerprint>.json holds.
+        key = RunKey.from_jsonable(record["key"])
+        assert record["fingerprint"] == key.fingerprint
+        assert json.loads(encode_record(execute_cell(key))) == record
 
     def test_run_trace_out_writes_one_timeline(self, capsys, tmp_path):
         from repro.telemetry import validate_chrome_trace
@@ -181,6 +184,22 @@ class TestSweepCommands:
         assert "2 of 2 cells missing" in err
         assert "script-fair" in err
 
+    def test_corrupt_record_is_named_and_exits_1(self, capsys, tmp_path):
+        runs_dir = tmp_path / "store"
+        base = ["--runs-dir", str(runs_dir)] + TINY_SWEEP_ARGS
+        assert main(["sweep", "--quiet"] + base) == 0
+        capsys.readouterr()
+        path = sorted((runs_dir / "cells").glob("*.json"))[0]
+        path.write_text(path.read_text()[:30])
+        for argv in (["report"] + base,
+                     ["figures", "fig3", "--out", str(tmp_path / "f.svg"),
+                      "--runs-dir", str(runs_dir)] + TINY_SWEEP_ARGS[2:],
+                     ["sweep", "--quiet"] + base):
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert f"corrupt cell record {path}: Unterminated string" in err
+        assert not (tmp_path / "f.svg").exists()
+
     def test_report_requires_existing_store(self, capsys, tmp_path):
         code = main(["report", "--runs-dir", str(tmp_path / "nope")]
                     + TINY_SWEEP_ARGS)
@@ -213,6 +232,67 @@ class TestSweepCommands:
         first = capsys.readouterr().out
         assert main(["report", "--across-seeds"] + base) == 0
         assert capsys.readouterr().out == first
+
+
+class _KillAfterFirstRound(SessionCallback):
+    """Stops the cell after its first round, as a SIGKILL would (its round
+    checkpoint is already written)."""
+
+    class Killed(BaseException):
+        pass
+
+    def on_round_end(self, session, event):
+        raise _KillAfterFirstRound.Killed()
+
+
+class TestReportTimings:
+    GRID = ["--exp", "fig3", "--panel", "0", "--methods", "script-fair",
+            "fedavg", "--seeds", "0", "1", "--rounds", "2", "--clients", "4",
+            "--samples", "20"]
+
+    def test_sidecar_less_torn_and_resumed_cells(self, capsys, tmp_path):
+        from repro.experiments import fig3_sweep
+        from repro.runs import cell_checkpoint_dir, execute_cell
+
+        runs_dir = tmp_path / "store"
+        base = ["--runs-dir", str(runs_dir)] + self.GRID
+        no_sidecar, torn, resumed, timed = fig3_sweep(
+            0, methods=["script-fair", "fedavg"], seeds=[0, 1],
+            config=_tiny_config().with_overrides(rounds=2),
+            samples_per_client=20).cells()
+        # The first cell in grid order runs without telemetry.
+        assert main(["sweep", "--quiet", "--no-telemetry", "--max-cells", "1"]
+                    + base) == 0
+        # Another dies after one of its two rounds, leaving a checkpoint
+        # that the next sweep finishes it from.
+        with pytest.raises(_KillAfterFirstRound.Killed):
+            execute_cell(resumed,
+                         checkpoint_dir=cell_checkpoint_dir(runs_dir, resumed),
+                         session_hook=lambda name, session:
+                         session.add_callback(_KillAfterFirstRound()))
+        assert main(["sweep", "--quiet", "--round-checkpoints"] + base) == 0
+        assert "executed=3 skipped=1" in capsys.readouterr().out
+        # One sidecar's "cell" span line is torn in half.
+        sidecar = runs_dir / "telemetry" / f"{torn.fingerprint}.jsonl"
+        lines = sidecar.read_text().splitlines(keepends=True)
+        (index,) = [i for i, line in enumerate(lines)
+                    if '"name": "cell"' in line]
+        lines[index] = lines[index][:len(lines[index]) // 2]
+        sidecar.write_text("".join(lines))
+
+        assert main(["report", "--timings"] + base) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        rows = captured.out.split("cell timings (from telemetry sidecars):\n")[1]
+        assert no_sidecar.fingerprint not in rows
+        assert torn.fingerprint not in rows
+        assert f"  {resumed.fingerprint}   (resumed)  " in rows
+        (timed_row,) = [line for line in rows.splitlines()
+                        if timed.fingerprint in line]
+        assert "s/round)" in timed_row
+        assert "total " in rows and "over 1 cells" in rows
+        assert "(1 cell(s) finished from a mid-cell checkpoint" in rows
+        assert "(2 cell(s) have no recorded timing)" in rows
 
 
 TINY_FIGURE_ARGS = [
@@ -366,9 +446,8 @@ class TestReportMatchesLiveRun:
         sweep = fig4_sweep(0, methods=["fedavg-ft"], num_novel_clients=2,
                            config=_tiny_config(), samples_per_client=20)
         summary = run_sweep(sweep, store=None)
-        outcome = panel_outcome_from_records("fig4", 0, sweep, summary.cells,
-                                             summary.records)
-        title = outcome.spec.name
+        outcome = panel_outcome_from_records("fig4", 0, sweep, summary.records)
+        title = outcome.title
         assert outcome.novel_reports
         assert stored == "".join(block + "\n" for block in (
             format_comparison_table(outcome, title=title),
