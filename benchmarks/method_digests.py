@@ -10,7 +10,9 @@ The rows are:
 * ``calibre-simclr@buffered-churn``: buffered aggregation under
   availability churn, mid-round dropout and speed spread;
 * ``fedavg@staleness``: staleness-weighted aggregation;
-* ``fedper@process`` and ``calibre-simclr@process``: the process backend;
+* ``fedper@process``, ``calibre-simclr@process`` and ``scaffold@process``:
+  the process backend, whose workers keep one resident algorithm and
+  load SCAFFOLD's server control variate into it every round;
 * ``pfl-simclr@smallconv``: a conv encoder, whose personalization
   features are encoded array by array;
 * ``calibre-simclr@resnet9``: a residual conv encoder (stride-2 1x1
@@ -58,7 +60,8 @@ VARIANTS = [
     ("buffered-churn", ["calibre-simclr"],
      dict(aggregation="buffered", aggregation_buffer=2, availability=CHURN)),
     ("staleness", ["fedavg"], dict(aggregation="staleness")),
-    ("process", ["fedper", "calibre-simclr"], dict(backend="process", workers=2)),
+    ("process", ["fedper", "calibre-simclr", "scaffold"],
+     dict(backend="process", workers=2)),
 ]
 
 

@@ -85,6 +85,7 @@ from .runs import (
 )
 from .telemetry import (
     CellTelemetry,
+    CorruptSidecar,
     Tracer,
     chrome_trace,
     chrome_trace_from_cells,
@@ -607,7 +608,11 @@ def _command_sweep(args) -> int:
     print(summary.describe())
     print(f"store: {store.root} ({len(store)} cells)")
     if args.trace_out:
-        cells = load_store_telemetry(str(store.root))
+        try:
+            cells = load_store_telemetry(str(store.root))
+        except CorruptSidecar as error:
+            _print_corrupt_sidecar(error)
+            return 1
         if not cells:
             print("no telemetry sidecars to combine (swept with "
                   "--no-telemetry, or nothing executed yet)", file=sys.stderr)
@@ -782,6 +787,11 @@ def _print_corrupt(error: CorruptCellRecord) -> None:
           "the cell", file=sys.stderr)
 
 
+def _print_corrupt_sidecar(error: CorruptSidecar) -> None:
+    print(f"{error}; delete the file to go on without that cell's "
+          "telemetry", file=sys.stderr)
+
+
 def _stored_records(runs_dir: str, cells, experiment: str):
     """``(store, records)`` for ``cells`` — or ``(None, None)`` after naming
     the missing store, missing cells or a corrupt record on stderr
@@ -873,7 +883,11 @@ def _command_profile(args) -> int:
     except FileNotFoundError as error:
         print(error, file=sys.stderr)
         return 1
-    cells = load_store_telemetry(str(store.root))
+    try:
+        cells = load_store_telemetry(str(store.root))
+    except CorruptSidecar as error:
+        _print_corrupt_sidecar(error)
+        return 1
     if not cells:
         print(f"no telemetry sidecars under {store.telemetry_dir} "
               "(sweep with telemetry on — the default — to produce them)",

@@ -214,6 +214,15 @@ class FederatedAlgorithm:
         """Snapshot of all server-side state this algorithm mutates across
         rounds (beyond the global model, which the session owns).
 
+        The contract: between rounds an algorithm changes only through
+        what this returns.  Two things rely on it.  A run resumed from a
+        checkpoint equals the uninterrupted run, since the checkpoint
+        carries exactly this.  And a process pool installs the algorithm
+        in each worker once, then ships only this with every task
+        (:class:`~repro.fl.execution.Resident`), so state kept anywhere
+        else would go stale in the workers.  Caches that cannot change a
+        result, such as recorded traces, are not state.
+
         The returned dict must be a *copy* (checkpoints must not alias
         live arrays) and must survive the exact-JSON codec of
         :mod:`repro.fl.session.codec`: nested dicts/lists/tuples of numpy

@@ -30,7 +30,14 @@ pieces that make this hold:
    pickling).  Anything the caller needs back — client stores, updated
    state — must flow through the task's return value, which the session
    writes back on the coordinating process.
-3. **Index-tagged results.**  ``imap`` tags every result with its input
+3. **Resident algorithms.**  Tasks carry a :class:`Resident` handle in
+   place of the session's algorithm.  ``ProcessBackend`` installs every
+   registered algorithm (:meth:`ExecutionBackend.register`) in each pool
+   worker once, and a handle ships only the algorithm's ``server_state()``,
+   which the worker loads into its resident copy: by the
+   :meth:`~repro.fl.algorithm.FederatedAlgorithm.server_state` contract,
+   that copy is the coordinator's algorithm.
+4. **Index-tagged results.**  ``imap`` tags every result with its input
    index, and ``map`` returns results in input order, regardless of
    completion order.
 
@@ -65,6 +72,7 @@ __all__ = [
     "ThreadBackend",
     "ProcessBackend",
     "ExecutionError",
+    "Resident",
     "BACKENDS",
     "available_backends",
     "resolve_backend",
@@ -134,6 +142,54 @@ def _run_serially(task: Callable, chunks: Dict[int, List]
             yield start + offset, task(item)
 
 
+_INSTALLED: Dict[int, object] = {}
+"""The algorithms this pool worker's initializer installed, by token;
+empty in the coordinating process."""
+
+
+def _install(payload: bytes) -> None:
+    """Pool initializer: unpickle the registered algorithms once, for the
+    life of this worker."""
+    _INSTALLED.update(pickle.loads(payload))
+
+
+class Resident:
+    """What a task carries in place of a registered algorithm.
+
+    In the process that bound it, the handle holds the algorithm itself,
+    so serial execution (the process backend's fallback included) runs
+    the coordinator's instance and a thread replica deep-copies it.
+    Pickled, it is only the registration ``token`` and ``server_state``,
+    the algorithm's ``server_state()`` when the task was bound, which
+    :meth:`resolve` loads into the instance a pool worker installed.
+    """
+
+    def __init__(self, token: int, algorithm, server_state: Dict):
+        self.token = token
+        self.server_state = server_state
+        self._algorithm = algorithm
+
+    def __reduce__(self):
+        return Resident, (self.token, None, self.server_state)
+
+    def __deepcopy__(self, memo) -> "Resident":
+        return Resident(self.token, copy.deepcopy(self._algorithm, memo),
+                        self.server_state)
+
+    def resolve(self):
+        """The algorithm this handle names, in the current process."""
+        if self._algorithm is None:
+            algorithm = _INSTALLED.get(self.token)
+            if algorithm is None:
+                raise LookupError(
+                    f"algorithm {self.token} is not installed in this worker; "
+                    "register it with the backend that runs its tasks")
+            if self.server_state:
+                algorithm.load_server_state(self.server_state)
+            self._algorithm = algorithm
+        return self._algorithm
+
+
 class ExecutionBackend:
     """Common interface: stream a pure task's results over items."""
 
@@ -157,6 +213,13 @@ class ExecutionBackend:
         self._warned_fallback = False
 
     # ------------------------------------------------------------------
+    def register(self, algorithm) -> int:
+        """Register ``algorithm`` for this backend's tasks and return the
+        token its :class:`Resident` handles carry (the same token every
+        time).  Backends that run tasks in this process install nothing:
+        a handle resolves to the instance it holds."""
+        return id(algorithm)
+
     def imap(self, task: Callable, items: Sequence
              ) -> Iterator[Tuple[int, object]]:
         """Apply ``task`` to each item, yielding ``(input_index, result)``
@@ -262,6 +325,12 @@ class ProcessBackend(ExecutionBackend):
     this reason.  The pool is created lazily and kept alive across rounds
     to amortize worker start-up.
 
+    :meth:`register` adds an algorithm to what the pool's initializer
+    installs in every worker (a running pool shuts down, so the next
+    dispatch starts one that has it); ``close`` drops the registrations.
+    An algorithm that does not pickle fails the pool start, which falls
+    back to serial execution like an unpicklable task.
+
     ``register_clients`` activates the shared-memory data plane
     (:mod:`repro.data.shm`): client datasets move into a
     :class:`~repro.data.shm.SharedArrayStore` this backend owns — one
@@ -281,14 +350,33 @@ class ProcessBackend(ExecutionBackend):
         self._pool = None
         self._broken_cause: Optional[BaseException] = None
         self._stores: List = []
+        self._registry: Dict[int, object] = {}
 
     # ------------------------------------------------------------------
+    def register(self, algorithm) -> int:
+        token = super().register(algorithm)
+        if token not in self._registry:
+            self._registry[token] = algorithm
+            self._shutdown_pool()  # its workers lack the new algorithm
+        return token
+
     def _ensure_pool(self):
         if self._pool is None:
             from concurrent.futures import ProcessPoolExecutor
 
-            self._pool = ProcessPoolExecutor(max_workers=self.workers)
+            # Pickled here, on the coordinator, so an algorithm that
+            # cannot reach a worker fails before any worker starts.
+            payload = pickle.dumps(self._registry,
+                                   protocol=pickle.HIGHEST_PROTOCOL)
+            self._pool = ProcessPoolExecutor(max_workers=self.workers,
+                                             initializer=_install,
+                                             initargs=(payload,))
         return self._pool
+
+    def _shutdown_pool(self) -> None:
+        if self._pool is not None:
+            self._pool.shutdown(wait=True, cancel_futures=True)
+            self._pool = None
 
     def register_clients(self, clients: Sequence) -> bool:
         """Move client datasets into a shared-memory store owned by this
@@ -306,9 +394,8 @@ class ProcessBackend(ExecutionBackend):
         return True
 
     def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True, cancel_futures=True)
-            self._pool = None
+        self._shutdown_pool()
+        self._registry.clear()
         if self._stores:
             from ..data.shm import unshare_client_splits
 

@@ -41,7 +41,7 @@ from ...telemetry import InstrumentedTask, TaskOutcome, Tracer, current_tracer
 from ..algorithm import ClientUpdate, FederatedAlgorithm
 from ..client import ClientData
 from ..config import DEFAULT_OMITTED_FIELDS, EXECUTION_FIELDS, FederatedConfig
-from ..execution import ExecutionBackend, chunk_items, resolve_backend
+from ..execution import ExecutionBackend, Resident, chunk_items, resolve_backend
 from ..history import RoundRecord, RunResult
 from ..population import AvailabilityModel, VirtualPopulation, buffered_aggregate
 from ..sampler import RandomSampler
@@ -106,20 +106,19 @@ def _cohort_outcomes(clients: Sequence[ClientData], run) -> List[_ClientOutcome]
             for client, result, was_packed in zip(clients, results, packed)]
 
 
-def _cohort_update_task(algorithm: FederatedAlgorithm, global_state: StateDict,
+def _cohort_update_task(algorithm: Resident, global_state: StateDict,
                         round_index: int, clients: Sequence[ClientData]
                         ) -> List[_ClientOutcome]:
     """One cohort's round contribution (module-level: picklable)."""
-    return _cohort_outcomes(clients, lambda: algorithm.cohort_update(
+    return _cohort_outcomes(clients, lambda: algorithm.resolve().cohort_update(
         clients, global_state, round_index))
 
 
-def _cohort_personalize_task(algorithm: FederatedAlgorithm,
-                             global_state: StateDict,
+def _cohort_personalize_task(algorithm: Resident, global_state: StateDict,
                              clients: Sequence[ClientData]
                              ) -> List[_ClientOutcome]:
     """One cohort's personalization stage (module-level: picklable)."""
-    return _cohort_outcomes(clients, lambda: algorithm.cohort_personalize(
+    return _cohort_outcomes(clients, lambda: algorithm.resolve().cohort_personalize(
         clients, global_state))
 
 
@@ -259,6 +258,9 @@ class TrainingSession:
             backend if backend is not None else config.backend,
             workers=config.workers,
         )
+        # Tasks name the algorithm by this token (see _resident); a process
+        # pool installs it in every worker once, not once per task.
+        self._algorithm_token = self.backend.register(algorithm)
         self.verbose = verbose
         self.callbacks: List[SessionCallback] = list(callbacks)
         self.context = (context if context is not None
@@ -359,6 +361,12 @@ class TrainingSession:
         if self.tracer is None:
             return task
         return InstrumentedTask(task, span_name, describe=describe)
+
+    def _resident(self) -> Resident:
+        """The algorithm as a cohort task carries it: its registration
+        token and its server state as of now, between rounds."""
+        return Resident(self._algorithm_token, self.algorithm,
+                        self.algorithm.server_state())
 
     def _unbox(self, outcome):
         """Merge a worker fragment (if any) and return the task's result."""
@@ -511,7 +519,7 @@ class TrainingSession:
         plan = self._plan_cohorts(participants)
         task = self._instrument(
             functools.partial(
-                _cohort_update_task, self.algorithm,
+                _cohort_update_task, self._resident(),
                 self._state.global_state, round_index,
             ),
             "cohort_update",
@@ -653,7 +661,7 @@ class TrainingSession:
             raise RuntimeError("train() must run before personalization")
         task = self._instrument(
             functools.partial(
-                _cohort_personalize_task, self.algorithm,
+                _cohort_personalize_task, self._resident(),
                 self._state.global_state,
             ),
             "cohort_personalize",

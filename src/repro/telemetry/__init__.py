@@ -15,7 +15,12 @@ from .export import (
     sidecar_lines,
     validate_chrome_trace,
 )
-from .profile import load_store_telemetry, profile_cell, render_profile
+from .profile import (
+    CorruptSidecar,
+    load_store_telemetry,
+    profile_cell,
+    render_profile,
+)
 from .spans import (
     InstrumentedTask,
     Span,
@@ -30,6 +35,7 @@ from .spans import (
 __all__ = [
     "TELEMETRY_SCHEMA",
     "CellTelemetry",
+    "CorruptSidecar",
     "InstrumentedTask",
     "Span",
     "TaskOutcome",

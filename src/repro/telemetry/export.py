@@ -97,38 +97,43 @@ class CellTelemetry:
 def parse_sidecar(text: str) -> CellTelemetry:
     """Parse ``telemetry.jsonl`` text back into spans and totals.
 
-    Unknown ``kind`` lines are skipped (forward compatibility); torn or
-    malformed lines raise — a sidecar is written atomically, so damage
-    means a real bug, not a crash artifact.
+    Unknown ``kind`` lines are skipped (forward compatibility); a torn or
+    malformed line raises ``ValueError`` naming its line number — a
+    sidecar is written atomically, so damage means a real bug, not a
+    crash artifact.
     """
     meta: Dict = {}
     spans: List[Span] = []
     counters: Dict[str, float] = {}
     gauges: Dict[str, float] = {}
-    for line in text.splitlines():
+    for number, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line:
             continue
-        payload = json.loads(line)
-        kind = payload.get("kind")
-        if kind == "meta":
-            meta = payload
-        elif kind == "span":
-            spans.append(Span(
-                span_id=int(payload["id"]),
-                name=payload["name"],
-                category=payload.get("cat", "phase"),
-                start=float(payload["start_s"]),
-                duration=float(payload["dur_s"]),
-                parent_id=payload.get("parent"),
-                pid=int(payload.get("pid", 0)),
-                tid=int(payload.get("tid", 0)),
-                attrs=payload.get("attrs", {}),
-            ))
-        elif kind == "counter":
-            counters[payload["name"]] = float(payload["value"])
-        elif kind == "gauge":
-            gauges[payload["name"]] = float(payload["value"])
+        try:
+            payload = json.loads(line)
+            kind = payload.get("kind")
+            if kind == "meta":
+                meta = payload
+            elif kind == "span":
+                spans.append(Span(
+                    span_id=int(payload["id"]),
+                    name=payload["name"],
+                    category=payload.get("cat", "phase"),
+                    start=float(payload["start_s"]),
+                    duration=float(payload["dur_s"]),
+                    parent_id=payload.get("parent"),
+                    pid=int(payload.get("pid", 0)),
+                    tid=int(payload.get("tid", 0)),
+                    attrs=payload.get("attrs", {}),
+                ))
+            elif kind == "counter":
+                counters[payload["name"]] = float(payload["value"])
+            elif kind == "gauge":
+                gauges[payload["name"]] = float(payload["value"])
+        except (ValueError, KeyError, TypeError, AttributeError) as error:
+            raise ValueError(
+                f"line {number}: {type(error).__name__}: {error}") from error
     return CellTelemetry(meta=meta, spans=spans, counters=counters,
                          gauges=gauges)
 

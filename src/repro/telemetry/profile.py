@@ -21,6 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .export import CellTelemetry, parse_sidecar
 
 __all__ = [
+    "CorruptSidecar",
     "load_store_telemetry",
     "PhaseStat",
     "ClientStats",
@@ -49,8 +50,16 @@ PHASE_ORDER = (
 CLIENT_SPAN_NAMES = ("client_update", "cohort_update", "cohort_personalize")
 
 
+class CorruptSidecar(ValueError):
+    """A telemetry sidecar does not parse: a torn or malformed line.
+    Raised on load, naming the file and the line."""
+
+
 def load_store_telemetry(store_root: str) -> List[Tuple[str, CellTelemetry]]:
-    """All sidecars under ``<store>/telemetry/``, sorted by fingerprint."""
+    """All sidecars under ``<store>/telemetry/``, sorted by fingerprint.
+
+    Raises :class:`CorruptSidecar` for the first one that does not parse.
+    """
     telemetry_dir = os.path.join(store_root, "telemetry")
     if not os.path.isdir(telemetry_dir):
         return []
@@ -60,7 +69,12 @@ def load_store_telemetry(store_root: str) -> List[Tuple[str, CellTelemetry]]:
             continue
         path = os.path.join(telemetry_dir, name)
         with open(path, "r", encoding="utf-8") as handle:
-            cells.append((name[:-len(".jsonl")], parse_sidecar(handle.read())))
+            text = handle.read()
+        try:
+            cells.append((name[:-len(".jsonl")], parse_sidecar(text)))
+        except ValueError as error:
+            raise CorruptSidecar(
+                f"corrupt telemetry sidecar {path}: {error}") from error
     return cells
 
 

@@ -1,6 +1,7 @@
 """Execution backends: determinism across backends, fallback, validation."""
 
 import functools
+import json
 import os
 import pickle
 import time
@@ -9,9 +10,12 @@ import warnings
 import numpy as np
 import pytest
 
+from repro.baselines import Scaffold
 from repro.eval import build_method, make_dataset, make_encoder_factory
 from repro.eval.harness import NonIIDSetting, make_partitions
 from repro.fl import (
+    ClientUpdate,
+    FederatedAlgorithm,
     FederatedConfig,
     ProcessBackend,
     SerialBackend,
@@ -23,6 +27,7 @@ from repro.fl import (
     resolve_backend,
 )
 from repro.fl.execution import ExecutionError, chunk_items, resolve_workers
+from repro.telemetry import Tracer
 
 
 def _double(x):
@@ -344,3 +349,134 @@ def test_client_payloads_are_picklable():
     for client in clients:
         assert payload_nbytes(client) > 0
     pickle.loads(pickle.dumps(encoder_factory))()  # factories cross processes too
+
+
+# ----------------------------------------------------------------------
+# Resident algorithms: a process pool installs the algorithm once
+# ----------------------------------------------------------------------
+RESIDENT_CONFIG = TINY_CONFIG.with_overrides(rounds=3)
+SSL_SIZES = {"projection_dim": 8, "hidden_dim": 16}
+
+
+class _PickleCounted(FederatedAlgorithm):
+    """A minimal algorithm that counts the pickles of itself made in the
+    process that pickles it."""
+
+    name = "pickle-counted"
+    pickles = 0
+
+    def build_global_state(self):
+        return {"w": np.zeros(3)}
+
+    def local_update(self, client, global_state, round_index):
+        return ClientUpdate(client_id=client.client_id,
+                            state={"w": global_state["w"] + 1.0},
+                            weight=float(client.num_train_samples),
+                            metrics={"loss": 1.0})
+
+    def extract_features(self, clients, global_state, images):
+        return [array.reshape(array.shape[0], -1) for array in images]
+
+    def __getstate__(self):
+        type(self).pickles += 1
+        return self.__dict__
+
+
+class _DiesInWorker(Scaffold):
+    """SCAFFOLD whose pool worker dies at its first update of
+    ``die_round``; the coordinator never dies."""
+
+    def __init__(self, *args, die_round, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.die_round = die_round
+        self.coordinator_pid = os.getpid()
+
+    def local_update(self, client, global_state, round_index):
+        if round_index == self.die_round and os.getpid() != self.coordinator_pid:
+            os._exit(1)
+        return super().local_update(client, global_state, round_index)
+
+
+def _resident_session(algorithm_of, backend, workers=2, tracer=None):
+    """A RESIDENT_CONFIG session over the tiny workload; ``algorithm_of``
+    builds the algorithm from (config, num_classes, encoder_factory), and
+    ``backend`` is a name or a shared backend instance."""
+    dataset, partitions, encoder_factory = _tiny_workload()
+    config = RESIDENT_CONFIG.with_overrides(workers=workers)
+    clients = build_federation(dataset, partitions, seed=2)
+    algorithm = algorithm_of(config, dataset.num_classes, encoder_factory)
+    return TrainingSession(algorithm, clients, config, backend=backend,
+                           tracer=tracer)
+
+
+def _method(name):
+    overrides = {} if name == "scaffold" else SSL_SIZES
+    return functools.partial(build_method, name, **overrides)
+
+
+@pytest.mark.parametrize("method", ["scaffold", "calibre-simclr"])
+def test_resident_workers_reproduce_serial_without_resume(method):
+    """Three rounds plus personalization: SCAFFOLD's server control
+    reaches the resident copies every round, and Calibre's warm traces
+    change nothing."""
+    results = {}
+    for backend in ("serial", "process"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            result = _resident_session(_method(method), backend).execute()
+        results[backend] = json.dumps(result.to_json())
+    assert results["process"] == results["serial"]
+
+
+def test_sessions_sharing_a_pool_each_reproduce_serial():
+    """The second session's registration restarts the pool the first one
+    started; the new pool installs both algorithms."""
+    methods = ("scaffold", "calibre-simclr")
+    expected = [json.dumps(_resident_session(_method(method), "serial")
+                           .execute().to_json()) for method in methods]
+    with ProcessBackend(workers=1) as backend, warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # no serial fallback
+        first = _resident_session(_method(methods[0]), backend)
+        first.step()
+        second = _resident_session(_method(methods[1]), backend)
+        second.step()
+        results = [json.dumps(session.execute().to_json())
+                   for session in (first, second)]
+    assert results == expected
+
+
+def test_running_pool_never_repickles_the_algorithm():
+    session = _resident_session(lambda config, classes, _: _PickleCounted(
+        config, classes), "process")
+    with session:
+        session.step()  # starts the pool, which installs the algorithm
+        _PickleCounted.pickles = 0
+        session.run()
+        session.personalize()
+    assert _PickleCounted.pickles == 0
+
+
+def test_resident_traces_miss_no_more_than_serial():
+    """One worker, as in the benchmark's process workload: its resident
+    copy keeps the traces it recorded across rounds, as serial does."""
+    misses = {}
+    for backend in ("serial", "process"):
+        tracer = Tracer()
+        _resident_session(_method("calibre-simclr"), backend, workers=1,
+                          tracer=tracer).execute()
+        misses[backend] = tracer.counters.get("trace.cache_misses", 0)
+    assert misses["serial"] > 0
+    assert misses["process"] <= misses["serial"]
+
+
+def test_worker_killed_after_install_ends_in_the_serial_result():
+    def dies_in_round_1(config, classes, encoder_factory):
+        return _DiesInWorker(config, classes, encoder_factory, die_round=1)
+
+    expected = _resident_session(dies_in_round_1, "serial").execute()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = _resident_session(dies_in_round_1, "process").execute()
+    assert any("BrokenProcessPool" in str(warning.message)
+               for warning in _runtime_warnings(caught))
+    assert json.dumps(result.to_json()) == json.dumps(expected.to_json())

@@ -403,14 +403,21 @@ class TestRestoreValidation:
 
 
 class StoreAlgorithm(TraceAlgorithm):
-    """Keeps per-client store state; ``fail_client`` makes that client's
-    local update raise."""
+    """Keeps per-client store state; ``fail_at=(round, client)`` makes that
+    client's local update raise in that round.
+
+    The failure is fixed at construction: a process pool installs the
+    algorithm in its workers once, so attributes set on the coordinator's
+    instance later never reach them."""
 
     name = "store"
-    fail_client = None
+
+    def __init__(self, config, fail_at=None):
+        super().__init__(config)
+        self.fail_at = fail_at
 
     def local_update(self, client, global_state, round_index):
-        if client.client_id == self.fail_client:
+        if (round_index, client.client_id) == self.fail_at:
             raise ValueError(f"client {client.client_id} failed")
         client.store["visits"] = np.full(2, float(round_index + 1))
         return super().local_update(client, global_state, round_index)
@@ -425,9 +432,10 @@ class TestFailurePathsLeaveStoresUnpacked:
     """Under the process backend client stores travel packed; a round that
     fails mid-dispatch must still leave every participant a plain store."""
 
-    def _session(self, clients):
+    def _session(self, clients, fail_at=None):
         config = tiny_config(clients_per_round=4, backend="process", workers=2)
-        session = TrainingSession(StoreAlgorithm(config), clients, config)
+        session = TrainingSession(StoreAlgorithm(config, fail_at=fail_at),
+                                  clients, config)
         session.step()  # every store is non-empty from here on, so it packs
         assert all(client.store for client in clients)
         return session
@@ -445,8 +453,7 @@ class TestFailurePathsLeaveStoresUnpacked:
 
     def test_failing_local_update(self):
         clients = make_clients(4)
-        with self._session(clients) as session:
-            session.algorithm.fail_client = 2
+        with self._session(clients, fail_at=(1, 2)) as session:
             with pytest.raises(ValueError, match="client 2 failed") as caught:
                 session.step()
             self._assert_plain_stores(session, clients, caught)

@@ -2,7 +2,10 @@
 
 import json
 
+import pytest
+
 from repro.telemetry import (
+    CorruptSidecar,
     load_store_telemetry,
     parse_sidecar,
     profile_cell,
@@ -119,3 +122,12 @@ class TestLoadStoreTelemetry:
 
     def test_missing_directory_is_empty(self, tmp_path):
         assert load_store_telemetry(str(tmp_path)) == []
+
+    def test_malformed_line_names_the_file_and_line(self, tmp_path):
+        telemetry_dir = tmp_path / "telemetry"
+        telemetry_dir.mkdir()
+        path = telemetry_dir / "aaa.jsonl"
+        path.write_text(two_round_sidecar() + '{"kind": "counter"}\n')
+        with pytest.raises(CorruptSidecar,
+                           match=f"corrupt telemetry sidecar {path}: line "):
+            load_store_telemetry(str(tmp_path))

@@ -200,6 +200,28 @@ class TestSweepCommands:
             assert f"corrupt cell record {path}: Unterminated string" in err
         assert not (tmp_path / "f.svg").exists()
 
+    def test_corrupt_sidecar_is_named_and_exits_1(self, capsys, tmp_path):
+        runs_dir = tmp_path / "store"
+        base = ["--runs-dir", str(runs_dir)] + TINY_SWEEP_ARGS
+        assert main(["sweep", "--quiet"] + base) == 0
+        capsys.readouterr()
+        path = sorted((runs_dir / "telemetry").glob("*.jsonl"))[0]
+        lines = path.read_text().splitlines(keepends=True)
+        (torn,) = [number for number, line in enumerate(lines)
+                   if '"name": "cell"' in line]
+        lines[torn] = lines[torn][:len(lines[torn]) // 2] + "\n"
+        path.write_text("".join(lines))
+        trace = tmp_path / "trace.json"
+        for argv in (["profile", str(runs_dir)],
+                     ["sweep", "--quiet", "--trace-out", str(trace)] + base):
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert f"corrupt telemetry sidecar {path}: line {torn + 1}: " in err
+        assert not trace.exists()
+        # The report still renders; that cell just has no recorded timing.
+        assert main(["report", "--timings"] + base) == 0
+        assert "(1 cell(s) have no recorded timing)" in capsys.readouterr().out
+
     def test_report_requires_existing_store(self, capsys, tmp_path):
         code = main(["report", "--runs-dir", str(tmp_path / "nope")]
                     + TINY_SWEEP_ARGS)
