@@ -14,6 +14,7 @@ script for the CI smoke check and a per-backend rounds/sec comparison::
 """
 
 import argparse
+import pickle
 import sys
 import time
 from operator import itemgetter
@@ -122,13 +123,13 @@ def run_round_loop(backend: str, workers, rounds: int = 2, num_clients: int = 4,
                    method: str = "pfl-simclr", client_batch=None):
     """Time the federated training stage; returns a metrics row.
 
-    ``payload_inline_bytes`` is what one client costs on the wire with its
-    arrays pickled inline; ``payload_wire_bytes`` is what it actually costs
-    on this backend (identical unless the shared-memory data plane is
-    active — on the process backend — which replaces the arrays with
-    handles).  Both are
+    ``payload_inline_bytes`` is what one client costs pickled whole, as a
+    process pool installs it once; ``payload_wire_bytes`` is the pickled
+    handle a process task carries for it each round (its id and store,
+    :meth:`~repro.fl.session.TrainingSession.client_handle`).  Both are
     measured before training so they isolate the dataset-shipping cost the
-    plane eliminates, not the algorithm state that must travel regardless.
+    resident federation eliminates, not the algorithm state that must
+    travel regardless.
 
     ``client_batch`` selects the cohort-vectorized engine
     (:mod:`repro.nn.trace`): ``1`` forces the per-client path, ``None``
@@ -146,8 +147,9 @@ def run_round_loop(backend: str, workers, rounds: int = 2, num_clients: int = 4,
     algorithm = build_method(method, config, dataset.num_classes, encoder_factory,
                              projection_dim=8, hidden_dim=16)
     session = TrainingSession(algorithm, clients, config)
-    payload_inline = payload_nbytes(clients[0], inline=True)
-    payload_wire = payload_nbytes(clients[0])
+    payload_inline = payload_nbytes(clients[0])
+    payload_wire = len(pickle.dumps(session.client_handle(clients[0]),
+                                    protocol=pickle.HIGHEST_PROTOCOL))
     # Warm the worker pool (spawn + first pickle round-trip) so the timer
     # measures steady-state dispatch, which is what the table claims.
     session.backend.map(abs, list(range(session.backend.workers)))
@@ -158,7 +160,6 @@ def run_round_loop(backend: str, workers, rounds: int = 2, num_clients: int = 4,
     return {
         "backend": backend,
         "workers": session.backend.workers,
-        "shared_memory": session.shared_memory_active,
         "client_batch": "auto" if client_batch is None else client_batch,
         "elapsed_s": elapsed,
         "rounds_per_sec": rounds / elapsed if elapsed > 0 else float("inf"),
@@ -345,8 +346,8 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--smoke", action="store_true",
                         help="tiny fixed workload; exits non-zero on any failure, "
-                             "backend disagreement, a shared-memory payload "
-                             "reduction below 10x, a cohort-vectorization "
+                             "backend disagreement, a process-task client "
+                             "payload reduction below 10x, a cohort-vectorization "
                              "speedup below 5x (pfl-simclr) or 1.5x "
                              "(calibre-simclr), batched/per-client result "
                              "divergence, a columnar-checkpoint byte "
@@ -362,8 +363,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     rounds, clients = (2, 4) if args.smoke else (args.rounds, args.clients)
 
-    # One row per backend; on the process row the shared-memory data plane
-    # is active, so its payload columns show what the plane buys.
+    # One row per backend; on the process row the payload columns show
+    # what the resident federation buys.
     rows = [
         run_round_loop(backend, 1 if backend == "serial" else args.workers,
                        rounds=rounds, num_clients=clients, method=args.method,
@@ -442,19 +443,15 @@ def main(argv=None) -> int:
         status = 1
     else:
         print("OK: all backends produced identical final losses")
-    shm_rows = [row for row in rows if row["shared_memory"]]
-    if shm_rows:
-        reduction = min(row["payload_inline_bytes"] / max(row["payload_wire_bytes"], 1)
-                        for row in shm_rows)
-        if reduction < 10.0:
-            print(f"FAIL: shared-memory payload reduction only {reduction:.1f}x",
-                  file=sys.stderr)
-            status = 1
-        else:
-            print(f"OK: shared-memory plane cuts the pickled client payload "
-                  f"{reduction:.1f}x")
-    elif args.smoke:
-        print("note: shared-memory plane unavailable here; payload gate skipped")
+    (process,) = [row for row in rows if row["backend"] == "process"]
+    reduction = process["payload_inline_bytes"] / max(process["payload_wire_bytes"], 1)
+    if reduction < 10.0:
+        print(f"FAIL: a process task's client payload is only {reduction:.1f}x "
+              "below the client's pickled size", file=sys.stderr)
+        status = 1
+    else:
+        print(f"OK: the resident federation cuts a process task's client "
+              f"payload {reduction:.1f}x")
     for method, cohort in cohorts.items():
         per_client, batched = cohort["rows"]
         if per_client["final_loss"] != batched["final_loss"]:

@@ -1,11 +1,11 @@
 """PKL — picklable execution payloads.
 
-The process backend ships ``ClientData`` (including algorithm state in
-``client.store``), algorithm instances, and encoder specs to workers by
-pickle; an unpicklable member silently degrades execution to serial (the
-documented fallback), which is a performance cliff nobody notices in a
-test run.  The checker bans the known-unpicklable member kinds at their
-source:
+The process backend ships algorithm instances, client data (a client
+table or a virtual population's recipe, installed once per pool), client
+stores, and encoder specs to workers by pickle; an unpicklable member
+silently degrades execution to serial (the documented fallback), which
+is a performance cliff nobody notices in a test run.  The checker bans
+the known-unpicklable member kinds at their source:
 
 ``PKL001``
     In a payload-surface class (no ``__getstate__``/``__reduce__`` of its
@@ -29,10 +29,11 @@ from ..registry import Rule, register
 
 PKL_SCOPE = (
     "repro.fl.client", "repro.fl.algorithm", "repro.fl.models",
-    "repro.baselines", "repro.ssl", "repro.data.shm", "repro.eval.harness",
+    "repro.fl.population", "repro.baselines", "repro.ssl",
+    "repro.eval.harness",
 )
 """The payload surfaces: clients and their stores, algorithms, models,
-SSL methods, shared-memory handles, and encoder specs (all documented as
+virtual populations, SSL methods, and encoder specs (all documented as
 picklable in repro/fl/client.py)."""
 
 _EXEMPTING_METHODS = {"__getstate__", "__reduce__", "__reduce_ex__"}

@@ -581,14 +581,14 @@ def _grid_flags(args) -> str:
 
 
 def _command_sweep(args) -> int:
-    if args.checkpoint_every < 1:
-        print(f"--checkpoint-every must be >= 1, got {args.checkpoint_every}",
-              file=sys.stderr)
-        return 2
-    if args.client_batch is not None and args.client_batch < 1:
-        print(f"--client-batch must be >= 1, got {args.client_batch}",
-              file=sys.stderr)
-        return 2
+    # Checked before the store is opened, so a bad value creates nothing.
+    for flag, value, least in (("--checkpoint-every", args.checkpoint_every, 1),
+                               ("--client-batch", args.client_batch, 1),
+                               ("--jobs", args.jobs, 1),
+                               ("--max-cells", args.max_cells, 0)):
+        if value is not None and value < least:
+            print(f"{flag} must be >= {least}, got {value}", file=sys.stderr)
+            raise SystemExit(2)
     sweep = _build_sweep(args)
     store = RunStore(args.runs_dir)
     executor = (execute_embedding_cell if args.exp in EMBEDDING_FIGURES

@@ -23,13 +23,6 @@ from .partition import (
     partition_quantity_label,
     stratified_split,
 )
-from .shm import (
-    ArrayHandle,
-    DataSplitHandle,
-    SharedArrayStore,
-    share_client_splits,
-    shared_memory_available,
-)
 from .stats import (
     classes_per_client,
     client_label_matrix,
@@ -47,11 +40,6 @@ from .synthetic import (
 
 __all__ = [
     "DataSplit",
-    "ArrayHandle",
-    "DataSplitHandle",
-    "SharedArrayStore",
-    "share_client_splits",
-    "shared_memory_available",
     "SyntheticImageDataset",
     "make_cifar10_like",
     "make_cifar100_like",

@@ -71,10 +71,6 @@ class DataSplit:
     def nbytes(self) -> int:
         return int(self.images.nbytes) + int(self.labels.nbytes)
 
-    def materialize(self) -> "DataSplit":
-        """Already in-process; mirrors ``DataSplitHandle.materialize``."""
-        return self
-
 
 def _gaussian_wrap(field: np.ndarray, sigma: float) -> np.ndarray:
     """``scipy.ndimage.gaussian_filter(field, (0, sigma, sigma), mode="wrap")``,

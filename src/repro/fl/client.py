@@ -7,16 +7,19 @@ set), an optional shard of unlabeled data (STL-10), and a ``store`` dict
 that stateful algorithms (SCAFFOLD, APFL, Ditto, FedPer, ...) use to keep
 per-client variables across rounds.
 
-Clients are also the payloads the execution backends ship to workers
-(:mod:`repro.fl.execution`): a :class:`ClientData` — including everything
-algorithms put in ``store`` (state dicts, numpy arrays, plain containers)
-— must stay picklable, or the process backend degrades to serial.  Use
-:func:`payload_nbytes` to measure what one client costs on the wire.
+Clients are also what the process execution backend installs in its
+workers (:mod:`repro.fl.execution`): a session registers its client list
+as a :class:`ClientTable`, which every pool worker unpickles once, and a
+task then ships each client's id and ``store`` only.  So a
+:class:`ClientData` — including everything algorithms put in ``store``
+(state dicts, numpy arrays, plain containers) — must stay picklable, or
+the process backend degrades to serial.  :func:`payload_nbytes` measures
+what one client costs pickled whole.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -26,6 +29,7 @@ from ..data.synthetic import DataSplit, SyntheticImageDataset
 
 __all__ = [
     "ClientData",
+    "ClientTable",
     "build_federation",
     "build_novel_clients",
     "derive_rng",
@@ -50,13 +54,7 @@ class ClientData:
 
     def ssl_pool(self) -> DataSplit:
         """Images available for self-supervised training: the labeled local
-        training images plus any unlabeled shard (labels are unused).
-
-        Handle-aware: when the shared-memory data plane is active the
-        splits are :class:`~repro.data.shm.DataSplitHandle`\\ s, whose
-        ``images``/``labels`` resolve to read-only views over the shared
-        segment — the pool is assembled from those views without copying
-        the underlying dataset back into the client."""
+        training images plus any unlabeled shard (labels are unused)."""
         if self.unlabeled is None or len(self.unlabeled) == 0:
             return self.train
         images = np.concatenate([self.train.images, self.unlabeled.images])
@@ -64,6 +62,24 @@ class ClientData:
             [self.train.labels, np.full(len(self.unlabeled), -1, dtype=np.int64)]
         )
         return DataSplit(images, labels)
+
+
+class ClientTable:
+    """A client list by id, without the clients' stores: what a process
+    pool installs for a materialized federation.
+
+    A worker resolves a task's client id here and attaches the store the
+    task shipped (:class:`~repro.fl.execution.ResidentClient`); the
+    table's own clients never hold one.
+    """
+
+    def __init__(self, clients: Sequence[ClientData]):
+        self._clients = {client.client_id: replace(client, store={})
+                         for client in clients}
+
+    def attach(self, client_id: int, store: Dict) -> ClientData:
+        """Client ``client_id`` holding ``store``."""
+        return replace(self._clients[client_id], store=store)
 
 
 def derive_rng(seed: int, *streams: int) -> np.random.Generator:
@@ -87,29 +103,18 @@ def derive_rng(seed: int, *streams: int) -> np.random.Generator:
     return np.random.default_rng([seed] + [int(s) + 1 for s in streams])
 
 
-def payload_nbytes(client: "ClientData", inline: bool = False) -> int:
-    """Pickled size of one client payload as shipped to a process worker.
+def payload_nbytes(client: "ClientData") -> int:
+    """Pickled size of one whole client, samples and store.
 
-    With the shared-memory data plane active the client's splits pickle as
-    lightweight handles, so this measures the actual wire cost — O(model +
-    store), not O(dataset).  ``inline=True`` instead measures what the
-    payload would cost with every array pickled inline (the pre-plane wire
-    size); benchmarks report both to show the plane's payload reduction.
-
-    Raises the underlying pickling error for unpicklable ``store`` entries,
-    which is the same condition that makes the process backend fall back to
-    serial — so tests and benchmarks can assert the contract directly.
+    A process pool pays this once per client, when it installs the
+    federation; a task then carries the client's id and store only.
+    Raises the underlying pickling error for unpicklable ``store``
+    entries, which is the same condition that makes the process backend
+    fall back to serial — so tests and benchmarks can assert the
+    contract directly.
     """
-    import copy
     import pickle
 
-    if inline:
-        replica = copy.copy(client)
-        for attr in ("train", "test", "unlabeled"):
-            split = getattr(replica, attr, None)
-            if split is not None and hasattr(split, "materialize"):
-                setattr(replica, attr, split.materialize())
-        client = replica
     return len(pickle.dumps(client, protocol=pickle.HIGHEST_PROTOCOL))
 
 

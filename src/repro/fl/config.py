@@ -112,10 +112,9 @@ class FederatedConfig:
     Backends are bitwise-deterministic, so these knobs change wall-clock
     time, never results.
 
-    The process backend moves client datasets into the zero-copy
-    shared-memory data plane (:mod:`repro.data.shm`) whenever a segment
-    can be created, and pickles them inline otherwise; there is no knob,
-    since workers read the same bytes either way.
+    The process backend installs the session's clients (or its virtual
+    population's recipe) in each pool worker once, when the pool starts;
+    each task then ships model state and client stores only.
 
     ``client_batch`` controls cohort-level vectorized execution (see
     :mod:`repro.nn.trace`): ``None`` (default) automatically batches each

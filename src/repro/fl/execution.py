@@ -30,13 +30,17 @@ pieces that make this hold:
    pickling).  Anything the caller needs back — client stores, updated
    state — must flow through the task's return value, which the session
    writes back on the coordinating process.
-3. **Resident algorithms.**  Tasks carry a :class:`Resident` handle in
-   place of the session's algorithm.  ``ProcessBackend`` installs every
-   registered algorithm (:meth:`ExecutionBackend.register`) in each pool
-   worker once, and a handle ships only the algorithm's ``server_state()``,
-   which the worker loads into its resident copy: by the
-   :meth:`~repro.fl.algorithm.FederatedAlgorithm.server_state` contract,
-   that copy is the coordinator's algorithm.
+3. **Resident algorithms and clients.**  Tasks carry a :class:`Resident`
+   handle in place of the session's algorithm and a
+   :class:`ResidentClient` in place of each client.  ``ProcessBackend``
+   installs everything registered (:meth:`ExecutionBackend.register`) in
+   each pool worker once: the algorithm, and the federation its clients
+   come from.  An algorithm handle ships only the algorithm's
+   ``server_state()``, which the worker loads into its resident copy: by
+   the :meth:`~repro.fl.algorithm.FederatedAlgorithm.server_state`
+   contract, that copy is the coordinator's algorithm.  A client handle
+   ships only the client's id and store; the worker rebuilds the client
+   from its installed federation, bitwise the coordinator's.
 4. **Index-tagged results.**  ``imap`` tags every result with its input
    index, and ``map`` returns results in input order, regardless of
    completion order.
@@ -73,6 +77,7 @@ __all__ = [
     "ProcessBackend",
     "ExecutionError",
     "Resident",
+    "ResidentClient",
     "BACKENDS",
     "available_backends",
     "resolve_backend",
@@ -143,12 +148,12 @@ def _run_serially(task: Callable, chunks: Dict[int, List]
 
 
 _INSTALLED: Dict[int, object] = {}
-"""The algorithms this pool worker's initializer installed, by token;
-empty in the coordinating process."""
+"""What this pool worker's initializer installed, by token; empty in the
+coordinating process."""
 
 
 def _install(payload: bytes) -> None:
-    """Pool initializer: unpickle the registered algorithms once, for the
+    """Pool initializer: unpickle the registered objects once, for the
     life of this worker."""
     _INSTALLED.update(pickle.loads(payload))
 
@@ -159,35 +164,57 @@ class Resident:
     In the process that bound it, the handle holds the algorithm itself,
     so serial execution (the process backend's fallback included) runs
     the coordinator's instance and a thread replica deep-copies it.
-    Pickled, it is only the registration ``token`` and ``server_state``,
-    the algorithm's ``server_state()`` when the task was bound, which
-    :meth:`resolve` loads into the instance a pool worker installed.
+    Pickled, it is only the registration ``token`` and ``state``, which
+    :meth:`resolve` applies to the instance a pool worker installed: for
+    an algorithm, its ``server_state()`` when the task was bound.
     """
 
-    def __init__(self, token: int, algorithm, server_state: Dict):
+    def __init__(self, token: int, value, state):
         self.token = token
-        self.server_state = server_state
-        self._algorithm = algorithm
+        self.state = state
+        self._value = value
 
     def __reduce__(self):
-        return Resident, (self.token, None, self.server_state)
+        return type(self), (self.token, None, self.state)
 
     def __deepcopy__(self, memo) -> "Resident":
-        return Resident(self.token, copy.deepcopy(self._algorithm, memo),
-                        self.server_state)
+        return type(self)(self.token, copy.deepcopy(self._value, memo),
+                          self.state)
 
     def resolve(self):
-        """The algorithm this handle names, in the current process."""
-        if self._algorithm is None:
-            algorithm = _INSTALLED.get(self.token)
-            if algorithm is None:
+        """The object this handle names, in the current process."""
+        if self._value is None:
+            installed = _INSTALLED.get(self.token)
+            if installed is None:
                 raise LookupError(
-                    f"algorithm {self.token} is not installed in this worker; "
+                    f"object {self.token} is not installed in this worker; "
                     "register it with the backend that runs its tasks")
-            if self.server_state:
-                algorithm.load_server_state(self.server_state)
-            self._algorithm = algorithm
-        return self._algorithm
+            self._value = self._load(installed)
+        return self._value
+
+    def _load(self, algorithm):
+        if self.state:
+            algorithm.load_server_state(self.state)
+        return algorithm
+
+
+class ResidentClient(Resident):
+    """What a task carries in place of a client.
+
+    ``state`` is the client's id and store; the token names the
+    federation the client belongs to, installed in every pool worker
+    once: a :class:`~repro.fl.client.ClientTable` or a
+    :class:`~repro.fl.population.VirtualPopulation`.  A worker resolves
+    the id to its own copy of the client's data and attaches the store,
+    so a pickled handle costs the store, never the client's samples.
+    """
+
+    @property
+    def client_id(self) -> int:
+        return self.state[0]
+
+    def _load(self, federation):
+        return federation.attach(*self.state)
 
 
 class ExecutionBackend:
@@ -195,13 +222,9 @@ class ExecutionBackend:
 
     name = "base"
 
-    uses_data_plane = False
-    """Whether payloads cross a process boundary and therefore benefit from
-    the shared-memory data plane.  A backend that sets it implements
-    ``register_clients``; the session registers clients with no other.
-    Class-level so callers that manage their own segments (a
-    :class:`~repro.fl.population.VirtualPopulation` sharing clients at
-    realization time) can decide *before* any client exists."""
+    pickles_tasks = False
+    """Whether tasks reach their workers pickled, across a process
+    boundary; the session then ships client stores packed."""
 
     def __init__(self, workers: Optional[int] = None,
                  chunk_size: Optional[int] = None, fallback: bool = True):
@@ -213,12 +236,12 @@ class ExecutionBackend:
         self._warned_fallback = False
 
     # ------------------------------------------------------------------
-    def register(self, algorithm) -> int:
-        """Register ``algorithm`` for this backend's tasks and return the
-        token its :class:`Resident` handles carry (the same token every
-        time).  Backends that run tasks in this process install nothing:
-        a handle resolves to the instance it holds."""
-        return id(algorithm)
+    def register(self, value) -> int:
+        """Register an algorithm or a federation for this backend's tasks
+        and return the token its :class:`Resident` handles carry (the same
+        token every time).  Backends that run tasks in this process
+        install nothing: a handle resolves to the instance it holds."""
+        return id(value)
 
     def imap(self, task: Callable, items: Sequence
              ) -> Iterator[Tuple[int, object]]:
@@ -325,39 +348,32 @@ class ProcessBackend(ExecutionBackend):
     this reason.  The pool is created lazily and kept alive across rounds
     to amortize worker start-up.
 
-    :meth:`register` adds an algorithm to what the pool's initializer
-    installs in every worker (a running pool shuts down, so the next
-    dispatch starts one that has it); ``close`` drops the registrations.
-    An algorithm that does not pickle fails the pool start, which falls
-    back to serial execution like an unpicklable task.
-
-    ``register_clients`` activates the shared-memory data plane
-    (:mod:`repro.data.shm`): client datasets move into a
-    :class:`~repro.data.shm.SharedArrayStore` this backend owns — one
-    ``.npcol`` container in one segment — so each per-round pickle ships
-    lightweight handles instead of image arrays.
-    The store is released on :meth:`close` (and, as a backstop, at process
-    exit by the shm module's atexit hook).
+    :meth:`register` adds an algorithm or a federation to what the pool's
+    initializer installs in every worker (a running pool shuts down, so
+    the next dispatch starts one that has it); ``close`` drops the
+    registrations.  Anything registered that does not pickle fails the
+    pool start, which falls back to serial execution like an unpicklable
+    task.  So client data crosses the boundary once per pool, and each
+    task carries model state and client stores only.
     """
 
     name = "process"
 
-    uses_data_plane = True
+    pickles_tasks = True
 
     def __init__(self, workers: Optional[int] = None,
                  chunk_size: Optional[int] = None, fallback: bool = True):
         super().__init__(workers=workers, chunk_size=chunk_size, fallback=fallback)
         self._pool = None
         self._broken_cause: Optional[BaseException] = None
-        self._stores: List = []
         self._registry: Dict[int, object] = {}
 
     # ------------------------------------------------------------------
-    def register(self, algorithm) -> int:
-        token = super().register(algorithm)
+    def register(self, value) -> int:
+        token = super().register(value)
         if token not in self._registry:
-            self._registry[token] = algorithm
-            self._shutdown_pool()  # its workers lack the new algorithm
+            self._registry[token] = value
+            self._shutdown_pool()  # its workers lack the new registration
         return token
 
     def _ensure_pool(self):
@@ -378,31 +394,9 @@ class ProcessBackend(ExecutionBackend):
             self._pool.shutdown(wait=True, cancel_futures=True)
             self._pool = None
 
-    def register_clients(self, clients: Sequence) -> bool:
-        """Move client datasets into a shared-memory store owned by this
-        backend.  Returns True when the plane is active; False (with the
-        clients untouched) when shared memory is unavailable here, which
-        leaves the classic inline-pickle path in effect.  ``close``
-        restores the clients' plain splits before unlinking, so the same
-        clients can be registered again with a future backend."""
-        from ..data.shm import share_client_splits
-
-        store = share_client_splits(clients)
-        if store is None:
-            return False
-        self._stores.append((store, list(clients)))
-        return True
-
     def close(self) -> None:
         self._shutdown_pool()
         self._registry.clear()
-        if self._stores:
-            from ..data.shm import unshare_client_splits
-
-            while self._stores:
-                store, clients = self._stores.pop()
-                unshare_client_splits(store, clients)
-                store.close()
 
     def _mark_broken(self, cause: BaseException) -> None:
         self._broken_cause = cause

@@ -8,8 +8,9 @@ every behaviour is a pure function of ``(seed, round, client_id)``:
   :class:`VirtualPopulation` keeps clients as O(bytes)
   :class:`ClientDescriptor` recipes and realizes
   :class:`~repro.fl.client.ClientData` lazily behind an LRU cache, so
-  resident memory (and /dev/shm, when the shared plane is on) is
-  O(active clients), not O(population).
+  resident memory is O(active clients), not O(population).  It pickles
+  as its recipe alone, which is what a process pool installs in each
+  worker.
 * :mod:`~repro.fl.population.availability` — **presence**.
   :class:`AvailabilityModel` derives per-round join/leave churn, mid-round
   dropout, and per-client speed multipliers from an

@@ -21,10 +21,14 @@ Realized clients live in an LRU cache of ``max_resident`` entries,
 pinned for the duration of a round (:meth:`realize_round` /
 :meth:`end_round`).  Eviction syncs the client's persistent ``store``
 back into the population (per-client algorithm state must survive
-re-realization) and, when the shared-memory plane is enabled, closes the
-client's shared segment so /dev/shm is bounded the same way RAM is.
-Counters ``population.realized`` / ``population.evicted`` record cache
-traffic on the ambient tracer.
+re-realization).  Counters ``population.realized`` /
+``population.evicted`` record cache traffic on the ambient tracer.
+
+A population pickles as its recipe alone — the dataset and the
+realization parameters, no realized client and no store — which is what
+a process pool installs in each worker.  A worker realizes a task's
+client afresh (:meth:`attach`) with the store the task shipped, and
+caches nothing.
 """
 
 from __future__ import annotations
@@ -38,8 +42,7 @@ import numpy as np
 
 from ... import telemetry
 from ...data.partition import stratified_split
-from ...data.shm import SharedArrayStore, share_client_splits, shared_memory_available
-from ...data.synthetic import DataSplit, SyntheticImageDataset
+from ...data.synthetic import SyntheticImageDataset
 from ..client import ClientData, derive_rng, payload_nbytes
 
 __all__ = ["ClientDescriptor", "VirtualPopulation"]
@@ -128,11 +131,17 @@ class VirtualPopulation:
                                  for class_id in range(dataset.num_classes)]
         self._resident: "OrderedDict[int, ClientData]" = OrderedDict()
         self._stores: Dict[int, Dict] = {}
-        self._segments: Dict[int, SharedArrayStore] = {}
         self._pinned: Set[int] = set()
-        self._shm = False
         self.realized_total = 0
         self.evicted_total = 0
+
+    def __getstate__(self) -> Dict:
+        """The recipe: everything but the realized clients, their stores
+        and the cache counters."""
+        state = self.__dict__.copy()
+        state.update(_resident=OrderedDict(), _stores={}, _pinned=set(),
+                     realized_total=0, evicted_total=0)
+        return state
 
     # ------------------------------------------------------------------
     # Shape
@@ -184,8 +193,9 @@ class VirtualPopulation:
         picked = np.sort(rng.choice(pool_size, size=take, replace=False))
         return picked if pool is None else pool[picked]
 
-    def _build_client(self, client_id: int) -> ClientData:
-        """Realize one client — pure in ``(population seed, client_id)``."""
+    def _build_client(self, client_id: int, store: Dict) -> ClientData:
+        """Realize one client holding ``store`` — pure in ``(population
+        seed, client_id)``."""
         rng = derive_rng(self._seed, _REALIZE_STREAM, client_id)
         indices = self._draw_indices(client_id, rng)
         train_idx, test_idx = stratified_split(
@@ -205,9 +215,15 @@ class VirtualPopulation:
             train=self._dataset.train.subset(train_idx),
             test=self._dataset.train.subset(test_idx),
             unlabeled=unlabeled,
-            store=self._stores.get(client_id, {}),
+            store=store,
         )
         return client
+
+    def attach(self, client_id: int, store: Dict) -> ClientData:
+        """Client ``client_id`` realized afresh, holding ``store``, and
+        never cached: how a pool worker resolves a task's client
+        (:class:`~repro.fl.execution.ResidentClient`)."""
+        return self._build_client(self._check_id(client_id), store)
 
     def realize(self, client_id: int) -> ClientData:
         """The resident client, realizing (and possibly evicting) as needed."""
@@ -216,8 +232,7 @@ class VirtualPopulation:
         if client is not None:
             self._resident.move_to_end(client_id)
             return client
-        client = self._build_client(client_id)
-        self._share(client)
+        client = self._build_client(client_id, self._stores.get(client_id, {}))
         self._resident[client_id] = client
         self.realized_total += 1
         telemetry.count("population.realized", 1)
@@ -254,9 +269,6 @@ class VirtualPopulation:
     def _evict(self, client_id: int) -> None:
         client = self._resident.pop(client_id)
         self._sync_store(client_id, client)
-        segment = self._segments.pop(client_id, None)
-        if segment is not None:
-            segment.close()
         self.evicted_total += 1
         telemetry.count("population.evicted", 1)
 
@@ -269,34 +281,6 @@ class VirtualPopulation:
             self._stores[client_id] = client.store
         else:
             self._stores.pop(client_id, None)
-
-    # ------------------------------------------------------------------
-    # Shared-memory plane
-    # ------------------------------------------------------------------
-    def enable_shared_memory(self) -> bool:
-        """Opt realized clients into per-client shared segments.
-
-        Returns whether the plane is usable here.  Each realized client
-        gets its own :class:`~repro.data.shm.SharedArrayStore`, closed at
-        eviction — so shared-memory usage obeys the same O(active) bound
-        as RAM.
-        """
-        if not self._shm:
-            self._shm = shared_memory_available()
-        return self._shm
-
-    def _share(self, client: ClientData) -> None:
-        if not self._shm or not isinstance(client.train, DataSplit):
-            return
-        segment = share_client_splits([client])
-        if segment is not None:
-            self._segments[client.client_id] = segment
-        else:
-            self._shm = False  # plane broke mid-run; realize inline from here
-
-    @property
-    def shared_segment_count(self) -> int:
-        return len(self._segments)
 
     # ------------------------------------------------------------------
     # Stores, payloads, context
@@ -323,7 +307,8 @@ class VirtualPopulation:
         return self._stores.get(client_id, {})
 
     def payload_nbytes(self, client_id: int) -> int:
-        """Wire cost of one client: realized payload or descriptor bytes."""
+        """Pickled size of one client: the resident client whole, or its
+        descriptor when it is not resident."""
         client_id = self._check_id(client_id)
         client = self._resident.get(client_id)
         if client is not None:
@@ -349,13 +334,10 @@ class VirtualPopulation:
 
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Evict everything and release every shared segment (idempotent)."""
+        """Evict everything (idempotent)."""
         self._pinned = set()
         for client_id in list(self._resident):
             self._evict(client_id)
-        for segment in list(self._segments.values()):
-            segment.close()
-        self._segments.clear()
 
     def __enter__(self) -> "VirtualPopulation":
         return self
@@ -366,4 +348,4 @@ class VirtualPopulation:
     def __repr__(self) -> str:
         return (f"VirtualPopulation(size={self._size}, "
                 f"resident={len(self._resident)}/{self.max_resident}, "
-                f"seed={self._seed}, shm={self._shm})")
+                f"seed={self._seed})")

@@ -39,9 +39,15 @@ import numpy as np
 from ...nn.serialize import StateDict, clone_state
 from ...telemetry import InstrumentedTask, TaskOutcome, Tracer, current_tracer
 from ..algorithm import ClientUpdate, FederatedAlgorithm
-from ..client import ClientData
+from ..client import ClientData, ClientTable
 from ..config import DEFAULT_OMITTED_FIELDS, EXECUTION_FIELDS, FederatedConfig
-from ..execution import ExecutionBackend, Resident, chunk_items, resolve_backend
+from ..execution import (
+    ExecutionBackend,
+    Resident,
+    ResidentClient,
+    chunk_items,
+    resolve_backend,
+)
 from ..history import RoundRecord, RunResult
 from ..population import AvailabilityModel, VirtualPopulation, buffered_aggregate
 from ..sampler import RandomSampler
@@ -66,7 +72,7 @@ class _ClientOutcome:
     """What a cohort task ships back to the coordinator, per client.
 
     ``store`` carries the client's persistent algorithm state: under the
-    process backend the worker mutates a pickled copy of the client, so the
+    process backend the worker mutates its own copy of the client, so the
     store must travel back explicitly for the coordinator to reattach.
     When the dispatching session packs stores for IPC (process backend),
     ``store`` travels both ways as a columnar
@@ -94,12 +100,14 @@ def _unpack_client_store(client: ClientData) -> bool:
     return False
 
 
-def _cohort_outcomes(clients: Sequence[ClientData], run) -> List[_ClientOutcome]:
-    """Run ``run()`` over a cohort and box one outcome per client, in
-    cohort order, so the coordinator can reattach stores and consume the
-    results at original input positions."""
+def _cohort_outcomes(cohort: Sequence[ResidentClient], run
+                     ) -> List[_ClientOutcome]:
+    """Run ``run(clients)`` over a cohort's resolved clients and box one
+    outcome per client, in cohort order, so the coordinator can reattach
+    stores and consume the results at original input positions."""
+    clients = [handle.resolve() for handle in cohort]
     packed = [_unpack_client_store(client) for client in clients]
-    results = run()
+    results = run(clients)
     return [_ClientOutcome(client.client_id, result,
                            pack_store(client.store) if was_packed
                            else client.store)
@@ -107,28 +115,28 @@ def _cohort_outcomes(clients: Sequence[ClientData], run) -> List[_ClientOutcome]
 
 
 def _cohort_update_task(algorithm: Resident, global_state: StateDict,
-                        round_index: int, clients: Sequence[ClientData]
+                        round_index: int, cohort: Sequence[ResidentClient]
                         ) -> List[_ClientOutcome]:
     """One cohort's round contribution (module-level: picklable)."""
-    return _cohort_outcomes(clients, lambda: algorithm.resolve().cohort_update(
-        clients, global_state, round_index))
+    return _cohort_outcomes(cohort, lambda clients: algorithm.resolve()
+                            .cohort_update(clients, global_state, round_index))
 
 
 def _cohort_personalize_task(algorithm: Resident, global_state: StateDict,
-                             clients: Sequence[ClientData]
+                             cohort: Sequence[ResidentClient]
                              ) -> List[_ClientOutcome]:
     """One cohort's personalization stage (module-level: picklable)."""
-    return _cohort_outcomes(clients, lambda: algorithm.resolve().cohort_personalize(
-        clients, global_state))
+    return _cohort_outcomes(cohort, lambda clients: algorithm.resolve()
+                            .cohort_personalize(clients, global_state))
 
 
 def _cohort_span_attrs(round_index: Optional[int],
-                       clients: Sequence[ClientData]) -> Dict:
+                       cohort: Sequence[ResidentClient]) -> Dict:
     """Span attrs for one cohort task (module-level: picklable); the
     personalization stage has no round."""
     attrs = {} if round_index is None else {"round": round_index}
-    attrs["cohort_size"] = len(clients)
-    attrs["client_ids"] = [int(client.client_id) for client in clients]
+    attrs["cohort_size"] = len(cohort)
+    attrs["client_ids"] = [int(handle.client_id) for handle in cohort]
     return attrs
 
 
@@ -258,9 +266,16 @@ class TrainingSession:
             backend if backend is not None else config.backend,
             workers=config.workers,
         )
-        # Tasks name the algorithm by this token (see _resident); a process
-        # pool installs it in every worker once, not once per task.
+        # Tasks name the algorithm and every client by a token (see
+        # _resident and _dispatch); a process pool installs what the tokens
+        # name in every worker once, not once per task: the algorithm, the
+        # client list as a store-less table, a population as its recipe.
         self._algorithm_token = self.backend.register(algorithm)
+        self._table_token = self.backend.register(
+            ClientTable(self.clients + self.novel_clients))
+        self._population_token = (
+            None if self.population is None
+            else self.backend.register(self.population))
         self.verbose = verbose
         self.callbacks: List[SessionCallback] = list(callbacks)
         self.context = (context if context is not None
@@ -279,33 +294,15 @@ class TrainingSession:
         self._initialized = False
         self._stop_requested = False
         self._warned_non_finite = False
-        # Backends that pickle clients across a process boundary ship each
-        # non-empty client store as one PackedState buffer and move client
-        # datasets into the shared-memory data plane (repro.data.shm), which
-        # falls back to inline pickling when no segment can be created.
-        # Serial/thread backends share the coordinator's memory, so both
-        # would be pure overhead there.  A virtual population owns its own
-        # per-client segments (created at realization, released at eviction).
-        self._pack_ipc = bool(getattr(self.backend, "uses_data_plane", False))
-        self._shared_memory_active = False
-        if self._pack_ipc:
-            if self.population is not None:
-                self._shared_memory_active = (
-                    self.population.enable_shared_memory())
-                if self.novel_clients:
-                    self.backend.register_clients(self.novel_clients)
-            else:
-                self._shared_memory_active = self.backend.register_clients(
-                    self.clients + self.novel_clients)
+        # Backends that pickle tasks across a process boundary ship each
+        # non-empty client store as one PackedState buffer; serial/thread
+        # backends share the coordinator's memory, where packing would be
+        # pure overhead.
+        self._pack_ipc = self.backend.pickles_tasks
 
     # ------------------------------------------------------------------
     # State access
     # ------------------------------------------------------------------
-    @property
-    def shared_memory_active(self) -> bool:
-        """Whether client datasets travel through the shared-memory plane."""
-        return self._shared_memory_active
-
     @property
     def round_index(self) -> int:
         """The next round to execute (== number of completed rounds)."""
@@ -368,6 +365,15 @@ class TrainingSession:
         return Resident(self._algorithm_token, self.algorithm,
                         self.algorithm.server_state())
 
+    def client_handle(self, client: ClientData) -> ResidentClient:
+        """``client`` as a cohort task carries it: the token of the
+        federation it belongs to (a population, or the table of listed
+        and novel clients), its id, and its store as it is now."""
+        token = (self._population_token
+                 if self.population is not None and not client.is_novel
+                 else self._table_token)
+        return ResidentClient(token, client, (client.client_id, client.store))
+
     def _unbox(self, outcome):
         """Merge a worker fragment (if any) and return the task's result."""
         if isinstance(outcome, TaskOutcome):
@@ -385,23 +391,24 @@ class TrainingSession:
         outcome)`` per client as cohorts complete.
 
         ``plan`` lists position groups into ``clients``; each group is one
-        task item.  Every outcome's store is reattached to its client
-        before it is yielded, and every federation client that held or now
-        holds a store is recorded as changed for :meth:`store_changes`.
-        Under columnar store IPC (process backend) stores travel packed,
-        and every store still packed is unpacked on every exit path —
-        including a consumer that raises — so no
-        :class:`PackedState` ever reaches :meth:`capture_state` or the
-        next round's algorithm code.  Consumers close the generator
-        explicitly (``contextlib.closing``) so that cleanup never waits
-        for garbage collection.
+        task item, a list of :meth:`client_handle`\\ s.  Every outcome's
+        store is reattached to its client before it is yielded, and every
+        federation client that held or now holds a store is recorded as
+        changed for :meth:`store_changes`.  Under columnar store IPC
+        (process backend) stores travel packed, and every store still
+        packed is unpacked on every exit path — including a consumer that
+        raises — so no :class:`PackedState` ever reaches
+        :meth:`capture_state` or the next round's algorithm code.
+        Consumers close the generator explicitly (``contextlib.closing``)
+        so that cleanup never waits for garbage collection.
         """
-        cohorts = [[clients[position] for position in positions]
-                   for positions in plan]
         held = [bool(client.store) for client in clients]
         if self._pack_ipc:
             for client in clients:
                 client.store = pack_store(client.store)
+        handles = [self.client_handle(client) for client in clients]
+        cohorts = [[handles[position] for position in positions]
+                   for positions in plan]
         try:
             for index, boxed in self.backend.imap(task, cohorts):
                 for position, outcome in zip(plan[index], self._unbox(boxed)):

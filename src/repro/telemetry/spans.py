@@ -19,8 +19,8 @@ moment the coordinator consumed the result), which keeps every worker
 span inside its enclosing dispatch span; durations — the quantity every
 downstream consumer aggregates — are exact either way.
 
-Low-level modules that have no tracer reference (the shared-memory data
-plane, the trace/replay engine) report through the *ambient* tracer:
+Low-level modules that have no tracer reference (the virtual population,
+the trace/replay engine) report through the *ambient* tracer:
 :func:`count`/:func:`gauge` write to the innermost :meth:`Tracer.activate`
 context on the current thread and no-op when none is active, so
 instrumentation costs one thread-local read when telemetry is off.

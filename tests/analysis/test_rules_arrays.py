@@ -39,20 +39,19 @@ class TestArr001AdHocArrayPersistence:
             ))
         assert rule_ids(found) == ["ARR001"]
 
-    def test_flags_tobytes_in_shared_memory_plane(self):
-        found = rule_diagnostics("ARR001", "src/repro/data/shm.py", (
-            "def add(segment, offset, array):\n"
-            "    segment.buf[offset:offset + array.nbytes] = array.tobytes()\n"
+    def test_flags_tobytes_in_session_dispatch(self):
+        found = rule_diagnostics("ARR001", "src/repro/fl/session/session.py", (
+            "def ship(buffer, offset, array):\n"
+            "    buffer[offset:offset + array.nbytes] = array.tobytes()\n"
         ))
         assert rule_ids(found) == ["ARR001"]
         assert "tobytes" in found[0].message
 
-    def test_near_miss_shared_memory_plane_through_container(self):
-        found = rule_diagnostics("ARR001", "src/repro/data/shm.py", (
-            "from repro.arrays import ColumnLayout, unpack_columns\n"
-            "def share(segment, columns):\n"
-            "    ColumnLayout(columns).write_into(segment.buf)\n"
-            "    return unpack_columns(segment.buf)\n"
+    def test_near_miss_session_dispatch_through_container(self):
+        found = rule_diagnostics("ARR001", "src/repro/fl/session/session.py", (
+            "from repro.arrays import pack_columns, unpack_columns\n"
+            "def ship(columns):\n"
+            "    return unpack_columns(pack_columns(columns))\n"
         ))
         assert found == []
 

@@ -24,7 +24,7 @@ class TestPkl001UnpicklablePayload:
         assert rule_ids(found) == ["PKL001"]
 
     def test_flags_open_handle_and_lock(self):
-        found = rule_diagnostics("PKL001", "src/repro/data/shm/plane_fix.py", (
+        found = rule_diagnostics("PKL001", "src/repro/fl/population/plane_fix.py", (
             "import threading\n"
             "class Plane:\n"
             "    def __init__(self, path):\n"
@@ -34,7 +34,7 @@ class TestPkl001UnpicklablePayload:
         assert sorted(rule_ids(found)) == ["PKL001", "PKL001"]
 
     def test_near_miss_getstate_opt_out(self):
-        found = rule_diagnostics("PKL001", "src/repro/data/shm/plane_fix.py", (
+        found = rule_diagnostics("PKL001", "src/repro/fl/population/plane_fix.py", (
             "import threading\n"
             "class Plane:\n"
             "    def __init__(self, path):\n"

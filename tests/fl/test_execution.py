@@ -296,12 +296,12 @@ TINY_CONFIG = FederatedConfig(
 )
 
 
-def _tiny_workload():
+def _tiny_workload(samples=12):
     dataset = make_dataset("cifar10", seed=0, image_size=8,
-                           train_per_class=12, test_per_class=2)
+                           train_per_class=samples, test_per_class=2)
     partitions = make_partitions(
         dataset.train.labels, TINY_CONFIG.num_clients,
-        NonIIDSetting("iid", 0, 12), np.random.default_rng(1),
+        NonIIDSetting("iid", 0, samples), np.random.default_rng(1),
     )
     encoder_factory = make_encoder_factory("mlp", dataset, hidden_dims=(16, 8), seed=7)
     return dataset, partitions, encoder_factory
@@ -352,7 +352,7 @@ def test_client_payloads_are_picklable():
 
 
 # ----------------------------------------------------------------------
-# Resident algorithms: a process pool installs the algorithm once
+# Resident algorithms and clients: a process pool installs them once
 # ----------------------------------------------------------------------
 RESIDENT_CONFIG = TINY_CONFIG.with_overrides(rounds=3)
 SSL_SIZES = {"projection_dim": 8, "hidden_dim": 16}
@@ -454,6 +454,46 @@ def test_running_pool_never_repickles_the_algorithm():
         session.run()
         session.personalize()
     assert _PickleCounted.pickles == 0
+
+
+class _ItemSizingBackend(ProcessBackend):
+    """A process backend that records the pickled size of each task item
+    together with its task, as one pool submission ships them."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.item_bytes = []
+
+    def imap(self, task, items):
+        self.item_bytes += [len(pickle.dumps((task, item),
+                                             protocol=pickle.HIGHEST_PROTOCOL))
+                            for item in items]
+        return super().imap(task, items)
+
+
+def test_task_bytes_do_not_grow_with_client_samples():
+    """A task carries each client as its id and store; the client's
+    samples reach the pool once, when it installs the client table."""
+    sizes, client_bytes = {}, {}
+    for samples in (12, 48):
+        dataset, partitions, encoder_factory = _tiny_workload(samples)
+        clients = build_federation(dataset, partitions, seed=2)
+        config = TINY_CONFIG.with_overrides(workers=1, client_batch=1)
+        algorithm = build_method("pfl-simclr", config, dataset.num_classes,
+                                 encoder_factory, **SSL_SIZES)
+        with _ItemSizingBackend(workers=1) as backend, \
+                warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # no fallback
+            TrainingSession(algorithm, clients, config,
+                            backend=backend).execute()
+        sizes[samples] = backend.item_bytes
+        client_bytes[samples] = payload_nbytes(clients[0])
+    assert client_bytes[48] > client_bytes[12] + 40_000
+    # Two rounds and personalization, one client per item; the tokens are
+    # id()s, whose pickles may differ by a byte between runs.
+    assert len(sizes[48]) == len(sizes[12]) == 12
+    for small, large in zip(sizes[12], sizes[48]):
+        assert abs(large - small) <= 8
 
 
 def test_resident_traces_miss_no_more_than_serial():

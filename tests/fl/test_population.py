@@ -1,17 +1,14 @@
 """Unit tests for the virtual-population plane (repro.fl.population):
 descriptors, lazy realization, the LRU residency budget, the
-availability model, and the buffered/staleness aggregation policies."""
+availability model, the buffered/staleness aggregation policies, and
+the recipe a process pool installs."""
 
 import pickle
 
 import numpy as np
 import pytest
 
-from repro.data import (
-    DataSplitHandle,
-    make_cifar10_like,
-    shared_memory_available,
-)
+from repro.data import make_cifar10_like
 from repro.eval import build_method, make_encoder_factory
 from repro.fl import (
     AvailabilitySpec,
@@ -31,11 +28,14 @@ from repro.fl.population import (
 )
 
 
-def _worker_attachment_count(_):
-    """Segments this process keeps attached (module-level: picklable)."""
-    from repro.data import shm
+def _installed_populations(_):
+    """(realized clients, stores) of every population this process's pool
+    initializer installed (module-level: picklable)."""
+    from repro.fl.execution import _INSTALLED
 
-    return len(shm._ATTACHED)
+    return [(population.resident_count, len(population.stores()))
+            for population in _INSTALLED.values()
+            if isinstance(population, VirtualPopulation)]
 
 
 @pytest.fixture(scope="module")
@@ -310,59 +310,44 @@ class TestBufferedAccumulator:
 
 
 # ----------------------------------------------------------------------
-# Shared-memory composition
+# A process pool's population
 # ----------------------------------------------------------------------
-@pytest.mark.skipif(not shared_memory_available(),
-                    reason="no shared memory in this environment")
-class TestPopulationSharedMemory:
-    def test_segments_bounded_and_released_on_eviction(self, dataset):
-        population = make_population(dataset, max_resident=2)
-        assert population.enable_shared_memory()
-        for client_id in range(5):
-            population.realize(client_id)
-        assert population.shared_segment_count <= 2
-        names = [segment.name
-                 for segment in population._segments.values()]
-        population.close()
-        assert population.shared_segment_count == 0
-        from multiprocessing import shared_memory
-        for name in names:
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=name)
-
-    def test_worker_side_views_are_read_only(self, dataset):
+class TestPopulationInPoolWorker:
+    def test_pickles_as_its_recipe(self, dataset):
         population = make_population(dataset)
-        assert population.enable_shared_memory()
-        client = population.realize(0)
-        assert isinstance(client.train, DataSplitHandle)
+        population.set_stores({3: {"w": np.arange(2.0)}, 9: {"w": 1.0}})
+        population.realize(3)
+        population.realize(4)
         replica = pickle.loads(pickle.dumps(
-            client, protocol=pickle.HIGHEST_PROTOCOL))
-        assert not replica.train.images.flags.writeable
-        np.testing.assert_array_equal(replica.train.images,
-                                      client.train.images)
+            population, protocol=pickle.HIGHEST_PROTOCOL))
+        assert replica.resident_count == 0
+        assert replica.stores() == {}
+        assert replica.realized_total == 0
+        client = replica.attach(3, {"w": 1})
+        np.testing.assert_array_equal(client.train.images,
+                                      population.realize(3).train.images)
+        assert client.store == {"w": 1}
+        assert replica.resident_count == 0  # attach caches nothing
         population.close()
 
-    def test_pool_worker_releases_evicted_segments(self, dataset):
-        # Each realized client gets its own segment, unlinked at eviction.
-        # A long-lived pool worker must let those go too: an unlinked
-        # segment stays allocated for as long as any process maps it.
+    def test_worker_holds_no_clients_or_stores_after_a_run(self, dataset):
         config = FederatedConfig(
             num_clients=20, clients_per_round=4, rounds=3, local_epochs=1,
             batch_size=8, personalization_epochs=1, backend="process",
             workers=1)
         factory = make_encoder_factory("mlp", dataset, hidden_dims=(16, 8),
                                        seed=7)
-        algorithm = build_method("fedavg", config, dataset.num_classes,
+        algorithm = build_method("pfl-simclr", config, dataset.num_classes,
                                  factory)
         population = make_population(dataset)
         session = TrainingSession(algorithm, population, config)
         try:
-            assert session.shared_memory_active
             session.run()
             session.personalize()
             assert population.realized_total >= len(population)
-            attached = session.backend.map(_worker_attachment_count, [0])[0]
+            assert population.stores()  # the coordinator keeps them
+            installed = session.backend.map(_installed_populations, [0])[0]
         finally:
             session.close()
             population.close()
-        assert attached <= population.max_resident
+        assert installed == [(0, 0)]

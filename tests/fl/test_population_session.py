@@ -8,10 +8,12 @@ empty-round EarlyStopping guard.
 """
 
 import json
+import warnings
 
 import numpy as np
 import pytest
 
+from repro.data import partition_iid
 from repro.data.synthetic import SyntheticImageDataset
 from repro.eval.harness import make_encoder_factory
 from repro.eval.registry import build_method
@@ -22,6 +24,7 @@ from repro.fl import (
     RoundRecord,
     TrainingSession,
     VirtualPopulation,
+    build_novel_clients,
     read_checkpoint,
 )
 from repro.fl.session.events import RoundEnd
@@ -41,7 +44,8 @@ def dataset():
 def build_session(dataset, *, num_clients=60, backend="serial",
                   availability=CHURN, aggregation="sync", rounds=3,
                   clients_per_round=5, max_resident=8, seed=5,
-                  tracer=None, **config_overrides):
+                  tracer=None, method="fedavg", novel_clients=(),
+                  **config_overrides):
     config = FederatedConfig(
         num_clients=num_clients, clients_per_round=clients_per_round,
         rounds=rounds, local_epochs=1, batch_size=8, backend=backend,
@@ -49,11 +53,12 @@ def build_session(dataset, *, num_clients=60, backend="serial",
         personalization_epochs=1, seed=seed, **config_overrides)
     factory = make_encoder_factory("mlp", dataset, hidden_dims=(16, 8),
                                    seed=7)
-    algorithm = build_method("fedavg", config, dataset.num_classes, factory)
+    algorithm = build_method(method, config, dataset.num_classes, factory)
     population = VirtualPopulation(dataset, num_clients=num_clients,
                                    samples_per_client=12, seed=seed,
                                    max_resident=max_resident)
-    session = TrainingSession(algorithm, population, config, tracer=tracer)
+    session = TrainingSession(algorithm, population, config,
+                              novel_clients=novel_clients, tracer=tracer)
     return session, population
 
 
@@ -91,6 +96,31 @@ def test_churned_run_bitwise_across_backends(dataset):
     # Churn actually engaged: some round lost a sampled client to dropout.
     parsed = json.loads(serial_records)
     assert any(record["metrics"].get("dropouts") for record in parsed)
+
+
+def test_churned_store_keeping_run_with_novel_clients_across_backends(
+        dataset):
+    """Training and personalization of a method that keeps client stores,
+    over a churned population plus novel clients: pool workers realize
+    population clients from the recipe they installed and look novel ones
+    up in the session's client table, never falling back to serial."""
+    results = {}
+    for backend in ("serial", "process"):
+        novel = build_novel_clients(dataset, 3, partition_iid)
+        session, population = build_session(
+            dataset, backend=backend, method="calibre-simclr",
+            novel_clients=novel, num_clients=24, max_resident=6)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                result = session.execute()
+            assert population.stores()  # the method kept client stores
+        finally:
+            population.close()
+        assert sorted(result.novel_accuracies) == \
+            [client.client_id for client in novel]
+        results[backend] = json.dumps(result.to_json())
+    assert results["process"] == results["serial"]
 
 
 def test_only_sampled_clients_realized(dataset):

@@ -105,10 +105,10 @@ class TestAmbientTracer:
         tracer = Tracer(clock=FakeClock())
         with tracer.activate():
             assert current_tracer() is tracer
-            count("shm.segment_bytes", 64)
+            count("population.realized", 64)
             gauge("depth", 3)
         assert current_tracer() is None
-        assert tracer.counters == {"shm.segment_bytes": 64.0}
+        assert tracer.counters == {"population.realized": 64.0}
         assert tracer.gauges == {"depth": 3.0}
 
     def test_inner_activation_shadows_the_outer(self):

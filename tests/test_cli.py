@@ -69,10 +69,15 @@ class TestParser:
          "--methods: values must be unique"),
         (["run", "--method", "script-fair", "--method", "script-fair"],
          "--method: values must be unique"),
+        (["sweep", "--exp", "fig3", "--jobs", "0"],
+         "--jobs must be >= 1, got 0"),
+        (["sweep", "--exp", "fig3", "--max-cells", "-1"],
+         "--max-cells must be >= 0, got -1"),
     ], ids=["run", "sweep", "report", "figures", "run-rounds", "sweep-novel",
             "sweep-embed-clients", "sweep-embed-samples",
             "report-tsne-iterations", "sweep-seeds", "report-seeds",
-            "sweep-methods", "report-methods", "run-methods"])
+            "sweep-methods", "report-methods", "run-methods", "sweep-jobs",
+            "sweep-max-cells"])
     def test_bad_grid_value_exits_2_naming_the_flag(self, capsys, tmp_path,
                                                     argv, message):
         if argv[0] != "run":
