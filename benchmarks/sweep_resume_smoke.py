@@ -9,7 +9,7 @@ Drives the real CLI through the resume lifecycle on a tiny 2-cell grid:
 3. relaunch again — nothing recomputes;
 4. ``repro report`` renders the table purely from the store, twice,
    byte-identically;
-5. the same grid swept under the thread scheduler produces bitwise
+5. the same grid swept under the process scheduler produces bitwise
    identical cell files and an identical report.
 
 Exits non-zero (with a diagnostic) the moment any step diverges.
@@ -70,25 +70,25 @@ def main() -> int:
                 fail(f"report is missing method '{method}':\n{report}")
         print("OK: report regenerated byte-identically from the store alone")
 
-        # 5. scheduler independence: thread-swept cells match serial bytes.
-        thread_store = Path(tmp) / "thread-store"
-        run_cli("sweep", "--quiet", "--scheduler", "thread", "--jobs", "2",
-                "--runs-dir", str(thread_store), *GRID_ARGS)
+        # 5. scheduler independence: process-swept cells match serial bytes.
+        process_store = Path(tmp) / "process-store"
+        run_cli("sweep", "--quiet", "--scheduler", "process", "--jobs", "2",
+                "--runs-dir", str(process_store), *GRID_ARGS)
         serial_cells = cell_files(store)
-        thread_cells = cell_files(thread_store)
-        if [p.name for p in serial_cells] != [p.name for p in thread_cells]:
+        process_cells = cell_files(process_store)
+        if [p.name for p in serial_cells] != [p.name for p in process_cells]:
             fail(f"schedulers produced different cell sets: "
                  f"{[p.name for p in serial_cells]} vs "
-                 f"{[p.name for p in thread_cells]}")
-        for serial_path, thread_path in zip(serial_cells, thread_cells):
-            if serial_path.read_bytes() != thread_path.read_bytes():
+                 f"{[p.name for p in process_cells]}")
+        for serial_path, process_path in zip(serial_cells, process_cells):
+            if serial_path.read_bytes() != process_path.read_bytes():
                 fail(f"cell {serial_path.name} differs between serial and "
-                     f"thread schedulers")
-        thread_report = run_cli("report", "--runs-dir", str(thread_store),
-                                *GRID_ARGS)
-        if thread_report != report:
-            fail("thread-scheduled store renders a different report")
-        print("OK: serial and thread schedulers produced bitwise-identical "
+                     f"process schedulers")
+        process_report = run_cli("report", "--runs-dir", str(process_store),
+                                 *GRID_ARGS)
+        if process_report != report:
+            fail("process-scheduled store renders a different report")
+        print("OK: serial and process schedulers produced bitwise-identical "
               "stores and reports")
     return 0
 

@@ -189,6 +189,13 @@ def _flag(name: str, error: type = ValueError):
         raise SystemExit(2) from exc
 
 
+def _require_at_least(flag: str, value: Optional[int], least: int) -> None:
+    """Exit 2 naming ``flag`` when ``value`` is set and below ``least``."""
+    if value is not None and value < least:
+        print(f"{flag} must be >= {least}, got {value}", file=sys.stderr)
+        raise SystemExit(2)
+
+
 def _require_unique(flag: str, values: List) -> None:
     """Exit 2 naming ``flag`` when ``values`` repeats one: a repeated
     method or seed would list its cells twice."""
@@ -315,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="client-execution engine; results are identical "
                                  "across backends (default: serial)")
     run_parser.add_argument("--workers", type=int, default=None,
-                            help="worker count for parallel backends "
+                            help="worker count for the process backend "
                                  "(default: all cores)")
     run_parser.add_argument("--client-batch", type=int, default=None,
                             metavar="K",
@@ -349,8 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
                                    "results are identical across schedulers "
                                    "(default: serial)")
     sweep_parser.add_argument("--jobs", type=int, default=None,
-                              help="concurrent cells for parallel schedulers "
-                                   "(default: all cores)")
+                              help="concurrent cells for the process "
+                                   "scheduler (default: all cores)")
     sweep_parser.add_argument("--client-batch", type=int, default=None,
                               metavar="K",
                               help="cohort-vectorized client execution inside "
@@ -463,16 +470,16 @@ def _command_run(args) -> int:
         print(f"unknown methods: {unknown}", file=sys.stderr)
         return 2
     _require_unique("--method", args.method)
-    if args.workers is not None and args.workers < 1:
-        print(f"--workers must be >= 1, got {args.workers}", file=sys.stderr)
-        return 2
-    if args.client_batch is not None and args.client_batch < 1:
-        print(f"--client-batch must be >= 1, got {args.client_batch}",
-              file=sys.stderr)
-        return 2
+    _require_at_least("--seed", args.seed, 0)
+    _require_at_least("--workers", args.workers, 1)
+    _require_at_least("--client-batch", args.client_batch, 1)
     config = _scaled_config(args, backend=args.backend, workers=args.workers,
                             client_batch=args.client_batch)
+    # --samples alone first (the iid kind ignores the parameter), so a
+    # rejected --param is named apart from it.
     with _flag("--samples"):
+        NonIIDSetting("iid", 0, args.samples)
+    with _flag("--param"):
         setting = NonIIDSetting(args.setting, args.param, args.samples)
     name = f"{args.dataset} {args.setting}({args.param}, {args.samples})"
     sweep = scaled_sweep(name, args.dataset, setting, args.method,
@@ -509,6 +516,7 @@ def _build_sweep(args, experiment: Optional[str] = None):
             raise SystemExit(f"unknown methods: {unknown}")
     # The grid rejects these too, but under the --samples guard below; so
     # each flag is checked alone first, to be named.
+    _require_at_least("--seeds", min(args.seeds), 0)
     _require_unique("--seeds", args.seeds)
     _require_unique("--methods", args.methods or [])
     if experiment in EMBEDDING_FIGURES:
@@ -586,9 +594,7 @@ def _command_sweep(args) -> int:
                                ("--client-batch", args.client_batch, 1),
                                ("--jobs", args.jobs, 1),
                                ("--max-cells", args.max_cells, 0)):
-        if value is not None and value < least:
-            print(f"{flag} must be >= {least}, got {value}", file=sys.stderr)
-            raise SystemExit(2)
+        _require_at_least(flag, value, least)
     sweep = _build_sweep(args)
     store = RunStore(args.runs_dir)
     executor = (execute_embedding_cell if args.exp in EMBEDDING_FIGURES
@@ -841,6 +847,7 @@ def _command_figures(args) -> int:
     """Render one paper figure from the run store alone (no retraining)."""
     # 'figures' renders one seed of the grid. The grid axis (--seeds) must
     # match what was swept, so never rewrite it silently from --seed.
+    _require_at_least("--seed", args.seed, 0)
     if args.seed is None:
         if len(args.seeds) > 1:
             print(f"--seeds lists {args.seeds}; pick one to render with "

@@ -53,6 +53,15 @@ class NonIIDSetting:
     def __post_init__(self):
         if self.kind not in ("quantity", "dirichlet", "iid"):
             raise ValueError(f"unknown non-iid kind '{self.kind}'")
+        # iid ignores the parameter.  A fractional S would train as its
+        # floor under a fingerprint of its own.
+        if self.kind == "quantity" and not (
+                self.parameter >= 1 and float(self.parameter).is_integer()):
+            raise ValueError(f"classes per client must be a positive "
+                             f"integer, got {self.parameter!r}")
+        if self.kind == "dirichlet" and not 0 < self.parameter < np.inf:
+            raise ValueError(f"concentration must be positive and finite, "
+                             f"got {self.parameter!r}")
         if self.samples_per_client < 4:
             raise ValueError("samples_per_client must be >= 4")
 

@@ -26,7 +26,6 @@ from .execution import (
     ExecutionError,
     ProcessBackend,
     SerialBackend,
-    ThreadBackend,
     available_backends,
     resolve_backend,
 )
@@ -84,7 +83,6 @@ __all__ = [
     "ExecutionBackend",
     "ExecutionError",
     "SerialBackend",
-    "ThreadBackend",
     "ProcessBackend",
     "BACKENDS",
     "available_backends",

@@ -107,8 +107,8 @@ class FederatedConfig:
     """Knobs of one federated run.
 
     ``backend``/``workers`` select the client-execution engine (see
-    :mod:`repro.fl.execution`): ``"serial"`` (default), ``"thread"``, or
-    ``"process"``, with ``workers=None`` meaning "all available cores".
+    :mod:`repro.fl.execution`): ``"serial"`` (default) or ``"process"``,
+    with ``workers=None`` meaning "all available cores".
     Backends are bitwise-deterministic, so these knobs change wall-clock
     time, never results.
 
@@ -175,6 +175,8 @@ class FederatedConfig:
             raise ValueError("test_fraction must be in (0, 1)")
         if self.num_novel_clients < 0:
             raise ValueError("num_novel_clients must be >= 0")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
         # Availability/aggregation are semantic knobs (they hash into run
         # fingerprints); a dict availability is coerced so configs rebuilt
         # from stored JSON compare equal to freshly constructed ones.
@@ -259,6 +261,12 @@ DEFAULT_OMITTED_FIELDS = ("availability", "aggregation",
 their defaults (the ``RunKey.extras`` precedent): the population-plane
 knobs landed after stores already existed, so a default-valued knob must
 not shift any pre-existing fingerprint or checkpoint context."""
+
+OMITTED_DEFAULTS = {field.name: field.default
+                    for field in fields(FederatedConfig)
+                    if field.name in DEFAULT_OMITTED_FIELDS}
+"""Each of :data:`DEFAULT_OMITTED_FIELDS` mapped to the default at which
+cell fingerprints and session checkpoint contexts omit it."""
 
 
 PAPER_CONFIG = FederatedConfig(

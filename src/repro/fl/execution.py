@@ -2,12 +2,10 @@
 
 Every client's local SSL + personalization step is embarrassingly parallel,
 so the session dispatches client work through an :class:`ExecutionBackend`
-instead of a bare ``for`` loop.  Three backends ship with the repo:
+instead of a bare ``for`` loop.  Two backends ship with the repo:
 
 * :class:`SerialBackend` — the reference implementation: run tasks inline,
   one after another, on the calling thread;
-* :class:`ThreadBackend` — a thread pool; useful when tasks release the
-  GIL (large numpy kernels) or block on I/O;
 * :class:`ProcessBackend` — a process pool for true CPU parallelism.
 
 A backend has one primitive, :meth:`ExecutionBackend.imap`: it applies a
@@ -25,11 +23,10 @@ pieces that make this hold:
    ``derive_rng(seed, round_index, client_id)`` — a pure function of the
    run seed and the task's coordinates, never of execution order.
 2. **Pure tasks.**  A task submitted to ``imap`` may execute on a *copy*
-   of itself (``ThreadBackend`` deep-copies per chunk so worker replicas
-   never share mutable algorithm state; ``ProcessBackend`` copies by
-   pickling).  Anything the caller needs back — client stores, updated
-   state — must flow through the task's return value, which the session
-   writes back on the coordinating process.
+   of itself (``ProcessBackend`` pickles it with every chunk).  Anything
+   the caller needs back — client stores, updated state — must flow
+   through the task's return value, which the session writes back on the
+   coordinating process.
 3. **Resident algorithms and clients.**  Tasks carry a :class:`Resident`
    handle in place of the session's algorithm and a
    :class:`ResidentClient` in place of each client.  ``ProcessBackend``
@@ -56,12 +53,11 @@ serially is always safe; chunks that already completed are never rerun.
 
 from __future__ import annotations
 
-import copy
 import math
 import os
 import pickle
 import warnings
-from concurrent.futures import ThreadPoolExecutor, as_completed
+from concurrent.futures import as_completed
 
 try:
     from concurrent.futures.process import BrokenProcessPool
@@ -73,7 +69,6 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Ty
 __all__ = [
     "ExecutionBackend",
     "SerialBackend",
-    "ThreadBackend",
     "ProcessBackend",
     "ExecutionError",
     "Resident",
@@ -139,14 +134,6 @@ def _indexed_chunks(items: Sequence, workers: int,
     return chunks
 
 
-def _run_serially(task: Callable, chunks: Dict[int, List]
-                  ) -> Iterator[Tuple[int, object]]:
-    """Run the given chunks inline, in input order, lazily."""
-    for start, chunk in chunks.items():
-        for offset, item in enumerate(chunk):
-            yield start + offset, task(item)
-
-
 _INSTALLED: Dict[int, object] = {}
 """What this pool worker's initializer installed, by token; empty in the
 coordinating process."""
@@ -163,7 +150,7 @@ class Resident:
 
     In the process that bound it, the handle holds the algorithm itself,
     so serial execution (the process backend's fallback included) runs
-    the coordinator's instance and a thread replica deep-copies it.
+    the coordinator's instance.
     Pickled, it is only the registration ``token`` and ``state``, which
     :meth:`resolve` applies to the instance a pool worker installed: for
     an algorithm, its ``server_state()`` when the task was bound.
@@ -176,10 +163,6 @@ class Resident:
 
     def __reduce__(self):
         return type(self), (self.token, None, self.state)
-
-    def __deepcopy__(self, memo) -> "Resident":
-        return type(self)(self.token, copy.deepcopy(self._value, memo),
-                          self.state)
 
     def resolve(self):
         """The object this handle names, in the current process."""
@@ -306,39 +289,6 @@ class SerialBackend(ExecutionBackend):
     name = "serial"
 
 
-class ThreadBackend(ExecutionBackend):
-    """Thread-pool backend.
-
-    Each chunk runs against a deep copy of the task, so worker threads never
-    share the algorithm's mutable scratch state (e.g. the SSL template
-    module that local updates load state into).
-    """
-
-    name = "thread"
-
-    def imap(self, task: Callable, items: Sequence
-             ) -> Iterator[Tuple[int, object]]:
-        chunks = _indexed_chunks(items, self.workers, self.chunk_size)
-        if len(chunks) <= 1:
-            yield from _run_serially(task, chunks)
-            return
-        try:
-            replicas = [copy.deepcopy(task) for _ in chunks]
-        except Exception as error:  # unexpected — algorithms are plain containers
-            self._fallback_guard(error)
-            yield from _run_serially(task, chunks)
-            return
-        with ThreadPoolExecutor(max_workers=min(self.workers, len(chunks))) as pool:
-            futures = {
-                pool.submit(_run_chunk, replica, chunk): start
-                for replica, (start, chunk) in zip(replicas, chunks.items())
-            }
-            for future in as_completed(futures):
-                start = futures[future]
-                for offset, result in enumerate(future.result()):
-                    yield start + offset, result
-
-
 class ProcessBackend(ExecutionBackend):
     """Process-pool backend: true CPU parallelism across client updates.
 
@@ -436,12 +386,13 @@ class ProcessBackend(ExecutionBackend):
             # The pool is broken or never started: rerun only the chunks no
             # worker delivered (tasks are pure, so re-execution is safe).
             self._fallback_guard(self._broken_cause)
-            yield from _run_serially(task, unfinished)
+            for start, chunk in unfinished.items():
+                for offset, item in enumerate(chunk):
+                    yield start + offset, task(item)
 
 
 BACKENDS: Dict[str, Type[ExecutionBackend]] = {
     SerialBackend.name: SerialBackend,
-    ThreadBackend.name: ThreadBackend,
     ProcessBackend.name: ProcessBackend,
 }
 
@@ -455,8 +406,8 @@ def resolve_backend(spec, workers: Optional[int] = None,
     """Build an :class:`ExecutionBackend` from a name or pass one through.
 
     ``spec`` may be an existing backend instance (returned unchanged), a
-    registered name (``"serial"``, ``"thread"``, ``"process"``), or ``None``
-    (serial).  Unknown names raise ``ValueError`` listing the registry.
+    registered name (``"serial"``, ``"process"``), or ``None`` (serial).
+    Unknown names raise ``ValueError`` listing the registry.
     """
     if isinstance(spec, ExecutionBackend):
         return spec

@@ -16,7 +16,7 @@ A session object
   sampled order whatever the completion order;
 * checkpoints and restores at round granularity: a run resumed from a
   checkpoint taken at round k is bitwise identical to the uninterrupted
-  run, across serial/thread/process backends.
+  run, across the serial and process backends.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ import warnings
 from collections import Counter
 from contextlib import closing, nullcontext
 from dataclasses import asdict, dataclass
-from dataclasses import fields as dataclass_fields
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -40,7 +39,7 @@ from ...nn.serialize import StateDict, clone_state
 from ...telemetry import InstrumentedTask, TaskOutcome, Tracer, current_tracer
 from ..algorithm import ClientUpdate, FederatedAlgorithm
 from ..client import ClientData, ClientTable
-from ..config import DEFAULT_OMITTED_FIELDS, EXECUTION_FIELDS, FederatedConfig
+from ..config import EXECUTION_FIELDS, OMITTED_DEFAULTS, FederatedConfig
 from ..execution import (
     ExecutionBackend,
     Resident,
@@ -89,7 +88,7 @@ def _unpack_client_store(client: ClientData) -> bool:
     """Restore a packed incoming store before the algorithm touches it.
 
     Returns whether the store arrived packed — the task repacks its reply
-    iff it did, so serial/thread dispatch (never packed) is bit-for-bit
+    iff it did, so serial dispatch (never packed) is bit-for-bit
     untouched and the serial *fallback* of the process backend stays safe
     (pack/unpack round-trips exactly, and the task leaves the client it
     was handed holding a plain store either way).
@@ -140,15 +139,6 @@ def _cohort_span_attrs(round_index: Optional[int],
     return attrs
 
 
-# Population-plane knobs are omitted from the context payload while at
-# their defaults, so checkpoints taken before those knobs existed keep
-# restoring.
-_CONTEXT_OMITTED = {
-    field.name: field.default for field in dataclass_fields(FederatedConfig)
-    if field.name in DEFAULT_OMITTED_FIELDS
-}
-
-
 def _require_unique_ids(clients: Sequence[ClientData], label: str) -> None:
     """Reject a client list that repeats an id: stores, sampling and
     personalization results are all keyed by client id."""
@@ -178,7 +168,9 @@ def default_session_context(algorithm: FederatedAlgorithm,
     """
     config_payload = {name: value for name, value in asdict(config).items()
                       if name not in EXECUTION_FIELDS}
-    for name, default in _CONTEXT_OMITTED.items():
+    # Population-plane knobs are omitted while at their defaults, so
+    # checkpoints taken before those knobs existed keep restoring.
+    for name, default in OMITTED_DEFAULTS.items():
         if name in config_payload and config_payload[name] == default:
             config_payload.pop(name)
     if isinstance(clients, VirtualPopulation):
@@ -295,8 +287,8 @@ class TrainingSession:
         self._stop_requested = False
         self._warned_non_finite = False
         # Backends that pickle tasks across a process boundary ship each
-        # non-empty client store as one PackedState buffer; serial/thread
-        # backends share the coordinator's memory, where packing would be
+        # non-empty client store as one PackedState buffer; the serial
+        # backend shares the coordinator's memory, where packing would be
         # pure overhead.
         self._pack_ipc = self.backend.pickles_tasks
 

@@ -305,13 +305,16 @@ def run_sweep(sweep: SweepSpec,
     embedding figures use this seam to persist t-SNE payloads alongside
     the training result.
     """
-    if store is not None and not isinstance(store, RunStore):
-        store = RunStore(store)
+    # Every argument is checked before the store is opened (which
+    # creates it), so a rejected call leaves nothing behind.
     if max_cells is not None and max_cells < 0:
         raise ValueError(f"max_cells must be >= 0 or None, got {max_cells}")
     if round_checkpoints and store is None:
         raise ValueError("round_checkpoints=True requires a store "
                          "(checkpoints live under the store root)")
+    engine = resolve_backend(backend, workers=workers, chunk_size=1)
+    if store is not None and not isinstance(store, RunStore):
+        store = RunStore(store)
     cells = sweep.cells()
     done = store.completed_fingerprints() if store is not None else set()
 
@@ -332,7 +335,6 @@ def run_sweep(sweep: SweepSpec,
     if max_cells is not None and len(pending) > max_cells:
         pending, deferred = pending[:max_cells], pending[max_cells:]
 
-    engine = resolve_backend(backend, workers=workers, chunk_size=1)
     inner = client_backend
     if inner is None and engine.name != "serial":
         inner = "serial"

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict
-from dataclasses import fields as dataclass_fields
 from typing import Dict, List, Union
 
 import numpy as np
@@ -29,6 +28,7 @@ from ..fl.config import (
     DEFAULT_OMITTED_FIELDS,
     EXECUTION_FIELDS,
     FINGERPRINTED_FIELDS,
+    OMITTED_DEFAULTS,
     FederatedConfig,
 )
 from ..ioutil import atomic_write_text
@@ -123,12 +123,6 @@ def setting_from_jsonable(payload: Dict) -> NonIIDSetting:
                          int(payload["samples_per_client"]))
 
 
-_OMITTED_DEFAULTS = {
-    field.name: field.default for field in dataclass_fields(FederatedConfig)
-    if field.name in DEFAULT_OMITTED_FIELDS
-}
-
-
 def config_to_jsonable(config: FederatedConfig, include_execution: bool = True) -> Dict:
     payload = to_jsonable(asdict(config))
     if not include_execution:
@@ -138,7 +132,7 @@ def config_to_jsonable(config: FederatedConfig, include_execution: bool = True) 
     # knob must keep old fingerprints/checkpoint contexts byte-stable.
     # (asdict turns a set AvailabilitySpec into a dict != None, so it
     # survives; config_from_jsonable coerces it back.)
-    for name, default in _OMITTED_DEFAULTS.items():
+    for name, default in OMITTED_DEFAULTS.items():
         if name in payload and payload[name] == default:
             payload.pop(name)
     return payload

@@ -209,6 +209,8 @@ class SweepSpec:
                             (self.availability, "availability")):
             if not axis:
                 raise ValueError(f"sweep axis '{label}' must be non-empty")
+        if min(self.seeds) < 0:
+            raise ValueError(f"seeds must be >= 0, got {self.seeds}")
         from ..eval.registry import available_methods
 
         unknown = [m for m in self.methods if m not in available_methods()]

@@ -9,7 +9,7 @@ execution stack top-down::
                             aggregate, checkpoint} → personalize
 
 Coordinator-side code opens spans directly (``with tracer.span(...)``);
-worker-side code — client tasks shipped to thread/process backends —
+worker-side code — client tasks, run inline or in a pool worker —
 records into a private per-task tracer whose :class:`TelemetryFragment`
 travels back picklably with the result and is merged into the
 coordinator's tracer by :meth:`Tracer.merge_fragment`.  Per-process
@@ -226,7 +226,7 @@ class TelemetryFragment:
     counter/gauge totals, and the recording process's pid.
 
     Everything is plain data — lists, dicts, floats — so fragments pickle
-    across the process backend and deep-copy under the thread backend.
+    across the process backend.
     """
 
     spans: List[Span]
@@ -285,8 +285,8 @@ class TaskOutcome:
 class InstrumentedTask:
     """Wrap a pure execution task so each invocation records a span.
 
-    The wrapper is as picklable and deep-copyable as the task it wraps
-    (execution backends copy tasks per chunk), and it is *transparent* to
+    The wrapper is as picklable as the task it wraps (the process
+    backend pickles tasks per chunk), and it is *transparent* to
     determinism: the task runs unchanged, only its return value is boxed
     into a :class:`TaskOutcome` carrying the fragment.
 

@@ -64,6 +64,33 @@ class TestNonIIDSetting:
             NonIIDSetting("bogus", 1, 100)
         with pytest.raises(ValueError):
             NonIIDSetting("quantity", 1, 2)
+        for parameter in (0, -2, 2.5, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="classes per client"):
+                NonIIDSetting("quantity", parameter, 10)
+        for parameter in (0, -0.3, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="concentration"):
+                NonIIDSetting("dirichlet", parameter, 10)
+
+    def test_integral_float_s_partitions_as_its_integer(self):
+        # The CLI parses --param as a float: S=2.0 is the setting S=2.
+        labels = np.repeat(np.arange(4), 30)
+        as_float = NonIIDSetting("quantity", 2.0, 10)
+        assert as_float.label() == "(2, 10)"
+        for part, expected in zip(
+                make_partitions(labels, 4, as_float, np.random.default_rng(0)),
+                make_partitions(labels, 4, NonIIDSetting("quantity", 2, 10),
+                                np.random.default_rng(0))):
+            np.testing.assert_array_equal(part, expected)
+
+    def test_iid_ignores_the_parameter(self):
+        labels = np.repeat(np.arange(4), 30)
+        zero = NonIIDSetting("iid", 0, 10)
+        assert zero.label() == "(iid, 10)"
+        for part, expected in zip(
+                make_partitions(labels, 4, zero, np.random.default_rng(0)),
+                make_partitions(labels, 4, NonIIDSetting("iid", 2, 10),
+                                np.random.default_rng(0))):
+            np.testing.assert_array_equal(part, expected)
 
     def test_make_partitions_dispatch(self):
         labels = np.repeat(np.arange(4), 30)

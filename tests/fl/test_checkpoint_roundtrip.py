@@ -6,8 +6,8 @@ Three properties, for every registered method:
    key order, tuples, NaNs);
 2. a run checkpointed at an arbitrary round and resumed in a fresh
    session produces a ``RunResult`` bitwise identical to the
-   uninterrupted run — including across the thread/process execution
-   backends;
+   uninterrupted run — including across the serial and process
+   execution backends;
 3. the legacy schema-1 (inline JSON) and schema-2 (manifest + ``.npcol``
    sidecar) checkpoint formats are *differentially* identical: the same
    state written both ways reads back bitwise equal, and both resume to
@@ -203,40 +203,38 @@ class TestEveryMethodCheckpoints:
 
 
 @pytest.mark.parametrize("method", ["scaffold", "calibre-simclr"])
-@pytest.mark.parametrize("backend", ["thread", "process"])
 class TestResumeAcrossBackends:
-    def test_resume_matches_serial_uninterrupted(self, method, backend):
-        """A checkpoint taken under serial resumes bitwise under every
-        backend (and vice versa: state is backend-independent)."""
+    def test_resume_matches_serial_uninterrupted(self, method):
+        """A checkpoint taken under the process backend resumes bitwise
+        to the serial uninterrupted run: state is backend-independent."""
         config = tiny_config(clients_per_round=4)
         reference = json.dumps(make_session(method, config).execute().to_json())
 
-        partial = make_session(method, config, backend=backend)
+        partial = make_session(method, config, backend="process")
         partial.run_until(1)
         state = state_through_json(partial.capture_state())
         partial.close()
 
-        resumed = make_session(method, config, backend=backend)
+        resumed = make_session(method, config, backend="process")
         resumed.restore_state(state)
         assert json.dumps(resumed.execute().to_json()) == reference
 
     def test_columnar_and_json_files_resume_identically(self, method,
-                                                        backend, tmp_path):
-        """Both on-disk formats, written under one backend, restore and
-        resume to the same bitwise result under that backend — the
-        process backend additionally exercises the PackedState IPC
-        path end to end."""
+                                                        tmp_path):
+        """Both on-disk formats, written under the process backend,
+        restore and resume to the same bitwise result under it, which
+        also exercises the PackedState IPC path end to end."""
         config = tiny_config(clients_per_round=4)
         reference = json.dumps(make_session(method, config).execute().to_json())
 
-        partial = make_session(method, config, backend=backend)
+        partial = make_session(method, config, backend="process")
         partial.run_until(1)
         from_legacy, from_columnar = state_through_files(
             partial.capture_state(), tmp_path)
         partial.close()
         assert_exact(from_columnar.to_json(), from_legacy.to_json())
 
-        resumed = make_session(method, config, backend=backend)
+        resumed = make_session(method, config, backend="process")
         resumed.restore_state(from_columnar)
         result = json.dumps(resumed.execute().to_json())
         resumed.close()

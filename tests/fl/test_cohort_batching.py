@@ -106,11 +106,10 @@ class TestBatchedEngineEngages:
             "pfl-simclr", cohort_config(batch_size=6, client_batch=None))
         assert len(algorithm._trace_cache) == 2
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_parallel_backends_match_serial(self, backend):
+    def test_process_backend_matches_serial(self):
         config = cohort_config(client_batch=None, workers=2)
         _, _, serial = run_session("pfl-simclr", config)
-        _, _, parallel = run_session("pfl-simclr", config, backend=backend)
+        _, _, parallel = run_session("pfl-simclr", config, backend="process")
         assert_identical_results(serial, parallel)
 
 
@@ -192,11 +191,10 @@ class TestCalibreBatched:
             # l_p is missing on the 2-sample steps, present on some others.
             assert 0 < counters["plan.terms.l_p"] < counters["plan.replay_clients"]
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_parallel_backends_match_serial(self, backend):
+    def test_process_backend_matches_serial(self):
         _, serial, serial_metrics, _ = run_calibre("calibre-simclr", None)
         _, parallel, metrics, _ = run_calibre("calibre-simclr", None,
-                                              backend=backend)
+                                              backend="process")
         assert_identical_results(serial, parallel)
         assert metrics_text(metrics) == metrics_text(serial_metrics)
 

@@ -19,7 +19,6 @@ from repro.fl import (
     FederatedConfig,
     ProcessBackend,
     SerialBackend,
-    ThreadBackend,
     TrainingSession,
     available_backends,
     build_federation,
@@ -45,9 +44,10 @@ def test_serial_backend_maps_in_order():
     assert SerialBackend().map(_double, range(7)) == [0, 2, 4, 6, 8, 10, 12]
 
 
-def test_thread_backend_preserves_input_order():
-    backend = ThreadBackend(workers=3, chunk_size=2)
-    assert backend.map(_double, range(11)) == [2 * i for i in range(11)]
+def test_process_backend_preserves_input_order():
+    # Chunks complete in any order across workers; map reassembles them.
+    with ProcessBackend(workers=3, chunk_size=2) as backend:
+        assert backend.map(_double, range(11)) == [2 * i for i in range(11)]
 
 
 def test_process_backend_maps_and_reuses_pool():
@@ -57,8 +57,7 @@ def test_process_backend_maps_and_reuses_pool():
         assert backend.map(_double, range(3)) == [0, 2, 4]
 
 
-@pytest.mark.parametrize("backend_cls", [SerialBackend, ThreadBackend,
-                                         ProcessBackend])
+@pytest.mark.parametrize("backend_cls", [SerialBackend, ProcessBackend])
 def test_imap_yields_every_index_exactly_once(backend_cls):
     with backend_cls(workers=3, chunk_size=2) as backend:
         pairs = list(backend.imap(_double, range(11)))
@@ -97,7 +96,7 @@ def test_process_imap_falls_back_on_unpicklable_task():
 
 
 def test_imap_task_exceptions_propagate():
-    for backend_cls in (SerialBackend, ThreadBackend):
+    for backend_cls in (SerialBackend, ProcessBackend):
         with backend_cls(workers=2, chunk_size=1) as backend, \
                 pytest.raises(ValueError, match="task failure"):
             list(backend.imap(_explode, range(4)))
@@ -119,16 +118,19 @@ def test_chunk_items_covers_everything_in_order():
 def test_resolve_backend_rejects_unknown_names():
     with pytest.raises(ValueError, match="unknown execution backend"):
         resolve_backend("gpu-farm")
+    with pytest.raises(ValueError,
+                       match=r"'thread'; available: \['process', 'serial'\]"):
+        resolve_backend("thread")
     with pytest.raises(ValueError, match="ExecutionBackend"):
         resolve_backend(42)
 
 
 def test_resolve_backend_accepts_names_and_instances():
     assert isinstance(resolve_backend(None), SerialBackend)
-    assert isinstance(resolve_backend("THREAD", workers=2), ThreadBackend)
+    assert isinstance(resolve_backend("PROCESS", workers=2), ProcessBackend)
     backend = ProcessBackend(workers=1)
     assert resolve_backend(backend) is backend
-    assert set(available_backends()) == {"serial", "thread", "process"}
+    assert available_backends() == ["process", "serial"]
 
 
 @pytest.mark.parametrize("workers", [0, -1, 1.5, True])
@@ -140,6 +142,9 @@ def test_invalid_workers_rejected(workers):
 def test_config_validates_backend_and_workers():
     with pytest.raises(ValueError, match="unknown execution backend"):
         FederatedConfig(backend="bogus")
+    with pytest.raises(ValueError,
+                       match=r"'thread'; available: \['process', 'serial'\]"):
+        FederatedConfig(backend="thread")
     with pytest.raises(ValueError, match="workers"):
         FederatedConfig(workers=0)
     config = FederatedConfig(backend="process", workers=2)
@@ -165,7 +170,7 @@ def test_process_backend_falls_back_to_serial_on_unpicklable_task():
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
-@pytest.mark.parametrize("backend_cls", [SerialBackend, ThreadBackend, ProcessBackend])
+@pytest.mark.parametrize("backend_cls", [SerialBackend, ProcessBackend])
 def test_task_exceptions_propagate_not_fallback(backend_cls):
     # A bug inside a client task is not backend unavailability: it must
     # surface identically under every backend, with no fallback warning.
@@ -321,10 +326,9 @@ def _run_tiny(backend, workers=None, method="pfl-simclr"):
     return result, clients
 
 
-@pytest.mark.parametrize("backend,workers", [("thread", 2), ("process", 2)])
-def test_parallel_backends_reproduce_serial_run(backend, workers):
+def test_process_backend_reproduces_serial_run():
     serial, _ = _run_tiny("serial")
-    parallel, _ = _run_tiny(backend, workers)
+    parallel, _ = _run_tiny("process", workers=2)
     assert parallel.accuracies == serial.accuracies
     assert parallel.novel_accuracies == serial.novel_accuracies
     assert [r.mean_loss for r in parallel.rounds] == [r.mean_loss for r in serial.rounds]

@@ -55,6 +55,8 @@ class TestConfig:
             FederatedConfig(test_fraction=1.5)
         with pytest.raises(ValueError):
             FederatedConfig(learning_rate=0.0)
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            FederatedConfig(seed=-1)
 
     def test_with_overrides(self):
         config = FederatedConfig(rounds=5).with_overrides(rounds=7)

@@ -1,7 +1,6 @@
 """Resident federation: client handles, the client table, a population's
 recipe, and what a process pool installs for a session."""
 
-import copy
 import os
 import pickle
 import threading
@@ -153,18 +152,6 @@ class TestResidentClient:
                                             (client.client_id, {})))
         with pytest.raises(LookupError, match="12345 is not installed"):
             replica.resolve()
-
-    def test_deep_copy_holds_its_own_client(self, dataset):
-        # A thread replica's task deep-copies its handles: its client is a
-        # copy whose store the coordinator's client never sees change.
-        client = _clients(dataset)[0]
-        client.store = {"w": np.zeros(3)}
-        replica = copy.deepcopy(ResidentClient(
-            7, client, (client.client_id, client.store))).resolve()
-        assert replica is not client
-        _assert_same_data(replica, client)
-        replica.store["w"][0] = 1.0
-        np.testing.assert_array_equal(client.store["w"], np.zeros(3))
 
 
 # ----------------------------------------------------------------------

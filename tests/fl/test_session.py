@@ -384,12 +384,12 @@ class TestRestoreValidation:
 
     def test_execution_knobs_do_not_change_context(self):
         config = tiny_config()
-        thread_config = tiny_config(backend="thread", workers=2)
+        process_config = tiny_config(backend="process", workers=2)
         serial = TrainingSession(TraceAlgorithm(config), make_clients(4), config)
-        threaded = TrainingSession(TraceAlgorithm(thread_config), make_clients(4),
-                                   thread_config)
-        assert serial.context == threaded.context
-        threaded.close()
+        process = TrainingSession(TraceAlgorithm(process_config),
+                                  make_clients(4), process_config)
+        assert serial.context == process.context
+        process.close()
 
     def test_captured_state_is_detached(self):
         config = tiny_config(rounds=2)

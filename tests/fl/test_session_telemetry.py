@@ -56,7 +56,7 @@ COORDINATOR_SPANS = ("session", "round", "sample", "dispatch", "aggregate",
 
 
 class TestSpanTaxonomyAcrossBackends:
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_full_taxonomy_on_every_backend(self, backend):
         tracer = Tracer()
         config = small_config(backend=backend, workers=2, client_batch=1)
@@ -68,7 +68,7 @@ class TestSpanTaxonomyAcrossBackends:
         assert "client_update" not in names
         assert "cohort_personalize" in names
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_span_counts_match_the_schedule(self, backend):
         tracer = Tracer()
         config = small_config(backend=backend, workers=2, client_batch=1)
@@ -105,7 +105,7 @@ class TestSpanTaxonomyAcrossBackends:
     def test_worker_spans_fit_inside_their_parent(self):
         tracer = Tracer()
         run_traced("fedavg", small_config(rounds=1, client_batch=1,
-                                          backend="thread", workers=2),
+                                          backend="process", workers=2),
                    tracer)
         index = {span.span_id: span for span in tracer.spans}
         for span in tracer.spans:
@@ -122,10 +122,10 @@ class TestObservationOnly:
 
     def test_traced_results_bitwise_equal_across_backends(self):
         serial = run_traced("fedavg", small_config(client_batch=1), Tracer())
-        thread = run_traced("fedavg",
-                            small_config(client_batch=1, backend="thread",
-                                         workers=2), Tracer())
-        assert json.dumps(serial.to_json()) == json.dumps(thread.to_json())
+        process = run_traced("fedavg",
+                             small_config(client_batch=1, backend="process",
+                                          workers=2), Tracer())
+        assert json.dumps(serial.to_json()) == json.dumps(process.to_json())
 
 
 class TestCohortCounters:
@@ -172,9 +172,8 @@ class TestPersonalizationCohorts:
         ("serial", 1, None, [4]),
         ("serial", 1, 3, [3, 1]),
         ("serial", 1, 1, [1, 1, 1, 1]),
-        ("thread", 2, None, [2, 2]),
         ("process", 2, None, [2, 2]),
-        ("thread", 2, 1, [1, 1, 1, 1]),
+        ("process", 2, 1, [1, 1, 1, 1]),
     ])
     def test_cohorts_split_by_workers_and_client_batch(self, backend, workers,
                                                        client_batch, sizes):
@@ -194,7 +193,7 @@ class TestPersonalizationCohorts:
     def test_cohort_split_never_changes_results(self):
         whole = run_traced("pfl-simclr", small_config(client_batch=None), None)
         split = run_traced("pfl-simclr",
-                           small_config(client_batch=1, backend="thread",
+                           small_config(client_batch=1, backend="process",
                                         workers=2), None)
         assert json.dumps(whole.to_json()) == json.dumps(split.to_json())
 

@@ -65,13 +65,13 @@ class TestRunSweep:
 
     def test_results_identical_across_schedulers(self, tmp_path):
         sweep = tiny_sweep()
-        serial_dir, thread_dir = tmp_path / "serial", tmp_path / "thread"
+        serial_dir, process_dir = tmp_path / "serial", tmp_path / "process"
         run_sweep(sweep, store=serial_dir, backend="serial")
-        run_sweep(sweep, store=thread_dir, backend="thread", workers=2)
+        run_sweep(sweep, store=process_dir, backend="process", workers=2)
         for key in sweep.cells():
             serial_bytes = RunStore(serial_dir).path_for(key).read_bytes()
-            thread_bytes = RunStore(thread_dir).path_for(key).read_bytes()
-            assert serial_bytes == thread_bytes
+            process_bytes = RunStore(process_dir).path_for(key).read_bytes()
+            assert serial_bytes == process_bytes
 
     def test_outcome_from_records_matches_live_run(self, tmp_path):
         # An outcome read back from a store equals one over the records
@@ -117,8 +117,13 @@ class TestRunSweep:
     def test_max_cells_zero_executes_nothing(self, tmp_path):
         summary = run_sweep(tiny_sweep(), store=tmp_path, max_cells=0)
         assert not summary.executed and len(summary.deferred) == 2
+
+    @pytest.mark.parametrize("bad", [{"max_cells": -1}, {"backend": "thread"},
+                                     {"backend": "process", "workers": 0}])
+    def test_rejected_arguments_create_no_store(self, tmp_path, bad):
         with pytest.raises(ValueError):
-            run_sweep(tiny_sweep(), max_cells=-1)
+            run_sweep(tiny_sweep(), store=tmp_path / "store", **bad)
+        assert not (tmp_path / "store").exists()
 
     def test_store_holds_sweep_provenance(self, tmp_path):
         sweep = tiny_sweep()
@@ -137,7 +142,7 @@ def storeless_span_names(backend):
 
 
 class TestSweepTelemetry:
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_storeless_sweep_reports_to_the_ambient_tracer(self, backend):
         # With no store there is no sidecar to write, so every cell's
         # spans must reach the tracer active around the call, whichever

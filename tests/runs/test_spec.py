@@ -151,6 +151,10 @@ class TestSweepSpec:
         with pytest.raises(ValueError):
             self.make_sweep(seeds=[])
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seeds must be >= 0"):
+            self.make_sweep(seeds=[0, -1])
+
     @staticmethod
     def fake_records(sweep):
         # Each record's one accuracy is its seed / 4, naming its seed.

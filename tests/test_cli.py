@@ -73,11 +73,34 @@ class TestParser:
          "--jobs must be >= 1, got 0"),
         (["sweep", "--exp", "fig3", "--max-cells", "-1"],
          "--max-cells must be >= 0, got -1"),
+        (["run", "--method", "fedavg", "--seed", "-1"],
+         "--seed must be >= 0, got -1"),
+        (["sweep", "--exp", "fig3", "--seeds", "0", "-1"],
+         "--seeds must be >= 0, got -1"),
+        (["report", "--exp", "fig3", "--seeds", "-1"],
+         "--seeds must be >= 0, got -1"),
+        (["figures", "fig1", "--seed", "-1"],
+         "--seed must be >= 0, got -1"),
+        (["run", "--method", "fedavg", "--param", "0"],
+         "--param: classes per client must be a positive integer, got 0.0"),
+        (["run", "--method", "fedavg", "--param", "2.5"],
+         "--param: classes per client must be a positive integer, got 2.5"),
+        (["run", "--method", "fedavg", "--setting", "dirichlet",
+          "--param", "0"],
+         "--param: concentration must be positive and finite, got 0.0"),
+        (["run", "--method", "fedavg", "--backend", "thread"],
+         "--backend: invalid choice: 'thread'"),
+        (["sweep", "--exp", "fig3", "--scheduler", "thread"],
+         "--scheduler: invalid choice: 'thread'"),
     ], ids=["run", "sweep", "report", "figures", "run-rounds", "sweep-novel",
             "sweep-embed-clients", "sweep-embed-samples",
             "report-tsne-iterations", "sweep-seeds", "report-seeds",
             "sweep-methods", "report-methods", "run-methods", "sweep-jobs",
-            "sweep-max-cells"])
+            "sweep-max-cells", "run-negative-seed", "sweep-negative-seeds",
+            "report-negative-seeds", "figures-negative-seed",
+            "run-param-zero", "run-param-fractional",
+            "run-dirichlet-param-zero", "run-thread-backend",
+            "sweep-thread-scheduler"])
     def test_bad_grid_value_exits_2_naming_the_flag(self, capsys, tmp_path,
                                                     argv, message):
         if argv[0] != "run":
