@@ -72,7 +72,7 @@ from .experiments import (
     table1_sweep,
     scaled_sweep,
 )
-from .experiments.settings import SCALED_CONFIG
+from .experiments.settings import SCALED_CONFIG, SCALED_DATASET_KWARGS
 from .fl.config import AGGREGATION_POLICIES, AvailabilitySpec, FederatedConfig
 from .fl.execution import available_backends
 from .ioutil import atomic_write_text
@@ -99,6 +99,14 @@ __all__ = ["main", "build_parser"]
 
 SWEEP_EXPERIMENTS = ("table1",) + tuple(PANEL_FIGURES) + EMBEDDING_FIGURES
 FIGURE_CHOICES = tuple(sorted(EMBEDDING_FIGURES + tuple(PANEL_FIGURES)))
+# Each ``repro run --dataset``'s class count, known without rendering a
+# sample: the cifar10 and stl10 stand-ins fix 10 classes, and the scaled
+# cifar100 one sets its own.
+_DATASET_CLASSES = {
+    "cifar10": 10,
+    "cifar100": SCALED_DATASET_KWARGS["cifar100"]["num_classes"],
+    "stl10": 10,
+}
 
 
 def _add_population_arguments(parser: argparse.ArgumentParser) -> None:
@@ -307,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument("--method", action="append", required=True,
                             help="method name (repeatable)")
     run_parser.add_argument("--dataset", default="cifar10",
-                            choices=["cifar10", "cifar100", "stl10"])
+                            choices=list(_DATASET_CLASSES))
     run_parser.add_argument("--setting", default="quantity",
                             choices=["quantity", "dirichlet", "iid"])
     run_parser.add_argument("--param", type=float, default=2.0,
@@ -481,6 +489,10 @@ def _command_run(args) -> int:
         NonIIDSetting("iid", 0, args.samples)
     with _flag("--param"):
         setting = NonIIDSetting(args.setting, args.param, args.samples)
+        classes = _DATASET_CLASSES[args.dataset]
+        if setting.kind == "quantity" and setting.parameter > classes:
+            raise ValueError(f"classes per client must be at most {classes} "
+                             f"for {args.dataset}, got {args.param!r}")
     name = f"{args.dataset} {args.setting}({args.param}, {args.samples})"
     sweep = scaled_sweep(name, args.dataset, setting, args.method,
                          seeds=[args.seed], config=config)

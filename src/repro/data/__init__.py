@@ -7,13 +7,11 @@ docs/reproduction.md ("Data") for the substitution and its evidence.
 from .augment import (
     ColorJitter,
     Compose,
-    Cutout,
     GaussianNoise,
     RandomCrop,
     RandomGrayscale,
     RandomHorizontalFlip,
     TwoViewAugment,
-    default_eval_augment,
     default_ssl_augment,
 )
 from .loader import batch_iterator
@@ -54,11 +52,9 @@ __all__ = [
     "ColorJitter",
     "RandomGrayscale",
     "GaussianNoise",
-    "Cutout",
     "Compose",
     "TwoViewAugment",
     "default_ssl_augment",
-    "default_eval_augment",
     "label_histogram",
     "client_label_matrix",
     "classes_per_client",

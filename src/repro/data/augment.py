@@ -23,11 +23,9 @@ __all__ = [
     "ColorJitter",
     "RandomGrayscale",
     "GaussianNoise",
-    "Cutout",
     "Compose",
     "TwoViewAugment",
     "default_ssl_augment",
-    "default_eval_augment",
 ]
 
 
@@ -110,27 +108,6 @@ class GaussianNoise(Augmentation):
         return batch + self.sigma * rng.standard_normal(batch.shape)
 
 
-class Cutout(Augmentation):
-    """Zero a random square patch per image (regularization augmentation)."""
-
-    def __init__(self, size: int = 4):
-        if size < 1:
-            raise ValueError("cutout size must be >= 1")
-        self.size = size
-
-    def __call__(self, batch: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        n, _, h, w = batch.shape
-        out = batch.copy()
-        half = self.size // 2
-        centers_y = rng.integers(0, h, size=n)
-        centers_x = rng.integers(0, w, size=n)
-        for i in range(n):
-            y0, y1 = max(0, centers_y[i] - half), min(h, centers_y[i] + half + 1)
-            x0, x1 = max(0, centers_x[i] - half), min(w, centers_x[i] + half + 1)
-            out[i, :, y0:y1, x0:x1] = 0.0
-        return out
-
-
 class Compose(Augmentation):
     def __init__(self, transforms: Sequence[Augmentation]):
         self.transforms = list(transforms)
@@ -170,8 +147,3 @@ def default_ssl_augment(strength: float = 0.4, crop_padding: int = 2,
             ]
         )
     )
-
-
-def default_eval_augment() -> Augmentation:
-    """Identity pipeline used at evaluation/personalization time."""
-    return Compose([])

@@ -44,9 +44,6 @@ from .population import (
 )
 from .sampler import RandomSampler, RoundRobinSampler
 from .session import (
-    EarlyStopping,
-    EvalCadence,
-    HistoryStreamer,
     RoundCheckpointer,
     ServerState,
     SessionCallback,
@@ -74,9 +71,6 @@ __all__ = [
     "TrainingSession",
     "ServerState",
     "SessionCallback",
-    "HistoryStreamer",
-    "EvalCadence",
-    "EarlyStopping",
     "RoundCheckpointer",
     "read_checkpoint",
     "write_checkpoint",

@@ -6,7 +6,7 @@ typed lifecycle events to registered callbacks, and checkpoints/restores
 at round granularity with bitwise-exact resume.
 """
 
-from .callbacks import EarlyStopping, EvalCadence, HistoryStreamer, RoundCheckpointer
+from .callbacks import RoundCheckpointer
 from .codec import PackedState, decode_value, encode_value
 from .events import (
     AggregateDone,
@@ -26,7 +26,6 @@ from .state import (
     ServerState,
     checkpoint_total_bytes,
     read_checkpoint,
-    remove_checkpoint,
     write_checkpoint,
 )
 
@@ -39,7 +38,6 @@ __all__ = [
     "SEGMENTED_SCHEMA",
     "read_checkpoint",
     "write_checkpoint",
-    "remove_checkpoint",
     "checkpoint_total_bytes",
     "encode_value",
     "decode_value",
@@ -52,8 +50,5 @@ __all__ = [
     "PersonalizeDone",
     "SessionCallback",
     "EVENT_HOOKS",
-    "HistoryStreamer",
-    "EvalCadence",
-    "EarlyStopping",
     "RoundCheckpointer",
 ]

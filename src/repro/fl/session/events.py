@@ -10,12 +10,13 @@ each seam of the round loop, in a fixed order per round::
     ...
     personalize_done       (once, after the personalization stage)
 
-Callbacks subclass :class:`SessionCallback` and override the hooks they
-care about; every default hook delegates to :meth:`SessionCallback.on_event`,
-so a catch-all observer only needs to override that one method.  Hooks
-run synchronously on the coordinating thread, in registration order —
-a callback may read session state freely and may call
-``session.request_stop()`` or ``session.save_checkpoint(...)``.
+Callbacks subclass :class:`SessionCallback`, override the hooks they
+care about, and are registered with ``session.add_callback(...)``; every
+default hook delegates to :meth:`SessionCallback.on_event`, so a
+catch-all observer only needs to override that one method.  Hooks run
+synchronously on the coordinating thread, in registration order — a
+callback may read session state freely and may call
+``session.save_checkpoint(...)``.
 """
 
 from __future__ import annotations

@@ -36,7 +36,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ...nn.serialize import StateDict, clone_state
-from ...telemetry import InstrumentedTask, TaskOutcome, Tracer, current_tracer
+from ...telemetry import InstrumentedTask, TaskOutcome, current_tracer
 from ..algorithm import ClientUpdate, FederatedAlgorithm
 from ..client import ClientData, ClientTable
 from ..config import EXECUTION_FIELDS, OMITTED_DEFAULTS, FederatedConfig
@@ -212,16 +212,14 @@ class TrainingSession:
         novel_clients: Sequence[ClientData] = (),
         sampler=None,
         backend: Union[ExecutionBackend, str, None] = None,
-        callbacks: Sequence[SessionCallback] = (),
         context: Optional[str] = None,
         verbose: bool = False,
-        tracer: Optional[Tracer] = None,
     ):
         # Telemetry is observation-only: spans and counters go to the
-        # tracer (explicit, or the ambient one active at construction);
-        # with no tracer every instrumentation point is a no-op and the
-        # round loop runs exactly the un-instrumented code path.
-        self.tracer = tracer if tracer is not None else current_tracer()
+        # tracer active when the session was built; with none every
+        # instrumentation point is a no-op and the round loop runs exactly
+        # the un-instrumented code path.
+        self.tracer = current_tracer()
         self.algorithm = algorithm
         if isinstance(clients, VirtualPopulation):
             self.population: Optional[VirtualPopulation] = clients
@@ -269,7 +267,7 @@ class TrainingSession:
             None if self.population is None
             else self.backend.register(self.population))
         self.verbose = verbose
-        self.callbacks: List[SessionCallback] = list(callbacks)
+        self.callbacks: List[SessionCallback] = []
         self.context = (context if context is not None
                         else default_session_context(
                             algorithm,
@@ -284,7 +282,6 @@ class TrainingSession:
         self._dispatches = 0
         self._store_touched: Dict[int, int] = {}
         self._initialized = False
-        self._stop_requested = False
         self._warned_non_finite = False
         # Backends that pickle tasks across a process boundary ship each
         # non-empty client store as one PackedState buffer; the serial
@@ -308,23 +305,12 @@ class TrainingSession:
     def round_records(self) -> List[RoundRecord]:
         return self._state.round_records
 
-    @property
-    def stop_requested(self) -> bool:
-        return self._stop_requested
-
-    def request_stop(self) -> None:
-        """Ask the run loop to stop after the current round commits."""
-        self._stop_requested = True
-
     # ------------------------------------------------------------------
     # Callbacks and events
     # ------------------------------------------------------------------
     def add_callback(self, callback: SessionCallback) -> SessionCallback:
         self.callbacks.append(callback)
         return callback
-
-    def remove_callback(self, callback: SessionCallback) -> None:
-        self.callbacks.remove(callback)
 
     def _emit(self, event: SessionEvent) -> None:
         hook = EVENT_HOOKS.get(type(event), "on_event")
@@ -630,10 +616,10 @@ class TrainingSession:
         return plan
 
     def run_until(self, target_round: int) -> Optional[StateDict]:
-        """Advance rounds until ``round_index`` reaches ``target_round`` (or
-        a callback requests a stop); returns the global state."""
+        """Advance rounds until ``round_index`` reaches ``target_round``;
+        returns the global state."""
         self.initialize()
-        while self._state.round_index < target_round and not self._stop_requested:
+        while self._state.round_index < target_round:
             self.step()
         return self._state.global_state
 
@@ -785,8 +771,6 @@ class TrainingSession:
             algorithm_state=self.algorithm.server_state(),
             client_stores=client_stores,
             round_records=copy.deepcopy(self._state.round_records),
-            sampler_state=(copy.deepcopy(self.sampler.state_dict())
-                           if hasattr(self.sampler, "state_dict") else {}),
             availability_state=(self._availability.state_dict()
                                 if self._availability is not None else {}),
             warned_non_finite=self._warned_non_finite,
@@ -836,8 +820,6 @@ class TrainingSession:
             for client in self.clients:
                 client.store = copy.deepcopy(
                     state.client_stores.get(client.client_id, {}))
-        if state.sampler_state and hasattr(self.sampler, "load_state_dict"):
-            self.sampler.load_state_dict(copy.deepcopy(state.sampler_state))
         if self._availability is not None:
             self._availability.load_state_dict(
                 copy.deepcopy(state.availability_state))

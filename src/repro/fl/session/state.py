@@ -4,10 +4,10 @@
 mutates: the global model, the round cursor, per-round history, the
 algorithm's server-side state (SCAFFOLD control variates, …), every
 client's persistent store (SSL/Calibre local state dicts, APFL/Ditto
-personal models, …), and any sampler RNG state.  It round-trips through
-JSON *exactly* (see :mod:`repro.fl.session.codec`), which is what makes
-round-level checkpoints safe: a run restored at round k and continued is
-bitwise identical to the uninterrupted run.
+personal models, …), and the availability model's RNG cursor.  It
+round-trips through JSON *exactly* (see :mod:`repro.fl.session.codec`),
+which is what makes round-level checkpoints safe: a run restored at round
+k and continued is bitwise identical to the uninterrupted run.
 
 Checkpoint files are written with the same write-then-``os.replace``
 discipline as the run store, so a killed run never leaves a torn
@@ -58,7 +58,6 @@ __all__ = [
     "write_checkpoint",
     "write_incremental_checkpoint",
     "read_checkpoint",
-    "remove_checkpoint",
     "checkpoint_total_bytes",
     "checkpoint_segments",
     "sweep_checkpoint_segments",
@@ -112,9 +111,9 @@ class ServerState:
     round k-1 finished carries ``round_index == k`` and ``k`` round
     records.  ``client_stores`` maps client id to that client's persistent
     algorithm store; clients with empty stores are omitted.
-    ``sampler_state`` is empty for the built-in samplers (their draws are
-    pure functions of ``(seed, round_index)``) and carries whatever a
-    stateful sampler's ``state_dict()`` returns otherwise.
+    ``sampler_state`` is always empty — every sampler's draws are pure
+    functions of ``(seed, round_index)`` — and stays in the format so
+    checkpoint bytes do not move.
     ``availability_state`` persists the availability model's RNG cursor
     (:meth:`~repro.fl.population.AvailabilityModel.state_dict`) so a run
     resumed under churn replays the membership chain to the exact round —
@@ -317,23 +316,23 @@ def write_checkpoint(state: ServerState, path: Union[str, Path],
         return written
     if arrays != "columnar":
         raise ValueError(f"arrays must be 'columnar' or 'json', got {arrays!r}")
-    write_incremental_checkpoint(state, [path])
+    write_incremental_checkpoint(state, path)
     return path
 
 
 def write_incremental_checkpoint(
-        state: ServerState, paths: Sequence[Union[str, Path]],
+        state: ServerState, path: Union[str, Path],
         carried: Optional[Mapping[int, StoreRef]] = None,
 ) -> Tuple[Dict[int, StoreRef], int]:
-    """Write ``state`` as one new segment plus one manifest per path.
+    """Write ``state`` as one new segment plus its manifest at ``path``.
 
-    The ``paths`` share a directory.  ``state.client_stores`` holds the
-    stores that may have changed since the write ``carried`` came from
-    (the first value it returned); ``carried`` says where that write left
-    every store, and entries for ids ``state`` holds are ignored.  The
-    new segment holds the global, algorithm, sampler and availability
-    state plus ``state``'s stores, and the schema-3 manifest points every
-    carried store at its older segment.  With nothing carried the
+    ``state.client_stores`` holds the stores that may have changed since
+    the write ``carried`` came from (the first value it returned);
+    ``carried`` says where that write left every store, and entries for
+    ids ``state`` holds are ignored.  The new segment holds the global,
+    algorithm, sampler and availability state plus ``state``'s stores,
+    and the schema-3 manifest points every carried store at its older
+    segment.  With nothing carried the
     checkpoint is a one-segment schema-2 one.
 
     When the arrays the manifest would reference fill less than
@@ -342,15 +341,15 @@ def write_incremental_checkpoint(
     checked) and packed into the new segment, and nothing is carried.
 
     Order: the segment (skipped when a file with its digest exists), then
-    each manifest by atomic replace, then a sweep of the segments no
+    the manifest by atomic replace, then a sweep of the segments no
     manifest in the directory references.  A crash between any two steps
     leaves the previous checkpoint readable.
 
     Returns where every store of the written checkpoint lives, and the
     bytes the write produced: one manifest plus the new segment.
     """
-    paths = [Path(path) for path in paths]
-    directory = paths[0].parent
+    path = Path(path)
+    directory = path.parent
     carried = {client_id: ref for client_id, ref in (carried or {}).items()
                if client_id not in state.client_stores}
     manifest, columns, store_nbytes = state.to_manifest(carried)
@@ -361,7 +360,7 @@ def write_incremental_checkpoint(
         held = {ref.segment["file"]: ref.segment["nbytes"]
                 for ref in carried.values()}
         if live < _COMPACT_BELOW * (len(payload) + sum(held.values())):
-            stores = _read_carried(paths[-1], carried)
+            stores = _read_carried(path, carried)
             stores.update(state.client_stores)
             state, carried = replace(state, client_stores=stores), {}
             manifest, columns, store_nbytes = state.to_manifest()
@@ -376,8 +375,7 @@ def write_incremental_checkpoint(
     # Compact separators: with thousands of stores the manifest encode is
     # the largest per-store cost a write has left.
     text = json.dumps(manifest, separators=(",", ":")) + "\n"
-    for path in paths:
-        atomic_write_text(path, text)
+    atomic_write_text(path, text)
     sweep_checkpoint_segments(directory)
     skeletons = manifest["client_stores"]
     refs = dict(carried)
@@ -485,11 +483,11 @@ def checkpoint_total_bytes(path: Union[str, Path]) -> int:
 def sweep_checkpoint_segments(directory: Union[str, Path]) -> List[Path]:
     """Delete ``.npcol`` segments no manifest in ``directory`` references.
 
-    Segments are content-addressed and may be shared by several manifests
-    (the base checkpoint and its retained numbered copies, successive
-    incremental writes, or several methods checkpointing into one
-    directory), so cleanup is reference-driven: scan every ``*.json``
-    manifest for the segments it references and remove the rest.
+    Segments are content-addressed, a schema-3 manifest references the
+    older segments its carried stores live in, and several checkpoints
+    may share one directory, so cleanup is reference-driven: scan every
+    ``*.json`` manifest for the segments it references and remove the
+    rest.
     Returns the removed paths.
     """
     directory = Path(directory)
@@ -508,20 +506,3 @@ def sweep_checkpoint_segments(directory: Union[str, Path]) -> List[Path]:
                 continue  # a concurrent sweep got there first
             removed.append(orphan)
     return removed
-
-
-def remove_checkpoint(path: Union[str, Path]) -> None:
-    """Delete one checkpoint — manifest plus any segment it alone used.
-
-    The retention pruner's primitive: unlinking just the manifest would
-    strand its segments forever (content-addressed names never repeat for
-    different states), so removal always ends with a reference sweep of
-    the directory.  Segments still referenced by surviving manifests are
-    kept.
-    """
-    path = Path(path)
-    try:
-        path.unlink()
-    except FileNotFoundError:
-        pass
-    sweep_checkpoint_segments(path.parent)

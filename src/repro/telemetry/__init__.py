@@ -10,7 +10,6 @@ from .export import (
     CellTelemetry,
     chrome_trace,
     chrome_trace_from_cells,
-    iter_counter_totals,
     parse_sidecar,
     sidecar_lines,
     validate_chrome_trace,
@@ -29,7 +28,6 @@ from .spans import (
     Tracer,
     count,
     current_tracer,
-    gauge,
 )
 
 __all__ = [
@@ -45,8 +43,6 @@ __all__ = [
     "chrome_trace_from_cells",
     "count",
     "current_tracer",
-    "gauge",
-    "iter_counter_totals",
     "load_store_telemetry",
     "parse_sidecar",
     "profile_cell",

@@ -5,7 +5,7 @@ Two export shapes share one source of truth (a :class:`~.spans.Tracer`):
 * **Sidecar lines** — the ``telemetry.jsonl`` format persisted next to
   each run-store cell (``<store>/telemetry/<fingerprint>.jsonl``).  One
   JSON object per line: a ``meta`` header, then one ``span`` line per
-  span and one ``counter``/``gauge`` line per total.  The sidecar is a
+  span and one ``counter`` line per total.  The sidecar is a
   *diagnostic* artifact: it lives outside the hashed cell record, and the
   TEL001 invariant rule keeps it there.
 
@@ -19,7 +19,7 @@ Two export shapes share one source of truth (a :class:`~.spans.Tracer`):
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .spans import Span, Tracer
 
@@ -31,7 +31,6 @@ __all__ = [
     "chrome_trace",
     "chrome_trace_from_cells",
     "validate_chrome_trace",
-    "iter_counter_totals",
 ]
 
 import json
@@ -71,9 +70,6 @@ def sidecar_lines(tracer: Tracer, meta: Optional[Dict] = None) -> str:
     lines += [json.dumps({"kind": "counter", "name": name, "value": value},
                          sort_keys=True)
               for name, value in sorted(tracer.counters.items())]
-    lines += [json.dumps({"kind": "gauge", "name": name, "value": value},
-                         sort_keys=True)
-              for name, value in sorted(tracer.gauges.items())]
     return "".join(line + "\n" for line in lines)
 
 
@@ -81,11 +77,10 @@ class CellTelemetry:
     """Parsed contents of one ``telemetry.jsonl`` sidecar."""
 
     def __init__(self, meta: Dict, spans: List[Span],
-                 counters: Dict[str, float], gauges: Dict[str, float]):
+                 counters: Dict[str, float]):
         self.meta = meta
         self.spans = spans
         self.counters = counters
-        self.gauges = gauges
 
     def spans_named(self, name: str) -> List[Span]:
         return [span for span in self.spans if span.name == name]
@@ -105,7 +100,6 @@ def parse_sidecar(text: str) -> CellTelemetry:
     meta: Dict = {}
     spans: List[Span] = []
     counters: Dict[str, float] = {}
-    gauges: Dict[str, float] = {}
     for number, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line:
@@ -129,13 +123,10 @@ def parse_sidecar(text: str) -> CellTelemetry:
                 ))
             elif kind == "counter":
                 counters[payload["name"]] = float(payload["value"])
-            elif kind == "gauge":
-                gauges[payload["name"]] = float(payload["value"])
         except (ValueError, KeyError, TypeError, AttributeError) as error:
             raise ValueError(
                 f"line {number}: {type(error).__name__}: {error}") from error
-    return CellTelemetry(meta=meta, spans=spans, counters=counters,
-                         gauges=gauges)
+    return CellTelemetry(meta=meta, spans=spans, counters=counters)
 
 
 # ----------------------------------------------------------------------
@@ -256,12 +247,3 @@ def validate_chrome_trace(payload) -> List[str]:
                 problems.append(f"{where}: counter args must map names to "
                                 f"numbers")
     return problems
-
-
-def iter_counter_totals(cells: Iterable[CellTelemetry]) -> Dict[str, float]:
-    """Sum counters across cells (the ``repro profile`` totals block)."""
-    totals: Dict[str, float] = {}
-    for cell in cells:
-        for name, value in cell.counters.items():
-            totals[name] = totals.get(name, 0.0) + value
-    return totals

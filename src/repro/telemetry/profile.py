@@ -163,7 +163,6 @@ class CellProfile:
         self.fingerprint = fingerprint
         self.meta = cell.meta
         self.counters = cell.counters
-        self.gauges = cell.gauges
         self.phases: Dict[str, PhaseStat] = {}
         self.clients: Dict[str, ClientStats] = {}
         self.worker_busy_s: Dict[Tuple[int, int], float] = {}

@@ -1,9 +1,8 @@
 """Span tracing and counters: the observability core.
 
 A :class:`Tracer` records *nested spans* — named intervals measured on the
-monotonic clock — plus named *counters* (monotonic accumulators) and
-*gauges* (last-write-wins samples).  The span taxonomy mirrors the
-execution stack top-down::
+monotonic clock — plus named *counters* (monotonic accumulators).  The
+span taxonomy mirrors the execution stack top-down::
 
     sweep → cell → round → {sample, dispatch, cohort_update[i],
                             aggregate, checkpoint} → personalize
@@ -20,10 +19,11 @@ span inside its enclosing dispatch span; durations — the quantity every
 downstream consumer aggregates — are exact either way.
 
 Low-level modules that have no tracer reference (the virtual population,
-the trace/replay engine) report through the *ambient* tracer:
-:func:`count`/:func:`gauge` write to the innermost :meth:`Tracer.activate`
-context on the current thread and no-op when none is active, so
-instrumentation costs one thread-local read when telemetry is off.
+the trace/replay engine) report through the *ambient* tracer: :func:`count`
+writes to the innermost :meth:`Tracer.activate` context on the current
+thread and no-ops when none is active, so instrumentation costs one
+thread-local read when telemetry is off.  A session takes the ambient
+tracer when it is built.
 
 Determinism contract: telemetry only ever *observes*.  Nothing here feeds
 results, records, checkpoints, or fingerprints — sidecar files and trace
@@ -48,7 +48,6 @@ __all__ = [
     "TaskOutcome",
     "current_tracer",
     "count",
-    "gauge",
 ]
 
 
@@ -79,7 +78,7 @@ class Span:
 
 
 class Tracer:
-    """Collects spans, counters, and gauges for one timeline.
+    """Collects spans and counters for one timeline.
 
     Not thread-safe by design: a tracer belongs to exactly one thread
     (the session coordinator, or one worker task).  Cross-thread and
@@ -95,7 +94,6 @@ class Tracer:
         self._epoch = clock()
         self.spans: List[Span] = []
         self.counters: Dict[str, float] = {}
-        self.gauges: Dict[str, float] = {}
         self._stack: List[Span] = []
         self._next_id = 1
         self._next_tid = 1
@@ -138,10 +136,6 @@ class Tracer:
         """Add ``value`` to the named monotonic counter."""
         self.counters[name] = self.counters.get(name, 0.0) + float(value)
 
-    def gauge(self, name: str, value: float) -> None:
-        """Record the latest sample of the named gauge (last write wins)."""
-        self.gauges[name] = float(value)
-
     # ------------------------------------------------------------------
     @contextmanager
     def activate(self) -> Iterator["Tracer"]:
@@ -170,7 +164,6 @@ class Tracer:
                         pid=span.pid, tid=span.tid, attrs=dict(span.attrs))
                    for span in self.spans],
             counters=dict(self.counters),
-            gauges=dict(self.gauges),
             pid=self.pid,
             extent=extent,
         )
@@ -184,7 +177,7 @@ class Tracer:
         open span); every span is shifted by one per-fragment offset so
         the fragment's extent ends at the merge instant; and the whole
         fragment gets a fresh ``tid`` so its spans render on their own
-        track.  Counters accumulate; gauges last-write-wins.
+        track.  Counters accumulate.
         """
         if parent is None:
             parent = self.current_span
@@ -215,15 +208,13 @@ class Tracer:
         self.spans.extend(merged)
         for name, value in sorted(fragment.counters.items()):
             self.count(name, value)
-        for name, value in sorted(fragment.gauges.items()):
-            self.gauge(name, value)
         return merged
 
 
 @dataclass
 class TelemetryFragment:
     """What one worker task ships back: spans (fragment-relative times),
-    counter/gauge totals, and the recording process's pid.
+    counter totals, and the recording process's pid.
 
     Everything is plain data — lists, dicts, floats — so fragments pickle
     across the process backend.
@@ -231,7 +222,6 @@ class TelemetryFragment:
 
     spans: List[Span]
     counters: Dict[str, float]
-    gauges: Dict[str, float]
     pid: int
     extent: float
 
@@ -261,13 +251,6 @@ def count(name: str, value: float = 1.0) -> None:
     tracer = current_tracer()
     if tracer is not None:
         tracer.count(name, value)
-
-
-def gauge(name: str, value: float) -> None:
-    """Sample a gauge on the ambient tracer; no-op when inactive."""
-    tracer = current_tracer()
-    if tracer is not None:
-        tracer.gauge(name, value)
 
 
 # ----------------------------------------------------------------------

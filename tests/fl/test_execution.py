@@ -401,7 +401,7 @@ class _DiesInWorker(Scaffold):
         return super().local_update(client, global_state, round_index)
 
 
-def _resident_session(algorithm_of, backend, workers=2, tracer=None):
+def _resident_session(algorithm_of, backend, workers=2):
     """A RESIDENT_CONFIG session over the tiny workload; ``algorithm_of``
     builds the algorithm from (config, num_classes, encoder_factory), and
     ``backend`` is a name or a shared backend instance."""
@@ -409,8 +409,7 @@ def _resident_session(algorithm_of, backend, workers=2, tracer=None):
     config = RESIDENT_CONFIG.with_overrides(workers=workers)
     clients = build_federation(dataset, partitions, seed=2)
     algorithm = algorithm_of(config, dataset.num_classes, encoder_factory)
-    return TrainingSession(algorithm, clients, config, backend=backend,
-                           tracer=tracer)
+    return TrainingSession(algorithm, clients, config, backend=backend)
 
 
 def _method(name):
@@ -506,8 +505,9 @@ def test_resident_traces_miss_no_more_than_serial():
     misses = {}
     for backend in ("serial", "process"):
         tracer = Tracer()
-        _resident_session(_method("calibre-simclr"), backend, workers=1,
-                          tracer=tracer).execute()
+        with tracer.activate():
+            _resident_session(_method("calibre-simclr"), backend,
+                              workers=1).execute()
         misses[backend] = tracer.counters.get("trace.cache_misses", 0)
     assert misses["serial"] > 0
     assert misses["process"] <= misses["serial"]

@@ -3,8 +3,7 @@
 Covers the population-plane session contracts from docs/population.md:
 bitwise backend equivalence under churn, O(active) realization, resume
 purity of the availability cursor, default-omitted config fingerprints,
-population-wide personalization under the residency budget, and the
-empty-round EarlyStopping guard.
+and population-wide personalization under the residency budget.
 """
 
 import json
@@ -19,15 +18,12 @@ from repro.eval.harness import make_encoder_factory
 from repro.eval.registry import build_method
 from repro.fl import (
     AvailabilitySpec,
-    EarlyStopping,
     FederatedConfig,
-    RoundRecord,
     TrainingSession,
     VirtualPopulation,
     build_novel_clients,
     read_checkpoint,
 )
-from repro.fl.session.events import RoundEnd
 from repro.runs.serialize import DEFAULT_OMITTED_FIELDS, config_to_jsonable
 from repro.telemetry import Tracer
 
@@ -44,8 +40,7 @@ def dataset():
 def build_session(dataset, *, num_clients=60, backend="serial",
                   availability=CHURN, aggregation="sync", rounds=3,
                   clients_per_round=5, max_resident=8, seed=5,
-                  tracer=None, method="fedavg", novel_clients=(),
-                  **config_overrides):
+                  method="fedavg", novel_clients=(), **config_overrides):
     config = FederatedConfig(
         num_clients=num_clients, clients_per_round=clients_per_round,
         rounds=rounds, local_epochs=1, batch_size=8, backend=backend,
@@ -58,7 +53,7 @@ def build_session(dataset, *, num_clients=60, backend="serial",
                                    samples_per_client=12, seed=seed,
                                    max_resident=max_resident)
     session = TrainingSession(algorithm, population, config,
-                              novel_clients=novel_clients, tracer=tracer)
+                              novel_clients=novel_clients)
     return session, population
 
 
@@ -124,7 +119,7 @@ def test_only_sampled_clients_realized(dataset):
     tracer = Tracer()
     with tracer.activate():
         session, population = build_session(
-            dataset, tracer=tracer, max_resident=32,
+            dataset, max_resident=32,
             availability=AvailabilitySpec(availability=0.6, churn=0.4))
         session.run()
     sampled = {pid for record in session.round_records
@@ -142,7 +137,7 @@ def test_population_counters_and_staleness(dataset):
     tracer = Tracer()
     with tracer.activate():
         session, population = build_session(
-            dataset, tracer=tracer, aggregation="staleness",
+            dataset, aggregation="staleness",
             availability=AvailabilitySpec(availability=0.8, churn=0.3,
                                           dropout=0.4, speed_spread=0.5))
         session.run()
@@ -236,26 +231,3 @@ def test_execute_personalizes_whole_population_bounded(dataset):
     assert sorted(result.accuracies) == list(range(20))
     assert population.resident_count <= 6
     population.close()
-
-
-def test_early_stopping_skips_empty_rounds():
-    class StopProbe:
-        stopped = False
-
-        def request_stop(self):
-            self.stopped = True
-
-    def round_end(index, participants, loss):
-        record = RoundRecord(round_index=index, participant_ids=participants,
-                             mean_loss=loss)
-        return RoundEnd(round_index=index, record=record)
-
-    probe = StopProbe()
-    stopper = EarlyStopping(patience=1)
-    stopper.on_round_end(probe, round_end(0, [1, 2], 1.0))
-    # A churned-empty round neither improves nor consumes patience.
-    stopper.on_round_end(probe, round_end(1, [], 0.0))
-    assert not probe.stopped
-    stopper.on_round_end(probe, round_end(2, [1, 2], 1.0))
-    assert probe.stopped
-    assert stopper.stopped_round == 2

@@ -1,7 +1,7 @@
 """TrainingSession mechanics: events, callbacks, streaming aggregation,
 checkpoint files, and store hygiene on failure paths."""
 
-import io
+import inspect
 import json
 
 import numpy as np
@@ -10,11 +10,8 @@ import pytest
 from repro.data import make_cifar10_like, partition_iid
 from repro.fl import (
     ClientUpdate,
-    EarlyStopping,
-    EvalCadence,
     FederatedAlgorithm,
     FederatedConfig,
-    HistoryStreamer,
     RandomSampler,
     RoundCheckpointer,
     RoundRobinSampler,
@@ -35,6 +32,7 @@ from repro.fl.session.events import (
     RoundEnd,
 )
 from repro.nn import Linear
+from repro.telemetry import Tracer
 
 
 class TraceAlgorithm(FederatedAlgorithm):
@@ -42,10 +40,9 @@ class TraceAlgorithm(FederatedAlgorithm):
 
     name = "trace"
 
-    def __init__(self, config, num_classes=10, loss_per_round=None):
+    def __init__(self, config, num_classes=10):
         super().__init__(config, num_classes)
         self.calls = []
-        self.loss_per_round = loss_per_round or {}
 
     def build_global_state(self):
         return {"w": np.zeros(3)}
@@ -56,7 +53,7 @@ class TraceAlgorithm(FederatedAlgorithm):
             client_id=client.client_id,
             state={"w": global_state["w"] + 1.0},
             weight=float(client.num_train_samples),
-            metrics={"loss": self.loss_per_round.get(round_index, 1.0)},
+            metrics={"loss": 1.0},
         )
 
     def extract_features(self, clients, global_state, images):
@@ -92,9 +89,8 @@ def tiny_config(**overrides):
 class TestEventOrder:
     def test_round_event_sequence(self):
         config = tiny_config(rounds=2)
-        recorder = Recorder()
-        session = TrainingSession(TraceAlgorithm(config), make_clients(4), config,
-                                  callbacks=[recorder])
+        session = TrainingSession(TraceAlgorithm(config), make_clients(4), config)
+        recorder = session.add_callback(Recorder())
         session.execute()
         kinds = [type(e) for e in recorder.events]
         per_round = [RoundBegin, ClientUpdateDone, ClientUpdateDone,
@@ -115,8 +111,8 @@ class TestEventOrder:
                 seen["round_index"] = session.round_index
                 seen["records"] = len(session.round_records)
 
-        session = TrainingSession(TraceAlgorithm(config), make_clients(4), config,
-                                  callbacks=[Probe()])
+        session = TrainingSession(TraceAlgorithm(config), make_clients(4), config)
+        session.add_callback(Probe())
         session.run()
         assert seen == {"round_index": 1, "records": 1}
 
@@ -141,8 +137,8 @@ class TestEventOrder:
                 trace.append(("done", event.client_id))
 
         session = TrainingSession(PipelinedAlgorithm(config), make_clients(4),
-                                  config, sampler=RoundRobinSampler(3),
-                                  callbacks=[Delivered()])
+                                  config, sampler=RoundRobinSampler(3))
+        session.add_callback(Delivered())
         session.step()
         assert trace == [("update", 0), ("done", 0), ("update", 1),
                          ("done", 1), ("update", 2), ("done", 2),
@@ -236,52 +232,11 @@ class TestStepAndRunUntil:
 
 
 class TestBuiltinCallbacks:
-    def test_history_streamer_to_stream_and_path(self, tmp_path):
-        config = tiny_config(rounds=2)
-        buffer = io.StringIO()
-        path = tmp_path / "history.jsonl"
-        session = TrainingSession(
-            TraceAlgorithm(config), make_clients(4), config,
-            callbacks=[HistoryStreamer(buffer), HistoryStreamer(path)])
-        session.execute()
-        lines = [json.loads(line) for line in buffer.getvalue().splitlines()]
-        assert [entry["event"] for entry in lines] == ["round", "round", "result"]
-        assert lines[0]["record"]["round_index"] == 0
-        assert lines[-1]["summary"]["mean_accuracy"] == pytest.approx(0.5)
-        assert path.read_text() == buffer.getvalue()
-
-    def test_eval_cadence(self):
-        config = tiny_config(rounds=4)
-        cadence = EvalCadence(lambda session: {"round": session.round_index},
-                              every=2)
-        session = TrainingSession(TraceAlgorithm(config), make_clients(4), config,
-                                  callbacks=[cadence])
-        session.run()
-        # Fires after rounds 1 and 3 (2 and 4 completed rounds); the session
-        # has already advanced when the hook runs.
-        assert cadence.history == [(1, {"round": 2}), (3, {"round": 4})]
-
-    def test_early_stopping_stops_on_plateau(self):
-        config = tiny_config(rounds=10)
-        losses = {0: 1.0, 1: 0.5}  # rounds >= 2 plateau at 1.0
-        stopper = EarlyStopping(patience=2)
-        session = TrainingSession(
-            TraceAlgorithm(config, loss_per_round=losses), make_clients(4),
-            config, callbacks=[stopper])
-        session.run()
-        assert session.stop_requested
-        assert stopper.best == pytest.approx(0.5)
-        # best at round 1, two stale rounds (2, 3) then stop.
-        assert stopper.stopped_round == 3
-        assert session.round_index == 4
-        assert len(session.round_records) == 4
-
     def test_round_checkpointer_writes_every_k_rounds(self, tmp_path):
         config = tiny_config(rounds=4)
         path = tmp_path / "ckpt.json"
-        checkpointer = RoundCheckpointer(path, every=2)
-        session = TrainingSession(TraceAlgorithm(config), make_clients(4), config,
-                                  callbacks=[checkpointer])
+        session = TrainingSession(TraceAlgorithm(config), make_clients(4), config)
+        checkpointer = session.add_callback(RoundCheckpointer(path, every=2))
         session.run()
         assert checkpointer.writes == 2
         state = read_checkpoint(path)
@@ -293,59 +248,125 @@ class TestBuiltinCallbacks:
         assert sorted(p.name for p in tmp_path.iterdir()) == \
             sorted(["ckpt.json", sidecar.name])
 
-    def test_round_checkpointer_retains_last_n(self, tmp_path):
-        config = tiny_config(rounds=5)
+    def test_round_checkpointer_keeps_one_manifest(self, tmp_path):
+        # Every write replaces the one manifest at ``path``; the segments
+        # on disk are exactly the ones it references.
+        config = tiny_config(rounds=3)
         path = tmp_path / "ckpt.json"
-        checkpointer = RoundCheckpointer(path, keep_last=2)
-        session = TrainingSession(TraceAlgorithm(config), make_clients(4), config,
-                                  callbacks=[checkpointer])
-        session.run()
-        assert checkpointer.writes == 5
-        # Only the newest two numbered checkpoints survive pruning.
-        assert [p.name for p in checkpointer.retained()] == \
-            ["ckpt-r000004.json", "ckpt-r000005.json"]
-        # The base path always tracks the newest checkpoint, so resume code
-        # that only knows the base path keeps working.
-        assert read_checkpoint(path).round_index == 5
-        assert read_checkpoint(tmp_path / "ckpt-r000004.json").round_index == 4
-        manifests = sorted(p.name for p in tmp_path.glob("*.json"))
-        assert manifests == ["ckpt-r000004.json", "ckpt-r000005.json",
-                             "ckpt.json"]
-        # Retention is sidecar-aware: every .npcol on disk is referenced by
-        # a surviving manifest — pruned checkpoints never leave orphans.
-        on_disk = {p.name for p in tmp_path.glob("*.npcol")}
-        referenced = {segment.name for name in manifests
-                      for segment in checkpoint_segments(tmp_path / name)}
-        assert on_disk == referenced
+        session = TrainingSession(StoreAlgorithm(config), make_clients(4),
+                                  config)
+        session.add_callback(RoundCheckpointer(path))
+        for _ in range(config.rounds):
+            session.step()
+            assert [p.name for p in tmp_path.glob("*.json")] == ["ckpt.json"]
+            assert read_checkpoint(path).round_index == session.round_index
+            assert sorted(p.name for p in tmp_path.glob("*.npcol")) == \
+                sorted(p.name for p in checkpoint_segments(path))
 
-    def test_round_checkpointer_retention_respects_cadence(self, tmp_path):
-        config = tiny_config(rounds=6)
-        path = tmp_path / "ckpt.json"
-        checkpointer = RoundCheckpointer(path, every=2, keep_last=2)
-        session = TrainingSession(TraceAlgorithm(config), make_clients(4), config,
-                                  callbacks=[checkpointer])
+    def test_round_checkpointer_reports_to_the_session_tracer(self, tmp_path):
+        config = tiny_config(rounds=4)
+        tracer = Tracer()
+        with tracer.activate():
+            session = TrainingSession(TraceAlgorithm(config), make_clients(4),
+                                      config)
+        session.add_callback(RoundCheckpointer(tmp_path / "ckpt.json",
+                                               every=2))
         session.run()
-        assert checkpointer.writes == 3
-        assert [p.name for p in checkpointer.retained()] == \
-            ["ckpt-r000004.json", "ckpt-r000006.json"]
+        spans = [span for span in tracer.spans if span.name == "checkpoint"]
+        assert [span.attrs["round"] for span in spans] == [1, 3]
+        assert tracer.counters["checkpoint.writes"] == 2
+        assert tracer.counters["checkpoint.bytes"] > 0
 
     def test_round_checkpointer_rejects_bad_knobs(self, tmp_path):
         with pytest.raises(ValueError):
             RoundCheckpointer(tmp_path / "c.json", every=0)
-        with pytest.raises(ValueError):
-            RoundCheckpointer(tmp_path / "c.json", keep_last=0)
 
-    def test_add_and_remove_callback(self):
+
+class TestTracerAndCallbacks:
+    def test_parameters(self):
+        assert list(inspect.signature(TrainingSession).parameters) == [
+            "algorithm", "clients", "config", "novel_clients", "sampler",
+            "backend", "context", "verbose"]
+
+    def test_takes_the_tracer_active_at_construction(self):
+        config = tiny_config(rounds=2)
+        tracer = Tracer()
+        with tracer.activate():
+            session = TrainingSession(TraceAlgorithm(config), make_clients(4),
+                                      config)
+            session.run()
+        assert session.tracer is tracer
+        rounds = [span.attrs["round"] for span in tracer.spans
+                  if span.name == "round"]
+        assert rounds == [0, 1]
+
+    def test_built_untraced_stays_untraced(self):
+        config = tiny_config(rounds=2)
+        session = TrainingSession(TraceAlgorithm(config), make_clients(4),
+                                  config)
+        tracer = Tracer()
+        with tracer.activate():
+            session.run()
+        assert session.tracer is None
+        assert not [span for span in tracer.spans if span.name == "round"]
+
+    def test_callbacks_fire_in_registration_order(self):
         config = tiny_config(rounds=1)
-        session = TrainingSession(TraceAlgorithm(config), make_clients(4), config)
-        recorder = session.add_callback(Recorder())
-        session.step()
-        count = len(recorder.events)
-        assert count > 0
-        session.remove_callback(recorder)
-        session.step()
-        assert len(recorder.events) == count
+        seen = []
 
+        class Tagged(SessionCallback):
+            def __init__(self, tag):
+                self.tag = tag
+
+            def on_event(self, session, event):
+                seen.append((type(event), self.tag))
+
+        session = TrainingSession(TraceAlgorithm(config), make_clients(4),
+                                  config)
+        first = Tagged("first")
+        assert session.add_callback(first) is first
+        session.add_callback(Tagged("second"))
+        session.run()
+        assert [tag for _, tag in seen] == ["first", "second"] * (len(seen) // 2)
+        assert [kind for kind, _ in seen[::2]] == [kind for kind, _ in seen[1::2]]
+
+    def test_callback_added_between_rounds_sees_later_rounds_only(self):
+        config = tiny_config(rounds=3)
+        session = TrainingSession(TraceAlgorithm(config), make_clients(4),
+                                  config)
+        session.step()
+        recorder = session.add_callback(Recorder())
+        session.run()
+        begins = [e.round_index for e in recorder.events
+                  if isinstance(e, RoundBegin)]
+        assert begins == [1, 2]
+
+
+class TestSamplerState:
+    @pytest.mark.parametrize("sampler", [RandomSampler(2, seed=3),
+                                         RoundRobinSampler(2)],
+                             ids=["random", "round-robin"])
+    def test_resume_needs_no_sampler_state(self, tmp_path, sampler):
+        # Every sampler's draws are pure functions of (seed, round_index):
+        # a checkpoint stores no sampler state and a resumed run samples
+        # the rounds the uninterrupted run sampled.
+        config = tiny_config(rounds=4)
+        path = tmp_path / "ckpt.json"
+        reference = TraceAlgorithm(config)
+        TrainingSession(reference, make_clients(4), config,
+                        sampler=sampler).run()
+        first = TrainingSession(TraceAlgorithm(config), make_clients(4),
+                                config, sampler=sampler)
+        first.add_callback(RoundCheckpointer(path, every=2))
+        first.run_until(2)
+        assert read_checkpoint(path).sampler_state == {}
+        resumed = TraceAlgorithm(config)
+        session = TrainingSession(resumed, make_clients(4), config,
+                                  sampler=sampler)
+        session.load_checkpoint(path)
+        session.run()
+        assert resumed.calls == [call for call in reference.calls
+                                 if call[1] >= 2]
 
 class TestRestoreValidation:
     def test_algorithm_mismatch_raises(self):

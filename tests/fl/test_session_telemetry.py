@@ -3,6 +3,7 @@ totals under cohort batching, and the observation-only contract (a traced
 run's results are bitwise identical to an untraced run's)."""
 
 import json
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -42,13 +43,15 @@ def federation(config, samples_per_client=12, seed=0):
 
 
 def run_traced(name, config, tracer):
+    """Build and run a session under ``tracer`` (``None``: untraced)."""
     clients = federation(config)
     algorithm = build_method(name, config, NUM_CLASSES, encoder_factory)
-    session = TrainingSession(algorithm, clients, config, tracer=tracer)
-    try:
-        return session.execute()
-    finally:
-        session.close()
+    with tracer.activate() if tracer is not None else nullcontext():
+        session = TrainingSession(algorithm, clients, config)
+        try:
+            return session.execute()
+        finally:
+            session.close()
 
 
 COORDINATOR_SPANS = ("session", "round", "sample", "dispatch", "aggregate",

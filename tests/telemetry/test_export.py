@@ -7,7 +7,6 @@ from repro.telemetry import (
     Tracer,
     chrome_trace,
     chrome_trace_from_cells,
-    iter_counter_totals,
     parse_sidecar,
     sidecar_lines,
     validate_chrome_trace,
@@ -24,7 +23,6 @@ def cell_tracer():
             with tracer.span("dispatch", participants=4):
                 pass
     tracer.count("trace.replays", 2)
-    tracer.gauge("loss", 0.125)
     return tracer
 
 
@@ -46,17 +44,25 @@ class TestSidecarRoundTrip:
     def test_totals_round_trip(self):
         cell = parse_sidecar(sidecar_lines(cell_tracer()))
         assert cell.counters == {"trace.replays": 2.0}
-        assert cell.gauges == {"loss": 0.125}
 
     def test_every_line_is_one_json_object(self):
         for line in sidecar_lines(cell_tracer()).splitlines():
             assert isinstance(json.loads(line), dict)
 
+    def test_lines_are_a_header_then_spans_then_counters(self):
+        kinds = [json.loads(line)["kind"]
+                 for line in sidecar_lines(cell_tracer()).splitlines()]
+        assert kinds == ["meta", "span", "span", "span", "counter"]
+
     def test_unknown_kind_lines_are_skipped(self):
+        # A sidecar written while tracers still kept gauges holds gauge
+        # lines; it must keep parsing.
         text = sidecar_lines(cell_tracer()) \
-            + '{"kind": "hologram", "x": 1}\n'
+            + '{"kind": "hologram", "x": 1}\n' \
+            + '{"kind": "gauge", "name": "loss", "value": 0.125}\n'
         cell = parse_sidecar(text)
         assert len(cell.spans) == 3
+        assert cell.counters == {"trace.replays": 2.0}
 
     def test_spans_named_and_span_index(self):
         cell = parse_sidecar(sidecar_lines(cell_tracer()))
@@ -144,10 +150,3 @@ class TestValidateChromeTrace:
         ]})
         assert problems == [
             "traceEvents[0]: counter args must map names to numbers"]
-
-
-class TestCounterTotals:
-    def test_totals_sum_across_cells(self):
-        cells = [parse_sidecar(sidecar_lines(cell_tracer())),
-                 parse_sidecar(sidecar_lines(cell_tracer()))]
-        assert iter_counter_totals(cells) == {"trace.replays": 4.0}

@@ -10,7 +10,6 @@ from repro.telemetry import (
     Tracer,
     count,
     current_tracer,
-    gauge,
 )
 
 
@@ -80,7 +79,7 @@ class TestSpanNesting:
         assert len({span.span_id for span in tracer.spans}) == 3
 
 
-class TestCountersAndGauges:
+class TestCounters:
     def test_counters_accumulate(self):
         tracer = Tracer(clock=FakeClock())
         tracer.count("hits")
@@ -88,28 +87,19 @@ class TestCountersAndGauges:
         tracer.count("bytes", 100.5)
         assert tracer.counters == {"hits": 3.0, "bytes": 100.5}
 
-    def test_gauges_last_write_wins(self):
-        tracer = Tracer(clock=FakeClock())
-        tracer.gauge("utilization", 0.25)
-        tracer.gauge("utilization", 0.75)
-        assert tracer.gauges == {"utilization": 0.75}
-
 
 class TestAmbientTracer:
     def test_module_level_count_is_a_noop_when_inactive(self):
         assert current_tracer() is None
         count("orphan")  # must not raise, must not leak anywhere
-        gauge("orphan", 1.0)
 
     def test_activation_routes_module_level_counts(self):
         tracer = Tracer(clock=FakeClock())
         with tracer.activate():
             assert current_tracer() is tracer
             count("population.realized", 64)
-            gauge("depth", 3)
         assert current_tracer() is None
         assert tracer.counters == {"population.realized": 64.0}
-        assert tracer.gauges == {"depth": 3.0}
 
     def test_inner_activation_shadows_the_outer(self):
         outer, inner = Tracer(clock=FakeClock()), Tracer(clock=FakeClock())
@@ -127,7 +117,6 @@ class TestFragments:
         with worker.span("client_update", category="client", client_id=7):
             pass
         worker.count("trace.cache_hits", 4)
-        worker.gauge("loss", 0.5)
         return worker.fragment()
 
     def test_fragment_extent_covers_the_latest_span_end(self):
@@ -139,7 +128,6 @@ class TestFragments:
         clone = pickle.loads(pickle.dumps(fragment))
         assert isinstance(clone, TelemetryFragment)
         assert clone.counters == fragment.counters
-        assert clone.gauges == fragment.gauges
         assert clone.pid == fragment.pid
         assert [vars(span) for span in clone.spans] \
             == [vars(span) for span in fragment.spans]
@@ -177,13 +165,12 @@ class TestFragments:
         second = coordinator.merge_fragment(self.worker_fragment())
         assert first[0].tid != second[0].tid
 
-    def test_merge_accumulates_counters_and_overwrites_gauges(self):
+    def test_merge_accumulates_counters(self):
         coordinator = Tracer(clock=FakeClock())
         coordinator.count("trace.cache_hits", 1)
         coordinator.merge_fragment(self.worker_fragment())
         coordinator.merge_fragment(self.worker_fragment())
         assert coordinator.counters == {"trace.cache_hits": 9.0}
-        assert coordinator.gauges == {"loss": 0.5}
 
 
 def double(item):

@@ -88,6 +88,17 @@ class TestParser:
         (["run", "--method", "fedavg", "--setting", "dirichlet",
           "--param", "0"],
          "--param: concentration must be positive and finite, got 0.0"),
+        (["run", "--method", "fedavg", "--param", "11"],
+         "--param: classes per client must be at most 10 for cifar10, "
+         "got 11.0"),
+        (["run", "--method", "fedavg", "--dataset", "cifar100",
+          "--param", "21"],
+         "--param: classes per client must be at most 20 for cifar100, "
+         "got 21.0"),
+        (["run", "--method", "fedavg", "--dataset", "stl10",
+          "--param", "11"],
+         "--param: classes per client must be at most 10 for stl10, "
+         "got 11.0"),
         (["run", "--method", "fedavg", "--backend", "thread"],
          "--backend: invalid choice: 'thread'"),
         (["sweep", "--exp", "fig3", "--scheduler", "thread"],
@@ -99,7 +110,9 @@ class TestParser:
             "sweep-max-cells", "run-negative-seed", "sweep-negative-seeds",
             "report-negative-seeds", "figures-negative-seed",
             "run-param-zero", "run-param-fractional",
-            "run-dirichlet-param-zero", "run-thread-backend",
+            "run-dirichlet-param-zero", "run-param-above-classes",
+            "run-cifar100-param-above-classes",
+            "run-stl10-param-above-classes", "run-thread-backend",
             "sweep-thread-scheduler"])
     def test_bad_grid_value_exits_2_naming_the_flag(self, capsys, tmp_path,
                                                     argv, message):
@@ -140,6 +153,18 @@ class TestMain:
         assert len(results) == 2
         assert [method for method in ("script-fair", "fedavg")
                 if any(method in line for line in results)] == ["script-fair", "fedavg"]
+
+    @pytest.mark.parametrize("dataset,classes,samples", [
+        ("cifar10", "10", "20"), ("cifar100", "20", "40")])
+    def test_run_accepts_param_at_the_class_count(self, capsys, dataset,
+                                                  classes, samples):
+        code = main([
+            "run", "--method", "fedavg", "--dataset", dataset,
+            "--param", classes, "--samples", samples, "--rounds", "1",
+            "--clients", "4",
+        ])
+        assert code == 0
+        assert "mean=" in capsys.readouterr().out
 
     def test_run_out_writes_cell_records(self, capsys, tmp_path):
         from repro.runs import RunKey, encode_record, execute_cell
