@@ -261,10 +261,14 @@ def test_cohort_vectorization_throughput(benchmark, method, client_batch):
 # Checkpoint encode: legacy inline-JSON vs columnar manifest + .npcol
 # ----------------------------------------------------------------------
 _CHECKPOINT_STATE = None
+# BYOL clients keep their predictor and target networks, so the state
+# carries client stores as well as the global model.
+CHECKPOINT_BENCH_METHOD = "calibre-byol"
 
 
 def checkpoint_bench_state():
-    """A trained calibre-simclr ServerState — the checkpoint bench workload.
+    """A trained CHECKPOINT_BENCH_METHOD ServerState — the checkpoint bench
+    workload.
 
     Sized (hidden (32, 16), 4 clients, 2 rounds) so the array payload
     dominates the round records: what :class:`RoundCheckpointer` actually
@@ -281,9 +285,9 @@ def checkpoint_bench_state():
             personalization_batch_size=8,
         )
         clients = build_federation(dataset, partitions, seed=2)
-        algorithm = build_method("calibre-simclr", config, dataset.num_classes,
-                                 encoder_factory, projection_dim=8,
-                                 hidden_dim=16)
+        algorithm = build_method(CHECKPOINT_BENCH_METHOD, config,
+                                 dataset.num_classes, encoder_factory,
+                                 projection_dim=8, hidden_dim=16)
         session = TrainingSession(algorithm, clients, config)
         session.run_until(2)
         _CHECKPOINT_STATE = session.capture_state()
@@ -415,7 +419,7 @@ def main(argv=None) -> int:
 
     with tempfile.TemporaryDirectory() as tmp:
         ckpt = run_checkpoint_encode(tmp)
-    print(f"\ncheckpoint encode (calibre-simclr bench state): "
+    print(f"\ncheckpoint encode ({CHECKPOINT_BENCH_METHOD} bench state): "
           f"{ckpt['json_bytes']} B -> {ckpt['columnar_bytes']} B "
           f"({ckpt['bytes_reduction']:.2f}x), "
           f"{ckpt['json_encode_s'] * 1e3:.1f} ms -> "

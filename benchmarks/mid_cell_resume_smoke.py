@@ -18,10 +18,10 @@ CLI and a real SIGKILL:
    and ``repro report`` must render byte-identically from both stores.
 
 It does so for two cells.  ``fedavg`` keeps no client stores, so each of
-its checkpoints is one segment.  ``calibre-simclr`` keeps every client's
-local model, and 6 of its 10 clients train each round, so its incremental
-checkpoints reference several segments: the kill waits for such a
-manifest.
+its checkpoints is one segment.  ``calibre-simsiam`` keeps every client's
+predictor, which the global model does not carry, and 6 of its 10
+clients train each round, so its incremental checkpoints reference
+several segments: the kill waits for such a manifest.
 
 Exits non-zero (with a diagnostic) the moment any step diverges.
 
@@ -50,7 +50,7 @@ KILL_AFTER_ROUND = 2
 # (method, clients, whether checkpoints carry client stores): one cheap
 # method on a scaled-down fig3 panel 0 grid, then Calibre, whose stores
 # make its checkpoints incremental.
-CELLS = (("fedavg", 4, False), ("calibre-simclr", 10, True))
+CELLS = (("fedavg", 4, False), ("calibre-simsiam", 10, True))
 
 
 def grid_args(method: str, clients: int):

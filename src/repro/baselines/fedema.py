@@ -14,7 +14,7 @@ The paper compares Calibre against FedEMA directly (§V-A).
 
 from __future__ import annotations
 
-
+from typing import Tuple
 
 from ..fl.client import ClientData
 from ..fl.config import FederatedConfig
@@ -40,6 +40,11 @@ class FedEMA(PFLSSL):
             raise ValueError("ema_lambda must be non-negative")
         self.name = "fedema"
         self.ema_lambda = ema_lambda
+
+    def _local_keys(self) -> Tuple[str, ...]:
+        """Every state key: the restore below mixes the saved online
+        network, which is global, into the incoming global model."""
+        return tuple(self._initial_state)
 
     def _restore_client_method(self, client: ClientData,
                                global_state: StateDict) -> SSLMethod:

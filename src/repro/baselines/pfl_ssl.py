@@ -97,6 +97,7 @@ class PFLSSL(FederatedAlgorithm):
         self._template = self._build_method(derive_rng(config.seed, 0))
         self._initial_state = self._template.state_dict()
         self._initial_extra = self._template.extra_state()
+        self._global_keys = tuple(self._template.global_state())
         # Client-batched execution: recorded traces keyed by (view shape,
         # dtype, architecture, plan signature), an LRU of TRACE_CACHE_SIZE;
         # the latch disables batching permanently for this instance after
@@ -126,26 +127,52 @@ class PFLSSL(FederatedAlgorithm):
     # ------------------------------------------------------------------
     def _restore_client_method(self, client: ClientData,
                                global_state: StateDict) -> SSLMethod:
-        """Load the template with this client's local state + the global model."""
+        """Load the template with the initial state, then this client's
+        kept state, then the global model.
+
+        The saved keys load non-strictly, so a store that also holds
+        global keys (an older checkpoint's whole ``state_dict()``)
+        restores to the same model: the global model overwrites them.
+        """
         method = self._template
+        method.load_state_dict(self._initial_state)
+        if self._initial_extra:
+            method.load_extra_state(self._initial_extra)
         key = f"{self.name}/local"
         if self.persist_local_state and key in client.store:
             saved_state, saved_extra = client.store[key]
-            method.load_state_dict(saved_state)
+            method.load_state_dict(saved_state, strict=False)
             if saved_extra:
                 method.load_extra_state(saved_extra)
-        else:
-            method.load_state_dict(self._initial_state)
-            if self._initial_extra:
-                method.load_extra_state(self._initial_extra)
         method.load_global_state(global_state)
         return method
 
+    def _local_keys(self) -> Tuple[str, ...]:
+        """The state keys a client keeps between participations: those
+        :meth:`_restore_client_method` does not overwrite with the global
+        model.  For SimCLR there are none, so its clients keep no store."""
+        return tuple(key for key in self._initial_state
+                     if key not in self._global_keys)
+
+    def _keep_client_state(self, client: ClientData,
+                           state: Mapping[str, np.ndarray],
+                           extra: Dict[str, np.ndarray]) -> None:
+        """Store copies of ``state``'s :meth:`_local_keys` and ``extra``
+        as what ``client`` keeps; a client that keeps nothing holds no
+        entry."""
+        if not self.persist_local_state:
+            return
+        kept = OrderedDict((key, np.array(state[key], copy=True))
+                           for key in self._local_keys())
+        if kept or extra:
+            client.store[f"{self.name}/local"] = (kept, extra)
+        else:
+            client.store.pop(f"{self.name}/local", None)
+
     def _save_client_method(self, client: ClientData, method: SSLMethod) -> None:
-        if self.persist_local_state:
-            client.store[f"{self.name}/local"] = (
-                method.state_dict(), method.extra_state()
-            )
+        state = {name: param.data for name, param in method.named_parameters()}
+        state.update(method.named_buffers())
+        self._keep_client_state(client, state, method.extra_state())
 
     def local_loss(self, method: SSLMethod, outputs: SSLOutputs,
                    rng: np.random.Generator):
@@ -499,17 +526,13 @@ class PFLSSL(FederatedAlgorithm):
                 optimizer.step()
                 commit_buffer_updates(staged, buffers)
                 batch_count += 1
-        global_keys = list(template.global_state())
         updates = []
         for index, client in enumerate(clients):
-            if self.persist_local_state:
-                local_state = OrderedDict(
-                    (key, np.array(stacked[key][index], copy=True))
-                    for key in keys)
-                client.store[f"{self.name}/local"] = (local_state, {})
+            self._keep_client_state(
+                client, {key: stacked[key][index] for key in keys}, {})
             state = OrderedDict(
                 (key, np.array(stacked[key][index], copy=True))
-                for key in global_keys)
+                for key in self._global_keys)
             metrics = {"loss": float(totals[index]) / max(batch_count, 1)}
             for name, value in sums[index].items():
                 metrics[name] = value / emitted[index][name]

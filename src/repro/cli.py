@@ -483,16 +483,20 @@ def _command_run(args) -> int:
     _require_at_least("--client-batch", args.client_batch, 1)
     config = _scaled_config(args, backend=args.backend, workers=args.workers,
                             client_batch=args.client_batch)
-    # --samples alone first (the iid kind ignores the parameter), so a
-    # rejected --param is named apart from it.
+    # Each flag alone first, so the one at fault is named: --samples under
+    # the iid kind, which ignores the parameter, and --param with more
+    # samples than any S the dataset allows.  A quantity split with too
+    # few samples for its S is then --samples' fault.
+    classes = _DATASET_CLASSES[args.dataset]
     with _flag("--samples"):
         NonIIDSetting("iid", 0, args.samples)
     with _flag("--param"):
-        setting = NonIIDSetting(args.setting, args.param, args.samples)
-        classes = _DATASET_CLASSES[args.dataset]
-        if setting.kind == "quantity" and setting.parameter > classes:
+        if args.setting == "quantity" and args.param > classes:
             raise ValueError(f"classes per client must be at most {classes} "
                              f"for {args.dataset}, got {args.param!r}")
+        NonIIDSetting(args.setting, args.param, classes + 1)
+    with _flag("--samples"):
+        setting = NonIIDSetting(args.setting, args.param, args.samples)
     name = f"{args.dataset} {args.setting}({args.param}, {args.samples})"
     sweep = scaled_sweep(name, args.dataset, setting, args.method,
                          seeds=[args.seed], config=config)

@@ -64,6 +64,13 @@ class NonIIDSetting:
                              f"got {self.parameter!r}")
         if self.samples_per_client < 4:
             raise ValueError("samples_per_client must be >= 4")
+        # With at most S samples no class gets two, so the stratified
+        # split holds none out for testing.
+        if (self.kind == "quantity"
+                and self.samples_per_client <= self.parameter):
+            raise ValueError(f"samples_per_client must exceed the "
+                             f"{int(self.parameter)} classes per client, "
+                             f"got {self.samples_per_client}")
 
     def label(self) -> str:
         if self.kind == "quantity":

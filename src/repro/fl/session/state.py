@@ -3,7 +3,7 @@
 ``ServerState`` is an explicit snapshot of everything the round loop
 mutates: the global model, the round cursor, per-round history, the
 algorithm's server-side state (SCAFFOLD control variates, …), every
-client's persistent store (SSL/Calibre local state dicts, APFL/Ditto
+client's persistent store (SSL client-local state dicts, APFL/Ditto
 personal models, …), and the availability model's RNG cursor.  It
 round-trips through JSON *exactly* (see :mod:`repro.fl.session.codec`),
 which is what makes round-level checkpoints safe: a run restored at round

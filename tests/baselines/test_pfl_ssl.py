@@ -1,11 +1,18 @@
 """Tests for the pFL-SSL base algorithm: state persistence and wire format."""
 
+import json
+import warnings
+from collections import OrderedDict
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.baselines import PFLSSL, FedEMA
 from repro.data import make_cifar10_like, make_stl10_like, partition_dirichlet
-from repro.fl import FederatedConfig, build_federation
+from repro.eval import available_methods, build_method
+from repro.fl import FederatedConfig, TrainingSession, build_federation
+from repro.fl.session import SessionCallback, read_checkpoint, write_checkpoint
 from repro.nn import MLPEncoder
 
 IMAGE_SIZE = 8
@@ -87,10 +94,166 @@ class TestLocalStatePersistence:
 
     def test_persistence_can_be_disabled(self):
         config, _, clients = make_setup()
-        algorithm = PFLSSL(config, 10, encoder_factory, ssl_name="simclr",
+        algorithm = PFLSSL(config, 10, encoder_factory, ssl_name="simsiam",
                            persist_local_state=False)
         algorithm.local_update(clients[0], algorithm.build_global_state(), 0)
-        assert "pfl-simclr/local" not in clients[0].store
+        assert "pfl-simsiam/local" not in clients[0].store
+
+
+SSL_METHODS = [name for name in available_methods()
+               if name.startswith(("pfl-", "calibre-")) or name == "fedema"]
+
+
+def assert_same_arrays(left, right):
+    assert list(left) == list(right)
+    for key in left:
+        assert left[key].dtype == right[key].dtype, key
+        np.testing.assert_array_equal(left[key], right[key])
+
+
+def homogeneous_clients(count=3):
+    """Equal single-class partitions: one cohort the batched engine runs."""
+    dataset = make_cifar10_like(image_size=IMAGE_SIZE, train_per_class=48,
+                                test_per_class=4, seed=0)
+    parts = [np.where(dataset.train.labels == label)[0][:12]
+             for label in range(count)]
+    return build_federation(dataset, parts, test_fraction=0.25, seed=0)
+
+
+class TestKeptState:
+    """A client's store keeps only what the next restore does not
+    overwrite with the global model: the state keys outside
+    ``global_state()`` and the extra state.  FedEMA, which mixes its saved
+    online network into the incoming global model, keeps everything."""
+
+    @pytest.mark.parametrize("name", SSL_METHODS)
+    def test_store_holds_exactly_the_kept_state(self, name):
+        config, _, clients = make_setup()
+        algorithm = build_method(name, config, 10, encoder_factory)
+        algorithm.local_update(clients[0], algorithm.build_global_state(), 0)
+        template = algorithm._template
+        trained, extra = template.state_dict(), template.extra_state()
+        global_keys = set(template.global_state())
+        kept = OrderedDict((key, value) for key, value in trained.items()
+                           if name == "fedema" or key not in global_keys)
+        # Only SimCLR's clients have nothing of their own to keep.
+        assert (not kept and not extra) == name.endswith("simclr")
+        if not kept and not extra:
+            assert clients[0].store == {}
+            return
+        assert list(clients[0].store) == [f"{algorithm.name}/local"]
+        saved_state, saved_extra = clients[0].store[f"{algorithm.name}/local"]
+        assert_same_arrays(saved_state, kept)
+        assert_same_arrays(saved_extra, extra)
+
+    @pytest.mark.parametrize("name", ["pfl-simclr", "calibre-simsiam"])
+    def test_batched_cohort_keeps_what_one_client_keeps(self, name):
+        config = FederatedConfig(num_clients=3, clients_per_round=3,
+                                 rounds=1, local_epochs=1, batch_size=4,
+                                 seed=0)
+        algorithm = build_method(name, config, 10, encoder_factory)
+        global_state = algorithm.build_global_state()
+        batched, alone = homogeneous_clients(), homogeneous_clients()
+        algorithm.cohort_update(batched, global_state, 0)
+        assert algorithm._trace_cache  # the cohort ran batched
+        for client in alone:
+            algorithm.local_update(client, global_state, 0)
+        for left, right in zip(batched, alone):
+            assert list(left.store) == list(right.store)
+            for key in left.store:
+                assert_same_arrays(left.store[key][0], right.store[key][0])
+                assert left.store[key][1] == right.store[key][1] == {}
+        assert (batched[0].store == {}) == name.endswith("simclr")
+
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    def test_calibre_simclr_leaves_every_store_empty(self, backend):
+        config, _, clients = make_setup()
+        config = config.with_overrides(clients_per_round=3, rounds=2,
+                                       backend=backend, workers=1)
+        algorithm = build_method("calibre-simclr", config, 10, encoder_factory,
+                                 num_prototypes=3)
+        session = TrainingSession(algorithm, clients, config)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # no fallback
+            session.execute()
+        assert [client.store for client in clients] == [{}, {}, {}]
+        assert session.capture_state().client_stores == {}
+
+    @pytest.mark.parametrize("name", ["pfl-simclr", "pfl-simsiam",
+                                      "pfl-mocov2"])
+    def test_full_store_restores_as_the_kept_one(self, name):
+        """A store holding the whole trained state, as stores did before
+        they kept only client-local state, restores to the same model and
+        trains to the same update; the next update trims it, or removes
+        it when nothing is kept."""
+        config, _, clients = make_setup()
+        algorithm = build_method(name, config, 10, encoder_factory)
+        global_state = algorithm.build_global_state()
+        kept_client = clients[0]
+        algorithm.local_update(kept_client, global_state, 0)
+        template = algorithm._template
+        full_client = replace(kept_client, store={f"{name}/local": (
+            template.state_dict(), template.extra_state())})
+        moved = {key: value + 0.25 for key, value in global_state.items()}
+
+        def restored(client):
+            method = algorithm._restore_client_method(client, moved)
+            return method.state_dict(), method.extra_state()
+
+        full_state, full_extra = restored(full_client)
+        kept_state, kept_extra = restored(kept_client)
+        assert_same_arrays(full_state, kept_state)
+        assert_same_arrays(full_extra, kept_extra)
+        full_update = algorithm.local_update(full_client, moved, 1)
+        kept_update = algorithm.local_update(kept_client, moved, 1)
+        assert_same_arrays(full_update.state, kept_update.state)
+        assert list(full_client.store) == list(kept_client.store)
+        for key in kept_client.store:
+            assert_same_arrays(full_client.store[key][0],
+                               kept_client.store[key][0])
+            assert_same_arrays(full_client.store[key][1],
+                               kept_client.store[key][1])
+        assert (full_client.store == {}) == name.endswith("simclr")
+
+
+class _FullStores(SessionCallback):
+    """Records each trained client's whole state, the store SimCLR
+    clients held before stores kept only client-local state."""
+
+    def __init__(self):
+        self.stores = {}
+
+    def on_client_update_done(self, session, event):
+        self.stores[event.client_id] = {
+            f"{session.algorithm.name}/local": (
+                OrderedDict(event.update.state), {})}
+
+
+@pytest.mark.parametrize("backend", ["serial", "process"])
+def test_resume_from_full_simclr_stores_matches_uninterrupted(tmp_path,
+                                                              backend):
+    def session_of(backend):
+        config, _, clients = make_setup()
+        config = config.with_overrides(rounds=3, backend=backend, workers=1)
+        algorithm = build_method("calibre-simclr", config, 10,
+                                 encoder_factory, num_prototypes=3)
+        return TrainingSession(algorithm, clients, config)
+
+    reference = json.dumps(session_of("serial").execute().to_json())
+    partial = session_of(backend)
+    full = partial.add_callback(_FullStores())
+    with partial:
+        partial.run_until(2)
+        state = partial.capture_state()
+    assert state.client_stores == {} and full.stores
+    path = write_checkpoint(replace(state, client_stores=full.stores),
+                            tmp_path / "ckpt.json")
+    assert sorted(read_checkpoint(path).client_stores) == sorted(full.stores)
+    resumed = session_of(backend)
+    with warnings.catch_warnings(), resumed:
+        warnings.simplefilter("error", RuntimeWarning)  # no fallback
+        resumed.load_checkpoint(path)
+        assert json.dumps(resumed.execute().to_json()) == reference
 
 
 class TestUnlabeledPool:

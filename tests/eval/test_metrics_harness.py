@@ -64,6 +64,13 @@ class TestNonIIDSetting:
             NonIIDSetting("bogus", 1, 100)
         with pytest.raises(ValueError):
             NonIIDSetting("quantity", 1, 2)
+        for parameter, samples in ((4, 4), (5, 5), (5, 4), (6.0, 6)):
+            with pytest.raises(ValueError):
+                NonIIDSetting("quantity", parameter, samples)
+        with pytest.raises(ValueError, match="must exceed the 5 classes"):
+            NonIIDSetting("quantity", 5, 5)
+        NonIIDSetting("quantity", 5, 6)  # S+1: one class gets two samples
+        NonIIDSetting("dirichlet", 5, 5)  # the bound is S's, not alpha's
         for parameter in (0, -2, 2.5, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="classes per client"):
                 NonIIDSetting("quantity", parameter, 10)

@@ -202,7 +202,8 @@ class TestEveryMethodCheckpoints:
         assert json.dumps(resumed.execute().to_json()) == reference
 
 
-@pytest.mark.parametrize("method", ["scaffold", "calibre-simclr"])
+@pytest.mark.parametrize("method", ["scaffold", "calibre-simclr",
+                                    "calibre-simsiam"])
 class TestResumeAcrossBackends:
     def test_resume_matches_serial_uninterrupted(self, method):
         """A checkpoint taken under the process backend resumes bitwise
@@ -278,7 +279,7 @@ class TestCheckpointFiles:
     def test_columnar_is_much_smaller_than_json(self, tmp_path):
         from repro.fl.session import checkpoint_total_bytes
 
-        session = make_session("calibre-simclr", tiny_config())
+        session = make_session("calibre-byol", tiny_config())
         session.run_until(2)
         state = session.capture_state()
         legacy = write_checkpoint(state, tmp_path / "l.json", arrays="json")

@@ -312,7 +312,7 @@ def _tiny_workload(samples=12):
     return dataset, partitions, encoder_factory
 
 
-def _run_tiny(backend, workers=None, method="pfl-simclr"):
+def _run_tiny(backend, workers=None, method="pfl-simsiam"):
     dataset, partitions, encoder_factory = _tiny_workload()
     config = TINY_CONFIG.with_overrides(backend=backend, workers=workers)
     clients = build_federation(dataset, partitions, seed=2)
@@ -337,10 +337,11 @@ def test_process_backend_reproduces_serial_run():
 
 
 def test_process_backend_ships_store_mutations_back():
-    # pfl-simclr persists per-client local SSL state; with every client
-    # sampled each round, round 2 depends on stores written in round 1, so
-    # identical losses (asserted above) require the write-back path.  Here
-    # we additionally check the stores materialize on the coordinator side.
+    # pfl-simsiam persists each client's predictor, which the global model
+    # does not carry; with every client sampled each round, round 2 depends
+    # on stores written in round 1, so identical losses (asserted above)
+    # require the write-back path.  Here we additionally check the stores
+    # materialize on the coordinator side.
     _, clients = _run_tiny("process", workers=2)
     for client in clients:
         assert any(key.endswith("/local") for key in client.store), client.client_id

@@ -38,7 +38,7 @@ from repro.telemetry import Tracer
 
 CHURN = AvailabilitySpec(availability=0.6, churn=0.4, dropout=0.15,
                          speed_spread=0.3)
-STORE_METHODS = ["calibre-simclr", "scaffold", "ditto"]
+STORE_METHODS = ["calibre-byol", "scaffold", "ditto"]
 
 
 @pytest.fixture(scope="module")
@@ -124,7 +124,7 @@ class TestIncrementalWrites:
         tracer = Tracer()
         path = tmp_path / "ckpt.json"
         with tracer.activate():
-            session, population = build_session(dataset, "calibre-simclr")
+            session, population = build_session(dataset, "calibre-byol")
             session.add_callback(RoundCheckpointer(path))
             with population:
                 session.run_until(3)
@@ -151,7 +151,7 @@ class TestIncrementalWrites:
         assert canonical(read_checkpoint(path)) == \
             canonical(session.capture_state())
 
-    @pytest.mark.parametrize("method", ["calibre-simclr", "scaffold"])
+    @pytest.mark.parametrize("method", ["calibre-byol", "scaffold"])
     def test_compaction_keeps_disk_within_twice_live(self, dataset, tmp_path,
                                                      method):
         # Six clients, four sampled a round: stores go stale fast, so
@@ -336,7 +336,7 @@ class TestFailurePaths:
             self, dataset, tmp_path, monkeypatch, compacting):
         import repro.fl.session.state as state_module
 
-        session, population = build_session(dataset, "calibre-simclr")
+        session, population = build_session(dataset, "calibre-byol")
         path = tmp_path / "ckpt.json"
         session.add_callback(RoundCheckpointer(path))
         with population:

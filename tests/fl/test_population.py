@@ -337,7 +337,7 @@ class TestPopulationInPoolWorker:
             workers=1)
         factory = make_encoder_factory("mlp", dataset, hidden_dims=(16, 8),
                                        seed=7)
-        algorithm = build_method("pfl-simclr", config, dataset.num_classes,
+        algorithm = build_method("pfl-simsiam", config, dataset.num_classes,
                                  factory)
         population = make_population(dataset)
         session = TrainingSession(algorithm, population, config)

@@ -100,7 +100,7 @@ def test_churned_store_keeping_run_with_novel_clients_across_backends(
     for backend in ("serial", "process"):
         novel = build_novel_clients(dataset, 3, partition_iid)
         session, population = build_session(
-            dataset, backend=backend, method="calibre-simclr",
+            dataset, backend=backend, method="calibre-simsiam",
             novel_clients=novel, num_clients=24, max_resident=6)
         try:
             with warnings.catch_warnings():

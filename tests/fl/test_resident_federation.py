@@ -343,7 +343,7 @@ class TestSessionFederation:
             config = SESSION_CONFIG.with_overrides(backend=backend)
             with warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)  # no fallback
-                TrainingSession(_algorithm(dataset, "pfl-simclr", config,
+                TrainingSession(_algorithm(dataset, "pfl-simsiam", config,
                                            **SSL_SIZES),
                                 clients, config).execute()
             # The same objects: dispatch never swaps a client's splits.

@@ -99,6 +99,12 @@ class TestParser:
           "--param", "11"],
          "--param: classes per client must be at most 10 for stl10, "
          "got 11.0"),
+        (["run", "--method", "fedavg", "--param", "5", "--samples", "5"],
+         "--samples: samples_per_client must exceed the 5 classes per "
+         "client, got 5"),
+        (["sweep", "--exp", "fig3", "--panel", "1", "--samples", "5"],
+         "--samples: samples_per_client must exceed the 5 classes per "
+         "client, got 5"),
         (["run", "--method", "fedavg", "--backend", "thread"],
          "--backend: invalid choice: 'thread'"),
         (["sweep", "--exp", "fig3", "--scheduler", "thread"],
@@ -112,7 +118,8 @@ class TestParser:
             "run-param-zero", "run-param-fractional",
             "run-dirichlet-param-zero", "run-param-above-classes",
             "run-cifar100-param-above-classes",
-            "run-stl10-param-above-classes", "run-thread-backend",
+            "run-stl10-param-above-classes", "run-samples-at-param",
+            "sweep-samples-at-param", "run-thread-backend",
             "sweep-thread-scheduler"])
     def test_bad_grid_value_exits_2_naming_the_flag(self, capsys, tmp_path,
                                                     argv, message):
@@ -131,6 +138,13 @@ class TestMain:
         out = capsys.readouterr().out
         assert "calibre-simclr" in out
         assert "fig3 panels:" in out
+
+    def test_run_quantity_split_with_one_sample_more_than_s(self, capsys):
+        # S+1 samples give one class two, so the split holds one out.
+        assert main(["run", "--method", "fedavg", "--param", "5",
+                     "--samples", "6", "--rounds", "1", "--clients",
+                     "4"]) == 0
+        assert "fedavg" in capsys.readouterr().out
 
     def test_run_rejects_unknown_method(self, capsys):
         assert main(["run", "--method", "bogus"]) == 2
