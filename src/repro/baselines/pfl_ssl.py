@@ -43,7 +43,7 @@ __all__ = ["PFLSSL", "LossPlan"]
 
 TRACE_CACHE_SIZE = 64
 """Recorded traces one algorithm instance keeps (least recently used go
-first) — the bound of the personalization probe's trace cache."""
+first)."""
 
 
 @dataclass

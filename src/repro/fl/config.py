@@ -171,6 +171,13 @@ class FederatedConfig:
             raise ValueError("batch sizes must be >= 1")
         if self.learning_rate <= 0 or self.personalization_lr <= 0:
             raise ValueError("learning rates must be positive")
+        # range() would run a negative count as zero epochs and reject a
+        # float only after training; bool is an int subclass.
+        if isinstance(self.personalization_epochs, bool) or not isinstance(
+                self.personalization_epochs, int) or self.personalization_epochs < 0:
+            raise ValueError(
+                f"personalization_epochs must be an integer >= 0, "
+                f"got {self.personalization_epochs!r}")
         if not 0.0 < self.test_fraction < 1.0:
             raise ValueError("test_fraction must be in (0, 1)")
         if self.num_novel_clients < 0:

@@ -8,29 +8,30 @@ set.  The same routine also powers the Script-* local-only baselines and
 head fine-tuning variants.
 
 The stage runs on every client, so the probe is client-batched.
-:func:`train_linear_probes` records one SGD step — the ``Linear`` forward
-plus the one-hot cross-entropy — as a :mod:`repro.nn.trace` tape and
-replays it over K clients whose feature shapes match, with
-:class:`~repro.nn.BatchedSGD` stepping all K heads at once.  Slice k of
-every replayed op is bitwise what a lone client computes, and each
-client's generator is consumed in the lone client's order (head init, then
-one permutation per epoch), so a client's result never depends on the
-cohort it trained in.  :func:`train_linear_probe` is the K=1 case.
+:func:`train_linear_probes` stacks the heads of K clients whose feature
+shapes match on a leading client axis and takes every SGD step — the
+``Linear`` forward, the one-hot cross-entropy, its gradient and the
+momentum update — as plain numpy over that axis.  The step is the
+autograd engine's own arithmetic written out: the same numpy calls in the
+same order as ``F.linear`` plus ``target_cross_entropy`` replayed,
+differentiated by ``Tensor.backward`` and stepped by ``SGD.step``, so it
+is bitwise what the engine computed without building a graph.  Slice k of
+every array is what a lone client computes, and each client's generator
+is consumed in the lone client's order (head init, then one permutation
+per epoch), so a client's result never depends on the cohort it trained
+in.  :func:`train_linear_probe` is the K=1 case.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..data.loader import batch_iterator
-from ..nn import BatchedSGD, Linear, Tensor, no_grad
+from .. import telemetry
+from ..nn import Linear, Tensor
 from ..nn import functional as F
-from ..nn.losses import target_cross_entropy
-from ..nn.trace import BatchedReplay, Trace
 
 __all__ = [
     "PersonalizationResult",
@@ -69,40 +70,6 @@ class ProbeTask:
     head: Optional[Linear] = None
 
 
-HeadLayout = Tuple[Tuple[str, Tuple[int, ...], str], ...]
-"""(name, shape, dtype) of each parameter of a linear head."""
-
-
-def _head_layout(head: Linear) -> HeadLayout:
-    return tuple((name, param.data.shape, str(param.data.dtype))
-                 for name, param in head.named_parameters())
-
-
-# A sealed trace holds no per-client data and depends only on its key, so
-# one recorded step per (batch rows, feature dtype, head layout) serves
-# every client, cohort and run in the process.
-@functools.lru_cache(maxsize=64)
-def _probe_trace(batch: int, features_dtype: str, layout: HeadLayout) -> Trace:
-    """The probe step for ``batch`` rows: ``Linear`` forward + cross-entropy.
-
-    Features, the one-hot target and the head's parameters are all trace
-    leaves; recording runs on zeros because only the tape matters.
-    """
-    trace = Trace()
-    leaves = {name: trace.add_param(name, np.zeros(shape, dtype))
-              for name, shape, dtype in layout}
-    feature_dim = leaves["weight"].shape[1]
-    features = trace.add_input(
-        "features", np.zeros((batch, feature_dim), features_dtype))
-    with no_grad():
-        logits = F.linear(features, leaves["weight"], leaves.get("bias"))
-        target = trace.add_input("target",
-                                 np.zeros(logits.shape, logits.data.dtype))
-        trace.set_output(target_cross_entropy(logits, target))
-    trace.seal()
-    return trace
-
-
 def _batched_accuracy(features: np.ndarray, labels: np.ndarray,
                       weight: np.ndarray, bias: Optional[np.ndarray]
                       ) -> List[float]:
@@ -121,59 +88,84 @@ def _batched_accuracy(features: np.ndarray, labels: np.ndarray,
     return [float(value) for value in hits.mean(axis=1)]
 
 
+def _probe_step(features: np.ndarray, target: np.ndarray, weight: np.ndarray,
+                bias: Optional[np.ndarray]):
+    """One SGD step's loss ``(K,)`` and gradients, in parameter order.
+
+    The numpy calls the engine makes for ``F.linear`` plus
+    ``target_cross_entropy``, forward and backward, in its order.  The
+    backward needs no graph: with c = -1/B the engine hands c to every
+    element of the summed loss, the log-sum-exp's gradient sums a row of
+    c and signed zeros (exactly c), so the gradient at the logits is
+    exactly ``target * c + e * ((-c) / s)``.
+    """
+    batch = features.shape[1]
+    logits = features @ np.swapaxes(weight, -1, -2)
+    if bias is not None:
+        logits = logits + bias[:, None, :]
+    shifted = logits - logits.max(axis=2, keepdims=True)
+    exp = np.exp(shifted)
+    total = exp.sum(axis=2, keepdims=True)
+    loss = -((target * (shifted - np.log(total))).sum(axis=2).sum(axis=1) / batch)
+    c = logits.dtype.type(-1.0) / batch
+    grad = target * c + exp * ((-c) / total)
+    grad_weight = np.swapaxes(np.swapaxes(features, -1, -2) @ grad, -1, -2)
+    if bias is None:
+        return loss, (grad_weight,)
+    return loss, (grad_weight, grad.sum(axis=1))
+
+
 def _train_cohort(tasks: Sequence[ProbeTask], heads: Sequence[Linear],
                   epochs: int, learning_rate: float, batch_size: int,
                   momentum: float) -> List[PersonalizationResult]:
     """Train K shape-homogeneous probes as one client-batched run."""
     k = len(tasks)
-    # Tensor() applies the dtype coercion the lone client's Tensor(features)
-    # would, so the recorded input dtypes match.
+    # Tensor() applies the dtype coercion a lone client's Tensor(features) gets.
     train_features = Tensor(np.stack([task.train_features for task in tasks])).data
     train_labels = np.stack([np.asarray(task.train_labels, dtype=np.int64)
                              for task in tasks])
-    params = [dict(head.named_parameters()) for head in heads]
-    leaves = {name: Tensor(np.stack([head[name].data for head in params]),
-                           requires_grad=True)
-              for name in params[0]}
-    optimizer = BatchedSGD(list(leaves.values()), lr=learning_rate,
-                           momentum=momentum, num_clients=k)
-    rows = np.arange(k)[:, None]
+    weight = np.stack([head.weight.data for head in heads])
+    bias = (None if heads[0].bias is None
+            else np.stack([head.bias.data for head in heads]))
+    params = [weight] if bias is None else [weight, bias]
+    # SGD.step's velocity buffers, which exist only with momentum.
+    velocities = [np.zeros_like(param) if momentum else None for param in params]
     count = train_features.shape[1]
-    classes = heads[0].weight.shape[0]
-    layout = _head_layout(heads[0])
+    rows = np.arange(k)[:, None]
+    starts = range(0, count, batch_size)
     epoch_losses = []
+    if epochs:
+        # One encoding serves every step; a zero-epoch probe range-checks no label.
+        classes = weight.shape[1]
+        targets = F.one_hot(train_labels.reshape(-1), classes,
+                            dtype=np.result_type(train_features, *params))
+        targets = targets.reshape(k, count, classes)
     for _ in range(epochs):
-        iterators = [batch_iterator(count, batch_size, shuffle=True, rng=task.rng)
-                     for task in tasks]
+        # A lone client's shuffled batch_iterator draws one permutation per
+        # epoch; the clients draw theirs in cohort order.
+        orders = np.stack([task.rng.permutation(count) for task in tasks])
         total = np.zeros(k)
-        batches = 0
-        for batch in zip(*iterators):
-            index = np.stack(batch)
-            trace = _probe_trace(index.shape[1], str(train_features.dtype),
-                                 layout)
-            _, _, target_dtype = trace.inputs["target"]
-            target = F.one_hot(train_labels[rows, index].reshape(-1), classes,
-                               dtype=target_dtype)
-            loss, _ = BatchedReplay(trace, k, counter="probe").run(
-                {"features": train_features[rows, index],
-                 "target": target.reshape(k, -1, classes)},
-                leaves, {})
-            optimizer.zero_grad()
-            loss.backward()
-            optimizer.step()
-            total += loss.data
-            batches += 1
-        epoch_losses.append(total / batches)
-    for position, head in enumerate(params):
-        for name, param in head.items():
-            param.data[...] = leaves[name].data[position]
-    bias = leaves["bias"].data if "bias" in leaves else None
+        for start in starts:
+            index = orders[:, start:start + batch_size]
+            loss, grads = _probe_step(train_features[rows, index],
+                                      targets[rows, index], weight, bias)
+            for param, grad, velocity in zip(params, grads, velocities):
+                if velocity is not None:
+                    velocity *= momentum
+                    velocity += grad
+                    grad = velocity
+                param -= learning_rate * grad
+            total += loss
+        epoch_losses.append(total / len(starts))
+        telemetry.count("probe.steps", len(starts))
+        telemetry.count("probe.step_clients", k * len(starts))
+    for position, head in enumerate(heads):
+        for param, stacked in zip(head.parameters(), params):
+            param.data[...] = stacked[position]
     test_features = Tensor(np.stack([task.test_features for task in tasks])).data
     test_labels = np.stack([np.asarray(task.test_labels) for task in tasks])
-    test_acc = _batched_accuracy(test_features, test_labels,
-                                 leaves["weight"].data, bias)
-    train_acc = _batched_accuracy(train_features, train_labels,
-                                  leaves["weight"].data, bias)
+    test_acc = _batched_accuracy(test_features, test_labels, weight, bias)
+    train_acc = _batched_accuracy(train_features, train_labels, weight, bias)
     return [PersonalizationResult(
         accuracy=test_acc[position], train_accuracy=train_acc[position],
         head=head, losses=[float(losses[position]) for losses in epoch_losses])
@@ -187,10 +179,19 @@ def train_linear_probes(tasks: Sequence[ProbeTask], num_classes: int,
     """Train one linear probe per task; results come back in task order.
 
     Every task's head is built first (consuming its generator exactly as
-    a lone client would), then tasks whose train/test feature shapes,
-    dtypes and head layouts agree train together as one batched cohort.
-    Each result is bitwise identical to training that task alone.
+    a lone client would), then tasks whose train/test feature shapes and
+    dtypes, and head parameter shapes and dtypes, agree train together as
+    one batched cohort.  Each result is bitwise identical to training that
+    task alone.
     """
+    if batch_size < 1:
+        raise ValueError("batch_size must be >= 1")
+    if learning_rate <= 0:
+        raise ValueError(f"learning rate must be positive, got {learning_rate}")
+    if not 0.0 <= momentum < 1.0:
+        raise ValueError(f"momentum must be in [0, 1), got {momentum}")
+    # SGD steps with float(lr): a numpy scalar would promote float32 heads.
+    learning_rate = float(learning_rate)
     for task in tasks:
         if task.train_features.shape[0] != np.shape(task.train_labels)[0]:
             raise ValueError("train features/labels disagree on N")
@@ -202,8 +203,9 @@ def train_linear_probes(tasks: Sequence[ProbeTask], num_classes: int,
     cohorts: Dict[Tuple, List[int]] = {}
     for position, (task, head) in enumerate(zip(tasks, heads)):
         signature = (task.train_features.shape, task.test_features.shape,
-                     str(task.train_features.dtype), str(task.test_features.dtype),
-                     _head_layout(head))
+                     task.train_features.dtype, task.test_features.dtype,
+                     tuple((param.data.shape, param.data.dtype)
+                           for param in head.parameters()))
         cohorts.setdefault(signature, []).append(position)
     results: List[Optional[PersonalizationResult]] = [None] * len(tasks)
     for positions in cohorts.values():

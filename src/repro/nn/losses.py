@@ -1,4 +1,4 @@
-"""Supervised loss functions used by the personalization stage and baselines."""
+"""Cross-entropy losses over logits, and top-1 accuracy."""
 
 from __future__ import annotations
 
@@ -32,9 +32,12 @@ def target_cross_entropy(logits: Tensor, target: Tensor) -> Tensor:
     """Mean cross-entropy between ``logits`` (N, K) and a dense target (N, K).
 
     The body of :func:`cross_entropy` once the labels are encoded.  Taking
-    the target as a tensor lets a trace record it as an input, so the
-    client-batched linear probe never captures one client's labels as a
-    shared constant.
+    the target as a tensor lets a trace record it as an input, so a
+    client-batched replay never captures one client's labels as a shared
+    constant.  Calibre's classification term
+    (:func:`repro.core.losses.classification_term`) is the one traced
+    caller; the linear probe writes this loss and its gradient out in
+    numpy (:mod:`repro.fl.personalization`).
     """
     log_probs = F.log_softmax(logits, axis=1)
     return -(target * log_probs).sum(axis=1).mean()

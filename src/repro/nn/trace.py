@@ -385,14 +385,14 @@ class BatchedReplay:
                              (self.trace.indices, np.asarray)):
             for name, (tid, shape, dtype) in leaves.items():
                 array = inputs[name]
-                if array.shape != (k,) + shape or str(array.dtype) != dtype:
+                if array.shape != (k,) + shape or array.dtype != dtype:
                     raise UntraceableError(
                         f"input {name!r} has shape {array.shape}/{array.dtype}, "
                         f"trace recorded {(k,) + shape}/{dtype}")
                 env[tid] = wrap(array)
         for name, (tid, shape, dtype) in self.trace.params.items():
             leaf = params[name]
-            if leaf.data.shape != (k,) + shape or str(leaf.data.dtype) != dtype:
+            if leaf.data.shape != (k,) + shape or leaf.data.dtype != dtype:
                 raise UntraceableError(
                     f"parameter {name!r} has shape {leaf.data.shape}/{leaf.data.dtype}, "
                     f"trace recorded {(k,) + shape}/{dtype}")

@@ -58,6 +58,15 @@ class TestConfig:
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
             FederatedConfig(seed=-1)
 
+    @pytest.mark.parametrize("epochs", [-1, 2.5, True, "10", None])
+    def test_personalization_epochs_must_be_a_count(self, epochs):
+        with pytest.raises(ValueError, match="personalization_epochs must be "
+                                             f"an integer >= 0, got {epochs!r}"):
+            FederatedConfig(personalization_epochs=epochs)
+
+    def test_zero_personalization_epochs_stay_valid(self):
+        assert FederatedConfig(personalization_epochs=0).personalization_epochs == 0
+
     def test_with_overrides(self):
         config = FederatedConfig(rounds=5).with_overrides(rounds=7)
         assert config.rounds == 7

@@ -5,6 +5,8 @@ replaced, kept verbatim as the reference: one eager autograd step per
 minibatch on one ``Linear`` head.  Every engine result — test and train
 accuracy, per-epoch losses, trained head weights — must match it bit for
 bit, whatever the cohort size K and however the batch schedule ends.
+The engine writes its step out in plain numpy, so these tests hold that
+step to the autograd engine's arithmetic.
 """
 
 import copy
@@ -20,14 +22,14 @@ from repro.eval import build_method
 from repro.fl import ClassifierModel, ClientData, FederatedConfig, build_federation
 from repro.fl.personalization import (
     ProbeTask,
-    _head_layout,
-    _probe_trace,
     evaluate_linear_head,
     train_linear_probe,
     train_linear_probes,
 )
 from repro.nn import (SGD, Linear, MLPEncoder, SmallConvEncoder, Tensor,
                       accuracy, cross_entropy, no_grad)
+from repro.nn.trace import BatchedReplay
+from repro.telemetry import Tracer
 
 FEATURE_DIM = 6
 CLASSES = 4
@@ -158,25 +160,102 @@ class TestEngineMatchesEagerLoop:
         assert evaluate_linear_head(head, test[:0], test_labels[:0]) == 0.0
 
 
-class TestProbeTrace:
-    def test_target_is_an_input_not_a_constant(self):
-        head = Linear(FEATURE_DIM, CLASSES, rng=np.random.default_rng(0))
-        trace = _probe_trace(BATCH, "float64", _head_layout(head))
-        assert set(trace.inputs) == {"features", "target"}
-        assert trace.inputs["target"][1] == (BATCH, CLASSES)
-        assert set(trace.params) == {"weight", "bias"}
-        for op in trace.ops:
-            for tag, payload in op.inputs:
-                if tag == "c":
-                    assert np.ndim(payload) == 0, op.kind
+def _cohort_matches_eager(arrays, epochs=2, momentum=0.9, heads=None):
+    """Train ``arrays`` as one call and each client alone; compare bitwise."""
+    heads = heads or [None] * len(arrays)
+    references = [
+        _eager_probe(*client, CLASSES, epochs=epochs, batch_size=BATCH,
+                     momentum=momentum, rng=np.random.default_rng(300 + index),
+                     head=copy.deepcopy(head))
+        for index, (client, head) in enumerate(zip(arrays, heads))]
+    tasks = [ProbeTask(*client, rng=np.random.default_rng(300 + index),
+                       head=head)
+             for index, (client, head) in enumerate(zip(arrays, heads))]
+    results = train_linear_probes(tasks, CLASSES, epochs=epochs,
+                                  batch_size=BATCH, momentum=momentum)
+    for result, reference in zip(results, references):
+        _assert_same(result, reference)
 
-    def test_traces_are_cached_by_batch_shape_and_dtype(self):
-        layout = _head_layout(Linear(FEATURE_DIM, CLASSES,
-                                     rng=np.random.default_rng(0)))
-        first = _probe_trace(3, "float64", layout)
-        assert _probe_trace(3, "float64", layout) is first
-        assert _probe_trace(4, "float64", layout) is not first
-        assert _probe_trace(3, "float32", layout) is not first
+
+class TestNumpyStep:
+    """Cases where the written-out step could part from the engine's."""
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_float32_features_promote_like_the_engine(self, k):
+        arrays = []
+        for seed in range(k):
+            train, labels, test, test_labels = _client_arrays(seed, 19)
+            arrays.append((train.astype(np.float32), labels,
+                           test.astype(np.float32), test_labels))
+        _cohort_matches_eager(arrays)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_warm_head_without_bias(self, k):
+        arrays = [_client_arrays(seed, 19) for seed in range(k)]
+        heads = [Linear(FEATURE_DIM, CLASSES, bias=False,
+                        rng=np.random.default_rng(60 + index))
+                 for index in range(k)]
+        _cohort_matches_eager(arrays, heads=heads)
+
+    @pytest.mark.parametrize("n_train", [1, BATCH + 1])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_one_sample_batches(self, k, n_train):
+        arrays = [_client_arrays(seed, n_train) for seed in range(k)]
+        _cohort_matches_eager(arrays, epochs=3)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_zero_momentum_keeps_no_velocity(self, k):
+        arrays = [_client_arrays(seed, 19) for seed in range(k)]
+        _cohort_matches_eager(arrays, momentum=0.0)
+
+    def test_never_enters_the_engine(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the probe entered the autograd engine")
+
+        monkeypatch.setattr(Tensor, "backward", refuse)
+        monkeypatch.setattr(BatchedReplay, "run", refuse)
+        monkeypatch.setattr(SGD, "step", refuse)
+        arrays = [_client_arrays(seed, n) for seed, n in enumerate([19, 5, 19])]
+        tasks = [ProbeTask(*client, rng=np.random.default_rng(index))
+                 for index, client in enumerate(arrays)]
+        results = train_linear_probes(tasks, CLASSES, epochs=2, batch_size=BATCH)
+        assert all(len(result.losses) == 2 for result in results)
+
+    def test_step_counters_per_cohort(self):
+        # Two cohorts: two clients of 19 samples (3 batches of 8) and one
+        # of 5 (1 batch).
+        epochs = 3
+        arrays = [_client_arrays(seed, n) for seed, n in enumerate([19, 5, 19])]
+        tasks = [ProbeTask(*client, rng=np.random.default_rng(index))
+                 for index, client in enumerate(arrays)]
+        tracer = Tracer()
+        with tracer.activate():
+            train_linear_probes(tasks, CLASSES, epochs=epochs, batch_size=BATCH)
+        assert tracer.counters["probe.steps"] == epochs * (3 + 1)
+        assert tracer.counters["probe.step_clients"] == epochs * (2 * 3 + 1 * 1)
+
+    def test_zero_epochs_count_no_steps_and_check_no_labels(self):
+        train, labels, test, test_labels = _client_arrays(0, 8)
+        tracer = Tracer()
+        with tracer.activate():
+            result = train_linear_probe(train, labels + CLASSES, test,
+                                        test_labels, CLASSES, epochs=0,
+                                        rng=np.random.default_rng(0))
+        assert result.losses == []
+        assert "probe.steps" not in tracer.counters
+
+    def test_bad_arguments_raise(self):
+        client = _client_arrays(0, 8)
+        for options, message in [
+                (dict(batch_size=0), "batch_size must be >= 1"),
+                (dict(learning_rate=0.0), "learning rate must be positive"),
+                (dict(momentum=1.0), r"momentum must be in \[0, 1\)")]:
+            with pytest.raises(ValueError, match=message):
+                train_linear_probe(*client, CLASSES,
+                                   rng=np.random.default_rng(0), **options)
+        with pytest.raises(ValueError, match="labels out of range"):
+            train_linear_probe(client[0], client[1] + CLASSES, *client[2:],
+                               CLASSES, rng=np.random.default_rng(0))
 
 
 # ----------------------------------------------------------------------

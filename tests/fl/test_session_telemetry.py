@@ -190,8 +190,8 @@ class TestPersonalizationCohorts:
             == sorted(sizes)
         assert sum(span.attrs["cohort_size"] for span in spans) \
             == config.num_clients
-        assert tracer.counters["probe.replay_clients"] \
-            >= tracer.counters["probe.replays"] > 0
+        assert tracer.counters["probe.step_clients"] \
+            >= tracer.counters["probe.steps"] > 0
 
     def test_cohort_split_never_changes_results(self):
         whole = run_traced("pfl-simclr", small_config(client_batch=None), None)

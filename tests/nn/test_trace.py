@@ -320,6 +320,8 @@ class TestUntraceable:
             replay.run({"x": np.ones((2, 4, 3))}, {}, {})  # wrong K
         with pytest.raises(UntraceableError):
             replay.run({"x": np.ones((3, 4, 2))}, {}, {})  # wrong shape
+        with pytest.raises(UntraceableError, match="float32"):
+            replay.run({"x": np.ones((3, 4, 3), np.float32)}, {}, {})  # wrong dtype
 
 
 class TestTraceLifecycle:
