@@ -1,14 +1,18 @@
 """Calibrated benchmark-regression gate over pytest-benchmark timings.
 
 Raw seconds are meaningless across heterogeneous CI runners, so timings
-are *calibrated*: this script times a fixed numpy reference workload (the
-same kind of kernels the substrate spends its time in — matmul,
-elementwise transcendentals, reductions) on the same machine, in the same
-process environment, and expresses every benchmark as a dimensionless
-ratio ``benchmark_mean / calibration_seconds``.  Those normalized ratios
-are comparable across machines, so a threshold file checked into the repo
-can gate regressions: a benchmark fails when its ratio exceeds the stored
-ceiling (measured ratio x headroom at the time thresholds were updated).
+are *calibrated*: the benchmark run times a fixed numpy reference
+workload (:func:`calibration_seconds`: the same kind of kernels the
+substrate spends its time in — matmul, elementwise transcendentals,
+reductions) in the same pytest process, right after the benchmarks, and
+``benchmarks/conftest.py`` records it in the benchmark JSON as
+``calibration_seconds``.  This script expresses every benchmark as a
+dimensionless ratio ``benchmark_mean / calibration_seconds`` over that
+recorded value, never a fresh timing, so the machine's load when the gate
+runs cannot move a ratio.  Those normalized ratios are comparable across
+machines, so a threshold file checked into the repo can gate regressions:
+a benchmark fails when its ratio exceeds the stored ceiling (measured
+ratio x headroom at the time thresholds were updated).
 
 Workflow::
 
@@ -111,6 +115,8 @@ def append_history(path: Path, normalized, calibration: float,
 
 
 def load_benchmarks(path: Path):
+    """Each benchmark's mean seconds, and the calibration time recorded
+    beside them."""
     with open(path) as stream:
         payload = json.load(stream)
     rows = {}
@@ -118,7 +124,14 @@ def load_benchmarks(path: Path):
         rows[bench["name"]] = float(bench["stats"]["mean"])
     if not rows:
         raise SystemExit(f"no benchmarks found in {path}")
-    return rows
+    calibration = payload.get("calibration_seconds")
+    if (isinstance(calibration, bool) or not isinstance(calibration, (int, float))
+            or not calibration > 0):
+        raise SystemExit(
+            f"{path} records no calibration_seconds: run the benchmarks "
+            "under pytest with benchmarks/conftest.py, which times the "
+            "calibration workload beside them")
+    return rows, float(calibration)
 
 
 def main(argv=None) -> int:
@@ -149,10 +162,10 @@ def main(argv=None) -> int:
                              "(default: $GITHUB_SHA or 'local')")
     args = parser.parse_args(argv)
 
-    benchmarks = load_benchmarks(Path(args.bench_json))
-    calibration = calibration_seconds()
+    benchmarks, calibration = load_benchmarks(Path(args.bench_json))
     normalized = {name: mean / calibration for name, mean in benchmarks.items()}
-    print(f"calibration workload: {calibration * 1e3:.2f} ms on this machine")
+    print(f"calibration workload: {calibration * 1e3:.2f} ms, "
+          "timed beside the benchmarks")
 
     thresholds_path = Path(args.thresholds)
     stored = {}

@@ -15,7 +15,18 @@ import pytest
 
 from repro.ioutil import atomic_write_text
 
+from .check_benchmark_regression import calibration_seconds
+
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
+
+
+@pytest.hookimpl(optionalhook=True)
+def pytest_benchmark_update_json(config, benchmarks, output_json):
+    """Time the calibration workload in this process, right after the
+    benchmarks it normalizes, and record it in the benchmark JSON: the
+    regression gate divides by this value, so the machine's load when the
+    gate runs cannot move a ratio."""
+    output_json["calibration_seconds"] = calibration_seconds()
 
 
 @pytest.fixture(scope="session")

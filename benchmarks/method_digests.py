@@ -10,9 +10,11 @@ The rows are:
 * ``calibre-simclr@buffered-churn``: buffered aggregation under
   availability churn, mid-round dropout and speed spread;
 * ``fedavg@staleness``: staleness-weighted aggregation;
-* ``fedper@process``, ``calibre-simclr@process`` and ``scaffold@process``:
-  the process backend, whose workers keep one resident algorithm and
-  load SCAFFOLD's server control variate into it every round;
+* ``fedper@process``, ``calibre-simclr@process``, ``scaffold@process``
+  and ``lg-fedavg@process``: the process backend, whose workers keep one
+  resident algorithm and load SCAFFOLD's server control variate into it
+  every round; LG-FedAvg's personalization on a worker encodes with the
+  local encoder that ships in the task's client store;
 * ``pfl-simclr@smallconv``: a conv encoder, whose personalization
   features are encoded array by array;
 * ``calibre-simclr@resnet9``: a residual conv encoder (stride-2 1x1
@@ -60,7 +62,7 @@ VARIANTS = [
     ("buffered-churn", ["calibre-simclr"],
      dict(aggregation="buffered", aggregation_buffer=2, availability=CHURN)),
     ("staleness", ["fedavg"], dict(aggregation="staleness")),
-    ("process", ["fedper", "calibre-simclr", "scaffold"],
+    ("process", ["fedper", "calibre-simclr", "scaffold", "lg-fedavg"],
      dict(backend="process", workers=2)),
 ]
 

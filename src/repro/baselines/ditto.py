@@ -18,6 +18,7 @@ import numpy as np
 from ..data.loader import batch_iterator
 from ..fl.algorithm import ClientUpdate
 from ..fl.client import ClientData, derive_rng
+from ..fl.config import require_count
 from ..fl.personalization import PersonalizationResult
 from ..nn import Tensor, cross_entropy
 from ..nn.serialize import StateDict, clone_state
@@ -34,6 +35,7 @@ class Ditto(SupervisedFL):
                          name=name)
         if prox_lambda < 0:
             raise ValueError("prox_lambda must be non-negative")
+        require_count("personal_epochs", personal_epochs)
         self.prox_lambda = prox_lambda
         self.personal_epochs = personal_epochs
 

@@ -48,23 +48,19 @@ class FedEMA(PFLSSL):
 
     def _restore_client_method(self, client: ClientData,
                                global_state: StateDict) -> SSLMethod:
-        method = self._template
         key = f"{self.name}/local"
-        if self.persist_local_state and key in client.store:
-            saved_state, saved_extra = client.store[key]
-            method.load_state_dict(saved_state)
-            if saved_extra:
-                method.load_extra_state(saved_extra)
-            # Divergence-aware EMA merge of the incoming global model into
-            # the client's local online network.
-            local_global_part = method.global_state()
-            divergence = state_distance(global_state, local_global_part)
-            mu = min(self.ema_lambda * divergence, 1.0)
-            mixed = interpolate_states(global_state, local_global_part, mu)
-            method.load_global_state(mixed)
-        else:
-            method.load_state_dict(self._initial_state)
-            if self._initial_extra:
-                method.load_extra_state(self._initial_extra)
-            method.load_global_state(global_state)
+        if key not in client.store:
+            return super()._restore_client_method(client, global_state)
+        method = self._template
+        saved_state, saved_extra = client.store[key]
+        method.load_state_dict(saved_state)
+        if saved_extra:
+            method.load_extra_state(saved_extra)
+        # Divergence-aware EMA merge of the incoming global model into the
+        # client's local online network.
+        local_global_part = method.global_state()
+        divergence = state_distance(global_state, local_global_part)
+        mu = min(self.ema_lambda * divergence, 1.0)
+        mixed = interpolate_states(global_state, local_global_part, mu)
+        method.load_global_state(mixed)
         return method

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from ..fl.algorithm import ClientUpdate
 from ..fl.client import ClientData
-from ..nn.serialize import StateDict, split_state
+from ..fl.config import require_count
+from ..nn.serialize import StateDict
 from .fedper import FedPer
 from .supervised import train_supervised_epochs
 
@@ -21,13 +22,12 @@ class FedRep(FedPer):
     def __init__(self, config, num_classes, encoder_factory,
                  head_epochs: int = 2, name: str = "fedrep"):
         super().__init__(config, num_classes, encoder_factory, name=name)
-        if head_epochs < 1:
-            raise ValueError("head_epochs must be >= 1")
+        require_count("head_epochs", head_epochs, minimum=1)
         self.head_epochs = head_epochs
 
     def local_update(self, client: ClientData, global_state: StateDict,
                      round_index: int) -> ClientUpdate:
-        model = self._assemble(client, global_state)
+        model = self._load_template(global_state, client)
         rng = self.rng_for(client, round_index)
         config = self.config
 
@@ -57,13 +57,5 @@ class FedRep(FedPer):
             rng=rng,
             parameters=model.encoder.parameters(),
         )
-        model.requires_grad_(True)
-        full_state = model.state_dict()
-        encoder_state, head_state = split_state(full_state, "encoder")
-        client.store[self._local_head_key()] = head_state
-        return ClientUpdate(
-            client_id=client.client_id,
-            state=encoder_state,
-            weight=float(client.num_train_samples),
-            metrics={"loss": body_loss, "head_loss": head_loss},
-        )
+        return self._finish_update(client, model,
+                                   {"loss": body_loss, "head_loss": head_loss})

@@ -68,12 +68,8 @@ class PerFedAvg(SupervisedFL):
                         param.data -= outer_lr * grad
                 total_loss += query_loss.item()
                 steps += 1
-        return ClientUpdate(
-            client_id=client.client_id,
-            state=model.state_dict(),
-            weight=float(client.num_train_samples),
-            metrics={"loss": total_loss / max(steps, 1)},
-        )
+        return self._finish_update(client, model,
+                                   {"loss": total_loss / max(steps, 1)})
 
     def personalize(self, client: ClientData, global_state: StateDict
                     ) -> PersonalizationResult:

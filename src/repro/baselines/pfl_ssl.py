@@ -81,7 +81,6 @@ class PFLSSL(FederatedAlgorithm):
         hidden_dim: int = 64,
         augment: Optional[TwoViewAugment] = None,
         ssl_kwargs: Optional[Dict] = None,
-        persist_local_state: bool = True,
     ):
         super().__init__(config, num_classes)
         self.ssl_name = ssl_name.lower()
@@ -91,7 +90,6 @@ class PFLSSL(FederatedAlgorithm):
         self.hidden_dim = hidden_dim
         self.augment = augment if augment is not None else default_ssl_augment()
         self.ssl_kwargs = dict(ssl_kwargs or {})
-        self.persist_local_state = persist_local_state
         # One template method instance is reused for every local update;
         # state is swapped in/out through state dicts.
         self._template = self._build_method(derive_rng(config.seed, 0))
@@ -139,7 +137,7 @@ class PFLSSL(FederatedAlgorithm):
         if self._initial_extra:
             method.load_extra_state(self._initial_extra)
         key = f"{self.name}/local"
-        if self.persist_local_state and key in client.store:
+        if key in client.store:
             saved_state, saved_extra = client.store[key]
             method.load_state_dict(saved_state, strict=False)
             if saved_extra:
@@ -147,21 +145,12 @@ class PFLSSL(FederatedAlgorithm):
         method.load_global_state(global_state)
         return method
 
-    def _local_keys(self) -> Tuple[str, ...]:
-        """The state keys a client keeps between participations: those
-        :meth:`_restore_client_method` does not overwrite with the global
-        model.  For SimCLR there are none, so its clients keep no store."""
-        return tuple(key for key in self._initial_state
-                     if key not in self._global_keys)
-
     def _keep_client_state(self, client: ClientData,
                            state: Mapping[str, np.ndarray],
                            extra: Dict[str, np.ndarray]) -> None:
         """Store copies of ``state``'s :meth:`_local_keys` and ``extra``
         as what ``client`` keeps; a client that keeps nothing holds no
         entry."""
-        if not self.persist_local_state:
-            return
         kept = OrderedDict((key, np.array(state[key], copy=True))
                            for key in self._local_keys())
         if kept or extra:

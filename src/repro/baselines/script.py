@@ -17,7 +17,7 @@ import numpy as np
 
 from ..fl.algorithm import ClientUpdate, FederatedAlgorithm
 from ..fl.client import ClientData
-from ..fl.config import FederatedConfig
+from ..fl.config import FederatedConfig, require_count
 from ..nn.serialize import StateDict
 
 __all__ = ["ScriptLocal"]
@@ -30,6 +30,7 @@ class ScriptLocal(FederatedAlgorithm):
                  convergent: bool = False, convergent_epochs: int = 100,
                  name: str = None):
         super().__init__(config, num_classes)
+        require_count("convergent_epochs", convergent_epochs)
         self.convergent = convergent
         self.convergent_epochs = convergent_epochs
         self.name = name if name is not None else (

@@ -21,13 +21,18 @@ of a pFL experiment, each one code path:
 Baselines override the pieces they change; Calibre overrides
 ``local_update`` (prototype losses) and ``aggregate`` (divergence-aware
 weighting).
+
+What a client keeps between participations is one rule for every
+method, ``_local_keys``: the initial model's keys that the global model
+lacks.
 """
 
 from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Sequence
+from types import MappingProxyType
+from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -65,9 +70,26 @@ class FederatedAlgorithm:
 
     name = "base"
 
+    # The model's round-0 state and the keys of it the global model
+    # carries.  Subclasses that own a model set both at construction; the
+    # defaults (no model) keep nothing.
+    _initial_state: Mapping[str, np.ndarray] = MappingProxyType({})
+    _global_keys: Tuple[str, ...] = ()
+
     def __init__(self, config: FederatedConfig, num_classes: int):
         self.config = config
         self.num_classes = num_classes
+
+    def _local_keys(self) -> Tuple[str, ...]:
+        """The state keys a client keeps between participations: those of
+        the initial model that the global model lacks, in
+        ``_initial_state`` order.
+
+        A restore loads the initial state, then these kept keys, then the
+        global model, so nothing else needs keeping.
+        """
+        return tuple(key for key in self._initial_state
+                     if key not in self._global_keys)
 
     # ------------------------------------------------------------------
     # Required pieces

@@ -40,6 +40,17 @@ def suggest_unknown_keys(unknown: Iterable[str], valid: Iterable[str],
             f"valid names: {', '.join(valid)}")
 
 
+def require_count(name: str, value, minimum: int = 0) -> None:
+    """Reject ``value`` unless it is an integer >= ``minimum``, naming it.
+
+    For counts such as epochs: ``range()`` would run a negative count as
+    zero epochs and reject a float only once training reaches it.
+    ``bool`` is an ``int`` subclass, so it is refused explicitly.
+    """
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class AvailabilitySpec:
     """Deterministic client-availability model for one run.
@@ -171,13 +182,7 @@ class FederatedConfig:
             raise ValueError("batch sizes must be >= 1")
         if self.learning_rate <= 0 or self.personalization_lr <= 0:
             raise ValueError("learning rates must be positive")
-        # range() would run a negative count as zero epochs and reject a
-        # float only after training; bool is an int subclass.
-        if isinstance(self.personalization_epochs, bool) or not isinstance(
-                self.personalization_epochs, int) or self.personalization_epochs < 0:
-            raise ValueError(
-                f"personalization_epochs must be an integer >= 0, "
-                f"got {self.personalization_epochs!r}")
+        require_count("personalization_epochs", self.personalization_epochs)
         if not 0.0 < self.test_fraction < 1.0:
             raise ValueError("test_fraction must be in (0, 1)")
         if self.num_novel_clients < 0:
@@ -199,11 +204,7 @@ class FederatedConfig:
             raise ValueError(
                 f"unknown aggregation policy {self.aggregation!r}; "
                 f"available: {AGGREGATION_POLICIES}")
-        if isinstance(self.aggregation_buffer, bool) or not isinstance(
-                self.aggregation_buffer, int) or self.aggregation_buffer < 1:
-            raise ValueError(
-                f"aggregation_buffer must be an integer >= 1, "
-                f"got {self.aggregation_buffer!r}")
+        require_count("aggregation_buffer", self.aggregation_buffer, minimum=1)
         if self.staleness_decay < 0.0:
             raise ValueError(
                 f"staleness_decay must be >= 0, got {self.staleness_decay!r}")

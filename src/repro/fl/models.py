@@ -2,9 +2,9 @@
 
 ``ClassifierModel`` is the paper's supervised architecture: the fully
 convolutional ``Encoder`` (θ_b) plus the linear-classifier ``Head``.  Its
-state-dict names are prefixed ``encoder.``/``head.`` so body/head algorithms
-(FedRep, FedPer, LG-FedAvg, FedBABU) can split the wire format with
-:func:`repro.nn.serialize.split_state`.
+state-dict names are prefixed ``encoder.``/``head.``, so a body/head
+algorithm names the part that travels by its prefix
+(``SupervisedFL.shared_part``) and keeps the other part on the client.
 """
 
 from __future__ import annotations

@@ -92,8 +92,9 @@ def state_distance(a: StateDict, b: StateDict) -> float:
 def split_state(state: StateDict, prefix: str) -> Tuple[StateDict, StateDict]:
     """Split into (matching, rest) by dotted-name prefix.
 
-    Used by body/head algorithms (FedRep, FedPer, LG-FedAvg, FedBABU) that
-    communicate only part of the model.
+    ``SupervisedFL`` uses it to find the keys of the part of the model a
+    body/head method communicates (its ``shared_part``), and SSL methods
+    to split their encoder and projector.
     """
     matching: StateDict = OrderedDict()
     rest: StateDict = OrderedDict()

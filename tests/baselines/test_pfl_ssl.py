@@ -92,13 +92,6 @@ class TestLocalStatePersistence:
         method = algorithm._restore_client_method(clients[0], global_state)
         np.testing.assert_array_equal(method.queue, extra["queue"])
 
-    def test_persistence_can_be_disabled(self):
-        config, _, clients = make_setup()
-        algorithm = PFLSSL(config, 10, encoder_factory, ssl_name="simsiam",
-                           persist_local_state=False)
-        algorithm.local_update(clients[0], algorithm.build_global_state(), 0)
-        assert "pfl-simsiam/local" not in clients[0].store
-
 
 SSL_METHODS = [name for name in available_methods()
                if name.startswith(("pfl-", "calibre-")) or name == "fedema"]

@@ -47,8 +47,8 @@ class TestBuildMethodOverrides:
     def test_parent_class_kwargs_are_valid(self):
         # Calibre forwards **kwargs to PFLSSL: its parent's knobs count.
         algorithm = build_method("calibre-simclr", CONFIG, 10, encoder_factory,
-                                 persist_local_state=False, num_prototypes=3)
-        assert algorithm.persist_local_state is False
+                                 projection_dim=16, num_prototypes=3)
+        assert algorithm.projection_dim == 16
 
     def test_unrelated_parent_knob_rejected_for_non_forwarding_class(self):
         # Scaffold's __init__ has no **kwargs beyond SupervisedFL's names;
@@ -86,3 +86,15 @@ class TestBuildMethodOverrides:
         algorithm = build_method("fedavg", CONFIG, 10, encoder_factory,
                                  fine_tune_head=True)
         assert algorithm.fine_tune_head is True
+
+    @pytest.mark.parametrize("name", [
+        name for name in available_methods()
+        if name.startswith(("pfl-", "calibre-")) or name == "fedema"])
+    def test_ssl_methods_have_no_persistence_switch(self, name):
+        # Every SSL client keeps its client-local state; there is no knob
+        # that turns keeping off.
+        assert "persist_local_state" not in valid_overrides(name)
+        with pytest.raises(TypeError, match=r"unknown override\(s\) for method "
+                                            r".*'persist_local_state'"):
+            build_method(name, CONFIG, 10, encoder_factory,
+                         persist_local_state=False)

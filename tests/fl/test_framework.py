@@ -67,6 +67,12 @@ class TestConfig:
     def test_zero_personalization_epochs_stay_valid(self):
         assert FederatedConfig(personalization_epochs=0).personalization_epochs == 0
 
+    @pytest.mark.parametrize("buffer", [0, 2.5, True])
+    def test_aggregation_buffer_must_be_a_positive_count(self, buffer):
+        with pytest.raises(ValueError, match="aggregation_buffer must be "
+                                             f"an integer >= 1, got {buffer!r}"):
+            FederatedConfig(aggregation_buffer=buffer)
+
     def test_with_overrides(self):
         config = FederatedConfig(rounds=5).with_overrides(rounds=7)
         assert config.rounds == 7
